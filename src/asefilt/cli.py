@@ -31,7 +31,15 @@ from .harness import (
     run_sysid,
     steady_state,
 )
-from .signals import BgNoiseSpec, PdPulseSpec, load_waveform, save_waveform
+from .signals import (
+    BgNoiseSpec,
+    PdPulseSpec,
+    ScenarioSpec,
+    atomic_write,
+    load_waveform,
+    save_waveform,
+    write_csv,
+)
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -39,6 +47,7 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 OUTDIR_ENV = "ASEFILT_OUTDIR"
 DEFAULT_OUTDIR = "asefilt-out"
+REPORT_FMT = ".12g"
 
 
 class ConfigError(Exception):
@@ -225,24 +234,6 @@ def resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
     return opts
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _num(v) -> str:
-    return format(float(v), ".12g")
-
-
-def _csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (int, str)) else _num(c) for c in row))
-    return "\n".join(lines) + "\n"
-
-
 def _parse_algo_list(opts: dict) -> tuple[str, ...]:
     if opts.get("algo"):
         names = [opts["algo"]]
@@ -271,6 +262,22 @@ def _build_algorithms(opts: dict, kinds: tuple[str, ...], length: int) -> list[A
             kernel_sigma=opts["kernel_sigma"],
             dcd_update=opts["dcd_update"],
             delta_schedule=opts["delta_schedule"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _sysid_scenario(opts: dict) -> ScenarioSpec:
+    try:
+        return make_sysid_scenario(
+            length=opts["length"],
+            horizon=opts["horizon"],
+            mc_runs=opts["runs"],
+            seed=opts["seed"],
+            snr_db=opts["snr_db"],
+            impulse_prob=opts["impulse_prob"],
+            impulse_var=opts["impulse_var"],
+            with_impulses=opts["impulses"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -322,20 +329,7 @@ def _db(series: np.ndarray) -> np.ndarray:
 def cmd_sysid(opts: dict) -> int:
     kinds = _parse_algo_list(opts)
     algos = _build_algorithms(opts, kinds, opts["length"])
-    try:
-        scenario = make_sysid_scenario(
-            length=opts["length"],
-            horizon=opts["horizon"],
-            mc_runs=opts["runs"],
-            seed=opts["seed"],
-            snr_db=opts["snr_db"],
-            impulse_prob=opts["impulse_prob"],
-            impulse_var=opts["impulse_var"],
-            with_impulses=opts["impulses"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    records = run_sysid(scenario, algos, instrument=opts["instrument"])
+    records = run_sysid(_sysid_scenario(opts), algos, instrument=opts["instrument"])
     outdir = _prepare_outdir(opts)
 
     iters = np.arange(opts["horizon"])
@@ -343,7 +337,7 @@ def cmd_sysid(opts: dict) -> int:
     rows = (
         [int(i)] + [rec.nmsd_db[i] for rec in records] for i in range(opts["horizon"])
     )
-    _atomic_write(outdir / "nmsd.csv", _csv_text(header, rows))
+    write_csv(outdir / "nmsd.csv", header, rows, REPORT_FMT)
 
     chart = line_chart(
         [(rec.algorithm, iters, rec.nmsd_db) for rec in records],
@@ -351,13 +345,13 @@ def cmd_sysid(opts: dict) -> int:
         xlabel="iteration",
         ylabel="NMSD (dB)",
     )
-    _atomic_write(outdir / "nmsd.svg", chart)
+    atomic_write(outdir / "nmsd.svg", chart)
 
     steadies = [steady_state(rec.nmsd_db) for rec in records]
     lines = _summary_header("sysid", opts)
     lines += _record_table(records, "steady_nmsd_db", steadies)
     lines += _ops_lines(records)
-    _atomic_write(outdir / "summary.txt", "\n".join(lines) + "\n")
+    atomic_write(outdir / "summary.txt", "\n".join(lines) + "\n")
 
     if opts["instrument"]:
         ops_rows = []
@@ -367,14 +361,9 @@ def cmd_sysid(opts: dict) -> int:
                 [rec.algorithm, rec.op_counts.adds, rec.op_counts.mults,
                  rec.op_counts.comparisons, nominal.adds, nominal.mults]
             )
-        _atomic_write(
-            outdir / "ops.csv",
-            _csv_text(
-                ["algorithm", "measured_adds", "measured_mults", "measured_comparisons",
-                 "nominal_adds", "nominal_mults"],
-                ops_rows,
-            ),
-        )
+        header = ["algorithm", "measured_adds", "measured_mults", "measured_comparisons",
+                  "nominal_adds", "nominal_mults"]
+        write_csv(outdir / "ops.csv", header, ops_rows, REPORT_FMT)
     return EXIT_OK
 
 
@@ -389,10 +378,13 @@ def _load_external_waveforms(opts: dict):
             path = opts[key]
             if path and not os.path.exists(path):
                 raise ConfigError(f"waveform file not found: {path}")
-        primary = load_waveform(opts["primary_file"])
-        reference = load_waveform(opts["reference_file"])
-        if opts["clean_file"]:
-            clean = load_waveform(opts["clean_file"])
+        try:
+            primary = load_waveform(opts["primary_file"])
+            reference = load_waveform(opts["reference_file"])
+            if opts["clean_file"]:
+                clean = load_waveform(opts["clean_file"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     elif opts["clean_file"]:
         raise ConfigError("clean_file requires primary_file and reference_file")
     return primary, reference, clean
@@ -430,7 +422,7 @@ def cmd_anc(opts: dict) -> int:
     horizon = records[0].mse.shape[0]
     header = ["iteration"] + [rec.algorithm for rec in records]
     rows = ([int(i)] + [rec.mse[i] for rec in records] for i in range(horizon))
-    _atomic_write(outdir / "mse.csv", _csv_text(header, rows))
+    write_csv(outdir / "mse.csv", header, rows, REPORT_FMT)
 
     for key in ("primary", "clean", "reference"):
         save_waveform(outdir / f"{key}.csv", waveforms[key])
@@ -444,13 +436,13 @@ def cmd_anc(opts: dict) -> int:
         xlabel="iteration",
         ylabel="residual MSE (dB)",
     )
-    _atomic_write(outdir / "anc.svg", chart)
+    atomic_write(outdir / "anc.svg", chart)
 
     steadies = [10.0 * math.log10(max(steady_state(rec.mse), 1e-40)) for rec in records]
     lines = _summary_header("anc", opts)
     lines += _record_table(records, "steady_mse_db", steadies)
     lines += _ops_lines(records)
-    _atomic_write(outdir / "summary.txt", "\n".join(lines) + "\n")
+    atomic_write(outdir / "summary.txt", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -485,10 +477,8 @@ def cmd_dcd_bench(opts: dict) -> int:
             result = dcd_solve(r_matrix, rhs, params)
             errs.append(float(np.max(np.abs(result.delta_w - x_star))))
         acc_rows.append([nu, max(errs), sum(errs) / len(errs)])
-    _atomic_write(
-        outdir / "dcd_accuracy.csv",
-        _csv_text(["n_updates_per_tap", "max_abs_err", "mean_abs_err"], acc_rows),
-    )
+    header = ["n_updates_per_tap", "max_abs_err", "mean_abs_err"]
+    write_csv(outdir / "dcd_accuracy.csv", header, acc_rows, REPORT_FMT)
 
     ops_rows = []
     for nu in nu_list:
@@ -496,10 +486,7 @@ def cmd_dcd_bench(opts: dict) -> int:
         for kind in ("iwf", "iwf_ase", "rmcc", "dcd_rmcc", "dcd_ase"):
             nominal = count_ops(kind, length, dcd)
             ops_rows.append([kind, nu, nominal.adds, nominal.mults])
-    _atomic_write(
-        outdir / "dcd_ops.csv",
-        _csv_text(["algorithm", "n_updates", "adds", "mults"], ops_rows),
-    )
+    write_csv(outdir / "dcd_ops.csv", ["algorithm", "n_updates", "adds", "mults"], ops_rows, REPORT_FMT)
 
     lines = _summary_header("dcd-bench", opts)
     lines.append("accuracy sweep (max over systems of ||dcd - exact||_inf):")
@@ -515,16 +502,14 @@ def cmd_dcd_bench(opts: dict) -> int:
             algos = default_algorithms(10, ("dcd_ase",), n_updates=nu)
             rec = run_sysid(scenario, algos)[0]
             emb_rows.append([nu, steady_state(rec.nmsd_db), rec.update_ratio])
-        _atomic_write(
-            outdir / "dcd_embedded.csv",
-            _csv_text(["n_updates", "steady_nmsd_db", "update_ratio"], emb_rows),
-        )
+        header = ["n_updates", "steady_nmsd_db", "update_ratio"]
+        write_csv(outdir / "dcd_embedded.csv", header, emb_rows, REPORT_FMT)
         lines.append("")
         lines.append("embedded in the adaptive filter:")
         for nu, nm, ur in emb_rows:
             lines.append(f"n_updates={nu}  steady_nmsd_db={nm:.3f}  update_ratio={ur:.4f}")
 
-    _atomic_write(outdir / "summary.txt", "\n".join(lines) + "\n")
+    atomic_write(outdir / "summary.txt", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -553,35 +538,19 @@ def cmd_sweep(opts: dict) -> int:
         run_opts[param] = value
         kinds = (kind,)
         algos = _build_algorithms(run_opts, kinds, run_opts["length"])
-        try:
-            scenario = make_sysid_scenario(
-                length=run_opts["length"],
-                horizon=run_opts["horizon"],
-                mc_runs=run_opts["runs"],
-                seed=run_opts["seed"],
-                snr_db=run_opts["snr_db"],
-                impulse_prob=run_opts["impulse_prob"],
-                impulse_var=run_opts["impulse_var"],
-                with_impulses=run_opts["impulses"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        rec = run_sysid(scenario, algos)[0]
+        rec = run_sysid(_sysid_scenario(run_opts), algos)[0]
         label = f"{param}={value:g}"
         curves.append((label, np.arange(run_opts["horizon"]), rec.nmsd_db))
         rows.append([value, steady_state(rec.nmsd_db), rec.update_ratio])
 
-    _atomic_write(
-        outdir / "sweep.csv",
-        _csv_text([param, "steady_nmsd_db", "update_ratio"], rows),
-    )
+    write_csv(outdir / "sweep.csv", [param, "steady_nmsd_db", "update_ratio"], rows, REPORT_FMT)
     horizon = opts["horizon"]
     header = ["iteration"] + [label for label, _, _ in curves]
     data_rows = (
         [int(i)] + [curve[2][i] for curve in curves] for i in range(horizon)
     )
-    _atomic_write(outdir / "sweep_curves.csv", _csv_text(header, data_rows))
-    _atomic_write(
+    write_csv(outdir / "sweep_curves.csv", header, data_rows, REPORT_FMT)
+    atomic_write(
         outdir / "sweep.svg",
         line_chart(curves, title=f"{kind}: sweep over {param}", xlabel="iteration", ylabel="NMSD (dB)"),
     )
@@ -589,7 +558,7 @@ def cmd_sweep(opts: dict) -> int:
     lines.append(f"algorithm = {kind}")
     for value, nm, ur in rows:
         lines.append(f"{param}={value:g}  steady_nmsd_db={nm:.3f}  update_ratio={ur:.4f}")
-    _atomic_write(outdir / "summary.txt", "\n".join(lines) + "\n")
+    atomic_write(outdir / "summary.txt", "\n".join(lines) + "\n")
     return EXIT_OK
 
 

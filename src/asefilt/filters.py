@@ -26,7 +26,7 @@ All steps mutate the passed state in place and return it together with a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,12 +141,12 @@ class FilterState:
 
 @dataclass(frozen=True)
 class StepOutput:
-    """What one step tells the caller: the prior error, whether the
-    rank-one statistics update was applied, and a copy of the weights."""
+    """What one step tells the caller: the prior error and whether the
+    rank-one statistics update was applied.  The weights are in the
+    returned state."""
 
     prior_error: float
     applied: bool
-    weights_snapshot: np.ndarray = field(repr=False)
 
 
 def filter_init(config: FilterConfig, *, ops: OpCounter | None = None) -> FilterState:
@@ -272,7 +272,7 @@ def _finish_iwf_step(
     _vss_weight_update(state, config, move=state.step_index >= config.length - 1)
     state.updates_total += 1
     state.step_index += 1
-    return state, StepOutput(prior_error=e, applied=applied, weights_snapshot=state.w.copy())
+    return state, StepOutput(prior_error=e, applied=applied)
 
 
 def iwf_ase_step(
@@ -478,7 +478,7 @@ def dcd_ase_step(
     if gate_open:
         state.updates_applied += 1
     state.step_index += 1
-    return state, StepOutput(prior_error=e, applied=gate_open, weights_snapshot=state.w.copy())
+    return state, StepOutput(prior_error=e, applied=gate_open)
 
 
 def update_ratio(state: FilterState) -> float:

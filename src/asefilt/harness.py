@@ -74,8 +74,8 @@ class AlgoSpec:
     """One algorithm entry of an experiment.
 
     ``kernel_sigma`` only applies to the Gaussian-weighted baseline; when
-    None it defaults to twice the background noise deviation of the
-    scenario (or 2.0 when the scenario has no background noise).
+    None it defaults to ten times the background noise deviation of
+    the scenario (or 10.0 when the scenario has no background noise).
     """
 
     kind: str
@@ -264,6 +264,86 @@ def _make_stepper(
     return lambda st, x, d: rmcc_step(st, cfg, x, d, sigma)
 
 
+def _paired_runs(
+    algorithms: list[AlgoSpec],
+    length: int,
+    horizon: int,
+    runs: int,
+    bg_std: float,
+    draw: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray | float]],
+    w_o: np.ndarray | None,
+    instrument: bool,
+) -> tuple[list[RunRecord], list[np.ndarray]]:
+    """Paired Monte Carlo driver shared by both experiments.
+
+    ``draw(run)`` returns the run's regressor rows, desired signal and the
+    target the prior error is scored against; every algorithm sees the
+    same draw.  With ``w_o`` given, the squared weight deviation from it is
+    averaged into an NMSD curve.  Returns one record per algorithm and
+    each algorithm's prior-error trace of run 0.
+    """
+    if not algorithms:
+        raise ValueError("algorithms must not be empty")
+    for spec in algorithms:
+        if spec.config.length != length:
+            raise ValueError(
+                f"algorithm {spec.name!r} has length {spec.config.length}, experiment needs {length}"
+            )
+    steppers = [_make_stepper(spec, bg_std) for spec in algorithms]
+    counters = [OpCounter() if instrument else None for _ in algorithms]
+    se_sum = [np.zeros(horizon) for _ in algorithms]
+    applied_sum = [np.zeros(horizon) for _ in algorithms]
+    dev_sum = [np.zeros(horizon) for _ in algorithms]
+    ur_sum = [0.0 for _ in algorithms]
+    wall = [0.0 for _ in algorithms]
+    first_errors = []
+
+    for run in range(runs):
+        x_rows, d, target = draw(run)
+        for idx, spec in enumerate(algorithms):
+            state = filter_init(spec.config, ops=counters[idx])
+            step = steppers[idx]
+            err = np.empty(horizon)
+            applied = np.empty(horizon, dtype=bool)
+            dev = np.empty(horizon) if w_o is not None else None
+            t0 = time.perf_counter()
+            for t in range(horizon):
+                state, out = step(state, x_rows[t], d[t])
+                err[t] = out.prior_error
+                applied[t] = out.applied
+                if dev is not None:
+                    diff = state.w - w_o
+                    dev[t] = diff @ diff
+            wall[idx] += time.perf_counter() - t0
+            ur_sum[idx] += update_ratio(state)
+            resid = err - target
+            se_sum[idx] += resid * resid
+            applied_sum[idx] += applied
+            if dev is not None:
+                dev_sum[idx] += dev
+            if run == 0:
+                first_errors.append(err)
+
+    records = []
+    for idx, spec in enumerate(algorithms):
+        nmsd_db = None
+        if w_o is not None:
+            mean_dev = dev_sum[idx] / (runs * float(w_o @ w_o))
+            nmsd_db = 10.0 * np.log10(np.maximum(mean_dev, _FLOOR_RATIO))
+        records.append(
+            RunRecord(
+                algorithm=spec.name,
+                nmsd_db=nmsd_db,
+                mse=se_sum[idx] / runs,
+                update_ratio=ur_sum[idx] / runs,
+                applied_rate=applied_sum[idx] / runs,
+                wall_time=wall[idx],
+                op_counts=per_iteration(counters[idx], runs * horizon) if instrument else None,
+            )
+        )
+    return records, first_errors
+
+
 def run_sysid(
     scenario: ScenarioSpec,
     algorithms: list[AlgoSpec],
@@ -273,29 +353,13 @@ def run_sysid(
     """Identify the scenario plant with every algorithm and average the
     squared deviation trajectories across runs (in the linear domain,
     converted to dB at the end)."""
-    if not algorithms:
-        raise ValueError("algorithms must not be empty")
     w_o = scenario.system_taps
     length = w_o.shape[0]
-    for spec in algorithms:
-        if spec.config.length != length:
-            raise ValueError(
-                f"algorithm {spec.name!r} has length {spec.config.length}, scenario needs {length}"
-            )
     horizon = scenario.horizon
-    runs = scenario.mc_runs
     signal_power = float(w_o @ w_o)
     bg_std = math.sqrt(signal_power * 10.0 ** (-scenario.snr_db / 10.0))
 
-    steppers = [_make_stepper(spec, bg_std) for spec in algorithms]
-    counters = [OpCounter() if instrument else None for _ in algorithms]
-    dev_sum = [np.zeros(horizon) for _ in algorithms]
-    mse_sum = [np.zeros(horizon) for _ in algorithms]
-    applied_sum = [np.zeros(horizon) for _ in algorithms]
-    ur_sum = [0.0 for _ in algorithms]
-    wall = [0.0 for _ in algorithms]
-
-    for run in range(runs):
+    def draw(run: int) -> tuple[np.ndarray, np.ndarray, float]:
         base = scenario.seed ^ run
         u = np.random.default_rng([base, 1]).standard_normal(horizon)
         x_rows = regressors(u, length)
@@ -303,42 +367,11 @@ def run_sysid(
         d += gen_background(horizon, scenario.snr_db, signal_power, [base, 2])
         if scenario.impulses is not None:
             d += gen_bg_noise(horizon, scenario.impulses, [base, 3])
+        return x_rows, d, 0.0
 
-        for idx, spec in enumerate(algorithms):
-            state = filter_init(spec.config, ops=counters[idx])
-            step = steppers[idx]
-            dev = dev_sum[idx]
-            mse = mse_sum[idx]
-            applied = applied_sum[idx]
-            t0 = time.perf_counter()
-            for t in range(horizon):
-                state, out = step(state, x_rows[t], d[t])
-                diff = out.weights_snapshot - w_o
-                dev[t] += float(diff @ diff)
-                mse[t] += out.prior_error * out.prior_error
-                if out.applied:
-                    applied[t] += 1.0
-            wall[idx] += time.perf_counter() - t0
-            ur_sum[idx] += update_ratio(state)
-
-    records = []
-    for idx, spec in enumerate(algorithms):
-        mean_dev = dev_sum[idx] / (runs * signal_power)
-        nmsd_db = 10.0 * np.log10(np.maximum(mean_dev, _FLOOR_RATIO))
-        ops = None
-        if instrument:
-            ops = per_iteration(counters[idx], runs * horizon)
-        records.append(
-            RunRecord(
-                algorithm=spec.name,
-                nmsd_db=nmsd_db,
-                mse=mse_sum[idx] / runs,
-                update_ratio=ur_sum[idx] / runs,
-                applied_rate=applied_sum[idx] / runs,
-                wall_time=wall[idx],
-                op_counts=ops,
-            )
-        )
+    records, _ = _paired_runs(
+        algorithms, length, horizon, scenario.mc_runs, bg_std, draw, w_o, instrument
+    )
     return records
 
 
@@ -358,26 +391,11 @@ def run_anc(
     first run's waveforms (primary, clean, reference and one denoised
     trace per algorithm).
     """
-    if not algorithms:
-        raise ValueError("algorithms must not be empty")
     length = anc.filter_length
-    for spec in algorithms:
-        if spec.config.length != length:
-            raise ValueError(
-                f"algorithm {spec.name!r} has length {spec.config.length}, experiment needs {length}"
-            )
     horizon = anc.horizon if anc.primary is None else anc.primary.shape[0]
-    runs = anc.mc_runs
-
-    steppers = [_make_stepper(spec, 0.0) for spec in algorithms]
-    counters = [OpCounter() if instrument else None for _ in algorithms]
-    se_sum = [np.zeros(horizon) for _ in algorithms]
-    applied_sum = [np.zeros(horizon) for _ in algorithms]
-    ur_sum = [0.0 for _ in algorithms]
-    wall = [0.0 for _ in algorithms]
     waveforms: dict[str, np.ndarray] = {}
 
-    for run in range(runs):
+    def draw(run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         base = anc.seed ^ run
         if anc.primary is not None:
             d = anc.primary
@@ -388,50 +406,17 @@ def run_anc(
             reference = iir_shape(impulses, anc.shaping_a1)
             clean = gen_pd_pulses(horizon, anc.pulse_rate, [base, 4], anc.pulse)
             d = clean + impulses
-        x_rows = regressors(reference, length)
-
         if run == 0:
             waveforms["primary"] = np.array(d, dtype=float)
             waveforms["clean"] = np.array(clean, dtype=float)
             waveforms["reference"] = np.array(reference, dtype=float)
+        return regressors(reference, length), d, clean
 
-        for idx, spec in enumerate(algorithms):
-            state = filter_init(spec.config, ops=counters[idx])
-            step = steppers[idx]
-            se = se_sum[idx]
-            applied = applied_sum[idx]
-            denoised = np.zeros(horizon) if run == 0 else None
-            t0 = time.perf_counter()
-            for t in range(horizon):
-                state, out = step(state, x_rows[t], d[t])
-                err = out.prior_error
-                if denoised is not None:
-                    denoised[t] = err
-                resid = err - clean[t]
-                se[t] += resid * resid
-                if out.applied:
-                    applied[t] += 1.0
-            wall[idx] += time.perf_counter() - t0
-            ur_sum[idx] += update_ratio(state)
-            if denoised is not None:
-                waveforms[f"denoised_{spec.name}"] = denoised
-
-    records = []
-    for idx, spec in enumerate(algorithms):
-        ops = None
-        if instrument:
-            ops = per_iteration(counters[idx], runs * horizon)
-        records.append(
-            RunRecord(
-                algorithm=spec.name,
-                nmsd_db=None,
-                mse=se_sum[idx] / runs,
-                update_ratio=ur_sum[idx] / runs,
-                applied_rate=applied_sum[idx] / runs,
-                wall_time=wall[idx],
-                op_counts=ops,
-            )
-        )
+    records, errors = _paired_runs(
+        algorithms, length, horizon, anc.mc_runs, 0.0, draw, None, instrument
+    )
+    for rec, err in zip(records, errors):
+        waveforms[f"denoised_{rec.algorithm}"] = err
     return records, waveforms
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -27,9 +29,9 @@ __all__ = [
     "regressors",
     "save_waveform",
     "load_waveform",
+    "atomic_write",
+    "write_csv",
 ]
-
-SeedLike = "int | list[int] | tuple[int, ...]"
 
 
 @dataclass(frozen=True)
@@ -180,23 +182,39 @@ def regressors(x: np.ndarray, length: int) -> np.ndarray:
         raise ValueError(f"length must be a positive integer, got {length!r}")
     n = x.shape[0]
     out = np.zeros((n, length))
-    for k in range(length):
+    for k in range(min(length, n)):
         out[k:, k] = x[: n - k]
     return out
 
 
+def atomic_write(path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one rename, so readers never see a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def write_csv(path, header: list[str], rows, fmt: str) -> None:
+    """Write ``rows`` under ``header`` atomically; integer and string cells
+    are written as they are, every other cell as a float formatted by ``fmt``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(c) if isinstance(c, (int, str)) else format(float(c), fmt) for c in row))
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
 def save_waveform(path, x: np.ndarray) -> None:
-    """Write one sample per row as ``index,value`` CSV with a header."""
-    x = np.asarray(x, dtype=float)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "value"])
-        for i, v in enumerate(x):
-            writer.writerow([i, format(float(v), ".17g")])
+    """Write one sample per row as ``index,value`` CSV with a header, at
+    round-trip precision."""
+    write_csv(path, ["index", "value"], enumerate(np.asarray(x, dtype=float).tolist()), ".17g")
 
 
 def load_waveform(path) -> np.ndarray:
-    """Read a waveform written by :func:`save_waveform` (or any index,value CSV)."""
+    """Read a waveform written by :func:`save_waveform` (or any index,value CSV).
+
+    Raises ``ValueError`` for a malformed row or a non-finite sample."""
     values: list[float] = []
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
@@ -206,5 +224,8 @@ def load_waveform(path) -> np.ndarray:
         for row in reader:
             if len(row) < 2:
                 raise ValueError(f"{path}: malformed row {row!r}")
-            values.append(float(row[1]))
+            value = float(row[1])
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: non-finite sample {row[1]!r} at index {len(values)}")
+            values.append(value)
     return np.asarray(values)

@@ -143,6 +143,37 @@ def test_anc_nonexistent_waveform_path_is_named(tmp_path, capsys):
     assert "ref_gone.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["primary", "reference"])
+def test_anc_nonfinite_waveform_sample_is_config_error(tmp_path, capsys, bad):
+    files = {}
+    for key in ("primary", "reference"):
+        x = np.ones(64)
+        if key == bad:
+            x[10] = np.nan
+        files[key] = tmp_path / f"{key}.csv"
+        save_waveform(files[key], x)
+    rc = run_cli(
+        "anc",
+        "--primary-file",
+        str(files["primary"]),
+        "--reference-file",
+        str(files["reference"]),
+        "--length",
+        "2",
+        "--out",
+        str(tmp_path / "o"),
+    )
+    assert rc == EXIT_CONFIG
+    assert f"{bad}.csv" in capsys.readouterr().err
+
+
+def test_sysid_filter_longer_than_horizon(tmp_path):
+    out = tmp_path / "o"
+    rc = run_cli("sysid", "--horizon", "3", "--length", "6", "--runs", "1", "--out", str(out))
+    assert rc == EXIT_OK
+    assert len((out / "nmsd.csv").read_text().splitlines()) == 4
+
+
 def test_anc_external_waveforms_run(tmp_path):
     rng = np.random.default_rng(6)
     ref = rng.standard_normal(500)

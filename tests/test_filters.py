@@ -178,15 +178,6 @@ def test_update_counters_and_ratio():
     assert update_ratio(st) == 0.5
 
 
-def test_snapshot_is_independent_copy():
-    cfg = cfg_for(length=2)
-    st = filter_init(cfg)
-    st, out = iwf_step(st, cfg, np.array([1.0, 1.0]), 2.0)
-    frozen = out.weights_snapshot.copy()
-    st.w += 100.0
-    assert np.array_equal(out.weights_snapshot, frozen)
-
-
 def test_iwf_matches_wide_cutoff_variant():
     """With a very wide cutoff the robust weighting becomes a (nearly)
     constant scale on the statistics, which the step-size normalization
@@ -402,5 +393,6 @@ def test_dcd_counters_and_output_shape():
     st = filter_init(cfg)
     st, out = dcd_ase_step(st, cfg, np.array([0.5, 0.1]), 0.2)
     assert st.updates_total == 1
-    assert isinstance(out.weights_snapshot, np.ndarray)
+    assert out.prior_error == 0.2 and out.applied
+    assert st.w.shape == (2,)
     assert st.step_index == 1

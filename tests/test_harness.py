@@ -174,6 +174,16 @@ def test_run_anc_zero_reference_passthrough():
     assert np.array_equal(recs[0].mse, np.zeros(400))
 
 
+def test_run_anc_pairing_is_algorithm_independent():
+    """An algorithm's residual and denoised trace do not depend on which
+    other algorithms share the paired runs."""
+    anc = AncSpec(horizon=600, mc_runs=2, seed=8)
+    alone, alone_waves = run_anc(anc, default_algorithms(5, kinds=("iwf_ase",)))
+    together, waves = run_anc(anc, default_algorithms(5))
+    assert np.array_equal(alone[0].mse, together[1].mse)
+    assert np.array_equal(alone_waves["denoised_iwf_ase"], waves["denoised_iwf_ase"])
+
+
 def test_anc_spec_validation():
     with pytest.raises(ValueError):
         AncSpec(horizon=0, mc_runs=1, seed=1)

@@ -98,6 +98,11 @@ def test_regressors_tapped_delay_line():
 def test_regressors_window_longer_than_signal():
     x = regressors(np.array([4.0]), 3)
     assert np.array_equal(x, np.array([[4.0, 0.0, 0.0]]))
+    x = regressors(np.array([1.0, 2.0]), 4)
+    assert np.array_equal(x, np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0]]))
+    x = regressors(np.array([1.0, 2.0, 3.0]), 6)
+    assert np.array_equal(x[:, :3], np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 0.0], [3.0, 2.0, 1.0]]))
+    assert x.shape == (3, 6) and not x[:, 3:].any()
 
 
 def test_waveform_roundtrip_exact(tmp_path):
