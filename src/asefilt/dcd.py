@@ -19,7 +19,7 @@ import numpy as np
 
 from .counting import OpCounter
 
-__all__ = ["DcdParams", "DcdSolveResult", "dcd_solve", "quantize_grid", "dcd_solve_shift_add"]
+__all__ = ["DcdParams", "DcdSolveResult", "ShiftMatrix", "dcd_solve", "quantize_grid"]
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,76 @@ class DcdSolveResult:
     exhausted_bits: bool
 
 
+class ShiftMatrix:
+    """Symmetric matrix stored as a ring of its last ``length`` first rows.
+
+    The autocorrelation of a tapped delay line, updated by shifting the
+    previous matrix down-right by one sample and writing a new first row
+    (and column), satisfies ``R[i, j] = rows[min(i, j)][|i - j|]`` with
+    ``rows[k]`` the first row written ``k`` updates ago.  Holding those
+    rows instead of ``R`` makes the update one O(length) row write
+    (:meth:`push`) and a column of ``R`` one O(length) gather
+    (:meth:`column`): the shift structure of DCD-RLS (Zakharov, White &
+    Liu, "Low-complexity RLS algorithms using dichotomous coordinate
+    descent iterations", IEEE Trans. Signal Processing, 2008).
+
+    Every row is stored twice, at slots ``s`` and ``s + length`` of a
+    ``(2 length, length)`` buffer, so the ``length`` newest rows always
+    form one contiguous window and a column is a single ``take`` through
+    a fixed offset table.  Rows are checked finite when written, so every
+    entry of ``R`` is finite.
+    """
+
+    def __init__(self, r_matrix: np.ndarray) -> None:
+        """Ring holding the symmetric ``r_matrix`` (its upper triangle is read)."""
+        r = np.asarray(r_matrix, dtype=float)
+        if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] == 0:
+            raise ValueError(f"r_matrix must be square and non-empty, got shape {r.shape}")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("r_matrix must be finite")
+        n = r.shape[0]
+        buf = np.zeros((2 * n, n))
+        for k in range(n):
+            buf[k, : n - k] = r[k, k:]
+        buf[n:] = buf[:n]
+        # offsets[j, i] = min(i, j) * n + |i - j|: where R[i, j] sits in the window.
+        k = np.arange(n)
+        offsets = np.subtract.outer(k, k)
+        np.abs(offsets, out=offsets)
+        rows_back = np.minimum.outer(k, k)
+        rows_back *= n
+        offsets += rows_back
+        self.length = n
+        self._buf = buf.reshape(-1)
+        self._head = 0
+        self._window = self._buf[: n * n]
+        self._offsets = offsets
+
+    def push(self, row: np.ndarray) -> None:
+        """Shift ``R`` down-right by one and make ``row`` its first row and column."""
+        if not np.isfinite(row).all():
+            raise ValueError("r_matrix rows must be finite")
+        n = self.length
+        self._head = head = (self._head - 1) % n
+        self._buf[head * n : (head + 1) * n] = row
+        self._buf[(head + n) * n : (head + n + 1) * n] = row
+        self._window = self._buf[head * n : (head + n) * n]
+
+    def diagonal(self) -> np.ndarray:
+        """Read-only view of the diagonal of ``R``: entry 0 of each row in the window."""
+        diag = self._window[:: self.length]
+        diag.flags.writeable = False
+        return diag
+
+    def column(self, j: int) -> np.ndarray:
+        """Column ``j`` of ``R`` as a new array."""
+        return self._window.take(self._offsets[j])
+
+    def dense(self) -> np.ndarray:
+        """``R`` as a new dense ``(length, length)`` array, in O(length^2)."""
+        return self._window.take(self._offsets)
+
+
 def quantize_grid(params: DcdParams) -> list[float]:
     """Step sizes the solver can apply, largest first: ``h/2, h/4, ..., h/2**m_bits``."""
     return [params.h / 2.0 ** q for q in range(1, params.m_bits + 1)]
@@ -96,8 +166,22 @@ def _validate_system(r_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray,
     return r_matrix, rhs
 
 
+def _validate_shift_system(r_matrix: ShiftMatrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """O(length) counterpart of :func:`_validate_system`: the rows of a
+    :class:`ShiftMatrix` were checked finite when written."""
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (r_matrix.length,):
+        raise ValueError(f"rhs must be a vector of length {r_matrix.length}, got shape {rhs.shape}")
+    if not np.isfinite(rhs).all():
+        raise ValueError("rhs must be finite")
+    diag = r_matrix.diagonal()
+    if (diag <= 0.0).any():
+        raise ValueError("r_matrix must have strictly positive diagonal entries")
+    return rhs, diag
+
+
 def dcd_solve(
-    r_matrix: np.ndarray,
+    r_matrix: np.ndarray | ShiftMatrix,
     rhs: np.ndarray,
     params: DcdParams,
     *,
@@ -110,8 +194,20 @@ def dcd_solve(
     residual exceeds half the current step times the matching diagonal
     entry; until then the step is halved.  Both the step size and the
     halving count persist across updates within the call.
+
+    ``r_matrix`` is a dense symmetric matrix, validated in O(length^2), or
+    a :class:`ShiftMatrix`, validated and read in O(length) per column.
     """
-    r_matrix, rhs = _validate_system(r_matrix, rhs)
+    if isinstance(r_matrix, ShiftMatrix):
+        rhs, diag = _validate_shift_system(r_matrix, rhs)
+        column = r_matrix.column
+    else:
+        r_dense, rhs = _validate_system(r_matrix, rhs)
+        diag = r_dense.diagonal()
+
+        def column(j: int) -> np.ndarray:
+            return r_dense[:, j]
+
     n = rhs.shape[0]
     delta_w = np.zeros(n)
     residual = rhs.copy()
@@ -123,7 +219,7 @@ def dcd_solve(
         ops.mults += 1  # initial halving of h
 
     while updates < params.n_updates:
-        lead = int(np.argmax(np.abs(residual)))
+        lead = int(np.abs(residual).argmax())
         lead_mag = abs(residual[lead])
         if ops is not None:
             ops.comparisons += n  # argmax scan
@@ -132,7 +228,7 @@ def dcd_solve(
             if ops is not None:
                 ops.mults += 1  # 0.5 * m * R[lead, lead]
                 ops.comparisons += 1
-            if lead_mag > 0.5 * m * r_matrix[lead, lead]:
+            if lead_mag > 0.5 * m * diag[lead]:
                 break
             q += 1
             if ops is not None:
@@ -147,7 +243,7 @@ def dcd_solve(
             break
         step = m if residual[lead] >= 0.0 else -m
         delta_w[lead] += step
-        residual -= step * r_matrix[:, lead]
+        residual -= step * column(lead)
         updates += 1
         if ops is not None:
             ops.adds += 1 + n
@@ -158,56 +254,3 @@ def dcd_solve(
         updates_used=updates,
         exhausted_bits=exhausted,
     )
-
-
-def dcd_solve_shift_add(
-    r_matrix: np.ndarray,
-    rhs: np.ndarray,
-    h_exp: int,
-    m_bits: int,
-    n_updates: int,
-) -> tuple[list[int], list[int], int, bool]:
-    """Integer shadow of :func:`dcd_solve` using only shifts, adds and compares.
-
-    ``r_matrix`` and ``rhs`` must hold integer values, and the step range is
-    ``h = 2**h_exp`` with ``m_bits >= h_exp >= 0``.  Returns
-    ``(delta_w_units, residual_units, updates_used, exhausted_bits)`` where
-    both vectors are expressed in units of ``2**(h_exp - m_bits)``; scaling
-    them by that power of two reproduces the float solver bit for bit on
-    inputs small enough to be exact in doubles.
-    """
-    r_int = [[int(v) for v in row] for row in np.asarray(r_matrix).tolist()]
-    n = len(r_int)
-    if not (isinstance(h_exp, int) and 0 <= h_exp <= m_bits):
-        raise ValueError("h_exp must be an integer with 0 <= h_exp <= m_bits")
-    for i in range(n):
-        if r_int[i][i] <= 0:
-            raise ValueError("r_matrix must have strictly positive diagonal entries")
-    # Residual carried at scale 2**(m_bits - h_exp) so every update is integral.
-    residual = [int(v) << (m_bits - h_exp) for v in np.asarray(rhs).tolist()]
-    delta_units = [0] * n
-    q = 1
-    updates = 0
-    exhausted = False
-
-    while updates < n_updates:
-        lead = 0
-        lead_mag = abs(residual[0])
-        for j in range(1, n):
-            if abs(residual[j]) > lead_mag:
-                lead = j
-                lead_mag = abs(residual[j])
-        while (lead_mag << 1) <= (r_int[lead][lead] << (m_bits - q)):
-            q += 1
-            if q > m_bits:
-                exhausted = True
-                break
-        if exhausted:
-            break
-        sign = 1 if residual[lead] >= 0 else -1
-        delta_units[lead] += sign << (m_bits - q)
-        shift = m_bits - q
-        for j in range(n):
-            residual[j] -= sign * (r_int[j][lead] << shift)
-        updates += 1
-    return delta_units, residual, updates, exhausted

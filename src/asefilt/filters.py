@@ -9,8 +9,9 @@ cross-correlation):
   but inversion-free update per sample).
 * ``dcd_ase_step`` replaces the residual iteration by a budgeted
   dichotomous coordinate descent solve and maintains the solver residual
-  across samples, bringing the per-sample cost down to O(length) when the
-  shift-structured correlation update is used.
+  across samples.  Its default shift-structured correlation update keeps
+  ``R`` as a ring of first rows (:class:`~asefilt.dcd.ShiftMatrix`), so
+  each sample costs O(length) in multiplies and in memory traffic.
 
 Robustness comes from the per-sample weighting factor: samples whose prior
 error magnitude exceeds ``pi * c`` contribute nothing to the updated
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import OpCounter
-from .dcd import DcdParams, dcd_solve
+from .dcd import DcdParams, ShiftMatrix, dcd_solve
 from .estimator import AseParams, ase_weight
 
 __all__ = [
@@ -126,10 +127,16 @@ class FilterConfig:
 
 @dataclass
 class FilterState:
-    """Mutable per-filter state; create via :func:`filter_init`."""
+    """Mutable per-filter state; create via :func:`filter_init`.
+
+    ``r_store`` holds the autocorrelation: a dense array, or the
+    :class:`~asefilt.dcd.ShiftMatrix` ring that shift-mode
+    :func:`dcd_ase_step` switches it to on its first step.  Read and
+    assign ``R`` through :attr:`r_matrix`.
+    """
 
     w: np.ndarray
-    r_matrix: np.ndarray
+    r_store: np.ndarray | ShiftMatrix
     theta: np.ndarray
     residual: np.ndarray
     delta_prev: float
@@ -137,6 +144,20 @@ class FilterState:
     updates_total: int = 0
     updates_applied: int = 0
     ops: OpCounter | None = None
+
+    @property
+    def r_matrix(self) -> np.ndarray:
+        """The dense autocorrelation ``R``.
+
+        When ``R`` is held as a ring this is a fresh copy, built in
+        O(length^2); writing into it does not change the state.
+        """
+        r = self.r_store
+        return r.dense() if isinstance(r, ShiftMatrix) else r
+
+    @r_matrix.setter
+    def r_matrix(self, value: np.ndarray) -> None:
+        self.r_store = value
 
 
 @dataclass(frozen=True)
@@ -158,7 +179,7 @@ def filter_init(config: FilterConfig, *, ops: OpCounter | None = None) -> Filter
         delta_prev = config.rho
     return FilterState(
         w=np.zeros(length),
-        r_matrix=np.eye(length) * config.rho,
+        r_store=np.eye(length) * config.rho,
         theta=np.zeros(length),
         residual=np.zeros(length),
         delta_prev=delta_prev,
@@ -178,6 +199,14 @@ def _check_sample(config: FilterConfig, x, d) -> tuple[np.ndarray, float]:
     return x, d
 
 
+def _dense_r(state: FilterState) -> np.ndarray:
+    """``R`` for an in-place dense update; a ring-held ``R`` is stored densely again."""
+    r = state.r_store
+    if isinstance(r, ShiftMatrix):
+        r = state.r_store = r.dense()
+    return r
+
+
 def correlation_update(
     state: FilterState, config: FilterConfig, x: np.ndarray, d: float, phi: float
 ) -> FilterState:
@@ -193,13 +222,14 @@ def correlation_update(
     lam = config.lam
     n = config.length
     ops = state.ops
-    state.r_matrix *= lam
+    r_mat = _dense_r(state)
+    r_mat *= lam
     state.theta *= lam
     if ops is not None:
         ops.mults += n * n + n
     if phi != 0.0:
         v = phi * x
-        state.r_matrix += np.outer(v, x)
+        r_mat += np.outer(v, x)
         state.theta += (phi * d) * x
         if ops is not None:
             ops.mults += n + n * n + 1 + n
@@ -209,7 +239,8 @@ def correlation_update(
 
 def _decay_only(state: FilterState, config: FilterConfig) -> None:
     n = config.length
-    state.r_matrix *= config.lam
+    r_mat = _dense_r(state)
+    r_mat *= config.lam
     state.theta *= config.lam
     if state.ops is not None:
         state.ops.mults += n * n + n
@@ -232,7 +263,8 @@ def _vss_weight_update(state: FilterState, config: FilterConfig, move: bool) -> 
     stay put (used while the delay line is still filling)."""
     n = config.length
     ops = state.ops
-    r = state.theta - state.r_matrix @ state.w
+    r_mat = _dense_r(state)
+    r = state.theta - r_mat @ state.w
     state.residual = r
     if ops is not None:
         ops.mults += n * n
@@ -240,7 +272,7 @@ def _vss_weight_update(state: FilterState, config: FilterConfig, move: bool) -> 
     if not move:
         return
     rr = float(r @ r)
-    r_big = state.r_matrix @ r
+    r_big = r_mat @ r
     den = float(r @ r_big) + config.vss_guard
     mu = rr / den
     state.w += mu * r
@@ -329,17 +361,26 @@ def rmcc_step(
     return _finish_iwf_step(state, config, x, d, e, phi, True)
 
 
-def _shift_correlation_update(state: FilterState, config: FilterConfig, x: np.ndarray) -> None:
+def _shift_correlation_update(
+    state: FilterState, config: FilterConfig, x: np.ndarray, correction: float
+) -> None:
     """O(length) autocorrelation update for tapped-delay-line inputs.
 
     The first row follows the exact exponentially weighted recursion
     ``row0 <- lam row0 + x[0] x`` and the interior block is the previous
-    matrix shifted down-right by one sample; symmetry is restored by
-    mirroring the first row onto the first column.  Because consecutive
-    regressors share all but one entry, the shifted block *is* the
-    exponentially weighted sum for the interior lags, so the recursion
-    ``R(n) = lam R(n-1) + x x^T`` holds entry-exactly (the only deviation
-    is the initial ``rho I`` mass, which the interior keeps undecayed).
+    matrix shifted down-right by one sample; symmetry makes the first
+    column the first row.  Because consecutive regressors share all but
+    one entry, the shifted block *is* the exponentially weighted sum for
+    the interior lags, so the recursion ``R(n) = lam R(n-1) + x x^T``
+    holds entry-exactly (the only deviation is the initial ``rho I``
+    mass, which the interior keeps undecayed).  The shifted interior
+    keeps its leakage mass too, so the leakage ``correction`` tops up the
+    leading entry only.
+
+    ``R`` is held as a :class:`~asefilt.dcd.ShiftMatrix`, a ring of the
+    last ``length`` first rows, so the shift is one row write: O(length)
+    multiplies and O(length) memory traffic.  A state's first shift-mode
+    step converts its dense ``R`` (``rho I`` on a fresh state) to the ring.
 
     The sample weighting deliberately does not appear here: scaling the
     rank-one term by a step-dependent factor breaks the shift identity
@@ -348,16 +389,20 @@ def _shift_correlation_update(state: FilterState, config: FilterConfig, x: np.nd
     coordinate-descent variant cheap.  Robust weighting is applied on the
     error side instead; see :func:`dcd_ase_step`.
     """
-    r = state.r_matrix
+    r = state.r_store
+    if not isinstance(r, ShiftMatrix):
+        r = state.r_store = ShiftMatrix(r)
     n = config.length
     ops = state.ops
-    r[1:, 1:] = r[:-1, :-1].copy()
-    row0 = config.lam * r[0, :] + x[0] * x
+    row0 = config.lam * r.column(0) + x[0] * x
     if ops is not None:
         ops.mults += 2 * n
         ops.adds += n
-    r[0, :] = row0
-    r[:, 0] = row0
+    if correction != 0.0:
+        row0[0] += correction
+        if ops is not None:
+            ops.adds += 1
+    r.push(row0)
 
 
 def dcd_ase_step(
@@ -379,16 +424,21 @@ def dcd_ase_step(
       exact.  Equivalently, the filter tracks the normal equations for the
       error-censored desired signal ``d - (1 - phi) e``: outlier samples
       are replaced by the filter's own prediction while the (impulse-free)
-      regressor statistics keep accumulating.
+      regressor statistics keep accumulating.  ``R`` is held as a ring of
+      first rows, which the solver reads one column at a time, so the
+      whole step is O(length) in multiplies and in memory traffic.
     * ``"dense"`` applies the weighting to the full rank-one sample update
       on both sides, at O(length^2) multiplies per step.
 
     In both modes the solver engages only once the delay line has filled
     (``length`` samples); solving against the rank-deficient early
     statistics launches the weights far enough that the error gate then
-    blocks recovery.  ``solve_fn(r_matrix, rhs) -> (delta_w, residual_out)``
-    may replace the built-in solver, e.g. with a dense exact solve for
-    validation.
+    blocks recovery.  For the same reason the solve is skipped, with the
+    weights held and the right-hand side carried over as the residual,
+    while any diagonal entry of ``R`` is not positive, as happens when a
+    silent input decays it to zero.  ``solve_fn(r_matrix, rhs) ->
+    (delta_w, residual_out)`` may replace the built-in solver, e.g. with a
+    dense exact solve for validation; it receives ``R`` as a dense copy.
     """
     if config.dcd is None and solve_fn is None:
         raise FilterError("dcd_ase_step requires FilterConfig.dcd (or an explicit solve_fn)")
@@ -418,24 +468,19 @@ def dcd_ase_step(
         ops.adds += 1
 
     if config.dcd_update == "shift":
-        _shift_correlation_update(state, config, x)
-        if correction != 0.0:
-            # The shifted interior keeps its leakage mass undecayed, so
-            # only the freshly rebuilt leading entry needs topping up.
-            state.r_matrix[0, 0] += correction
-            if ops is not None:
-                ops.adds += 1
+        _shift_correlation_update(state, config, x, correction)
     else:
-        state.r_matrix *= lam
+        r_mat = _dense_r(state)
+        r_mat *= lam
         if ops is not None:
             ops.mults += n * n
         if gate_open and phi != 0.0:
-            state.r_matrix += np.outer(phi * x, x)
+            r_mat += np.outer(phi * x, x)
             if ops is not None:
                 ops.mults += n + n * n
                 ops.adds += n * n
         if correction != 0.0:
-            state.r_matrix[np.diag_indices(n)] += correction
+            r_mat[np.diag_indices(n)] += correction
             if ops is not None:
                 ops.adds += n
 
@@ -459,14 +504,16 @@ def dcd_ase_step(
                 ops.mults += n
                 ops.adds += n
 
-    if state.step_index < config.length - 1:
-        # Delay line still filling: accumulate statistics only.
+    if state.step_index < config.length - 1 or state.r_store.diagonal().min() <= 0.0:
+        # Accumulate statistics only while the delay line fills, and while
+        # a silent input has decayed part of the diagonal to zero: a zero
+        # pivot accepts every coordinate update and the weights run away.
         state.residual = rhs
     else:
         if solve_fn is not None:
             delta_w, residual_out = solve_fn(state.r_matrix, rhs)
         else:
-            result = dcd_solve(state.r_matrix, rhs, config.dcd, ops=ops)
+            result = dcd_solve(state.r_store, rhs, config.dcd, ops=ops)
             delta_w, residual_out = result.delta_w, result.residual_out
         state.w += delta_w
         state.residual = np.asarray(residual_out, dtype=float)

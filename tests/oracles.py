@@ -1,0 +1,120 @@
+"""Test-only reference implementations that the library is checked against.
+
+* :func:`dcd_solve_shift_add` -- an integer shadow of ``dcd_solve`` using
+  only shifts, adds and compares.
+* :func:`dense_shift_step` -- the shift-mode ``dcd_ase_step`` computed on a
+  dense ``R`` whose interior block is copied down-right every sample,
+  i.e. the O(length^2) memory-traffic form of the ring-of-rows update.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from asefilt import FilterConfig, ase_weight, dcd_solve
+
+
+def dcd_solve_shift_add(
+    r_matrix: np.ndarray,
+    rhs: np.ndarray,
+    h_exp: int,
+    m_bits: int,
+    n_updates: int,
+) -> tuple[list[int], list[int], int, bool]:
+    """Integer shadow of :func:`dcd_solve` using only shifts, adds and compares.
+
+    ``r_matrix`` and ``rhs`` must hold integer values, and the step range is
+    ``h = 2**h_exp`` with ``m_bits >= h_exp >= 0``.  Returns
+    ``(delta_w_units, residual_units, updates_used, exhausted_bits)`` where
+    both vectors are expressed in units of ``2**(h_exp - m_bits)``; scaling
+    them by that power of two reproduces the float solver bit for bit on
+    inputs small enough to be exact in doubles.
+    """
+    r_int = [[int(v) for v in row] for row in np.asarray(r_matrix).tolist()]
+    n = len(r_int)
+    if not (isinstance(h_exp, int) and 0 <= h_exp <= m_bits):
+        raise ValueError("h_exp must be an integer with 0 <= h_exp <= m_bits")
+    for i in range(n):
+        if r_int[i][i] <= 0:
+            raise ValueError("r_matrix must have strictly positive diagonal entries")
+    # Residual carried at scale 2**(m_bits - h_exp) so every update is integral.
+    residual = [int(v) << (m_bits - h_exp) for v in np.asarray(rhs).tolist()]
+    delta_units = [0] * n
+    q = 1
+    updates = 0
+    exhausted = False
+
+    while updates < n_updates:
+        lead = 0
+        lead_mag = abs(residual[0])
+        for j in range(1, n):
+            if abs(residual[j]) > lead_mag:
+                lead = j
+                lead_mag = abs(residual[j])
+        while (lead_mag << 1) <= (r_int[lead][lead] << (m_bits - q)):
+            q += 1
+            if q > m_bits:
+                exhausted = True
+                break
+        if exhausted:
+            break
+        sign = 1 if residual[lead] >= 0 else -1
+        delta_units[lead] += sign << (m_bits - q)
+        shift = m_bits - q
+        for j in range(n):
+            residual[j] -= sign * (r_int[j][lead] << shift)
+        updates += 1
+    return delta_units, residual, updates, exhausted
+
+
+@dataclass
+class DenseShiftState:
+    w: np.ndarray
+    r_matrix: np.ndarray
+    residual: np.ndarray
+    delta_prev: float
+    step_index: int = 0
+
+
+def dense_shift_init(config: FilterConfig) -> DenseShiftState:
+    lam, rho = config.lam, config.rho
+    return DenseShiftState(
+        w=np.zeros(config.length),
+        r_matrix=np.eye(config.length) * rho,
+        residual=np.zeros(config.length),
+        delta_prev=lam * rho if config.delta_schedule == "decaying" else rho,
+    )
+
+
+def dense_shift_step(state: DenseShiftState, config: FilterConfig, x: np.ndarray, d: float) -> float:
+    """One shift-mode ``dcd_ase_step`` on a dense ``R``; returns the prior error."""
+    e = d - float(state.w @ x)
+    gate_open = abs(e) <= config.ase.cutoff
+    phi = ase_weight(e, config.ase) if gate_open else 0.0
+    lam = config.lam
+    delta_n = lam * state.delta_prev if config.delta_schedule == "decaying" else config.rho
+    correction = delta_n - lam * state.delta_prev
+
+    r = state.r_matrix
+    r[1:, 1:] = r[:-1, :-1].copy()
+    row0 = lam * r[0, :] + x[0] * x
+    r[0, :] = row0
+    r[:, 0] = row0
+    if correction != 0.0:
+        r[0, 0] += correction
+
+    rhs = lam * state.residual
+    if gate_open and phi != 0.0:
+        rhs += (phi * e) * x
+    if correction != 0.0:
+        rhs[0] -= correction * state.w[0]
+
+    if state.step_index < config.length - 1:
+        state.residual = rhs
+    else:
+        result = dcd_solve(r, rhs, config.dcd)
+        state.w += result.delta_w
+        state.residual = result.residual_out
+    state.delta_prev = delta_n
+    state.step_index += 1
+    return e

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from asefilt import DcdParams, DcdSolveResult, dcd_solve, quantize_grid
-from asefilt.dcd import dcd_solve_shift_add
+from asefilt.dcd import ShiftMatrix
 from asefilt.harness import random_spd_system
+
+from oracles import dcd_solve_shift_add
 
 
 def test_params_validation():
@@ -153,3 +155,52 @@ def test_shift_add_rejects_bad_exponents():
         dcd_solve_shift_add([[1]], [0], -1, 4, 4)
     with pytest.raises(ValueError):
         dcd_solve_shift_add([[1]], [0], 5, 4, 4)
+
+
+def _shifted(r, row):
+    out = np.empty_like(r)
+    out[1:, 1:] = r[:-1, :-1]
+    out[0, :] = row
+    out[:, 0] = row
+    return out
+
+
+def test_shift_matrix_reads_match_dense():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((6, 6))
+    dense = a + a.T + 12.0 * np.eye(6)
+    ring = ShiftMatrix(dense)
+    for _ in range(9):  # wraps the ring once and a half
+        row = rng.standard_normal(6)
+        row[0] = 5.0 + abs(row[0])
+        ring.push(row)
+        dense = _shifted(dense, row)
+        assert np.array_equal(ring.dense(), dense)
+        assert np.array_equal(ring.diagonal(), np.diag(dense))
+        for j in range(6):
+            assert np.array_equal(ring.column(j), dense[:, j])
+        rhs = rng.standard_normal(6)
+        p = DcdParams(h=2.0, m_bits=10, n_updates=12)
+        a_res, b_res = dcd_solve(ring, rhs, p), dcd_solve(dense, rhs, p)
+        assert np.array_equal(a_res.delta_w, b_res.delta_w)
+        assert np.array_equal(a_res.residual_out, b_res.residual_out)
+        assert a_res.updates_used == b_res.updates_used
+
+
+def test_shift_matrix_validation():
+    with pytest.raises(ValueError):
+        ShiftMatrix(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        ShiftMatrix(np.full((2, 2), np.inf))
+    ring = ShiftMatrix(np.eye(2))
+    with pytest.raises(ValueError):
+        ring.push(np.array([np.nan, 0.0]))
+    assert np.array_equal(ring.dense(), np.eye(2))  # a rejected row is not written
+    p = DcdParams()
+    with pytest.raises(ValueError):
+        dcd_solve(ring, np.zeros(3), p)
+    with pytest.raises(ValueError):
+        dcd_solve(ring, np.array([0.0, np.inf]), p)
+    ring.push(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        dcd_solve(ring, np.zeros(2), p)
