@@ -1,8 +1,12 @@
 """Lightweight floating-point operation counters.
 
-Filter steps and the coordinate-descent solver accept an optional counter;
-when it is absent (the default) the instrumented code paths cost nothing
-beyond a ``None`` check.
+Filter steps and the coordinate-descent solver accept an optional counter.
+Each counting function adds its work once per call, from a closed-form
+cost in the length and in what the call already decided (the gate, a zero
+weighting factor or leakage correction, the update mode, the solver's
+updates, halvings and bit exhaustion), so the arithmetic itself carries no
+instrumentation.  Without a counter (the default) that is one ``None``
+check per call.
 """
 
 from __future__ import annotations
@@ -18,10 +22,13 @@ class OpCounter:
     mults: int = 0
     comparisons: int = 0
 
+    def add(self, adds: int, mults: int, comparisons: int = 0) -> None:
+        self.adds += adds
+        self.mults += mults
+        self.comparisons += comparisons
+
     def merge(self, other: "OpCounter") -> None:
-        self.adds += other.adds
-        self.mults += other.mults
-        self.comparisons += other.comparisons
+        self.add(other.adds, other.mults, other.comparisons)
 
 
 @dataclass(frozen=True)

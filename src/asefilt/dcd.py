@@ -215,39 +215,34 @@ def dcd_solve(
     q = 1
     updates = 0
     exhausted = False
-    if ops is not None:
-        ops.mults += 1  # initial halving of h
-
     while updates < params.n_updates:
         lead = int(np.abs(residual).argmax())
         lead_mag = abs(residual[lead])
-        if ops is not None:
-            ops.comparisons += n  # argmax scan
         # Halve the step until the leading residual is significant at this scale.
-        while True:
-            if ops is not None:
-                ops.mults += 1  # 0.5 * m * R[lead, lead]
-                ops.comparisons += 1
-            if lead_mag > 0.5 * m * diag[lead]:
-                break
+        while lead_mag <= 0.5 * m * diag[lead]:
             q += 1
-            if ops is not None:
-                ops.comparisons += 1  # bit budget check
             if q > params.m_bits:
                 exhausted = True
                 break
             m *= 0.5
-            if ops is not None:
-                ops.mults += 1
         if exhausted:
             break
         step = m if residual[lead] >= 0.0 else -m
         delta_w[lead] += step
         residual -= step * column(lead)
         updates += 1
-        if ops is not None:
-            ops.adds += 1 + n
-            ops.mults += n
+    if ops is not None:
+        # Per update: an n-entry scan, a passing significance test (one
+        # multiply, one comparison), the column axpy and the increment.  Per
+        # halving: a failing test, the bit budget check and the step
+        # multiply, which the halving that exhausts the bits skips; that
+        # halving also follows one more scan.  Plus the initial h / 2.
+        halvings = q - 1
+        ops.add(
+            (n + 1) * updates,
+            1 + 2 * halvings - exhausted + (n + 1) * updates,
+            n * (updates + exhausted) + updates + 2 * halvings,
+        )
     return DcdSolveResult(
         delta_w=delta_w,
         residual_out=residual,

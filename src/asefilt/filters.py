@@ -220,39 +220,24 @@ def correlation_update(
     if not (math.isfinite(phi) and phi >= 0.0):
         raise ValueError(f"phi must be finite and nonnegative, got {phi!r}")
     lam = config.lam
-    n = config.length
-    ops = state.ops
     r_mat = _dense_r(state)
     r_mat *= lam
     state.theta *= lam
-    if ops is not None:
-        ops.mults += n * n + n
     if phi != 0.0:
-        v = phi * x
-        r_mat += np.outer(v, x)
+        r_mat += np.outer(phi * x, x)
         state.theta += (phi * d) * x
-        if ops is not None:
-            ops.mults += n + n * n + 1 + n
-            ops.adds += n * n + n
+    if state.ops is not None:
+        # The decay; a sample adds phi x, its outer product and phi d x.
+        n = config.length
+        weighted = phi != 0.0
+        state.ops.add(weighted * (n * n + n), n * n + n + weighted * (n * n + 2 * n + 1))
     return state
 
 
 def _decay_only(state: FilterState, config: FilterConfig) -> None:
-    n = config.length
     r_mat = _dense_r(state)
     r_mat *= config.lam
     state.theta *= config.lam
-    if state.ops is not None:
-        state.ops.mults += n * n + n
-
-
-def _prior_error(state: FilterState, x: np.ndarray, d: float) -> float:
-    e = d - float(state.w @ x)
-    if state.ops is not None:
-        n = x.shape[0]
-        state.ops.mults += n
-        state.ops.adds += n
-    return e
 
 
 def _vss_weight_update(state: FilterState, config: FilterConfig, move: bool) -> None:
@@ -261,14 +246,9 @@ def _vss_weight_update(state: FilterState, config: FilterConfig, move: bool) -> 
 
     With ``move`` false only the residual is refreshed and the weights
     stay put (used while the delay line is still filling)."""
-    n = config.length
-    ops = state.ops
     r_mat = _dense_r(state)
     r = state.theta - r_mat @ state.w
     state.residual = r
-    if ops is not None:
-        ops.mults += n * n
-        ops.adds += n * n
     if not move:
         return
     rr = float(r @ r)
@@ -276,9 +256,6 @@ def _vss_weight_update(state: FilterState, config: FilterConfig, move: bool) -> 
     den = float(r @ r_big) + config.vss_guard
     mu = rr / den
     state.w += mu * r
-    if ops is not None:
-        ops.mults += n + n * n + n + 1 + n
-        ops.adds += (n - 1) + n * (n - 1) + (n - 1) + 1 + n
 
 
 def _finish_iwf_step(
@@ -301,7 +278,16 @@ def _finish_iwf_step(
     # single variable-step move can land arbitrarily far out (a small
     # first input sample alone puts ||w|| near |d / x(0)|), after which a
     # saturating gate never reopens.
-    _vss_weight_update(state, config, move=state.step_index >= config.length - 1)
+    move = state.step_index >= config.length - 1
+    _vss_weight_update(state, config, move)
+    if state.ops is not None:
+        # The prior error, the decay of a skipped sample, the residual
+        # theta - R w, and a move: r.r, R r, r.R r, the step size and w += mu r.
+        n = config.length
+        state.ops.add(
+            n + n * n + move * (n * n + 2 * n - 1),
+            n + (not applied) * (n * n + n) + n * n + move * (n * n + 3 * n + 1),
+        )
     state.updates_total += 1
     state.step_index += 1
     return state, StepOutput(prior_error=e, applied=applied)
@@ -319,17 +305,11 @@ def iwf_ase_step(
     while the delay line fills.
     """
     x, d = _check_sample(config, x, d)
-    e = _prior_error(state, x, d)
+    e = d - float(state.w @ x)
     gate_open = abs(e) <= config.ase.cutoff
+    phi = ase_weight(e, config.ase) if gate_open else 0.0
     if state.ops is not None:
-        state.ops.comparisons += 1
-    if gate_open:
-        phi = ase_weight(e, config.ase)
-        if state.ops is not None:
-            state.ops.mults += 4
-            state.ops.adds += 1
-    else:
-        phi = 0.0
+        state.ops.add(gate_open, 4 * gate_open, comparisons=1)  # the gate, then the weight
     return _finish_iwf_step(state, config, x, d, e, phi, gate_open)
 
 
@@ -337,7 +317,7 @@ def iwf_step(state: FilterState, config: FilterConfig, x, d) -> tuple[FilterStat
     """Non-robust baseline: identical to :func:`iwf_ase_step` with the
     weighting factor pinned to 1 and no skip logic."""
     x, d = _check_sample(config, x, d)
-    e = _prior_error(state, x, d)
+    e = d - float(state.w @ x)
     return _finish_iwf_step(state, config, x, d, e, 1.0, True)
 
 
@@ -354,10 +334,10 @@ def rmcc_step(
     if not (math.isfinite(kernel_sigma) and kernel_sigma > 0):
         raise ValueError(f"kernel_sigma must be positive, got {kernel_sigma!r}")
     x, d = _check_sample(config, x, d)
-    e = _prior_error(state, x, d)
+    e = d - float(state.w @ x)
     phi = math.exp(-(e * e) / (2.0 * kernel_sigma * kernel_sigma))
     if state.ops is not None:
-        state.ops.mults += 4
+        state.ops.add(0, 4)  # the Gaussian weight
     return _finish_iwf_step(state, config, x, d, e, phi, True)
 
 
@@ -392,16 +372,9 @@ def _shift_correlation_update(
     r = state.r_store
     if not isinstance(r, ShiftMatrix):
         r = state.r_store = ShiftMatrix(r)
-    n = config.length
-    ops = state.ops
     row0 = config.lam * r.column(0) + x[0] * x
-    if ops is not None:
-        ops.mults += 2 * n
-        ops.adds += n
     if correction != 0.0:
         row0[0] += correction
-        if ops is not None:
-            ops.adds += 1
     r.push(row0)
 
 
@@ -443,19 +416,10 @@ def dcd_ase_step(
     if config.dcd is None and solve_fn is None:
         raise FilterError("dcd_ase_step requires FilterConfig.dcd (or an explicit solve_fn)")
     x, d = _check_sample(config, x, d)
-    ops = state.ops
     n = config.length
-    e = _prior_error(state, x, d)
+    e = d - float(state.w @ x)
     gate_open = abs(e) <= config.ase.cutoff
-    if ops is not None:
-        ops.comparisons += 1
-    if gate_open:
-        phi = ase_weight(e, config.ase)
-        if ops is not None:
-            ops.mults += 4
-            ops.adds += 1
-    else:
-        phi = 0.0
+    phi = ase_weight(e, config.ase) if gate_open else 0.0
 
     lam = config.lam
     if config.delta_schedule == "decaying":
@@ -463,48 +427,29 @@ def dcd_ase_step(
     else:
         delta_n = config.rho
     correction = delta_n - lam * state.delta_prev
-    if ops is not None:
-        ops.mults += 2
-        ops.adds += 1
 
-    if config.dcd_update == "shift":
+    shift = config.dcd_update == "shift"
+    if shift:
         _shift_correlation_update(state, config, x, correction)
     else:
         r_mat = _dense_r(state)
         r_mat *= lam
-        if ops is not None:
-            ops.mults += n * n
-        if gate_open and phi != 0.0:
+        if phi != 0.0:
             r_mat += np.outer(phi * x, x)
-            if ops is not None:
-                ops.mults += n + n * n
-                ops.adds += n * n
         if correction != 0.0:
             r_mat[np.diag_indices(n)] += correction
-            if ops is not None:
-                ops.adds += n
 
     rhs = lam * state.residual
-    if ops is not None:
-        ops.mults += n
-    if gate_open and phi != 0.0:
+    if phi != 0.0:
         rhs += (phi * e) * x
-        if ops is not None:
-            ops.mults += 1 + n
-            ops.adds += n
     if correction != 0.0:
-        if config.dcd_update == "shift":
+        if shift:
             rhs[0] -= correction * state.w[0]
-            if ops is not None:
-                ops.mults += 1
-                ops.adds += 1
         else:
             rhs -= correction * state.w
-            if ops is not None:
-                ops.mults += n
-                ops.adds += n
 
-    if state.step_index < config.length - 1 or state.r_store.diagonal().min() <= 0.0:
+    held = state.step_index < config.length - 1 or state.r_store.diagonal().min() <= 0.0
+    if held:
         # Accumulate statistics only while the delay line fills, and while
         # a silent input has decayed part of the diagonal to zero: a zero
         # pivot accepts every coordinate update and the weights run away.
@@ -513,12 +458,27 @@ def dcd_ase_step(
         if solve_fn is not None:
             delta_w, residual_out = solve_fn(state.r_matrix, rhs)
         else:
-            result = dcd_solve(state.r_store, rhs, config.dcd, ops=ops)
+            result = dcd_solve(state.r_store, rhs, config.dcd, ops=state.ops)
             delta_w, residual_out = result.delta_w, result.residual_out
         state.w += delta_w
         state.residual = np.asarray(residual_out, dtype=float)
-        if ops is not None:
-            ops.adds += n
+
+    if state.ops is not None:
+        # The prior error, the gate and weight, the leakage step, the R
+        # update, lam * residual and the error injection, the correction
+        # on the entries it touches (one in shift mode, the diagonal in
+        # dense mode) on R and rhs, and w += delta_w; the solve counts itself.
+        injected = phi != 0.0
+        corrected = correction != 0.0
+        if shift:
+            r_adds, r_mults, touched = n, 2 * n, 1
+        else:
+            r_adds, r_mults, touched = injected * n * n, n * n + injected * (n * n + n), n
+        state.ops.add(
+            n + gate_open + 1 + r_adds + injected * n + 2 * corrected * touched + (not held) * n,
+            n + 4 * gate_open + 2 + r_mults + n + injected * (n + 1) + corrected * touched,
+            comparisons=1,
+        )
 
     state.delta_prev = delta_n
     state.updates_total += 1

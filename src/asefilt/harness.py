@@ -76,6 +76,7 @@ class AlgoSpec:
     ``kernel_sigma`` only applies to the Gaussian-weighted baseline; when
     None it defaults to ten times the background noise deviation of
     the scenario (or 10.0 when the scenario has no background noise).
+    An explicit value must be positive and finite.
     """
 
     kind: str
@@ -86,6 +87,9 @@ class AlgoSpec:
     def __post_init__(self) -> None:
         if self.kind not in ALGORITHMS:
             raise ValueError(f"kind must be one of {ALGORITHMS}, got {self.kind!r}")
+        sigma = self.kernel_sigma
+        if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"kernel_sigma must be positive and finite, got {sigma!r}")
 
     @property
     def name(self) -> str:
@@ -132,6 +136,8 @@ class AncSpec:
             r = np.asarray(self.reference, dtype=float)
             if p.shape != r.shape or p.ndim != 1:
                 raise ValueError("primary and reference must be vectors of equal length")
+            if p.size == 0:
+                raise ValueError("primary and reference must not be empty")
             if self.mc_runs != 1:
                 raise ValueError("external waveforms require mc_runs == 1")
             object.__setattr__(self, "primary", p)

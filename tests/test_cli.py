@@ -167,6 +167,37 @@ def test_anc_nonfinite_waveform_sample_is_config_error(tmp_path, capsys, bad):
     assert f"{bad}.csv" in capsys.readouterr().err
 
 
+def test_anc_header_only_waveform_is_config_error(tmp_path, capsys):
+    files = []
+    for key in ("primary", "reference"):
+        files.append(tmp_path / f"{key}.csv")
+        save_waveform(files[-1], np.zeros(0))
+    rc = run_cli(
+        "anc",
+        "--primary-file",
+        str(files[0]),
+        "--reference-file",
+        str(files[1]),
+        "--out",
+        str(tmp_path / "o"),
+    )
+    assert rc == EXIT_CONFIG
+    assert "empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algos", ["rmcc", "iwf"])
+@pytest.mark.parametrize("sigma", ["-1", "0", "nan"])
+def test_bad_kernel_sigma_is_config_error(tmp_path, capsys, sigma, algos):
+    out = tmp_path / "o"
+    rc = run_cli(
+        "sysid", "--algos", algos, "--kernel-sigma", sigma, "--horizon", "20", "--runs", "1",
+        "--out", str(out),
+    )
+    assert rc == EXIT_CONFIG
+    assert "kernel_sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sysid_filter_longer_than_horizon(tmp_path):
     out = tmp_path / "o"
     rc = run_cli("sysid", "--horizon", "3", "--length", "6", "--runs", "1", "--out", str(out))

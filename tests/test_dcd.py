@@ -8,7 +8,7 @@ grid resolution of the exact one.
 import numpy as np
 import pytest
 
-from asefilt import DcdParams, DcdSolveResult, dcd_solve, quantize_grid
+from asefilt import DcdParams, DcdSolveResult, OpCounter, dcd_solve, quantize_grid
 from asefilt.dcd import ShiftMatrix
 from asefilt.harness import random_spd_system
 
@@ -204,3 +204,20 @@ def test_shift_matrix_validation():
     ring.push(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         dcd_solve(ring, np.zeros(2), p)
+
+
+@pytest.mark.parametrize(
+    "params, exhausted, expected",
+    [
+        (DcdParams(h=4.0, m_bits=8, n_updates=5), False, (5, 35, 42, 41)),
+        (DcdParams(h=4.0, m_bits=3, n_updates=50), True, (4, 28, 34, 40)),
+    ],
+    ids=["budget", "bits"],
+)
+def test_solve_op_counts_are_pinned(params, exhausted, expected):
+    """Exact OpCounter totals of one solve for each way a solve stops."""
+    r, _, rhs = random_spd_system(6, 5.0, 11)
+    ops = OpCounter()
+    res = dcd_solve(r, rhs, params, ops=ops)
+    assert res.exhausted_bits == exhausted
+    assert (res.updates_used, ops.adds, ops.mults, ops.comparisons) == expected

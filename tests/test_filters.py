@@ -467,17 +467,61 @@ def test_shift_state_r_matrix_reads_a_copy_and_converts_back():
     assert np.array_equal(st.r_matrix, cfg.lam * r_prev + np.outer(0.25 * x, x))
 
 
-def test_op_counter_totals_are_pinned():
-    """Exact OpCounter totals of a fixed-seed impulsive stream at L=16.
-    ops.csv is built from these counters, so a moved or dropped
-    increment shows here even where the criterion-3 fits still pass."""
+def _exact_solve(r, rhs):
+    return np.linalg.solve(r, rhs), np.zeros_like(rhs)
+
+
+@pytest.mark.parametrize(
+    "kind, config_kw, step_kw, expected",
+    [
+        ("iwf", {}, {}, (328095, 450625, 0)),
+        ("iwf_ase", {}, {}, (317302, 440212, 400)),
+        ("rmcc", {}, {"kernel_sigma": 10.0}, (328095, 452225, 0)),
+        ("dcd_ase", {}, {}, (59616, 73813, 43753)),
+        ("dcd_ase", {"delta_schedule": "constant"}, {}, (60416, 74213, 43753)),
+        ("dcd_ase", {"dcd_update": "dense"}, {}, (121745, 237936, 22476)),
+        (
+            "dcd_ase",
+            {"dcd_update": "dense", "delta_schedule": "constant"},
+            {},
+            (134545, 244336, 22476),
+        ),
+        ("dcd_ase", {}, {"solve_fn": _exact_solve}, (25174, 33582, 400)),
+    ],
+    ids=[
+        "iwf",
+        "iwf_ase",
+        "rmcc",
+        "shift-decaying",
+        "shift-constant",
+        "dense-decaying",
+        "dense-constant",
+        "solve_fn",
+    ],
+)
+def test_op_counter_totals_are_pinned(kind, config_kw, step_kw, expected):
+    """Exact OpCounter totals of a fixed-seed impulsive stream at L=16, for
+    every counted path: each step kind, both update modes under both
+    leakage schedules, and the ``solve_fn`` hook.  ops.csv is built from
+    these counters, so a moved or dropped term shows here even where the
+    criterion-3 fits still pass."""
+    steps = {"iwf": iwf_step, "iwf_ase": iwf_ase_step, "rmcc": rmcc_step, "dcd_ase": dcd_ase_step}
+    step = steps[kind]
+    cfg = default_algorithms(16, (kind,), **config_kw)[0].config
     xs, d = _impulsive_stream(16, 400, seed=16)
-    totals = {}
-    for spec in default_algorithms(16, ("iwf_ase", "dcd_ase")):
-        ops = OpCounter()
-        st = filter_init(spec.config, ops=ops)
-        step = iwf_ase_step if spec.kind == "iwf_ase" else dcd_ase_step
-        for t in range(400):
-            st, _ = step(st, spec.config, xs[t], d[t])
-        totals[spec.kind] = (ops.adds, ops.mults, ops.comparisons)
-    assert totals == {"iwf_ase": (317302, 440212, 400), "dcd_ase": (59616, 73813, 43753)}
+    ops = OpCounter()
+    st = filter_init(cfg, ops=ops)
+    for t in range(400):
+        st, _ = step(st, cfg, xs[t], d[t], **step_kw)
+    assert (ops.adds, ops.mults, ops.comparisons) == expected
+
+
+@pytest.mark.parametrize(
+    "phi, expected", [(0.0, (0, 30, 0)), (0.5, (30, 66, 0))], ids=["zero-phi", "positive-phi"]
+)
+def test_correlation_update_op_counts_are_pinned(phi, expected):
+    cfg = cfg_for(length=5)
+    ops = OpCounter()
+    st = filter_init(cfg, ops=ops)
+    correlation_update(st, cfg, np.arange(1.0, 6.0), 2.0, phi)
+    assert (ops.adds, ops.mults, ops.comparisons) == expected
