@@ -461,6 +461,18 @@ def cmd_dcd_bench(opts: dict) -> int:
     if any(nu < 1 for nu in nu_list):
         raise ConfigError("nu_list entries must be >= 1")
     length = opts["length"]
+    if opts["systems"] < 1:
+        raise ConfigError(f"systems must be >= 1, got {opts['systems']}")
+    try:
+        random_spd_system(length, opts["cond"], 0)  # checks length and cond
+        DcdParams(h=2.0 if opts["h"] is None else opts["h"], m_bits=opts["m_bits"])
+        scenario = None
+        if opts["embedded"]:
+            scenario = make_sysid_scenario(
+                horizon=opts["embedded_horizon"], mc_runs=opts["embedded_runs"], seed=opts["seed"]
+            )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     outdir = _prepare_outdir(opts)
 
     acc_rows = []
@@ -493,11 +505,8 @@ def cmd_dcd_bench(opts: dict) -> int:
     for nu, mx, mean in acc_rows:
         lines.append(f"n_updates={nu}/tap  max_err={mx:.3e}  mean_err={mean:.3e}")
 
-    if opts["embedded"]:
+    if scenario is not None:
         emb_rows = []
-        scenario = make_sysid_scenario(
-            horizon=opts["embedded_horizon"], mc_runs=opts["embedded_runs"], seed=opts["seed"]
-        )
         for nu in nu_list:
             algos = default_algorithms(10, ("dcd_ase",), n_updates=nu)
             rec = run_sysid(scenario, algos)[0]

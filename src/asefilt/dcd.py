@@ -21,6 +21,11 @@ from .counting import OpCounter
 
 __all__ = ["DcdParams", "DcdSolveResult", "ShiftMatrix", "dcd_solve", "quantize_grid"]
 
+#: Smallest normal positive float.  A pivot below it is zero or subnormal,
+#: where ``0.5 * step * pivot`` rounds to almost nothing and every
+#: coordinate update passes the significance test.
+MIN_PIVOT = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class DcdParams:
@@ -93,6 +98,12 @@ class ShiftMatrix:
     form one contiguous window and a column is a single ``take`` through
     a fixed offset table.  Rows are checked finite when written, so every
     entry of ``R`` is finite.
+
+    Whenever the window moves the ring refreshes a read-only view of the
+    diagonal and :attr:`pivots_normal`, true while every pivot is a normal
+    positive float (at least :data:`MIN_PIVOT`).  A push changes one pivot
+    in and one out, so the check costs O(1) instead of a scan of the
+    diagonal.
     """
 
     def __init__(self, r_matrix: np.ndarray) -> None:
@@ -100,7 +111,7 @@ class ShiftMatrix:
         r = np.asarray(r_matrix, dtype=float)
         if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] == 0:
             raise ValueError(f"r_matrix must be square and non-empty, got shape {r.shape}")
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise ValueError("r_matrix must be finite")
         n = r.shape[0]
         buf = np.zeros((2 * n, n))
@@ -116,25 +127,33 @@ class ShiftMatrix:
         offsets += rows_back
         self.length = n
         self._buf = buf.reshape(-1)
-        self._head = 0
-        self._window = self._buf[: n * n]
         self._offsets = offsets
+        self._weak_pivots = int((r.diagonal() < MIN_PIVOT).sum())
+        self._move_window(0)
+
+    def _move_window(self, head: int) -> None:
+        n = self.length
+        self._head = head
+        self._window = self._buf[head * n : (head + n) * n]
+        self._diag = self._window[::n]
+        self._diag.flags.writeable = False
+        self.pivots_normal = self._weak_pivots == 0
 
     def push(self, row: np.ndarray) -> None:
         """Shift ``R`` down-right by one and make ``row`` its first row and column."""
         if not np.isfinite(row).all():
             raise ValueError("r_matrix rows must be finite")
         n = self.length
-        self._head = head = (self._head - 1) % n
+        head = (self._head - 1) % n
+        # Slot ``head`` holds the oldest row, whose pivot leaves the window.
+        self._weak_pivots += (float(row[0]) < MIN_PIVOT) - (float(self._buf[head * n]) < MIN_PIVOT)
         self._buf[head * n : (head + 1) * n] = row
         self._buf[(head + n) * n : (head + n + 1) * n] = row
-        self._window = self._buf[head * n : (head + n) * n]
+        self._move_window(head)
 
     def diagonal(self) -> np.ndarray:
         """Read-only view of the diagonal of ``R``: entry 0 of each row in the window."""
-        diag = self._window[:: self.length]
-        diag.flags.writeable = False
-        return diag
+        return self._diag
 
     def column(self, j: int) -> np.ndarray:
         """Column ``j`` of ``R`` as a new array."""
@@ -159,7 +178,7 @@ def _validate_system(r_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray,
         raise ValueError(
             f"rhs must be a vector matching r_matrix, got {rhs.shape} vs {r_matrix.shape}"
         )
-    if not np.all(np.isfinite(r_matrix)) or not np.all(np.isfinite(rhs)):
+    if not np.isfinite(r_matrix).all() or not np.isfinite(rhs).all():
         raise ValueError("r_matrix and rhs must be finite")
     if np.any(np.diag(r_matrix) <= 0.0):
         raise ValueError("r_matrix must have strictly positive diagonal entries")
@@ -168,14 +187,16 @@ def _validate_system(r_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray,
 
 def _validate_shift_system(r_matrix: ShiftMatrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """O(length) counterpart of :func:`_validate_system`: the rows of a
-    :class:`ShiftMatrix` were checked finite when written."""
+    :class:`ShiftMatrix` were checked finite when written, and its cached
+    pivot check settles the diagonal unless some pivot is below
+    :data:`MIN_PIVOT`."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (r_matrix.length,):
         raise ValueError(f"rhs must be a vector of length {r_matrix.length}, got shape {rhs.shape}")
     if not np.isfinite(rhs).all():
         raise ValueError("rhs must be finite")
     diag = r_matrix.diagonal()
-    if (diag <= 0.0).any():
+    if not r_matrix.pivots_normal and (diag <= 0.0).any():
         raise ValueError("r_matrix must have strictly positive diagonal entries")
     return rhs, diag
 
@@ -195,8 +216,17 @@ def dcd_solve(
     entry; until then the step is halved.  Both the step size and the
     halving count persist across updates within the call.
 
+    The solve stops at the first scan whose leading residual stays below
+    half the finest step times its pivot: nothing more can be applied, so
+    a solve whose first scan exhausts the bits returns after that one
+    O(length) scan with a zero increment and the residual equal to ``rhs``.
+
     ``r_matrix`` is a dense symmetric matrix, validated in O(length^2), or
-    a :class:`ShiftMatrix`, validated and read in O(length) per column.
+    a :class:`ShiftMatrix`, read in O(length) per column and validated in
+    O(length) for ``rhs`` only: its rows were checked finite when pushed,
+    and its cached pivot check stands in for a scan of the diagonal.
+    Either way ``rhs`` must be a finite vector of matching length and the
+    diagonal strictly positive.
     """
     if isinstance(r_matrix, ShiftMatrix):
         rhs, diag = _validate_shift_system(r_matrix, rhs)
@@ -212,22 +242,25 @@ def dcd_solve(
     delta_w = np.zeros(n)
     residual = rhs.copy()
     m = params.h / 2.0
+    m_bits = params.m_bits
     q = 1
     updates = 0
     exhausted = False
     while updates < params.n_updates:
         lead = int(np.abs(residual).argmax())
-        lead_mag = abs(residual[lead])
+        value = float(residual[lead])
+        lead_mag = abs(value)
+        pivot = float(diag[lead])
         # Halve the step until the leading residual is significant at this scale.
-        while lead_mag <= 0.5 * m * diag[lead]:
+        while lead_mag <= 0.5 * m * pivot:
             q += 1
-            if q > params.m_bits:
+            if q > m_bits:
                 exhausted = True
                 break
             m *= 0.5
         if exhausted:
             break
-        step = m if residual[lead] >= 0.0 else -m
+        step = m if value >= 0.0 else -m
         delta_w[lead] += step
         residual -= step * column(lead)
         updates += 1

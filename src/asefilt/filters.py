@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import OpCounter
-from .dcd import DcdParams, ShiftMatrix, dcd_solve
+from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, dcd_solve
 from .estimator import AseParams, ase_weight
 
 __all__ = [
@@ -191,7 +191,7 @@ def _check_sample(config: FilterConfig, x, d) -> tuple[np.ndarray, float]:
     x = np.asarray(x, dtype=float)
     if x.shape != (config.length,):
         raise ValueError(f"x must have shape ({config.length},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     d = float(d)
     if not math.isfinite(d):
@@ -408,8 +408,12 @@ def dcd_ase_step(
     statistics launches the weights far enough that the error gate then
     blocks recovery.  For the same reason the solve is skipped, with the
     weights held and the right-hand side carried over as the residual,
-    while any diagonal entry of ``R`` is not positive, as happens when a
-    silent input decays it to zero.  ``solve_fn(r_matrix, rhs) ->
+    while any diagonal entry of ``R`` is below the smallest normal float
+    (:data:`~asefilt.dcd.MIN_PIVOT`), as happens when a silent input
+    decays it to zero or to a subnormal: at a subnormal pivot every
+    coordinate update passes the significance test and the weights run
+    away for good.  In shift mode this reads the ring's cached pivot
+    check, so it costs O(1).  ``solve_fn(r_matrix, rhs) ->
     (delta_w, residual_out)`` may replace the built-in solver, e.g. with a
     dense exact solve for validation; it receives ``R`` as a dense copy.
     """
@@ -448,20 +452,25 @@ def dcd_ase_step(
         else:
             rhs -= correction * state.w
 
-    held = state.step_index < config.length - 1 or state.r_store.diagonal().min() <= 0.0
+    r_store = state.r_store
+    held = state.step_index < n - 1 or (
+        not r_store.pivots_normal if shift else r_store.diagonal().min() < MIN_PIVOT
+    )
     if held:
         # Accumulate statistics only while the delay line fills, and while
-        # a silent input has decayed part of the diagonal to zero: a zero
-        # pivot accepts every coordinate update and the weights run away.
+        # a silent input has decayed part of the diagonal to zero or to a
+        # subnormal: such a pivot accepts every coordinate update and the
+        # weights run away.
         state.residual = rhs
-    else:
-        if solve_fn is not None:
-            delta_w, residual_out = solve_fn(state.r_matrix, rhs)
-        else:
-            result = dcd_solve(state.r_store, rhs, config.dcd, ops=state.ops)
-            delta_w, residual_out = result.delta_w, result.residual_out
+    elif solve_fn is not None:
+        delta_w, residual_out = solve_fn(state.r_matrix, rhs)
         state.w += delta_w
         state.residual = np.asarray(residual_out, dtype=float)
+    else:
+        result = dcd_solve(r_store, rhs, config.dcd, ops=state.ops)
+        if result.updates_used:  # w never holds -0.0, so adding zeros is a no-op
+            state.w += result.delta_w
+        state.residual = result.residual_out
 
     if state.ops is not None:
         # The prior error, the gate and weight, the leakage step, the R

@@ -91,7 +91,7 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         taps = np.asarray(self.system_taps, dtype=float)
-        if taps.ndim != 1 or taps.size == 0 or not np.all(np.isfinite(taps)):
+        if taps.ndim != 1 or taps.size == 0 or not np.isfinite(taps).all():
             raise ValueError("system_taps must be a nonempty finite vector")
         if not np.any(taps != 0.0):
             raise ValueError("system_taps must not be all zero")

@@ -1,5 +1,8 @@
 """Test-only reference implementations that the library is checked against.
 
+* :func:`dcd_solve_reference` -- the plain leading-element DCD loop on a
+  dense ``R``, with numpy scalars throughout and no early return; the
+  library's ``dcd_solve`` must match it bit for bit.
 * :func:`dcd_solve_shift_add` -- an integer shadow of ``dcd_solve`` using
   only shifts, adds and compares.
 * :func:`dense_shift_step` -- the shift-mode ``dcd_ase_step`` computed on a
@@ -11,7 +14,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from asefilt import FilterConfig, ase_weight, dcd_solve
+from asefilt import DcdParams, DcdSolveResult, FilterConfig, OpCounter, ase_weight, dcd_solve
+
+
+def dcd_solve_reference(
+    r_matrix: np.ndarray, rhs: np.ndarray, params: DcdParams, *, ops: OpCounter | None = None
+) -> DcdSolveResult:
+    """Reference budgeted leading-element DCD solve of a dense, valid system."""
+    r_dense = np.asarray(r_matrix, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    diag = r_dense.diagonal()
+    n = rhs.shape[0]
+    delta_w = np.zeros(n)
+    residual = rhs.copy()
+    m = params.h / 2.0
+    q = 1
+    updates = 0
+    exhausted = False
+    while updates < params.n_updates:
+        lead = int(np.abs(residual).argmax())
+        lead_mag = abs(residual[lead])
+        while lead_mag <= 0.5 * m * diag[lead]:
+            q += 1
+            if q > params.m_bits:
+                exhausted = True
+                break
+            m *= 0.5
+        if exhausted:
+            break
+        step = m if residual[lead] >= 0.0 else -m
+        delta_w[lead] += step
+        residual -= step * r_dense[:, lead]
+        updates += 1
+    if ops is not None:
+        halvings = q - 1
+        ops.add(
+            (n + 1) * updates,
+            1 + 2 * halvings - exhausted + (n + 1) * updates,
+            n * (updates + exhausted) + updates + 2 * halvings,
+        )
+    return DcdSolveResult(
+        delta_w=delta_w, residual_out=residual, updates_used=updates, exhausted_bits=exhausted
+    )
 
 
 def dcd_solve_shift_add(

@@ -257,6 +257,27 @@ def test_dcd_bench_empty_sweep_list(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--systems", "0"),
+        ("--length", "0"),
+        ("--cond", "0.5"),
+        ("--cond", "nan"),
+        ("--m-bits", "0"),
+        ("--h", "-1"),
+        ("--embedded-runs", "0"),
+        ("--embedded-horizon", "0"),
+    ],
+)
+def test_dcd_bench_bad_option_is_config_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "o"
+    rc = run_cli("dcd-bench", "--systems", "2", "--embedded-horizon", "50", flag, value, "--out", str(out))
+    assert rc == EXIT_CONFIG
+    assert not out.exists()  # rejected before any output is written
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_sweep_cutoff_ordering(tmp_path):
     """Under impulsive noise a moderate cutoff must beat a huge one."""
     out = tmp_path / "o"

@@ -7,12 +7,16 @@ grid resolution of the exact one.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asefilt import DcdParams, DcdSolveResult, OpCounter, dcd_solve, quantize_grid
 from asefilt.dcd import ShiftMatrix
 from asefilt.harness import random_spd_system
 
-from oracles import dcd_solve_shift_add
+from oracles import dcd_solve_reference, dcd_solve_shift_add
+
+TINY = np.finfo(float).tiny
 
 
 def test_params_validation():
@@ -206,6 +210,19 @@ def test_shift_matrix_validation():
         dcd_solve(ring, np.zeros(2), p)
 
 
+def test_ring_solve_accepts_subnormal_pivots():
+    """The filter holds its solve below a normal pivot; public dcd_solve
+    rejects only a diagonal that is not positive."""
+    ring = ShiftMatrix(np.eye(2))
+    ring.push(np.array([1e-320, 0.0]))
+    assert not ring.pivots_normal
+    res = dcd_solve(ring, np.array([0.0, 1.0]), DcdParams(h=2.0, m_bits=4, n_updates=2))
+    assert np.array_equal(res.delta_w, [0.0, 1.0]) and res.exhausted_bits
+    ring.push(np.array([2.0, 0.0]))
+    ring.push(np.array([2.0, 0.0]))
+    assert ring.pivots_normal
+
+
 @pytest.mark.parametrize(
     "params, exhausted, expected",
     [
@@ -221,3 +238,52 @@ def test_solve_op_counts_are_pinned(params, exhausted, expected):
     res = dcd_solve(r, rhs, params, ops=ops)
     assert res.exhausted_bits == exhausted
     assert (res.updates_used, ops.adds, ops.mults, ops.comparisons) == expected
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    length=st.integers(1, 8),
+    cond=st.floats(1.0, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    h_exp=st.integers(-3, 3),
+    m_bits=st.integers(1, 12),
+    n_updates=st.integers(1, 16),
+    rhs_exp=st.sampled_from([0, 0, -8, -40]),
+    ring=st.booleans(),
+)
+def test_solve_matches_reference_loop(length, cond, seed, h_exp, m_bits, n_updates, rhs_exp, ring):
+    """dcd_solve, on dense or ring input, equals the plain loop bit for bit,
+    including solves whose first scan exhausts the bits (small rhs)."""
+    r, _, rhs = random_spd_system(length, cond, seed)
+    rhs = rhs * 2.0**rhs_exp
+    params = DcdParams(h=2.0**h_exp, m_bits=m_bits, n_updates=n_updates)
+    ops, ref_ops = OpCounter(), OpCounter()
+    res = dcd_solve(ShiftMatrix(r) if ring else r, rhs, params, ops=ops)
+    ref = dcd_solve_reference(r, rhs, params, ops=ref_ops)
+    assert np.array_equal(res.delta_w, ref.delta_w)
+    assert np.array_equal(res.residual_out, ref.residual_out)
+    assert (res.updates_used, res.exhausted_bits) == (ref.updates_used, ref.exhausted_bits)
+    assert ops == ref_ops
+
+
+_pivot = st.sampled_from([0.0, -1.0, 1e-320, TINY / 2, TINY, 1e-300, 1.0, 3.5])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    length=st.integers(1, 6),
+    initial=st.lists(_pivot, min_size=6, max_size=6),
+    pushes=st.lists(st.one_of(st.none(), _pivot), max_size=20),
+)
+def test_cached_pivot_check_matches_diagonal(length, initial, pushes):
+    """After any pushes, zero rows included, the cached pivot check equals
+    the check recomputed from the diagonal."""
+    ring = ShiftMatrix(np.diag(initial[:length]))
+    assert ring.pivots_normal == bool((ring.diagonal() >= TINY).all())
+    for k, pivot in enumerate(pushes):
+        row = np.zeros(length)
+        if pivot is not None:  # None pushes an all-zero row
+            row[0] = pivot
+            row[1:] = 0.25 * k
+        ring.push(row)
+        assert ring.pivots_normal == bool((ring.diagonal() >= TINY).all())

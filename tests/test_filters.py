@@ -424,6 +424,40 @@ def test_dcd_silent_input_holds_weights_until_input_resumes(lead_in):
     assert nmsd(st.w, w_o) < 0.0
 
 
+@pytest.mark.parametrize("mode", ["shift", "dense"])
+def test_dcd_subnormal_silence_holds_weights_and_recovers(mode):
+    """At lam=0.9 a 9000-sample silence decays the R diagonal to the
+    subnormal 2.5e-323, not to zero.  At such a pivot every coordinate
+    update passes, so the solve must hold the weights while any pivot is
+    below the smallest normal float; shift mode must then re-converge
+    once input resumes (it stayed near +76 dB when the solve ran)."""
+    length = 64
+    cfg = default_algorithms(length, ("dcd_ase",), lam=0.9, dcd_update=mode)[0].config
+    rng = np.random.default_rng(5)
+    w_o = rng.standard_normal(length)
+    w_o /= np.linalg.norm(w_o)
+    u = np.zeros(13000)
+    u[:1000] = rng.standard_normal(1000)
+    u[10000:] = rng.standard_normal(3000)
+    xs = regressors(u, length)
+    d = xs @ w_o + 0.01 * rng.standard_normal(13000)
+    st = filter_init(cfg)
+    weak_steps = 0
+    for t in range(13000):
+        w_before = st.w.copy()
+        st, _ = dcd_ase_step(st, cfg, xs[t], d[t])
+        pivot = np.diag(st.r_matrix).min()
+        if t == 9999:
+            assert 0.0 < pivot < np.finfo(float).tiny  # the subnormal stretch really happened
+        if pivot < np.finfo(float).tiny:
+            weak_steps += 1
+            assert np.array_equal(st.w, w_before)
+    assert weak_steps > 0
+    assert np.all(np.isfinite(st.w))
+    if mode == "shift":
+        assert nmsd(st.w, w_o) < -20.0
+
+
 def _impulsive_stream(length, horizon, seed):
     rng = np.random.default_rng(seed)
     xs = regressors(rng.standard_normal(horizon), length)
