@@ -22,6 +22,13 @@ which keeps its O(length) recursions exact (see ``dcd_ase_step``).
 
 All steps mutate the passed state in place and return it together with a
 :class:`StepOutput`; states are single-owner and not thread-safe.
+
+Every public step checks its arguments on every call and then runs a
+private trusted core (``_iwf_step``, ``_iwf_ase_step``, ``_rmcc_step``,
+``_dcd_ase_step``).  A core takes ``x`` and ``d`` as :func:`_check_sample`
+returns them: a finite float vector of shape ``(length,)`` and a finite
+Python float.  The Monte Carlo harness checks each run's inputs once and
+calls the cores directly.
 """
 
 from __future__ import annotations
@@ -305,6 +312,12 @@ def iwf_ase_step(
     while the delay line fills.
     """
     x, d = _check_sample(config, x, d)
+    return _iwf_ase_step(state, config, x, d)
+
+
+def _iwf_ase_step(
+    state: FilterState, config: FilterConfig, x: np.ndarray, d: float
+) -> tuple[FilterState, StepOutput]:
     e = d - float(state.w @ x)
     gate_open = abs(e) <= config.ase.cutoff
     phi = ase_weight(e, config.ase) if gate_open else 0.0
@@ -317,6 +330,12 @@ def iwf_step(state: FilterState, config: FilterConfig, x, d) -> tuple[FilterStat
     """Non-robust baseline: identical to :func:`iwf_ase_step` with the
     weighting factor pinned to 1 and no skip logic."""
     x, d = _check_sample(config, x, d)
+    return _iwf_step(state, config, x, d)
+
+
+def _iwf_step(
+    state: FilterState, config: FilterConfig, x: np.ndarray, d: float
+) -> tuple[FilterState, StepOutput]:
     e = d - float(state.w @ x)
     return _finish_iwf_step(state, config, x, d, e, 1.0, True)
 
@@ -334,6 +353,12 @@ def rmcc_step(
     if not (math.isfinite(kernel_sigma) and kernel_sigma > 0):
         raise ValueError(f"kernel_sigma must be positive, got {kernel_sigma!r}")
     x, d = _check_sample(config, x, d)
+    return _rmcc_step(state, config, x, d, kernel_sigma)
+
+
+def _rmcc_step(
+    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, kernel_sigma: float
+) -> tuple[FilterState, StepOutput]:
     e = d - float(state.w @ x)
     phi = math.exp(-(e * e) / (2.0 * kernel_sigma * kernel_sigma))
     if state.ops is not None:
@@ -417,9 +442,19 @@ def dcd_ase_step(
     (delta_w, residual_out)`` may replace the built-in solver, e.g. with a
     dense exact solve for validation; it receives ``R`` as a dense copy.
     """
+    _check_solver(config, solve_fn)
+    x, d = _check_sample(config, x, d)
+    return _dcd_ase_step(state, config, x, d, solve_fn)
+
+
+def _check_solver(config: FilterConfig, solve_fn=None) -> None:
     if config.dcd is None and solve_fn is None:
         raise FilterError("dcd_ase_step requires FilterConfig.dcd (or an explicit solve_fn)")
-    x, d = _check_sample(config, x, d)
+
+
+def _dcd_ase_step(
+    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, solve_fn=None
+) -> tuple[FilterState, StepOutput]:
     n = config.length
     e = d - float(state.w @ x)
     gate_open = abs(e) <= config.ase.cutoff

@@ -11,6 +11,16 @@ Seed derivation: run ``i`` of a scenario with seed ``s`` draws stream
 ``k`` from ``numpy.random.default_rng([s ^ i, k])`` with stream ids
 1 = filter input, 2 = background noise, 3 = impulses, 4 = pulse signal;
 the plant itself uses ``[s, 0]`` and is shared by all runs.
+
+Validation happens once per run, not once per sample.  Before any step
+the driver checks each algorithm's solver budget and resolves its RMCC
+kernel width, and before each run's first step it checks the run's
+regressor rows and desired signal for shape and finiteness.  It then
+steps the filters through their private trusted cores in ``filters``,
+which skip the per-call checks of the public step functions; results
+are bit-identical to stepping through the public functions.  The squared
+weight deviation of the NMSD curves is computed per block of rows, not
+per sample.
 """
 
 from __future__ import annotations
@@ -28,11 +38,12 @@ from .estimator import AseParams
 from .filters import (
     FilterConfig,
     FilterState,
-    dcd_ase_step,
+    _check_solver,
+    _dcd_ase_step,
+    _iwf_ase_step,
+    _iwf_step,
+    _rmcc_step,
     filter_init,
-    iwf_ase_step,
-    iwf_step,
-    rmcc_step,
     update_ratio,
 )
 from .signals import (
@@ -67,6 +78,9 @@ __all__ = [
 ALGORITHMS = ("iwf", "iwf_ase", "dcd_ase", "rmcc")
 NMSD_FLOOR_DB = -400.0
 _FLOOR_RATIO = 1e-40
+# Rows per block of the driver's loop: the NMSD deviation of a block is
+# one vectorized reduction, and the block's d values one list.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -104,7 +118,8 @@ class AncSpec:
 
     When ``primary`` and ``reference`` are given they replace the synthetic
     signals (single run); ``clean`` then defines the cancellation target
-    for the residual error metric (zeros when unknown).
+    for the residual error metric (zeros when unknown).  All three must be
+    finite.
     """
 
     horizon: int
@@ -138,6 +153,8 @@ class AncSpec:
                 raise ValueError("primary and reference must be vectors of equal length")
             if p.size == 0:
                 raise ValueError("primary and reference must not be empty")
+            if not (np.isfinite(p).all() and np.isfinite(r).all()):
+                raise ValueError("primary and reference must be finite")
             if self.mc_runs != 1:
                 raise ValueError("external waveforms require mc_runs == 1")
             object.__setattr__(self, "primary", p)
@@ -146,6 +163,8 @@ class AncSpec:
                 c = np.asarray(self.clean, dtype=float)
                 if c.shape != p.shape:
                     raise ValueError("clean must match primary in length")
+                if not np.isfinite(c).all():
+                    raise ValueError("clean must be finite")
                 object.__setattr__(self, "clean", c)
 
 
@@ -255,19 +274,40 @@ def default_algorithms(
 def _make_stepper(
     spec: AlgoSpec, bg_std: float
 ) -> Callable[[FilterState, np.ndarray, float], tuple[FilterState, object]]:
+    """The trusted step core of ``spec`` with its settings bound.
+
+    Raises here, before any step, what the public step would raise on
+    every call for the configuration."""
     cfg = spec.config
     if spec.kind == "iwf":
-        return lambda st, x, d: iwf_step(st, cfg, x, d)
+        return lambda st, x, d: _iwf_step(st, cfg, x, d)
     if spec.kind == "iwf_ase":
-        return lambda st, x, d: iwf_ase_step(st, cfg, x, d)
+        return lambda st, x, d: _iwf_ase_step(st, cfg, x, d)
     if spec.kind == "dcd_ase":
-        return lambda st, x, d: dcd_ase_step(st, cfg, x, d)
+        _check_solver(cfg)
+        return lambda st, x, d: _dcd_ase_step(st, cfg, x, d)
     sigma = spec.kernel_sigma
     if sigma is None:
         # Wide kernel: only gross outliers (an order of magnitude beyond
         # the nominal error scale) are meaningfully downweighted.
         sigma = 10.0 * bg_std if bg_std > 0.0 else 10.0
-    return lambda st, x, d: rmcc_step(st, cfg, x, d, sigma)
+    sigma = float(sigma)
+    return lambda st, x, d: _rmcc_step(st, cfg, x, d, sigma)
+
+
+def _check_draw(x_rows, d, horizon: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """One run's regressor rows and desired signal, checked for every step of the run."""
+    x_rows = np.asarray(x_rows, dtype=float)
+    if x_rows.shape != (horizon, length):
+        raise ValueError(f"x_rows must have shape ({horizon}, {length}), got {x_rows.shape}")
+    if not np.isfinite(x_rows).all():
+        raise ValueError("x_rows must be finite")
+    d = np.asarray(d, dtype=float)
+    if d.shape != (horizon,):
+        raise ValueError(f"d must have shape ({horizon},), got {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValueError("d must be finite")
+    return x_rows, d
 
 
 def _paired_runs(
@@ -284,9 +324,10 @@ def _paired_runs(
 
     ``draw(run)`` returns the run's regressor rows, desired signal and the
     target the prior error is scored against; every algorithm sees the
-    same draw.  With ``w_o`` given, the squared weight deviation from it is
-    averaged into an NMSD curve.  Returns one record per algorithm and
-    each algorithm's prior-error trace of run 0.
+    same draw, checked once for shape and finiteness (``ValueError``)
+    before its first step.  With ``w_o`` given, the squared weight
+    deviation from it is averaged into an NMSD curve.  Returns one record
+    per algorithm and each algorithm's prior-error trace of run 0.
     """
     if not algorithms:
         raise ValueError("algorithms must not be empty")
@@ -303,30 +344,37 @@ def _paired_runs(
     ur_sum = [0.0 for _ in algorithms]
     wall = [0.0 for _ in algorithms]
     first_errors = []
+    # The weights after each step of a block; np.vecdot matches a per-row
+    # diff @ diff bit for bit, where einsum or multiply-then-sum would not.
+    w_block = np.empty((_BLOCK_ROWS, length)) if w_o is not None else None
 
     for run in range(runs):
         x_rows, d, target = draw(run)
+        x_rows, d = _check_draw(x_rows, d, horizon, length)
         for idx, spec in enumerate(algorithms):
             state = filter_init(spec.config, ops=counters[idx])
             step = steppers[idx]
             err = np.empty(horizon)
             applied = np.empty(horizon, dtype=bool)
-            dev = np.empty(horizon) if w_o is not None else None
             t0 = time.perf_counter()
-            for t in range(horizon):
-                state, out = step(state, x_rows[t], d[t])
-                err[t] = out.prior_error
-                applied[t] = out.applied
-                if dev is not None:
-                    diff = state.w - w_o
-                    dev[t] = diff @ diff
+            for start in range(0, horizon, _BLOCK_ROWS):
+                stop = min(start + _BLOCK_ROWS, horizon)
+                # d as Python floats, as the public steps' check converts it.
+                rows = zip(x_rows[start:stop], d[start:stop].tolist())
+                for t, (x, d_t) in enumerate(rows, start):
+                    state, out = step(state, x, d_t)
+                    err[t] = out.prior_error
+                    applied[t] = out.applied
+                    if w_block is not None:
+                        w_block[t - start] = state.w
+                if w_block is not None:
+                    diff = w_block[: stop - start] - w_o
+                    dev_sum[idx][start:stop] += np.vecdot(diff, diff)
             wall[idx] += time.perf_counter() - t0
             ur_sum[idx] += update_ratio(state)
             resid = err - target
             se_sum[idx] += resid * resid
             applied_sum[idx] += applied
-            if dev is not None:
-                dev_sum[idx] += dev
             if run == 0:
                 first_errors.append(err)
 

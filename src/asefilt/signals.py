@@ -10,6 +10,7 @@ independent but reproducible.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -196,12 +197,33 @@ def atomic_write(path, text: str) -> None:
     os.replace(tmp, path)
 
 
+_CSV_CHUNK_ROWS = 1024
+
+
+def _format_column(cells: tuple, fmt: str) -> list[str]:
+    """Integer and string cells as they are, every other cell as a float formatted by ``fmt``."""
+    as_is = [issubclass(t, (int, str)) for t in set(map(type, cells))]
+    if not any(as_is):
+        return list(map(format, map(float, cells), itertools.repeat(fmt)))
+    if all(as_is):
+        return list(map(str, cells))
+    return [str(c) if isinstance(c, (int, str)) else format(float(c), fmt) for c in cells]
+
+
 def write_csv(path, header: list[str], rows, fmt: str) -> None:
     """Write ``rows`` under ``header`` atomically; integer and string cells
-    are written as they are, every other cell as a float formatted by ``fmt``."""
+    are written as they are, every other cell as a float formatted by ``fmt``.
+
+    Every row must have one cell per header entry.  Cells are formatted a
+    column at a time, over chunks of rows, so that only one chunk of cell
+    objects is alive at once."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (int, str)) else format(float(c), fmt) for c in row))
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+        if any(len(row) != len(header) for row in chunk):
+            raise ValueError(f"every row must have {len(header)} cells")
+        columns = [_format_column(col, fmt) for col in zip(*chunk)]
+        lines.extend(map(",".join, zip(*columns)))
     atomic_write(path, "\n".join(lines) + "\n")
 
 

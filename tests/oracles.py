@@ -8,13 +8,35 @@
 * :func:`dense_shift_step` -- the shift-mode ``dcd_ase_step`` computed on a
   dense ``R`` whose interior block is copied down-right every sample,
   i.e. the O(length^2) memory-traffic form of the ring-of-rows update.
+* :func:`run_public_steps` -- one algorithm stepped through a run with the
+  public, checked step functions, one sample at a time, with the squared
+  weight deviation ``diff @ diff`` after every step; the Monte Carlo
+  driver's trusted cores and per-block deviation must match it bit for bit.
+* :func:`sysid_nmsd_reference` -- ``run_sysid``'s NMSD curves accumulated
+  from :func:`run_public_steps`, one sample at a time.
+* :func:`csv_text_reference` -- the CSV text of ``write_csv``, formatted one
+  cell at a time.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from asefilt import DcdParams, DcdSolveResult, FilterConfig, OpCounter, ase_weight, dcd_solve
+from asefilt import (
+    DcdParams,
+    DcdSolveResult,
+    FilterConfig,
+    OpCounter,
+    ase_weight,
+    dcd_ase_step,
+    dcd_solve,
+    filter_init,
+    iwf_ase_step,
+    iwf_step,
+    rmcc_step,
+)
+from asefilt.signals import gen_background, gen_bg_noise, regressors
 
 
 def dcd_solve_reference(
@@ -162,3 +184,62 @@ def dense_shift_step(state: DenseShiftState, config: FilterConfig, x: np.ndarray
     state.delta_prev = delta_n
     state.step_index += 1
     return e
+
+
+def run_public_steps(spec, x_rows, d, kernel_sigma: float, w_o=None, ops: OpCounter | None = None):
+    """Step ``spec`` (an ``AlgoSpec``) from a fresh state through every row.
+
+    Returns the final state, the prior errors, the applied flags and, with
+    ``w_o``, the squared weight deviation ``diff @ diff`` after each step.
+    """
+    cfg = spec.config
+    steps = {"iwf": iwf_step, "iwf_ase": iwf_ase_step, "dcd_ase": dcd_ase_step}
+    state = filter_init(cfg, ops=ops)
+    horizon = len(d)
+    err = np.empty(horizon)
+    applied = np.empty(horizon, dtype=bool)
+    dev = np.empty(horizon)
+    for t in range(horizon):
+        if spec.kind == "rmcc":
+            state, out = rmcc_step(state, cfg, x_rows[t], d[t], kernel_sigma)
+        else:
+            state, out = steps[spec.kind](state, cfg, x_rows[t], d[t])
+        err[t] = out.prior_error
+        applied[t] = out.applied
+        if w_o is not None:
+            diff = state.w - w_o
+            dev[t] = diff @ diff
+    return state, err, applied, dev
+
+
+def sysid_nmsd_reference(scenario, algorithms) -> list[np.ndarray]:
+    """``run_sysid``'s NMSD curve of each algorithm, in dB, from per-sample deviations."""
+    w_o = scenario.system_taps
+    length, horizon = w_o.shape[0], scenario.horizon
+    power = float(w_o @ w_o)
+    bg_std = math.sqrt(power * 10.0 ** (-scenario.snr_db / 10.0))
+    dev_sum = [np.zeros(horizon) for _ in algorithms]
+    for run in range(scenario.mc_runs):
+        base = scenario.seed ^ run
+        x_rows = regressors(np.random.default_rng([base, 1]).standard_normal(horizon), length)
+        d = x_rows @ w_o
+        d += gen_background(horizon, scenario.snr_db, power, [base, 2])
+        if scenario.impulses is not None:
+            d += gen_bg_noise(horizon, scenario.impulses, [base, 3])
+        for idx, spec in enumerate(algorithms):
+            sigma = spec.kernel_sigma
+            if sigma is None:
+                sigma = 10.0 * bg_std if bg_std > 0.0 else 10.0
+            dev_sum[idx] += run_public_steps(spec, x_rows, d, sigma, w_o)[3]
+    return [
+        10.0 * np.log10(np.maximum(dev / (scenario.mc_runs * power), 1e-40)) for dev in dev_sum
+    ]
+
+
+def csv_text_reference(header: list[str], rows, fmt: str) -> str:
+    """CSV text with integer and string cells as they are, every other cell
+    as a float formatted by ``fmt``, one cell at a time."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(c) if isinstance(c, (int, str)) else format(float(c), fmt) for c in row))
+    return "\n".join(lines) + "\n"

@@ -1,10 +1,14 @@
 """Experiment-harness tests: metrics, operation accounting, and the two
 experiment drivers at toy scale."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asefilt import DcdParams
+from asefilt import DcdParams, FilterError, OpCounter, filters, harness
 from asefilt.harness import (
     ALGORITHMS,
     AlgoSpec,
@@ -18,6 +22,11 @@ from asefilt.harness import (
     run_sysid,
     steady_state,
 )
+from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
+
+from oracles import run_public_steps, sysid_nmsd_reference
+
+CORES = ("_iwf_step", "_iwf_ase_step", "_dcd_ase_step", "_rmcc_step")
 
 
 def test_nmsd_hand_values():
@@ -202,8 +211,137 @@ def test_anc_spec_validation():
         )
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["primary", "reference", "clean"])
+def test_anc_spec_rejects_nonfinite_waveforms(field, value):
+    waves = {key: np.zeros(10) for key in ("primary", "reference", "clean")}
+    waves[field][3] = value
+    with pytest.raises(ValueError, match="finite"):
+        AncSpec(horizon=10, mc_runs=1, seed=1, **waves)
+
+
 def test_algo_spec_labels():
     spec = default_algorithms(4, kinds=("iwf",))[0]
     assert spec.name == "iwf"
     labeled = AlgoSpec(kind="iwf", config=spec.config, label="baseline")
     assert labeled.name == "baseline"
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(ALGORITHMS),
+    length=st.integers(1, 12),
+    dcd_update=st.sampled_from(("shift", "dense")),
+    delta_schedule=st.sampled_from(("decaying", "constant")),
+    horizon=st.integers(1, 3 * harness._BLOCK_ROWS),
+    impulse_var=st.sampled_from((0.0, 25.0, 1e4)),
+    with_nmsd=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trusted_driver_matches_public_steps(
+    kind, length, dcd_update, delta_schedule, horizon, impulse_var, with_nmsd, seed
+):
+    """The driver's per-run checks and trusted cores step exactly as the
+    public, per-call checked step functions do."""
+    spec = default_algorithms(length, (kind,), dcd_update=dcd_update, delta_schedule=delta_schedule)[0]
+    rng = np.random.default_rng(seed)
+    w_o = rng.standard_normal(length)
+    x_rows = regressors(rng.standard_normal(horizon), length)
+    d = x_rows @ w_o + 0.1 * rng.standard_normal(horizon)
+    d += gen_bg_noise(horizon, BgNoiseSpec(0.1, impulse_var), rng)
+    bg_std = 0.1
+    states = []
+
+    def recording_init(config, *, ops=None):
+        states.append(filters.filter_init(config, ops=ops))
+        return states[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "filter_init", recording_init)
+        records, errors = harness._paired_runs(
+            [spec], length, horizon, 1, bg_std, lambda run: (x_rows, d, 0.0),
+            w_o if with_nmsd else None, True,
+        )
+    counter = OpCounter()
+    state, err, applied, dev = run_public_steps(spec, x_rows, d, 10.0 * bg_std, w_o, counter)
+
+    assert np.array_equal(errors[0], err)
+    assert np.array_equal(records[0].mse, err * err)
+    assert np.array_equal(records[0].applied_rate, applied)
+    trusted = states[0]
+    assert np.array_equal(trusted.w, state.w)
+    assert np.array_equal(trusted.residual, state.residual)
+    assert np.array_equal(trusted.r_matrix, state.r_matrix)
+    assert dataclasses.astuple(trusted.ops) == dataclasses.astuple(counter)
+    if with_nmsd:
+        expected = 10.0 * np.log10(np.maximum(dev / float(w_o @ w_o), 1e-40))
+        assert np.array_equal(records[0].nmsd_db, expected)
+
+
+def test_run_sysid_nmsd_matches_per_sample_reference():
+    """Per-block deviations give the NMSD of a per-sample diff @ diff,
+    including the last, partial block."""
+    horizon = 3 * harness._BLOCK_ROWS + 37
+    sc = make_sysid_scenario(length=6, horizon=horizon, mc_runs=2, seed=17)
+    algos = default_algorithms(6)
+    for rec, expected in zip(run_sysid(sc, algos), sysid_nmsd_reference(sc, algos)):
+        assert np.array_equal(rec.nmsd_db, expected), rec.algorithm
+
+
+def test_run_sysid_steps_check_no_sample(monkeypatch):
+    """Each run is checked once: the only per-sample checks left are
+    correlation_update's own, inside the inversion-free steps."""
+    calls = {"check": 0, "update": 0}
+    check, update = filters._check_sample, filters.correlation_update
+
+    def counting_check(*args):
+        calls["check"] += 1
+        return check(*args)
+
+    def counting_update(*args):
+        calls["update"] += 1
+        return update(*args)
+
+    monkeypatch.setattr(filters, "_check_sample", counting_check)
+    monkeypatch.setattr(filters, "correlation_update", counting_update)
+    sc = make_sysid_scenario(length=4, horizon=150, mc_runs=2, seed=3)
+    run_sysid(sc, default_algorithms(4, kinds=("dcd_ase",)))
+    assert calls == {"check": 0, "update": 0}
+    run_sysid(sc, default_algorithms(4))
+    assert calls["update"] > 0
+    assert calls["check"] == calls["update"]
+
+
+@pytest.mark.parametrize("bad", ["x-nan", "x-shape", "d-inf", "d-shape"])
+def test_bad_draw_is_rejected_before_any_step(monkeypatch, bad):
+    def no_step(*args):
+        pytest.fail("a filter step ran")
+
+    for core in CORES:
+        monkeypatch.setattr(harness, core, no_step)
+    x_rows, d = np.ones((30, 3)), np.ones(30)
+    if bad == "x-nan":
+        x_rows[5, 1] = np.nan
+    elif bad == "x-shape":
+        x_rows = np.ones((30, 4))
+    elif bad == "d-inf":
+        d[29] = np.inf
+    else:
+        d = np.ones(29)
+    with pytest.raises(ValueError):
+        harness._paired_runs(
+            default_algorithms(3), 3, 30, 1, 0.0, lambda run: (x_rows, d, 0.0), None, False
+        )
+
+
+def test_dcd_spec_without_solver_fails_before_any_step(monkeypatch):
+    def no_step(*args):
+        pytest.fail("a filter step ran")
+
+    for core in CORES:
+        monkeypatch.setattr(harness, core, no_step)
+    spec = default_algorithms(4, kinds=("dcd_ase",))[0]
+    bare = AlgoSpec(kind="dcd_ase", config=dataclasses.replace(spec.config, dcd=None))
+    sc = make_sysid_scenario(length=4, horizon=20, mc_runs=1, seed=1)
+    with pytest.raises(FilterError, match="requires FilterConfig.dcd"):
+        run_sysid(sc, [bare])

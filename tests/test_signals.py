@@ -15,7 +15,10 @@ from asefilt.signals import (
     load_waveform,
     regressors,
     save_waveform,
+    write_csv,
 )
+
+from oracles import csv_text_reference
 
 
 def test_gen_system_unit_norm_and_deterministic():
@@ -113,6 +116,32 @@ def test_waveform_roundtrip_exact(tmp_path):
     assert np.array_equal(back, y)
     header = path.read_text().splitlines()[0]
     assert header == "index,value"
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path):
+    """Column-wise formatting writes what formatting one cell at a time
+    writes, for float, integer, string and mixed columns."""
+    header = ["i", "name", "x", "i64", "mixed"]
+    rows = [
+        [0, "a", 1.5, np.int64(-3), 3],
+        [1, "b", -0.0, np.int64(0), 0.0],
+        [2, "c", float("nan"), np.int64(2**53 + 1), np.float64(-2.25)],
+        [3, "", np.float64(1e-300), np.int64(7), True],
+        [4, "d", float("inf"), np.int64(8), "s"],
+        [5, "e", -float("inf"), np.int64(9), np.int64(7)],
+        [6, "f", 0.1 + 0.2, np.int64(10), -0.0],
+    ]
+    # Over several chunks of rows, one column pure in some and mixed in others.
+    long_rows = [[i, "x", i / 3, np.int64(i), i / 7] for i in range(2500)] + rows
+    path = tmp_path / "t.csv"
+    for table in (rows, long_rows):
+        for fmt in (".17g", ".12g"):
+            write_csv(path, header, iter(table), fmt)
+            assert path.read_text() == csv_text_reference(header, table, fmt)
+    write_csv(path, header, [], ".17g")
+    assert path.read_text() == "i,name,x,i64,mixed\n"
+    with pytest.raises(ValueError):
+        write_csv(path, header, [[1, "a", 1.0, 2]], ".17g")
 
 
 def test_load_waveform_missing_file(tmp_path):
