@@ -23,12 +23,15 @@ which keeps its O(length) recursions exact (see ``dcd_ase_step``).
 All steps mutate the passed state in place and return it together with a
 :class:`StepOutput`; states are single-owner and not thread-safe.
 
-Every public step checks its arguments on every call and then runs a
-private trusted core (``_iwf_step``, ``_iwf_ase_step``, ``_rmcc_step``,
-``_dcd_ase_step``).  A core takes ``x`` and ``d`` as :func:`_check_sample`
-returns them: a finite float vector of shape ``(length,)`` and a finite
-Python float.  The Monte Carlo harness checks each run's inputs once and
-calls the cores directly.
+Each algorithm is a solver paired with an error weighting.  The four
+public steps check their arguments on every call and then run one of two
+private trusted cores, ``_vss_step`` (inversion-free) or ``_dcd_step``
+(coordinate descent), with a weighting that :func:`_weigh` applies: None
+for ``iwf_step``, ``config.ase`` for ``iwf_ase_step`` and
+``dcd_ase_step``, the Gaussian kernel width for ``rmcc_step``.  A core
+takes ``x`` and ``d`` as :func:`_check_sample` returns them: a finite
+float vector of shape ``(length,)`` and a finite Python float.  The Monte
+Carlo harness checks each run's inputs once and calls the cores directly.
 """
 
 from __future__ import annotations
@@ -265,15 +268,34 @@ def _vss_weight_update(state: FilterState, config: FilterConfig, move: bool) -> 
     state.w += mu * r
 
 
-def _finish_iwf_step(
-    state: FilterState,
-    config: FilterConfig,
-    x: np.ndarray,
-    d: float,
-    e: float,
-    phi: float,
-    applied: bool,
+def _weigh(state: FilterState, e: float, weighting: AseParams | float | None) -> tuple[bool, float]:
+    """Whether a sample with prior error ``e`` is applied, and its weight ``phi``.
+
+    ``weighting`` is None (weight 1, every sample applied), an
+    :class:`~asefilt.estimator.AseParams` (the gate at ``pi * c``, then
+    :func:`~asefilt.estimator.ase_weight`) or a Gaussian kernel width
+    ``sigma`` (``exp(-e^2 / (2 sigma^2))``, every sample applied).  The
+    cost of the gate and the weight is counted here, not by the step.
+    """
+    if weighting is None:
+        return True, 1.0
+    if isinstance(weighting, AseParams):
+        applied = abs(e) <= weighting.cutoff
+        phi = ase_weight(e, weighting) if applied else 0.0
+        if state.ops is not None:
+            state.ops.add(applied, 4 * applied, comparisons=1)
+        return applied, phi
+    phi = math.exp(-(e * e) / (2.0 * weighting * weighting))
+    if state.ops is not None:
+        state.ops.add(0, 4)
+    return True, phi
+
+
+def _vss_step(
+    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting
 ) -> tuple[FilterState, StepOutput]:
+    e = d - float(state.w @ x)
+    applied, phi = _weigh(state, e, weighting)
     if applied:
         correlation_update(state, config, x, d, phi)
         state.updates_applied += 1
@@ -312,32 +334,14 @@ def iwf_ase_step(
     while the delay line fills.
     """
     x, d = _check_sample(config, x, d)
-    return _iwf_ase_step(state, config, x, d)
-
-
-def _iwf_ase_step(
-    state: FilterState, config: FilterConfig, x: np.ndarray, d: float
-) -> tuple[FilterState, StepOutput]:
-    e = d - float(state.w @ x)
-    gate_open = abs(e) <= config.ase.cutoff
-    phi = ase_weight(e, config.ase) if gate_open else 0.0
-    if state.ops is not None:
-        state.ops.add(gate_open, 4 * gate_open, comparisons=1)  # the gate, then the weight
-    return _finish_iwf_step(state, config, x, d, e, phi, gate_open)
+    return _vss_step(state, config, x, d, config.ase)
 
 
 def iwf_step(state: FilterState, config: FilterConfig, x, d) -> tuple[FilterState, StepOutput]:
     """Non-robust baseline: identical to :func:`iwf_ase_step` with the
     weighting factor pinned to 1 and no skip logic."""
     x, d = _check_sample(config, x, d)
-    return _iwf_step(state, config, x, d)
-
-
-def _iwf_step(
-    state: FilterState, config: FilterConfig, x: np.ndarray, d: float
-) -> tuple[FilterState, StepOutput]:
-    e = d - float(state.w @ x)
-    return _finish_iwf_step(state, config, x, d, e, 1.0, True)
+    return _vss_step(state, config, x, d, None)
 
 
 def rmcc_step(
@@ -353,17 +357,7 @@ def rmcc_step(
     if not (math.isfinite(kernel_sigma) and kernel_sigma > 0):
         raise ValueError(f"kernel_sigma must be positive, got {kernel_sigma!r}")
     x, d = _check_sample(config, x, d)
-    return _rmcc_step(state, config, x, d, kernel_sigma)
-
-
-def _rmcc_step(
-    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, kernel_sigma: float
-) -> tuple[FilterState, StepOutput]:
-    e = d - float(state.w @ x)
-    phi = math.exp(-(e * e) / (2.0 * kernel_sigma * kernel_sigma))
-    if state.ops is not None:
-        state.ops.add(0, 4)  # the Gaussian weight
-    return _finish_iwf_step(state, config, x, d, e, phi, True)
+    return _vss_step(state, config, x, d, kernel_sigma)
 
 
 def _shift_correlation_update(
@@ -404,7 +398,7 @@ def _shift_correlation_update(
 
 
 def dcd_ase_step(
-    state: FilterState, config: FilterConfig, x, d, *, solve_fn=None
+    state: FilterState, config: FilterConfig, x, d
 ) -> tuple[FilterState, StepOutput]:
     """One low-cost robust step: budgeted coordinate-descent weight update.
 
@@ -438,27 +432,24 @@ def dcd_ase_step(
     decays it to zero or to a subnormal: at a subnormal pivot every
     coordinate update passes the significance test and the weights run
     away for good.  In shift mode this reads the ring's cached pivot
-    check, so it costs O(1).  ``solve_fn(r_matrix, rhs) ->
-    (delta_w, residual_out)`` may replace the built-in solver, e.g. with a
-    dense exact solve for validation; it receives ``R`` as a dense copy.
+    check, so it costs O(1).
     """
-    _check_solver(config, solve_fn)
+    _check_solver(config)
     x, d = _check_sample(config, x, d)
-    return _dcd_ase_step(state, config, x, d, solve_fn)
+    return _dcd_step(state, config, x, d, config.ase)
 
 
-def _check_solver(config: FilterConfig, solve_fn=None) -> None:
-    if config.dcd is None and solve_fn is None:
-        raise FilterError("dcd_ase_step requires FilterConfig.dcd (or an explicit solve_fn)")
+def _check_solver(config: FilterConfig) -> None:
+    if config.dcd is None:
+        raise FilterError("dcd_ase_step requires FilterConfig.dcd")
 
 
-def _dcd_ase_step(
-    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, solve_fn=None
+def _dcd_step(
+    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting
 ) -> tuple[FilterState, StepOutput]:
     n = config.length
     e = d - float(state.w @ x)
-    gate_open = abs(e) <= config.ase.cutoff
-    phi = ase_weight(e, config.ase) if gate_open else 0.0
+    applied, phi = _weigh(state, e, weighting)
 
     lam = config.lam
     if config.delta_schedule == "decaying":
@@ -497,10 +488,6 @@ def _dcd_ase_step(
         # subnormal: such a pivot accepts every coordinate update and the
         # weights run away.
         state.residual = rhs
-    elif solve_fn is not None:
-        delta_w, residual_out = solve_fn(state.r_matrix, rhs)
-        state.w += delta_w
-        state.residual = np.asarray(residual_out, dtype=float)
     else:
         result = dcd_solve(r_store, rhs, config.dcd, ops=state.ops)
         if result.updates_used:  # w never holds -0.0, so adding zeros is a no-op
@@ -508,10 +495,10 @@ def _dcd_ase_step(
         state.residual = result.residual_out
 
     if state.ops is not None:
-        # The prior error, the gate and weight, the leakage step, the R
-        # update, lam * residual and the error injection, the correction
-        # on the entries it touches (one in shift mode, the diagonal in
-        # dense mode) on R and rhs, and w += delta_w; the solve counts itself.
+        # The prior error, the leakage step, the R update, lam * residual
+        # and the error injection, the correction on the entries it touches
+        # (one in shift mode, the diagonal in dense mode) on R and rhs, and
+        # w += delta_w; the weighting and the solve count themselves.
         injected = phi != 0.0
         corrected = correction != 0.0
         if shift:
@@ -519,17 +506,16 @@ def _dcd_ase_step(
         else:
             r_adds, r_mults, touched = injected * n * n, n * n + injected * (n * n + n), n
         state.ops.add(
-            n + gate_open + 1 + r_adds + injected * n + 2 * corrected * touched + (not held) * n,
-            n + 4 * gate_open + 2 + r_mults + n + injected * (n + 1) + corrected * touched,
-            comparisons=1,
+            n + 1 + r_adds + injected * n + 2 * corrected * touched + (not held) * n,
+            n + 2 + r_mults + n + injected * (n + 1) + corrected * touched,
         )
 
     state.delta_prev = delta_n
     state.updates_total += 1
-    if gate_open:
+    if applied:
         state.updates_applied += 1
     state.step_index += 1
-    return state, StepOutput(prior_error=e, applied=gate_open)
+    return state, StepOutput(prior_error=e, applied=applied)
 
 
 def update_ratio(state: FilterState) -> float:

@@ -16,11 +16,12 @@ Validation happens once per run, not once per sample.  Before any step
 the driver checks each algorithm's solver budget and resolves its RMCC
 kernel width, and before each run's first step it checks the run's
 regressor rows and desired signal for shape and finiteness.  It then
-steps the filters through their private trusted cores in ``filters``,
-which skip the per-call checks of the public step functions; results
-are bit-identical to stepping through the public functions.  The squared
-weight deviation of the NMSD curves is computed per block of rows, not
-per sample.
+steps each filter through one of the two private trusted cores in
+``filters``, ``_vss_step`` or ``_dcd_step``, with the algorithm's error
+weighting bound; the cores skip the per-call checks of the public step
+functions, and results are bit-identical to stepping through them.  The
+squared weight deviation of the NMSD curves is computed per block of
+rows, not per sample.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ from .filters import (
     FilterConfig,
     FilterState,
     _check_solver,
-    _dcd_ase_step,
-    _iwf_ase_step,
-    _iwf_step,
-    _rmcc_step,
+    _dcd_step,
+    _vss_step,
     filter_init,
     update_ratio,
 )
@@ -119,7 +118,7 @@ class AncSpec:
     When ``primary`` and ``reference`` are given they replace the synthetic
     signals (single run); ``clean`` then defines the cancellation target
     for the residual error metric (zeros when unknown).  All three must be
-    finite.
+    finite, and ``clean`` is rejected without the other two.
     """
 
     horizon: int
@@ -166,6 +165,8 @@ class AncSpec:
                 if not np.isfinite(c).all():
                     raise ValueError("clean must be finite")
                 object.__setattr__(self, "clean", c)
+        elif self.clean is not None:
+            raise ValueError("clean requires primary and reference")
 
 
 @dataclass
@@ -274,25 +275,26 @@ def default_algorithms(
 def _make_stepper(
     spec: AlgoSpec, bg_std: float
 ) -> Callable[[FilterState, np.ndarray, float], tuple[FilterState, object]]:
-    """The trusted step core of ``spec`` with its settings bound.
+    """The trusted solver core of ``spec`` with its config and error
+    weighting bound.
 
     Raises here, before any step, what the public step would raise on
     every call for the configuration."""
     cfg = spec.config
-    if spec.kind == "iwf":
-        return lambda st, x, d: _iwf_step(st, cfg, x, d)
-    if spec.kind == "iwf_ase":
-        return lambda st, x, d: _iwf_ase_step(st, cfg, x, d)
+    weighting = None if spec.kind == "iwf" else cfg.ase
+    if spec.kind == "rmcc":
+        sigma = spec.kernel_sigma
+        if sigma is None:
+            # Wide kernel: only gross outliers (an order of magnitude beyond
+            # the nominal error scale) are meaningfully downweighted.
+            sigma = 10.0 * bg_std if bg_std > 0.0 else 10.0
+        weighting = float(sigma)
+    # The cores are looked up by name on each call, never bound in an
+    # import-time table, so that patching the module attribute takes effect.
     if spec.kind == "dcd_ase":
         _check_solver(cfg)
-        return lambda st, x, d: _dcd_ase_step(st, cfg, x, d)
-    sigma = spec.kernel_sigma
-    if sigma is None:
-        # Wide kernel: only gross outliers (an order of magnitude beyond
-        # the nominal error scale) are meaningfully downweighted.
-        sigma = 10.0 * bg_std if bg_std > 0.0 else 10.0
-    sigma = float(sigma)
-    return lambda st, x, d: _rmcc_step(st, cfg, x, d, sigma)
+        return lambda st, x, d: _dcd_step(st, cfg, x, d, weighting)
+    return lambda st, x, d: _vss_step(st, cfg, x, d, weighting)
 
 
 def _check_draw(x_rows, d, horizon: int, length: int) -> tuple[np.ndarray, np.ndarray]:

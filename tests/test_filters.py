@@ -12,10 +12,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asefilt import (
+    ALGORITHMS,
     AseParams,
     DcdParams,
+    DcdSolveResult,
     FilterConfig,
     FilterError,
     FilterState,
@@ -26,15 +30,17 @@ from asefilt import (
     dcd_ase_step,
     default_algorithms,
     filter_init,
+    filters,
     iwf_ase_step,
     iwf_step,
     nmsd,
     rmcc_step,
     update_ratio,
 )
-from asefilt.signals import regressors
+from asefilt.dcd import ShiftMatrix
+from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
 
-from oracles import dense_shift_init, dense_shift_step
+from oracles import dense_shift_init, dense_shift_step, run_public_steps
 
 
 def cfg_for(length=4, lam=0.95, rho=0.1, c=2.0, **kw):
@@ -234,7 +240,7 @@ def test_dcd_requires_solver_params():
         dcd_ase_step(st, cfg, np.zeros(2), 0.0)
 
 
-def _run_dcd(cfg, horizon, seed=5, impulse_every=7, solve_fn=None):
+def _run_dcd(cfg, horizon, seed=5, impulse_every=7):
     """Drive dcd_ase_step on a tapped-delay-line stream; returns state plus
     the per-step (x, d, e, applied) log for rebuilding oracles."""
     rng = np.random.default_rng(seed)
@@ -247,7 +253,7 @@ def _run_dcd(cfg, horizon, seed=5, impulse_every=7, solve_fn=None):
         d = float(w_o @ xs[t]) + 0.05 * rng.standard_normal()
         if impulse_every and t % impulse_every == impulse_every - 1:
             d += 500.0
-        st, out = dcd_ase_step(st, cfg, xs[t], d, solve_fn=solve_fn)
+        st, out = dcd_ase_step(st, cfg, xs[t], d)
         log.append((xs[t], d, out.prior_error, out.applied))
     return st, log
 
@@ -295,18 +301,33 @@ def test_dcd_dense_residual_invariant():
     assert np.allclose(st.residual, expected, atol=1e-9)
 
 
-def test_dcd_gated_step_passes_decayed_rhs_only():
+def _dense_solver(solve):
+    """A stand-in for ``filters.dcd_solve`` that hands ``solve(r, rhs) ->
+    (delta_w, residual_out)`` the dense R and counts nothing.  It reports
+    one update, since the step adds ``delta_w`` only when an update was
+    used."""
+
+    def fake_solve(r, rhs, params, *, ops=None):
+        dense = r.dense() if isinstance(r, ShiftMatrix) else r
+        delta_w, residual_out = solve(dense, rhs)
+        return DcdSolveResult(delta_w, np.asarray(residual_out, dtype=float), 1, False)
+
+    return fake_solve
+
+
+def test_dcd_gated_step_passes_decayed_rhs_only(monkeypatch):
     captured = []
 
     def spy_solve(r, z):
         captured.append(z.copy())
         return np.zeros(r.shape[0]), z
 
-    cfg = cfg_for(length=2, lam=0.8, rho=1e-12, c=0.5)
+    monkeypatch.setattr(filters, "dcd_solve", _dense_solver(spy_solve))
+    cfg = cfg_for(length=2, lam=0.8, rho=1e-12, c=0.5, dcd=DcdParams())
     st = filter_init(cfg)
-    st, out1 = dcd_ase_step(st, cfg, np.array([1.0, 0.0]), 0.3, solve_fn=spy_solve)
+    st, out1 = dcd_ase_step(st, cfg, np.array([1.0, 0.0]), 0.3)
     prev = st.residual.copy()
-    st, out2 = dcd_ase_step(st, cfg, np.array([0.5, 1.0]), 1e7, solve_fn=spy_solve)
+    st, out2 = dcd_ase_step(st, cfg, np.array([0.5, 1.0]), 1e7)
     assert out2.applied is False
     assert np.allclose(captured[-1], 0.8 * prev, atol=0)
 
@@ -326,13 +347,14 @@ def test_dcd_fill_in_delay_keeps_weights_zero():
     assert np.any(st.w != 0.0)
 
 
-def test_dcd_exact_solver_zeroes_residual_and_tracks_normal_equations():
+def test_dcd_exact_solver_zeroes_residual_and_tracks_normal_equations(monkeypatch):
     def exact(r, z):
         dw = np.linalg.solve(r, z)
         return dw, z - r @ dw
 
-    cfg = cfg_for(length=3, lam=0.95, rho=1e-12, c=50.0)
-    st, log = _run_dcd(cfg, 120, impulse_every=0, solve_fn=exact)
+    monkeypatch.setattr(filters, "dcd_solve", _dense_solver(exact))
+    cfg = cfg_for(length=3, lam=0.95, rho=1e-12, c=50.0, dcd=DcdParams())
+    st, log = _run_dcd(cfg, 120, impulse_every=0)
     assert np.allclose(st.residual, np.zeros(3), atol=1e-10)
     th_ref = np.zeros(3)
     for x, d, e, applied in log:
@@ -506,21 +528,22 @@ def _exact_solve(r, rhs):
 
 
 @pytest.mark.parametrize(
-    "kind, config_kw, step_kw, expected",
+    "kind, config_kw, step_kw, solver, expected",
     [
-        ("iwf", {}, {}, (328095, 450625, 0)),
-        ("iwf_ase", {}, {}, (317302, 440212, 400)),
-        ("rmcc", {}, {"kernel_sigma": 10.0}, (328095, 452225, 0)),
-        ("dcd_ase", {}, {}, (59616, 73813, 43753)),
-        ("dcd_ase", {"delta_schedule": "constant"}, {}, (60416, 74213, 43753)),
-        ("dcd_ase", {"dcd_update": "dense"}, {}, (121745, 237936, 22476)),
+        ("iwf", {}, {}, None, (328095, 450625, 0)),
+        ("iwf_ase", {}, {}, None, (317302, 440212, 400)),
+        ("rmcc", {}, {"kernel_sigma": 10.0}, None, (328095, 452225, 0)),
+        ("dcd_ase", {}, {}, None, (59616, 73813, 43753)),
+        ("dcd_ase", {"delta_schedule": "constant"}, {}, None, (60416, 74213, 43753)),
+        ("dcd_ase", {"dcd_update": "dense"}, {}, None, (121745, 237936, 22476)),
         (
             "dcd_ase",
             {"dcd_update": "dense", "delta_schedule": "constant"},
             {},
+            None,
             (134545, 244336, 22476),
         ),
-        ("dcd_ase", {}, {"solve_fn": _exact_solve}, (25174, 33582, 400)),
+        ("dcd_ase", {}, {}, _exact_solve, (25174, 33582, 400)),
     ],
     ids=[
         "iwf",
@@ -533,12 +556,15 @@ def _exact_solve(r, rhs):
         "solve_fn",
     ],
 )
-def test_op_counter_totals_are_pinned(kind, config_kw, step_kw, expected):
+def test_op_counter_totals_are_pinned(monkeypatch, kind, config_kw, step_kw, solver, expected):
     """Exact OpCounter totals of a fixed-seed impulsive stream at L=16, for
     every counted path: each step kind, both update modes under both
-    leakage schedules, and the ``solve_fn`` hook.  ops.csv is built from
-    these counters, so a moved or dropped term shows here even where the
-    criterion-3 fits still pass."""
+    leakage schedules, and (id ``solve_fn``) the step around a dense exact
+    solve that stands in for ``dcd_solve`` and counts nothing.  ops.csv is
+    built from these counters, so a moved or dropped term shows here even
+    where the criterion-3 fits still pass."""
+    if solver is not None:
+        monkeypatch.setattr(filters, "dcd_solve", _dense_solver(solver))
     steps = {"iwf": iwf_step, "iwf_ase": iwf_ase_step, "rmcc": rmcc_step, "dcd_ase": dcd_ase_step}
     step = steps[kind]
     cfg = default_algorithms(16, (kind,), **config_kw)[0].config
@@ -559,3 +585,39 @@ def test_correlation_update_op_counts_are_pinned(phi, expected):
     st = filter_init(cfg, ops=ops)
     correlation_update(st, cfg, np.arange(1.0, 6.0), 2.0, phi)
     assert (ops.adds, ops.mults, ops.comparisons) == expected
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(ALGORITHMS),
+    length=st.integers(1, 12),
+    dcd_update=st.sampled_from(("shift", "dense")),
+    horizon=st.integers(1, 200),
+    impulse_var=st.sampled_from((0.0, 25.0, 1e4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_invariants(kind, length, dcd_update, horizon, impulse_var, seed):
+    """On impulsive streams: R stays symmetric (exactly for iwf and for a
+    ring-held R, where no weighted outer product rounds unevenly), the
+    update ratio is the share of applied samples, the weights stay finite,
+    and only the ASE weighting gates samples, at ``pi * c``."""
+    spec = default_algorithms(length, (kind,), dcd_update=dcd_update)[0]
+    rng = np.random.default_rng(seed)
+    x_rows = regressors(rng.standard_normal(horizon), length)
+    d = x_rows @ rng.standard_normal(length) + 0.1 * rng.standard_normal(horizon)
+    d += gen_bg_noise(horizon, BgNoiseSpec(0.1, impulse_var), rng)
+    state, err, applied, _ = run_public_steps(spec, x_rows, d, kernel_sigma=1.0)
+
+    r = state.r_matrix
+    if kind == "iwf" or isinstance(state.r_store, ShiftMatrix):
+        assert np.array_equal(r, r.T)
+    else:
+        assert np.abs(r - r.T).max() <= 1e-15 * np.abs(r).max()
+    ratio = update_ratio(state)
+    assert 0.0 <= ratio <= 1.0
+    assert ratio == applied.mean()
+    assert np.isfinite(state.w).all()
+    if kind in ("iwf_ase", "dcd_ase"):
+        assert np.array_equal(applied, np.abs(err) <= math.pi * spec.config.ase.c)
+    else:
+        assert applied.all()

@@ -26,7 +26,7 @@ from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
 
 from oracles import run_public_steps, sysid_nmsd_reference
 
-CORES = ("_iwf_step", "_iwf_ase_step", "_dcd_ase_step", "_rmcc_step")
+CORES = ("_vss_step", "_dcd_step")
 
 
 def test_nmsd_hand_values():
@@ -218,6 +218,13 @@ def test_anc_spec_rejects_nonfinite_waveforms(field, value):
     waves[field][3] = value
     with pytest.raises(ValueError, match="finite"):
         AncSpec(horizon=10, mc_runs=1, seed=1, **waves)
+
+
+def test_anc_spec_rejects_clean_without_external_waveforms():
+    with pytest.raises(ValueError, match="clean requires primary and reference"):
+        AncSpec(horizon=50, mc_runs=1, seed=1, clean=np.full(50, np.nan))
+    with pytest.raises(ValueError, match="clean requires primary and reference"):
+        AncSpec(horizon=50, mc_runs=1, seed=1, clean=np.zeros(50))
 
 
 def test_algo_spec_labels():
