@@ -13,6 +13,7 @@ filters that embed it exploit the warm-started residual that it returns.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,21 @@ class DcdParams:
             raise ValueError(f"m_bits must be an integer >= 1, got {self.m_bits!r}")
         if not (isinstance(self.n_updates, int) and self.n_updates >= 1):
             raise ValueError(f"n_updates must be an integer >= 1, got {self.n_updates!r}")
+
+    @functools.cached_property
+    def _ladder(self) -> tuple[float, ...]:
+        """The solver's step sizes at halving depths ``0 .. m_bits - 1``.
+
+        They come from ``h / 2`` and then the same repeated ``m *= 0.5`` as
+        a halving loop, so subnormal steps get the same bits.  The ladder
+        stops at the first zero step: every deeper one is zero too.
+        """
+        m = self.h / 2.0
+        steps = [m]
+        while len(steps) < self.m_bits and m != 0.0:
+            m *= 0.5
+            steps.append(m)
+        return tuple(steps)
 
 
 @dataclass
@@ -99,9 +115,13 @@ class ShiftMatrix:
     a fixed offset table.  Rows are checked finite when written, so every
     entry of ``R`` is finite.
 
-    Whenever the window moves the ring refreshes a read-only view of the
-    diagonal and :attr:`pivots_normal`, true while every pivot is a normal
-    positive float (at least :data:`MIN_PIVOT`).  A push changes one pivot
+    The ring head cycles through ``length`` positions, so every view it
+    needs is built once, in ``__init__``: for each head the window, a
+    read-only view of its diagonal, a read-only view of its first row
+    (:attr:`newest`) and the slot pair a push writes.  A push is then the
+    finiteness check, two slot writes and list lookups.  It also keeps
+    :attr:`pivots_normal` up to date, true while every pivot is a normal
+    positive float (at least :data:`MIN_PIVOT`): a push changes one pivot
     in and one out, so the check costs O(1) instead of a scan of the
     diagonal.
     """
@@ -126,30 +146,39 @@ class ShiftMatrix:
         rows_back *= n
         offsets += rows_back
         self.length = n
-        self._buf = buf.reshape(-1)
         self._offsets = offsets
-        self._weak_pivots = int((r.diagonal() < MIN_PIVOT).sum())
-        self._move_window(0)
-
-    def _move_window(self, head: int) -> None:
-        n = self.length
-        self._head = head
-        self._window = self._buf[head * n : (head + n) * n]
-        self._diag = self._window[::n]
-        self._diag.flags.writeable = False
+        self._offset_rows = list(offsets)
+        flat = buf.reshape(-1)
+        # _heads[h]: (window, diagonal, newest row, low slot, high slot) while the head is h.
+        self._heads = []
+        for h in range(n):
+            window = flat[h * n : (h + n) * n]
+            diag, newest = window[::n], window[:n]
+            diag.flags.writeable = False
+            newest.flags.writeable = False
+            self._heads.append((window, diag, newest, buf[h], buf[h + n]))
+        # _weak[s]: whether the pivot in slot s is below MIN_PIVOT.
+        self._weak = (r.diagonal() < MIN_PIVOT).tolist()
+        self._weak_pivots = sum(self._weak)
+        self._head = 0
+        self._window, self._diag, self.newest, _, _ = self._heads[0]
         self.pivots_normal = self._weak_pivots == 0
 
     def push(self, row: np.ndarray) -> None:
         """Shift ``R`` down-right by one and make ``row`` its first row and column."""
         if not np.isfinite(row).all():
             raise ValueError("r_matrix rows must be finite")
-        n = self.length
-        head = (self._head - 1) % n
         # Slot ``head`` holds the oldest row, whose pivot leaves the window.
-        self._weak_pivots += (float(row[0]) < MIN_PIVOT) - (float(self._buf[head * n]) < MIN_PIVOT)
-        self._buf[head * n : (head + 1) * n] = row
-        self._buf[(head + n) * n : (head + n + 1) * n] = row
-        self._move_window(head)
+        head = (self._head or self.length) - 1
+        weak = float(row[0]) < MIN_PIVOT
+        window, diag, newest, low, high = self._heads[head]
+        low[:] = row
+        high[:] = row
+        self._weak_pivots += weak - self._weak[head]
+        self._weak[head] = weak
+        self._head = head
+        self._window, self._diag, self.newest = window, diag, newest
+        self.pivots_normal = self._weak_pivots == 0
 
     def diagonal(self) -> np.ndarray:
         """Read-only view of the diagonal of ``R``: entry 0 of each row in the window."""
@@ -157,7 +186,7 @@ class ShiftMatrix:
 
     def column(self, j: int) -> np.ndarray:
         """Column ``j`` of ``R`` as a new array."""
-        return self._window.take(self._offsets[j])
+        return self._window.take(self._offset_rows[j])
 
     def dense(self) -> np.ndarray:
         """``R`` as a new dense ``(length, length)`` array, in O(length^2)."""
@@ -216,10 +245,17 @@ def dcd_solve(
     entry; until then the step is halved.  Both the step size and the
     halving count persist across updates within the call.
 
-    The solve stops at the first scan whose leading residual stays below
-    half the finest step times its pivot: nothing more can be applied, so
-    a solve whose first scan exhausts the bits returns after that one
-    O(length) scan with a zero increment and the residual equal to ``rhs``.
+    The steps are read from a halving ladder (``h / 2``, then repeated
+    ``m *= 0.5``), so every threshold ``0.5 * m * pivot`` is the float a
+    halving loop would compare against.  For a fixed pivot the thresholds
+    only shrink down the ladder, so each scan first compares the leading
+    residual with the finest one: at or below it, no depth can pass and
+    the bits are exhausted, which stops the solve.  A solve whose first
+    scan exhausts the bits therefore returns after that one O(length)
+    scan and one comparison, with a zero increment and the residual equal
+    to ``rhs``.  Otherwise the scan moves straight down the ladder to the
+    first depth that passes, with no exhaustion test on the way.  The
+    increment is built once, at the end.
 
     ``r_matrix`` is a dense symmetric matrix, validated in O(length^2), or
     a :class:`ShiftMatrix`, read in O(length) per column and validated in
@@ -239,11 +275,11 @@ def dcd_solve(
             return r_dense[:, j]
 
     n = rhs.shape[0]
-    delta_w = np.zeros(n)
     residual = rhs.copy()
-    m = params.h / 2.0
-    m_bits = params.m_bits
-    q = 1
+    steps = params._ladder
+    finest = 0.5 * steps[-1]
+    depth = 0
+    increments: dict[int, float] = {}
     updates = 0
     exhausted = False
     while updates < params.n_updates:
@@ -251,26 +287,26 @@ def dcd_solve(
         value = float(residual[lead])
         lead_mag = abs(value)
         pivot = float(diag[lead])
-        # Halve the step until the leading residual is significant at this scale.
-        while lead_mag <= 0.5 * m * pivot:
-            q += 1
-            if q > m_bits:
-                exhausted = True
-                break
-            m *= 0.5
-        if exhausted:
+        if lead_mag <= finest * pivot:
+            exhausted = True
             break
+        while lead_mag <= 0.5 * steps[depth] * pivot:
+            depth += 1
+        m = steps[depth]
         step = m if value >= 0.0 else -m
-        delta_w[lead] += step
+        increments[lead] = increments.get(lead, 0.0) + step
         residual -= step * column(lead)
         updates += 1
+    delta_w = np.zeros(n)
+    for lead, increment in increments.items():
+        delta_w[lead] = increment
     if ops is not None:
         # Per update: an n-entry scan, a passing significance test (one
         # multiply, one comparison), the column axpy and the increment.  Per
         # halving: a failing test, the bit budget check and the step
         # multiply, which the halving that exhausts the bits skips; that
         # halving also follows one more scan.  Plus the initial h / 2.
-        halvings = q - 1
+        halvings = params.m_bits if exhausted else depth
         ops.add(
             (n + 1) * updates,
             1 + 2 * halvings - exhausted + (n + 1) * updates,

@@ -2,7 +2,7 @@
 
 Two families are implemented on top of the same exponentially weighted
 statistics ``R(n)`` (input autocorrelation) and ``theta(n)`` (input/output
-cross-correlation):
+cross-correlation), held together in one array (see :class:`FilterState`):
 
 * ``iwf_*`` steps solve the normal equations iteratively with a variable
   step size computed from the residual ``theta - R w`` (one multiply-heavy
@@ -135,25 +135,55 @@ class FilterConfig:
             )
 
 
-@dataclass
+@dataclass(init=False)
 class FilterState:
     """Mutable per-filter state; create via :func:`filter_init`.
 
-    ``r_store`` holds the autocorrelation: a dense array, or the
-    :class:`~asefilt.dcd.ShiftMatrix` ring that shift-mode
-    :func:`dcd_ase_step` switches it to on its first step.  Read and
-    assign ``R`` through :attr:`r_matrix`.
+    ``stats`` is one statistics array.  While ``R`` is dense it has shape
+    ``(length + 1, length)``: the autocorrelation ``R`` in its first
+    ``length`` rows and the cross-correlation ``theta`` in its last row,
+    so the decay is one in-place multiply and an applied sample one
+    broadcast add.  ``r_store`` is where ``R`` lives: the view
+    ``stats[:-1]``, or the :class:`~asefilt.dcd.ShiftMatrix` ring that
+    shift-mode :func:`dcd_ase_step` switches it to on its first step;
+    ``stats`` then keeps the ``theta`` row only.  Read and assign ``R``
+    through :attr:`r_matrix` and ``theta`` through :attr:`theta`; a state
+    built directly takes them as separate arrays (``R`` may be a ring)
+    and copies them into ``stats``.
     """
 
     w: np.ndarray
+    stats: np.ndarray
     r_store: np.ndarray | ShiftMatrix
-    theta: np.ndarray
     residual: np.ndarray
     delta_prev: float
     step_index: int = 0
     updates_total: int = 0
     updates_applied: int = 0
     ops: OpCounter | None = None
+
+    def __init__(
+        self,
+        w: np.ndarray,
+        r_store: np.ndarray | ShiftMatrix,
+        theta: np.ndarray,
+        residual: np.ndarray,
+        delta_prev: float,
+        step_index: int = 0,
+        updates_total: int = 0,
+        updates_applied: int = 0,
+        ops: OpCounter | None = None,
+    ) -> None:
+        self.stats = np.empty((1, len(theta)))
+        self.theta = theta
+        self.r_matrix = r_store
+        self.w = w
+        self.residual = residual
+        self.delta_prev = delta_prev
+        self.step_index = step_index
+        self.updates_total = updates_total
+        self.updates_applied = updates_applied
+        self.ops = ops
 
     @property
     def r_matrix(self) -> np.ndarray:
@@ -166,8 +196,30 @@ class FilterState:
         return r.dense() if isinstance(r, ShiftMatrix) else r
 
     @r_matrix.setter
-    def r_matrix(self, value: np.ndarray) -> None:
-        self.r_store = value
+    def r_matrix(self, value: np.ndarray | ShiftMatrix) -> None:
+        """Hold a :class:`~asefilt.dcd.ShiftMatrix` as the ring itself, with
+        ``stats`` cut to the ``theta`` row; copy anything else into
+        ``stats``, which holds ``R`` densely from then on."""
+        theta = self.stats[-1]
+        if isinstance(value, ShiftMatrix):
+            self.stats = theta[None].copy()
+            self.r_store = value
+            return
+        if len(self.stats) == 1:
+            n = len(theta)
+            self.stats = np.empty((n + 1, n))
+            self.stats[-1] = theta
+        self.stats[:-1] = value
+        self.r_store = self.stats[:-1]
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The cross-correlation ``theta``: a view of the last row of ``stats``."""
+        return self.stats[-1]
+
+    @theta.setter
+    def theta(self, value: np.ndarray) -> None:
+        self.stats[-1] = value
 
 
 @dataclass(frozen=True)
@@ -209,12 +261,18 @@ def _check_sample(config: FilterConfig, x, d) -> tuple[np.ndarray, float]:
     return x, d
 
 
-def _dense_r(state: FilterState) -> np.ndarray:
-    """``R`` for an in-place dense update; a ring-held ``R`` is stored densely again."""
+def _dense_stats(state: FilterState) -> np.ndarray:
+    """``stats`` with ``R`` held densely in it; a ring-held ``R`` is copied back first."""
     r = state.r_store
     if isinstance(r, ShiftMatrix):
-        r = state.r_store = r.dense()
-    return r
+        state.r_matrix = r.dense()
+    return state.stats
+
+
+def _dense_r(state: FilterState) -> np.ndarray:
+    """``R`` for an in-place dense update: the view ``stats[:-1]``."""
+    _dense_stats(state)
+    return state.r_store
 
 
 def correlation_update(
@@ -224,30 +282,33 @@ def correlation_update(
 
     ``R <- lam R + phi x x^T`` and ``theta <- lam theta + phi d x``.  The
     decay always applies; ``phi`` scales the new sample's contribution.
+    Both act on the statistics array at once: the decay is one in-place
+    multiply and the sample one add of ``u x^T`` with ``u = [phi x; phi d]``,
+    whose entries ``(phi x_i) x_j`` and ``(phi d) x_j`` are the products of
+    the two separate updates.
     """
     x, d = _check_sample(config, x, d)
     phi = float(phi)
     if not (math.isfinite(phi) and phi >= 0.0):
         raise ValueError(f"phi must be finite and nonnegative, got {phi!r}")
-    lam = config.lam
-    r_mat = _dense_r(state)
-    r_mat *= lam
-    state.theta *= lam
+    n = config.length
+    stats = _dense_stats(state)
+    stats *= config.lam
     if phi != 0.0:
-        r_mat += np.outer(phi * x, x)
-        state.theta += (phi * d) * x
+        u = np.empty(n + 1)
+        np.multiply(x, phi, out=u[:n])
+        u[n] = phi * d
+        stats += u[:, None] * x
     if state.ops is not None:
         # The decay; a sample adds phi x, its outer product and phi d x.
-        n = config.length
         weighted = phi != 0.0
         state.ops.add(weighted * (n * n + n), n * n + n + weighted * (n * n + 2 * n + 1))
     return state
 
 
 def _decay_only(state: FilterState, config: FilterConfig) -> None:
-    r_mat = _dense_r(state)
-    r_mat *= config.lam
-    state.theta *= config.lam
+    stats = _dense_stats(state)
+    stats *= config.lam
 
 
 def _vss_weight_update(state: FilterState, config: FilterConfig, move: bool) -> None:
@@ -378,7 +439,9 @@ def _shift_correlation_update(
 
     ``R`` is held as a :class:`~asefilt.dcd.ShiftMatrix`, a ring of the
     last ``length`` first rows, so the shift is one row write: O(length)
-    multiplies and O(length) memory traffic.  A state's first shift-mode
+    multiplies and O(length) memory traffic.  The previous first row is
+    read through the ring's :attr:`~asefilt.dcd.ShiftMatrix.newest` view,
+    which equals ``column(0)`` without a gather.  A state's first shift-mode
     step converts its dense ``R`` (``rho I`` on a fresh state) to the ring.
 
     The sample weighting deliberately does not appear here: scaling the
@@ -390,8 +453,8 @@ def _shift_correlation_update(
     """
     r = state.r_store
     if not isinstance(r, ShiftMatrix):
-        r = state.r_store = ShiftMatrix(r)
-    row0 = config.lam * r.column(0) + x[0] * x
+        r = state.r_matrix = ShiftMatrix(r)
+    row0 = config.lam * r.newest + x[0] * x
     if correction != 0.0:
         row0[0] += correction
     r.push(row0)

@@ -363,12 +363,16 @@ def _paired_runs(
                 stop = min(start + _BLOCK_ROWS, horizon)
                 # d as Python floats, as the public steps' check converts it.
                 rows = zip(x_rows[start:stop], d[start:stop].tolist())
-                for t, (x, d_t) in enumerate(rows, start):
+                block_err = []
+                block_applied = []
+                for t, (x, d_t) in enumerate(rows):
                     state, out = step(state, x, d_t)
-                    err[t] = out.prior_error
-                    applied[t] = out.applied
+                    block_err.append(out.prior_error)
+                    block_applied.append(out.applied)
                     if w_block is not None:
-                        w_block[t - start] = state.w
+                        w_block[t] = state.w
+                err[start:stop] = block_err
+                applied[start:stop] = block_applied
                 if w_block is not None:
                     diff = w_block[: stop - start] - w_o
                     dev_sum[idx][start:stop] += np.vecdot(diff, diff)

@@ -8,6 +8,10 @@
 * :func:`dense_shift_step` -- the shift-mode ``dcd_ase_step`` computed on a
   dense ``R`` whose interior block is copied down-right every sample,
   i.e. the O(length^2) memory-traffic form of the ring-of-rows update.
+* :func:`separate_vss_step` -- the inversion-free step (``iwf``,
+  ``iwf_ase``, ``rmcc``) with ``R`` and ``theta`` as two separate arrays,
+  decayed and updated one at a time with ``np.outer``; the library's one
+  statistics array must match it bit for bit.
 * :func:`run_public_steps` -- one algorithm stepped through a run with the
   public, checked step functions, one sample at a time, with the squared
   weight deviation ``diff @ diff`` after every step; the Monte Carlo
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from asefilt import (
+    AseParams,
     DcdParams,
     DcdSolveResult,
     FilterConfig,
@@ -184,6 +189,43 @@ def dense_shift_step(state: DenseShiftState, config: FilterConfig, x: np.ndarray
     state.delta_prev = delta_n
     state.step_index += 1
     return e
+
+
+@dataclass
+class SeparateState:
+    w: np.ndarray
+    r_matrix: np.ndarray
+    theta: np.ndarray
+    step_index: int = 0
+
+
+def separate_vss_step(state: SeparateState, config: FilterConfig, x: np.ndarray, d: float, weighting):
+    """One inversion-free step on separate ``R`` and ``theta`` arrays; returns
+    the prior error and whether the sample was applied.
+
+    ``weighting`` is None (``iwf``), an ``AseParams`` (``iwf_ase``) or a
+    Gaussian kernel width (``rmcc``)."""
+    e = d - float(state.w @ x)
+    if weighting is None:
+        applied, phi = True, 1.0
+    elif isinstance(weighting, AseParams):
+        applied = abs(e) <= weighting.cutoff
+        phi = ase_weight(e, weighting) if applied else 0.0
+    else:
+        applied, phi = True, math.exp(-(e * e) / (2.0 * weighting * weighting))
+    lam = config.lam
+    state.r_matrix *= lam
+    state.theta *= lam
+    if applied and phi != 0.0:
+        state.r_matrix += np.outer(phi * x, x)
+        state.theta += (phi * d) * x
+    r = state.theta - state.r_matrix @ state.w
+    if state.step_index >= config.length - 1:
+        rr = float(r @ r)
+        den = float(r @ (state.r_matrix @ r)) + config.vss_guard
+        state.w += (rr / den) * r
+    state.step_index += 1
+    return e, applied
 
 
 def run_public_steps(spec, x_rows, d, kernel_sigma: float, w_o=None, ops: OpCounter | None = None):

@@ -287,3 +287,97 @@ def test_cached_pivot_check_matches_diagonal(length, initial, pushes):
             row[1:] = 0.25 * k
         ring.push(row)
         assert ring.pivots_normal == bool((ring.diagonal() >= TINY).all())
+
+
+_ring_pivot = st.sampled_from([0.0, 1e-320, TINY / 2, TINY, 1e-300, 0.5, 1.0, 4.0])
+
+
+def _ring_snapshot(ring):
+    return ring.dense(), ring.diagonal().copy(), ring.pivots_normal
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    length=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    pivots=st.lists(_ring_pivot, min_size=1, max_size=20),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_ring_views_track_every_push(length, seed, pivots, bad):
+    """After every push of a random row (zero and subnormal pivots included)
+    the newest-row view is the first row and column 0, the diagonal view
+    is the dense diagonal and read-only, and the pivot check matches it; a
+    non-finite row or one of the wrong length raises and leaves the ring
+    as it was."""
+    rng = np.random.default_rng(seed)
+    ring = ShiftMatrix(np.eye(length))
+    for pivot in pivots:
+        row = rng.standard_normal(length)
+        row[0] = pivot
+        ring.push(row)
+        dense = ring.dense()
+        assert np.array_equal(ring.newest, row)
+        assert np.array_equal(ring.newest, dense[0])
+        assert np.array_equal(ring.newest, ring.column(0))
+        assert np.array_equal(ring.diagonal(), dense.diagonal())
+        assert not ring.diagonal().flags.writeable and not ring.newest.flags.writeable
+        with pytest.raises(ValueError):
+            ring.diagonal()[0] = 1.0
+        assert ring.pivots_normal == bool((dense.diagonal() >= TINY).all())
+
+        before = _ring_snapshot(ring)
+        poisoned = rng.standard_normal(length)
+        poisoned[rng.integers(length)] = bad
+        with pytest.raises(ValueError, match="r_matrix rows must be finite"):
+            ring.push(poisoned)
+        # A row of the wrong length fails its write; it must not touch the
+        # cached pivot count either, which later pushes would then misreport.
+        with pytest.raises(ValueError, match="could not broadcast"):
+            ring.push(np.zeros(length + 1))
+        after = _ring_snapshot(ring)
+        assert np.array_equal(after[0], before[0]) and np.array_equal(after[1], before[1])
+        assert after[2] == before[2]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    length=st.integers(1, 8),
+    cond=st.floats(1.0, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    h_exp=st.sampled_from([2, 0, -20, -1000, -1040, -1060]),
+    h_mant=st.sampled_from([1.0, 1.5, 1.3]),
+    m_bits=st.integers(1, 64),
+    n_updates=st.integers(1, 16),
+    exhaust=st.booleans(),
+    ring=st.booleans(),
+)
+def test_solve_ladder_and_exhaustion_test_match_reference(
+    length, cond, seed, h_exp, h_mant, m_bits, n_updates, exhaust, ring
+):
+    """The halving ladder and the one-comparison exhaustion test give the
+    reference loop's result bit for bit, op counts included, with steps
+    deep in the subnormal range (h down to 2**-1060, up to 64 halvings;
+    a mantissa other than 1 makes each subnormal halving round) and with
+    rhs scaled so that the first scan exhausts the bits."""
+    r, _, rhs = random_spd_system(length, cond, seed)
+    params = DcdParams(h=h_mant * 2.0**h_exp, m_bits=m_bits, n_updates=n_updates)
+    m, expected = params.h / 2.0, []
+    for _ in range(m_bits):  # the plain halving loop's steps, zeros cut off
+        expected.append(m)
+        if m == 0.0:
+            break
+        m *= 0.5
+    assert list(params._ladder) == expected
+    if exhaust:
+        # At most a quarter of the finest threshold on the smallest pivot.
+        rhs = rhs * (0.125 * expected[-1] * r.diagonal().min() / np.abs(rhs).max())
+    ops, ref_ops = OpCounter(), OpCounter()
+    res = dcd_solve(ShiftMatrix(r) if ring else r, rhs, params, ops=ops)
+    ref = dcd_solve_reference(r, rhs, params, ops=ref_ops)
+    assert np.array_equal(res.delta_w, ref.delta_w)
+    assert np.array_equal(res.residual_out, ref.residual_out)
+    assert (res.updates_used, res.exhausted_bits) == (ref.updates_used, ref.exhausted_bits)
+    assert ops == ref_ops
+    if exhaust:
+        assert res.exhausted_bits and res.updates_used == 0
+        assert np.array_equal(res.residual_out, rhs)

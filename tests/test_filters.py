@@ -40,7 +40,13 @@ from asefilt import (
 from asefilt.dcd import ShiftMatrix
 from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
 
-from oracles import dense_shift_init, dense_shift_step, run_public_steps
+from oracles import (
+    SeparateState,
+    dense_shift_init,
+    dense_shift_step,
+    run_public_steps,
+    separate_vss_step,
+)
 
 
 def cfg_for(length=4, lam=0.95, rho=0.1, c=2.0, **kw):
@@ -103,6 +109,80 @@ def test_correlation_update_brute_force_oracle():
     assert np.allclose(st.r_matrix, r_ref, atol=1e-10)
     assert np.allclose(st.theta, th_ref, atol=1e-10)
     assert np.allclose(st.r_matrix, st.r_matrix.T, atol=0)
+
+
+def _mixed_vss_steps(st, ref, cfg, rng, steps):
+    """Step ``st`` through a random mix of the three inversion-free public
+    steps and ``ref`` through the separate-array oracle, comparing R, theta
+    and the weights bit for bit after every step."""
+    sigma = 1.5
+    kinds = {
+        "iwf": (lambda s, x, d: iwf_step(s, cfg, x, d), None),
+        "iwf_ase": (lambda s, x, d: iwf_ase_step(s, cfg, x, d), cfg.ase),
+        "rmcc": (lambda s, x, d: rmcc_step(s, cfg, x, d, sigma), sigma),
+    }
+    applied = set()
+    for _ in range(steps):
+        kind = ("iwf", "iwf_ase", "iwf_ase", "rmcc")[rng.integers(4)]
+        step, weighting = kinds[kind]
+        x = rng.standard_normal(cfg.length)
+        d = rng.standard_normal() + (50.0 * rng.standard_normal() if rng.random() < 0.3 else 0.0)
+        st, out = step(st, x, d)
+        e, ref_applied = separate_vss_step(ref, cfg, x, d, weighting)
+        assert (out.prior_error, out.applied) == (e, ref_applied)
+        applied.add((kind, out.applied))
+        assert np.array_equal(st.r_matrix, ref.r_matrix)
+        assert np.array_equal(st.theta, ref.theta)
+        assert np.array_equal(st.w, ref.w)
+    return applied
+
+
+def test_statistics_array_matches_separate_arrays():
+    """R and theta held as one statistics array step exactly like two
+    separate arrays: through mixed iwf, iwf_ase (gated and applied) and
+    rmcc steps, after assigning r_matrix, and from a state built directly."""
+    rng = np.random.default_rng(21)
+    cfg = cfg_for(length=5, lam=0.97, rho=0.3, c=1.0)
+    st = filter_init(cfg)
+    ref = SeparateState(w=np.zeros(5), r_matrix=0.3 * np.eye(5), theta=np.zeros(5))
+    seen = _mixed_vss_steps(st, ref, cfg, rng, 120)
+    assert {("iwf_ase", True), ("iwf_ase", False), ("iwf", True), ("rmcc", True)} <= seen
+
+    a = rng.standard_normal((5, 5))
+    r_new = a @ a.T + np.eye(5)
+    st.r_matrix = r_new
+    ref.r_matrix = r_new.copy()
+    r_new[0, 0] = 99.0  # assignment copies: the state does not alias its argument
+    assert st.r_matrix[0, 0] != 99.0
+    _mixed_vss_steps(st, ref, cfg, rng, 60)
+
+    r0 = a.T @ a + 2.0 * np.eye(5)
+    th0 = rng.standard_normal(5)
+    w0 = rng.standard_normal(5)
+    built = FilterState(
+        w=w0.copy(), r_store=r0, theta=th0, residual=np.zeros(5), delta_prev=0.0, step_index=7
+    )
+    assert np.array_equal(built.r_matrix, r0) and np.array_equal(built.theta, th0)
+    ref = SeparateState(w=w0.copy(), r_matrix=r0.copy(), theta=th0.copy(), step_index=7)
+    _mixed_vss_steps(built, ref, cfg, rng, 60)
+    assert np.array_equal(r0, a.T @ a + 2.0 * np.eye(5))  # the arguments were copied
+
+    # A ring-held R leaves only the theta row in stats; a dense update
+    # stores R densely again and keeps theta.
+    dcfg = cfg_for(length=5, lam=0.97, rho=0.3, dcd=DcdParams())
+    for r_start in (r0, ShiftMatrix(r0)):
+        st = FilterState(w=np.zeros(5), r_store=r_start, theta=th0, residual=np.zeros(5), delta_prev=0.0)
+        st, _ = dcd_ase_step(st, dcfg, rng.standard_normal(5), 0.5)
+        assert st.stats.shape == (1, 5) and np.array_equal(st.theta, th0)
+        ref = SeparateState(w=st.w.copy(), r_matrix=st.r_matrix, theta=th0.copy())
+        x = rng.standard_normal(5)
+        correlation_update(st, dcfg, x, 0.7, 0.25)
+        ref.r_matrix *= dcfg.lam
+        ref.theta *= dcfg.lam
+        ref.r_matrix += np.outer(0.25 * x, x)
+        ref.theta += (0.25 * 0.7) * x
+        assert st.stats.shape == (6, 5)
+        assert np.array_equal(st.r_matrix, ref.r_matrix) and np.array_equal(st.theta, ref.theta)
 
 
 def test_correlation_update_rejects_bad_phi():
