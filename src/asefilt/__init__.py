@@ -7,7 +7,7 @@ benchmark experiments.
 """
 
 from .counting import OpCounter, OpsPerIteration
-from .dcd import DcdParams, DcdSolveResult, dcd_solve, quantize_grid
+from .dcd import DcdParams, DcdSolveResult, dcd_solve
 from .estimator import AseParams, ase_cost, ase_score, ase_weight
 from .filters import (
     FilterConfig,
@@ -60,7 +60,6 @@ __all__ = [
     "DcdParams",
     "DcdSolveResult",
     "dcd_solve",
-    "quantize_grid",
     "AseParams",
     "ase_cost",
     "ase_score",

@@ -27,9 +27,6 @@ class OpCounter:
         self.mults += mults
         self.comparisons += comparisons
 
-    def merge(self, other: "OpCounter") -> None:
-        self.add(other.adds, other.mults, other.comparisons)
-
 
 @dataclass(frozen=True)
 class OpsPerIteration:

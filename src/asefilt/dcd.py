@@ -20,7 +20,7 @@ import numpy as np
 
 from .counting import OpCounter
 
-__all__ = ["DcdParams", "DcdSolveResult", "ShiftMatrix", "dcd_solve", "quantize_grid"]
+__all__ = ["DcdParams", "DcdSolveResult", "ShiftMatrix", "dcd_solve"]
 
 #: Smallest normal positive float.  A pivot below it is zero or subnormal,
 #: where ``0.5 * step * pivot`` rounds to almost nothing and every
@@ -191,11 +191,6 @@ class ShiftMatrix:
     def dense(self) -> np.ndarray:
         """``R`` as a new dense ``(length, length)`` array, in O(length^2)."""
         return self._window.take(self._offsets)
-
-
-def quantize_grid(params: DcdParams) -> list[float]:
-    """Step sizes the solver can apply, largest first: ``h/2, h/4, ..., h/2**m_bits``."""
-    return [params.h / 2.0 ** q for q in range(1, params.m_bits + 1)]
 
 
 def _validate_system(r_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

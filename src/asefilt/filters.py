@@ -2,7 +2,8 @@
 
 Two families are implemented on top of the same exponentially weighted
 statistics ``R(n)`` (input autocorrelation) and ``theta(n)`` (input/output
-cross-correlation), held together in one array (see :class:`FilterState`):
+cross-correlation), in a layout that :func:`filter_init` fixes once per
+state and no step converts (see :class:`FilterState`):
 
 * ``iwf_*`` steps solve the normal equations iteratively with a variable
   step size computed from the residual ``theta - R w`` (one multiply-heavy
@@ -62,6 +63,8 @@ __all__ = [
 
 DELTA_SCHEDULES = ("decaying", "constant")
 DCD_UPDATE_MODES = ("shift", "dense")
+#: Additive guard in the variable-step-size denominator.
+VSS_GUARD = 1e-12
 
 
 class FilterError(Exception):
@@ -89,8 +92,6 @@ class FilterConfig:
         Error-weighting parameters.
     dcd : DcdParams, optional
         Solver budget; required by :func:`dcd_ase_step` only.
-    vss_guard : float
-        Additive guard in the variable-step-size denominator.
     delta_schedule : str
         Leakage sequence of the coordinate-descent variant:
         ``"decaying"`` uses delta(n) = lam**(n+1) * rho, whose
@@ -108,7 +109,6 @@ class FilterConfig:
     rho: float
     ase: AseParams
     dcd: DcdParams | None = None
-    vss_guard: float = 1e-12
     delta_schedule: str = "decaying"
     dcd_update: str = "shift"
 
@@ -123,8 +123,6 @@ class FilterConfig:
             raise ValueError("ase must be an AseParams instance")
         if self.dcd is not None and not isinstance(self.dcd, DcdParams):
             raise ValueError("dcd must be a DcdParams instance or None")
-        if not (math.isfinite(self.vss_guard) and self.vss_guard > 0):
-            raise ValueError(f"vss_guard must be positive, got {self.vss_guard!r}")
         if self.delta_schedule not in DELTA_SCHEDULES:
             raise ValueError(
                 f"delta_schedule must be one of {DELTA_SCHEDULES}, got {self.delta_schedule!r}"
@@ -135,91 +133,41 @@ class FilterConfig:
             )
 
 
-@dataclass(init=False)
+@dataclass
 class FilterState:
     """Mutable per-filter state; create via :func:`filter_init`.
 
-    ``stats`` is one statistics array.  While ``R`` is dense it has shape
-    ``(length + 1, length)``: the autocorrelation ``R`` in its first
-    ``length`` rows and the cross-correlation ``theta`` in its last row,
-    so the decay is one in-place multiply and an applied sample one
-    broadcast add.  ``r_store`` is where ``R`` lives: the view
-    ``stats[:-1]``, or the :class:`~asefilt.dcd.ShiftMatrix` ring that
-    shift-mode :func:`dcd_ase_step` switches it to on its first step;
-    ``stats`` then keeps the ``theta`` row only.  Read and assign ``R``
-    through :attr:`r_matrix` and ``theta`` through :attr:`theta`; a state
-    built directly takes them as separate arrays (``R`` may be a ring)
-    and copies them into ``stats``.
+    Where ``R`` lives is fixed at :func:`filter_init`.  A shift-mode
+    coordinate-descent config holds it in ``ring``, a
+    :class:`~asefilt.dcd.ShiftMatrix` of first rows, and ``stats`` is the
+    ``(1, length)`` ``theta`` row.  Every other config leaves ``ring``
+    None and ``stats`` of shape ``(length + 1, length)``: ``R`` in its
+    first ``length`` rows and ``theta`` in its last, so the decay is one
+    in-place multiply and an applied sample one broadcast add.  A step
+    whose update needs the other layout raises :class:`FilterError`.
     """
 
     w: np.ndarray
     stats: np.ndarray
-    r_store: np.ndarray | ShiftMatrix
     residual: np.ndarray
     delta_prev: float
+    ring: ShiftMatrix | None = None
     step_index: int = 0
     updates_total: int = 0
     updates_applied: int = 0
     ops: OpCounter | None = None
 
-    def __init__(
-        self,
-        w: np.ndarray,
-        r_store: np.ndarray | ShiftMatrix,
-        theta: np.ndarray,
-        residual: np.ndarray,
-        delta_prev: float,
-        step_index: int = 0,
-        updates_total: int = 0,
-        updates_applied: int = 0,
-        ops: OpCounter | None = None,
-    ) -> None:
-        self.stats = np.empty((1, len(theta)))
-        self.theta = theta
-        self.r_matrix = r_store
-        self.w = w
-        self.residual = residual
-        self.delta_prev = delta_prev
-        self.step_index = step_index
-        self.updates_total = updates_total
-        self.updates_applied = updates_applied
-        self.ops = ops
-
     @property
     def r_matrix(self) -> np.ndarray:
-        """The dense autocorrelation ``R``.
-
-        When ``R`` is held as a ring this is a fresh copy, built in
-        O(length^2); writing into it does not change the state.
-        """
-        r = self.r_store
-        return r.dense() if isinstance(r, ShiftMatrix) else r
-
-    @r_matrix.setter
-    def r_matrix(self, value: np.ndarray | ShiftMatrix) -> None:
-        """Hold a :class:`~asefilt.dcd.ShiftMatrix` as the ring itself, with
-        ``stats`` cut to the ``theta`` row; copy anything else into
-        ``stats``, which holds ``R`` densely from then on."""
-        theta = self.stats[-1]
-        if isinstance(value, ShiftMatrix):
-            self.stats = theta[None].copy()
-            self.r_store = value
-            return
-        if len(self.stats) == 1:
-            n = len(theta)
-            self.stats = np.empty((n + 1, n))
-            self.stats[-1] = theta
-        self.stats[:-1] = value
-        self.r_store = self.stats[:-1]
+        """The dense autocorrelation ``R``: the view ``stats[:-1]``, or for
+        a ring-held ``R`` a fresh copy, built in O(length^2), whose writes
+        do not change the state."""
+        return self.stats[:-1] if self.ring is None else self.ring.dense()
 
     @property
     def theta(self) -> np.ndarray:
         """The cross-correlation ``theta``: a view of the last row of ``stats``."""
         return self.stats[-1]
-
-    @theta.setter
-    def theta(self, value: np.ndarray) -> None:
-        self.stats[-1] = value
 
 
 @dataclass(frozen=True)
@@ -239,12 +187,17 @@ def filter_init(config: FilterConfig, *, ops: OpCounter | None = None) -> Filter
         delta_prev = config.lam * config.rho
     else:
         delta_prev = config.rho
+    r0 = np.eye(length) * config.rho
+    if config.dcd is not None and config.dcd_update == "shift":
+        ring, stats = ShiftMatrix(r0), np.zeros((1, length))
+    else:
+        ring, stats = None, np.vstack([r0, np.zeros(length)])
     return FilterState(
         w=np.zeros(length),
-        r_store=np.eye(length) * config.rho,
-        theta=np.zeros(length),
+        stats=stats,
         residual=np.zeros(length),
         delta_prev=delta_prev,
+        ring=ring,
         ops=ops,
     )
 
@@ -262,17 +215,10 @@ def _check_sample(config: FilterConfig, x, d) -> tuple[np.ndarray, float]:
 
 
 def _dense_stats(state: FilterState) -> np.ndarray:
-    """``stats`` with ``R`` held densely in it; a ring-held ``R`` is copied back first."""
-    r = state.r_store
-    if isinstance(r, ShiftMatrix):
-        state.r_matrix = r.dense()
+    """``stats`` for a dense update of ``R``; a ring-held ``R`` raises."""
+    if state.ring is not None:
+        raise FilterError("this update needs a dense R; this state holds R as a ring")
     return state.stats
-
-
-def _dense_r(state: FilterState) -> np.ndarray:
-    """``R`` for an in-place dense update: the view ``stats[:-1]``."""
-    _dense_stats(state)
-    return state.r_store
 
 
 def correlation_update(
@@ -317,14 +263,14 @@ def _vss_weight_update(state: FilterState, config: FilterConfig, move: bool) -> 
 
     With ``move`` false only the residual is refreshed and the weights
     stay put (used while the delay line is still filling)."""
-    r_mat = _dense_r(state)
+    r_mat = state.stats[:-1]  # dense: the statistics update before this checked
     r = state.theta - r_mat @ state.w
     state.residual = r
     if not move:
         return
     rr = float(r @ r)
     r_big = r_mat @ r
-    den = float(r @ r_big) + config.vss_guard
+    den = float(r @ r_big) + VSS_GUARD
     mu = rr / den
     state.w += mu * r
 
@@ -441,8 +387,8 @@ def _shift_correlation_update(
     last ``length`` first rows, so the shift is one row write: O(length)
     multiplies and O(length) memory traffic.  The previous first row is
     read through the ring's :attr:`~asefilt.dcd.ShiftMatrix.newest` view,
-    which equals ``column(0)`` without a gather.  A state's first shift-mode
-    step converts its dense ``R`` (``rho I`` on a fresh state) to the ring.
+    which equals ``column(0)`` without a gather.  :func:`filter_init` makes
+    the ring; a state that holds ``R`` dense raises :class:`FilterError`.
 
     The sample weighting deliberately does not appear here: scaling the
     rank-one term by a step-dependent factor breaks the shift identity
@@ -451,13 +397,13 @@ def _shift_correlation_update(
     coordinate-descent variant cheap.  Robust weighting is applied on the
     error side instead; see :func:`dcd_ase_step`.
     """
-    r = state.r_store
-    if not isinstance(r, ShiftMatrix):
-        r = state.r_matrix = ShiftMatrix(r)
-    row0 = config.lam * r.newest + x[0] * x
+    ring = state.ring
+    if ring is None:
+        raise FilterError("shift-mode dcd_ase_step needs R as a ring; this state holds R dense")
+    row0 = config.lam * ring.newest + x[0] * x
     if correction != 0.0:
         row0[0] += correction
-    r.push(row0)
+    ring.push(row0)
 
 
 def dcd_ase_step(
@@ -524,8 +470,9 @@ def _dcd_step(
     shift = config.dcd_update == "shift"
     if shift:
         _shift_correlation_update(state, config, x, correction)
+        r_mat = state.ring
     else:
-        r_mat = _dense_r(state)
+        r_mat = _dense_stats(state)[:-1]
         r_mat *= lam
         if phi != 0.0:
             r_mat += np.outer(phi * x, x)
@@ -541,9 +488,8 @@ def _dcd_step(
         else:
             rhs -= correction * state.w
 
-    r_store = state.r_store
     held = state.step_index < n - 1 or (
-        not r_store.pivots_normal if shift else r_store.diagonal().min() < MIN_PIVOT
+        not r_mat.pivots_normal if shift else r_mat.diagonal().min() < MIN_PIVOT
     )
     if held:
         # Accumulate statistics only while the delay line fills, and while
@@ -552,7 +498,7 @@ def _dcd_step(
         # weights run away.
         state.residual = rhs
     else:
-        result = dcd_solve(r_store, rhs, config.dcd, ops=state.ops)
+        result = dcd_solve(r_mat, rhs, config.dcd, ops=state.ops)
         if result.updates_used:  # w never holds -0.0, so adding zeros is a no-op
             state.w += result.delta_w
         state.residual = result.residual_out

@@ -251,7 +251,6 @@ def default_algorithms(
     kernel_sigma: float | None = None,
     dcd_update: str = "shift",
     delta_schedule: str = "decaying",
-    vss_guard: float = 1e-12,
 ) -> list[AlgoSpec]:
     """Build the benchmark algorithm set with shared parameters."""
     ase = AseParams(c=c, zeta=zeta)
@@ -264,7 +263,6 @@ def default_algorithms(
             rho=rho,
             ase=ase,
             dcd=dcd if kind == "dcd_ase" else None,
-            vss_guard=vss_guard,
             delta_schedule=delta_schedule,
             dcd_update=dcd_update,
         )

@@ -41,6 +41,7 @@ from asefilt import (
     iwf_step,
     rmcc_step,
 )
+from asefilt.filters import VSS_GUARD
 from asefilt.signals import gen_background, gen_bg_noise, regressors
 
 
@@ -222,7 +223,7 @@ def separate_vss_step(state: SeparateState, config: FilterConfig, x: np.ndarray,
     r = state.theta - state.r_matrix @ state.w
     if state.step_index >= config.length - 1:
         rr = float(r @ r)
-        den = float(r @ (state.r_matrix @ r)) + config.vss_guard
+        den = float(r @ (state.r_matrix @ r)) + VSS_GUARD
         state.w += (rr / den) * r
     state.step_index += 1
     return e, applied

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asefilt import DcdParams, DcdSolveResult, OpCounter, dcd_solve, quantize_grid
+from asefilt import DcdParams, DcdSolveResult, OpCounter, dcd_solve
 from asefilt.dcd import ShiftMatrix
 from asefilt.harness import random_spd_system
 
@@ -28,16 +28,6 @@ def test_params_validation():
         DcdParams(n_updates=0)
     with pytest.raises(ValueError):
         DcdParams(m_bits=3.5)
-
-
-def test_quantize_grid_halves_from_h():
-    p = DcdParams(h=2.0, m_bits=8, n_updates=8)
-    grid = quantize_grid(p)
-    assert grid[0] == 1.0
-    assert len(grid) == 8
-    for a, b in zip(grid, grid[1:]):
-        assert b == a / 2
-    assert grid[-1] == 2.0 / 2**8
 
 
 def test_identity_system_exact_single_update():

@@ -63,8 +63,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         cfg_for(rho=0.0)
     with pytest.raises(ValueError):
-        cfg_for(vss_guard=0.0)
-    with pytest.raises(ValueError):
         cfg_for(delta_schedule="linear")
     with pytest.raises(ValueError):
         cfg_for(dcd_update="sparse")
@@ -140,7 +138,7 @@ def _mixed_vss_steps(st, ref, cfg, rng, steps):
 def test_statistics_array_matches_separate_arrays():
     """R and theta held as one statistics array step exactly like two
     separate arrays: through mixed iwf, iwf_ase (gated and applied) and
-    rmcc steps, after assigning r_matrix, and from a state built directly."""
+    rmcc steps, and from a state built directly."""
     rng = np.random.default_rng(21)
     cfg = cfg_for(length=5, lam=0.97, rho=0.3, c=1.0)
     st = filter_init(cfg)
@@ -149,40 +147,16 @@ def test_statistics_array_matches_separate_arrays():
     assert {("iwf_ase", True), ("iwf_ase", False), ("iwf", True), ("rmcc", True)} <= seen
 
     a = rng.standard_normal((5, 5))
-    r_new = a @ a.T + np.eye(5)
-    st.r_matrix = r_new
-    ref.r_matrix = r_new.copy()
-    r_new[0, 0] = 99.0  # assignment copies: the state does not alias its argument
-    assert st.r_matrix[0, 0] != 99.0
-    _mixed_vss_steps(st, ref, cfg, rng, 60)
-
     r0 = a.T @ a + 2.0 * np.eye(5)
     th0 = rng.standard_normal(5)
     w0 = rng.standard_normal(5)
     built = FilterState(
-        w=w0.copy(), r_store=r0, theta=th0, residual=np.zeros(5), delta_prev=0.0, step_index=7
+        w=w0.copy(), stats=np.vstack([r0, th0]), residual=np.zeros(5), delta_prev=0.0, step_index=7
     )
     assert np.array_equal(built.r_matrix, r0) and np.array_equal(built.theta, th0)
     ref = SeparateState(w=w0.copy(), r_matrix=r0.copy(), theta=th0.copy(), step_index=7)
     _mixed_vss_steps(built, ref, cfg, rng, 60)
-    assert np.array_equal(r0, a.T @ a + 2.0 * np.eye(5))  # the arguments were copied
-
-    # A ring-held R leaves only the theta row in stats; a dense update
-    # stores R densely again and keeps theta.
-    dcfg = cfg_for(length=5, lam=0.97, rho=0.3, dcd=DcdParams())
-    for r_start in (r0, ShiftMatrix(r0)):
-        st = FilterState(w=np.zeros(5), r_store=r_start, theta=th0, residual=np.zeros(5), delta_prev=0.0)
-        st, _ = dcd_ase_step(st, dcfg, rng.standard_normal(5), 0.5)
-        assert st.stats.shape == (1, 5) and np.array_equal(st.theta, th0)
-        ref = SeparateState(w=st.w.copy(), r_matrix=st.r_matrix, theta=th0.copy())
-        x = rng.standard_normal(5)
-        correlation_update(st, dcfg, x, 0.7, 0.25)
-        ref.r_matrix *= dcfg.lam
-        ref.theta *= dcfg.lam
-        ref.r_matrix += np.outer(0.25 * x, x)
-        ref.theta += (0.25 * 0.7) * x
-        assert st.stats.shape == (6, 5)
-        assert np.array_equal(st.r_matrix, ref.r_matrix) and np.array_equal(st.theta, ref.theta)
+    assert np.array_equal(r0, a.T @ a + 2.0 * np.eye(5))  # stats is a copy of r0
 
 
 def test_correlation_update_rejects_bad_phi():
@@ -230,7 +204,7 @@ def test_iwf_ase_step_decomposes():
         if step < cfg.length - 1:
             w_ref = w_prev  # weights rest while the delay line fills
         else:
-            denom = float(resid @ r_ref @ resid) + cfg.vss_guard
+            denom = float(resid @ r_ref @ resid) + filters.VSS_GUARD
             w_ref = w_prev + (float(resid @ resid) / denom) * resid
         assert np.allclose(st.w, w_ref, atol=1e-12)
         assert np.allclose(st.residual, resid, atol=1e-12)
@@ -587,20 +561,57 @@ def test_dcd_shift_ring_matches_dense_reference(length, schedule):
         assert np.array_equal(st.r_matrix, ref.r_matrix)
 
 
-def test_shift_state_r_matrix_reads_a_copy_and_converts_back():
+def test_shift_state_r_matrix_is_a_read_only_copy():
     cfg = cfg_for(length=3, dcd=DcdParams())
     st = filter_init(cfg)
     dcd_ase_step(st, cfg, np.array([1.0, 0.5, -0.5]), 0.3)
     r = st.r_matrix
     r[0, 0] = 99.0
     assert st.r_matrix[0, 0] != 99.0
-    st.r_matrix = r  # assigning stores R densely again
-    assert st.r_matrix[0, 0] == 99.0
-    dcd_ase_step(st, cfg, np.array([0.5, -0.5, 1.0]), 0.1)
-    r_prev = st.r_matrix
-    x = np.array([1.0, 2.0, 0.0])
-    correlation_update(st, cfg, x, 0.5, 0.25)  # a dense update on a ring-held R
-    assert np.array_equal(st.r_matrix, cfg.lam * r_prev + np.outer(0.25 * x, x))
+    with pytest.raises(AttributeError):
+        st.r_matrix = r
+    with pytest.raises(FilterError):
+        correlation_update(st, cfg, np.array([1.0, 2.0, 0.0]), 0.5, 0.25)
+    assert st.r_matrix[0, 0] != 99.0
+
+
+_SHIFT_CFG = cfg_for(length=3, dcd=DcdParams())
+_DENSE_CFG = cfg_for(length=3, dcd=DcdParams(), dcd_update="dense")
+
+
+@pytest.mark.parametrize(
+    "state_cfg, step",
+    [
+        (_SHIFT_CFG, lambda st, x: iwf_ase_step(st, _SHIFT_CFG, x, 0.5)),
+        (_SHIFT_CFG, lambda st, x: rmcc_step(st, _SHIFT_CFG, x, 0.5, 1.0)),
+        (_SHIFT_CFG, lambda st, x: correlation_update(st, _SHIFT_CFG, x, 0.5, 0.25)),
+        (_SHIFT_CFG, lambda st, x: dcd_ase_step(st, _DENSE_CFG, x, 0.5)),
+        (_DENSE_CFG, lambda st, x: dcd_ase_step(st, _SHIFT_CFG, x, 0.5)),
+    ],
+    ids=[
+        "iwf_ase-on-ring",
+        "rmcc-on-ring",
+        "correlation_update-on-ring",
+        "dcd_dense-on-ring",
+        "dcd_shift-on-dense",
+    ],
+)
+def test_step_on_the_other_r_layout_raises(state_cfg, step):
+    """filter_init fixes where R lives, a ring for a shift-mode dcd_ase
+    config and dense otherwise.  A step whose update needs the other
+    layout raises FilterError and leaves the state as it was instead of
+    converting R."""
+    rng = np.random.default_rng(4)
+    st = filter_init(state_cfg)
+    for _ in range(5):
+        dcd_ase_step(st, state_cfg, rng.standard_normal(3), rng.standard_normal())
+    before = [a.copy() for a in (st.w, st.r_matrix, st.theta, st.residual)]
+    ring = st.ring
+    with pytest.raises(FilterError):
+        step(st, rng.standard_normal(3))
+    assert st.ring is ring and st.step_index == 5
+    for a, b in zip((st.w, st.r_matrix, st.theta, st.residual), before):
+        assert np.array_equal(a, b)
 
 
 def _exact_solve(r, rhs):
@@ -689,7 +700,7 @@ def test_step_invariants(kind, length, dcd_update, horizon, impulse_var, seed):
     state, err, applied, _ = run_public_steps(spec, x_rows, d, kernel_sigma=1.0)
 
     r = state.r_matrix
-    if kind == "iwf" or isinstance(state.r_store, ShiftMatrix):
+    if kind == "iwf" or state.ring is not None:
         assert np.array_equal(r, r.T)
     else:
         assert np.abs(r - r.T).max() <= 1e-15 * np.abs(r).max()
