@@ -7,6 +7,11 @@ weighting factor or leakage correction, the update mode, the solver's
 updates, halvings and bit exhaustion), so the arithmetic itself carries no
 instrumentation.  Without a counter (the default) that is one ``None``
 check per call.
+
+One charge is made per solved step rather than per add executed: the
+``length`` adds of the coordinate-descent step's ``w += delta_w`` are
+counted whenever the step runs the solver, also when the solve applied
+no update and the step skips the add.
 """
 
 from __future__ import annotations

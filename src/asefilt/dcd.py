@@ -112,8 +112,10 @@ class ShiftMatrix:
     Every row is stored twice, at slots ``s`` and ``s + length`` of a
     ``(2 length, length)`` buffer, so the ``length`` newest rows always
     form one contiguous window and a column is a single ``take`` through
-    a fixed offset table.  Rows are checked finite when written, so every
-    entry of ``R`` is finite.
+    a fixed offset table.  :meth:`push` checks each row finite, so a ring
+    filled through it holds a finite ``R``; the filters' trusted cores
+    write through ``_push``, which skips the check, and the Monte Carlo
+    driver checks their states once per block of rows instead.
 
     The ring head cycles through ``length`` positions, so every view it
     needs is built once, in ``__init__``: for each head the window, a
@@ -168,6 +170,10 @@ class ShiftMatrix:
         """Shift ``R`` down-right by one and make ``row`` its first row and column."""
         if not np.isfinite(row).all():
             raise ValueError("r_matrix rows must be finite")
+        self._push(row)
+
+    def _push(self, row: np.ndarray) -> None:
+        """:meth:`push` without the finiteness check."""
         # Slot ``head`` holds the oldest row, whose pivot leaves the window.
         head = (self._head or self.length) - 1
         weak = float(row[0]) < MIN_PIVOT
@@ -209,9 +215,10 @@ def _validate_system(r_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray,
     return r_matrix, rhs
 
 
-def _validate_shift_system(r_matrix: ShiftMatrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _validate_shift_system(r_matrix: ShiftMatrix, rhs: np.ndarray) -> np.ndarray:
     """O(length) counterpart of :func:`_validate_system`: the rows of a
-    :class:`ShiftMatrix` were checked finite when written, and its cached
+    :class:`ShiftMatrix` were checked finite when pushed (or, for a ring
+    written through ``_push``, by the caller's own check), and its cached
     pivot check settles the diagonal unless some pivot is below
     :data:`MIN_PIVOT`."""
     rhs = np.asarray(rhs, dtype=float)
@@ -219,10 +226,9 @@ def _validate_shift_system(r_matrix: ShiftMatrix, rhs: np.ndarray) -> tuple[np.n
         raise ValueError(f"rhs must be a vector of length {r_matrix.length}, got shape {rhs.shape}")
     if not np.isfinite(rhs).all():
         raise ValueError("rhs must be finite")
-    diag = r_matrix.diagonal()
-    if not r_matrix.pivots_normal and (diag <= 0.0).any():
+    if not r_matrix.pivots_normal and (r_matrix.diagonal() <= 0.0).any():
         raise ValueError("r_matrix must have strictly positive diagonal entries")
-    return rhs, diag
+    return rhs
 
 
 def dcd_solve(
@@ -260,17 +266,29 @@ def dcd_solve(
     diagonal strictly positive.
     """
     if isinstance(r_matrix, ShiftMatrix):
-        rhs, diag = _validate_shift_system(r_matrix, rhs)
-        column = r_matrix.column
+        rhs = _validate_shift_system(r_matrix, rhs)
     else:
-        r_dense, rhs = _validate_system(r_matrix, rhs)
-        diag = r_dense.diagonal()
+        r_matrix, rhs = _validate_system(r_matrix, rhs)
+    return _dcd_solve(r_matrix, rhs.copy(), params, ops=ops)
 
-        def column(j: int) -> np.ndarray:
-            return r_dense[:, j]
+
+def _dcd_solve(
+    r_matrix: np.ndarray | ShiftMatrix,
+    rhs: np.ndarray,
+    params: DcdParams,
+    *,
+    ops: OpCounter | None = None,
+) -> DcdSolveResult:
+    """:func:`dcd_solve` without the checks, for a float ``r_matrix`` and
+    ``rhs`` of matching shape.  ``rhs`` becomes the returned residual: the
+    solve updates it in place."""
+    if isinstance(r_matrix, ShiftMatrix):
+        diag, column = r_matrix.diagonal(), r_matrix.column
+    else:
+        diag, column = r_matrix.diagonal(), r_matrix.T.__getitem__  # r.T[j] is r[:, j]
 
     n = rhs.shape[0]
-    residual = rhs.copy()
+    residual = rhs
     steps = params._ladder
     finest = 0.5 * steps[-1]
     depth = 0

@@ -31,8 +31,15 @@ private trusted cores, ``_vss_step`` (inversion-free) or ``_dcd_step``
 for ``iwf_step``, ``config.ase`` for ``iwf_ase_step`` and
 ``dcd_ase_step``, the Gaussian kernel width for ``rmcc_step``.  A core
 takes ``x`` and ``d`` as :func:`_check_sample` returns them: a finite
-float vector of shape ``(length,)`` and a finite Python float.  The Monte
-Carlo harness checks each run's inputs once and calls the cores directly.
+float vector of shape ``(length,)`` and a finite Python float, and
+returns the prior error and whether the sample was applied.  Finite
+input can still overflow, so with ``checked`` (the public steps) a core
+keeps the checks of :func:`correlation_update` on ``phi``,
+:meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
+:func:`~asefilt.dcd.dcd_solve` on the system.  The Monte Carlo harness
+calls the cores unchecked, which use the private forms of those three,
+and checks each state once per block of rows with
+:func:`_state_is_finite`.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import OpCounter
-from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, dcd_solve
+from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, _dcd_solve, dcd_solve
 from .estimator import AseParams, ase_weight
 
 __all__ = [
@@ -234,9 +241,21 @@ def correlation_update(
     the two separate updates.
     """
     x, d = _check_sample(config, x, d)
+    _correlation_update(state, config, x, d, _check_phi(phi))
+    return state
+
+
+def _check_phi(phi) -> float:
     phi = float(phi)
     if not (math.isfinite(phi) and phi >= 0.0):
         raise ValueError(f"phi must be finite and nonnegative, got {phi!r}")
+    return phi
+
+
+def _correlation_update(
+    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, phi: float
+) -> None:
+    """:func:`correlation_update` for arguments as its checks return them."""
     n = config.length
     stats = _dense_stats(state)
     stats *= config.lam
@@ -249,7 +268,6 @@ def correlation_update(
         # The decay; a sample adds phi x, its outer product and phi d x.
         weighted = phi != 0.0
         state.ops.add(weighted * (n * n + n), n * n + n + weighted * (n * n + 2 * n + 1))
-    return state
 
 
 def _decay_only(state: FilterState, config: FilterConfig) -> None:
@@ -299,12 +317,12 @@ def _weigh(state: FilterState, e: float, weighting: AseParams | float | None) ->
 
 
 def _vss_step(
-    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting
-) -> tuple[FilterState, StepOutput]:
+    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting, checked=False
+) -> tuple[float, bool]:
     e = d - float(state.w @ x)
     applied, phi = _weigh(state, e, weighting)
     if applied:
-        correlation_update(state, config, x, d, phi)
+        _correlation_update(state, config, x, d, _check_phi(phi) if checked else phi)
         state.updates_applied += 1
     else:
         _decay_only(state, config)
@@ -326,7 +344,7 @@ def _vss_step(
         )
     state.updates_total += 1
     state.step_index += 1
-    return state, StepOutput(prior_error=e, applied=applied)
+    return e, applied
 
 
 def iwf_ase_step(
@@ -341,14 +359,14 @@ def iwf_ase_step(
     while the delay line fills.
     """
     x, d = _check_sample(config, x, d)
-    return _vss_step(state, config, x, d, config.ase)
+    return state, StepOutput(*_vss_step(state, config, x, d, config.ase, True))
 
 
 def iwf_step(state: FilterState, config: FilterConfig, x, d) -> tuple[FilterState, StepOutput]:
     """Non-robust baseline: identical to :func:`iwf_ase_step` with the
     weighting factor pinned to 1 and no skip logic."""
     x, d = _check_sample(config, x, d)
-    return _vss_step(state, config, x, d, None)
+    return state, StepOutput(*_vss_step(state, config, x, d, None, True))
 
 
 def rmcc_step(
@@ -363,12 +381,20 @@ def rmcc_step(
     kernel_sigma = float(kernel_sigma)
     if not (math.isfinite(kernel_sigma) and kernel_sigma > 0):
         raise ValueError(f"kernel_sigma must be positive, got {kernel_sigma!r}")
+    _check_kernel_width(kernel_sigma)
     x, d = _check_sample(config, x, d)
-    return _vss_step(state, config, x, d, kernel_sigma)
+    return state, StepOutput(*_vss_step(state, config, x, d, kernel_sigma, True))
+
+
+def _check_kernel_width(sigma: float) -> None:
+    """Reject a positive Gaussian kernel width whose ``2 sigma^2``, the
+    denominator of the weight, underflows to zero."""
+    if 2.0 * sigma * sigma == 0.0:
+        raise ValueError(f"kernel_sigma {sigma!r} is too small: 2 * kernel_sigma**2 underflows to 0")
 
 
 def _shift_correlation_update(
-    state: FilterState, config: FilterConfig, x: np.ndarray, correction: float
+    state: FilterState, config: FilterConfig, x: np.ndarray, correction: float, checked: bool
 ) -> None:
     """O(length) autocorrelation update for tapped-delay-line inputs.
 
@@ -395,7 +421,8 @@ def _shift_correlation_update(
     (the interior would lag the weighting by one sample per row) and with
     it the exactness of the residual recursion that makes the
     coordinate-descent variant cheap.  Robust weighting is applied on the
-    error side instead; see :func:`dcd_ase_step`.
+    error side instead; see :func:`dcd_ase_step`.  Only with ``checked``
+    is the new row checked finite.
     """
     ring = state.ring
     if ring is None:
@@ -403,7 +430,10 @@ def _shift_correlation_update(
     row0 = config.lam * ring.newest + x[0] * x
     if correction != 0.0:
         row0[0] += correction
-    ring.push(row0)
+    if checked:
+        ring.push(row0)
+    else:
+        ring._push(row0)
 
 
 def dcd_ase_step(
@@ -445,7 +475,7 @@ def dcd_ase_step(
     """
     _check_solver(config)
     x, d = _check_sample(config, x, d)
-    return _dcd_step(state, config, x, d, config.ase)
+    return state, StepOutput(*_dcd_step(state, config, x, d, config.ase, True))
 
 
 def _check_solver(config: FilterConfig) -> None:
@@ -454,8 +484,8 @@ def _check_solver(config: FilterConfig) -> None:
 
 
 def _dcd_step(
-    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting
-) -> tuple[FilterState, StepOutput]:
+    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting, checked=False
+) -> tuple[float, bool]:
     n = config.length
     e = d - float(state.w @ x)
     applied, phi = _weigh(state, e, weighting)
@@ -469,7 +499,7 @@ def _dcd_step(
 
     shift = config.dcd_update == "shift"
     if shift:
-        _shift_correlation_update(state, config, x, correction)
+        _shift_correlation_update(state, config, x, correction, checked)
         r_mat = state.ring
     else:
         r_mat = _dense_stats(state)[:-1]
@@ -498,7 +528,8 @@ def _dcd_step(
         # weights run away.
         state.residual = rhs
     else:
-        result = dcd_solve(r_mat, rhs, config.dcd, ops=state.ops)
+        solve = dcd_solve if checked else _dcd_solve
+        result = solve(r_mat, rhs, config.dcd, ops=state.ops)
         if result.updates_used:  # w never holds -0.0, so adding zeros is a no-op
             state.w += result.delta_w
         state.residual = result.residual_out
@@ -507,7 +538,9 @@ def _dcd_step(
         # The prior error, the leakage step, the R update, lam * residual
         # and the error injection, the correction on the entries it touches
         # (one in shift mode, the diagonal in dense mode) on R and rhs, and
-        # w += delta_w; the weighting and the solve count themselves.
+        # w += delta_w, charged per solved step even when the solve applied
+        # nothing and the add is skipped; the weighting and the solve count
+        # themselves.
         injected = phi != 0.0
         corrected = correction != 0.0
         if shift:
@@ -524,7 +557,20 @@ def _dcd_step(
     if applied:
         state.updates_applied += 1
     state.step_index += 1
-    return state, StepOutput(prior_error=e, applied=applied)
+    return e, applied
+
+
+def _state_is_finite(state: FilterState) -> bool:
+    """Whether the weights, the residual and ``R`` are finite.
+
+    For a ring-held ``R`` only the newest row is read: each pushed row is
+    ``lam`` times the previous one plus finite terms, so a non-finite
+    entry, once written, stays in the newest row for good.  A non-finite
+    value persists likewise through every other recursion of a step, so
+    one check after many trusted steps finds whatever a check after each
+    of them would have."""
+    r = state.stats if state.ring is None else state.ring.newest
+    return bool(np.isfinite(state.w).all() and np.isfinite(state.residual).all() and np.isfinite(r).all())
 
 
 def update_ratio(state: FilterState) -> float:

@@ -19,9 +19,14 @@ regressor rows and desired signal for shape and finiteness.  It then
 steps each filter through one of the two private trusted cores in
 ``filters``, ``_vss_step`` or ``_dcd_step``, with the algorithm's error
 weighting bound; the cores skip the per-call checks of the public step
-functions, and results are bit-identical to stepping through them.  The
-squared weight deviation of the NMSD curves is computed per block of
-rows, not per sample.
+functions, and results are bit-identical to stepping through them.
+
+Finite inputs can still overflow a filter's statistics.  The cores
+leave that to the driver, which checks each state once per block of
+``_BLOCK_ROWS`` rows (``filters._state_is_finite``) and raises one
+:class:`~asefilt.filters.FilterError` naming the algorithm, the run and
+the block's samples.  The squared weight deviation of the NMSD curves is
+likewise computed per block of rows, not per sample.
 """
 
 from __future__ import annotations
@@ -38,9 +43,12 @@ from .dcd import DcdParams
 from .estimator import AseParams
 from .filters import (
     FilterConfig,
+    FilterError,
     FilterState,
+    _check_kernel_width,
     _check_solver,
     _dcd_step,
+    _state_is_finite,
     _vss_step,
     filter_init,
     update_ratio,
@@ -78,7 +86,8 @@ ALGORITHMS = ("iwf", "iwf_ase", "dcd_ase", "rmcc")
 NMSD_FLOOR_DB = -400.0
 _FLOOR_RATIO = 1e-40
 # Rows per block of the driver's loop: the NMSD deviation of a block is
-# one vectorized reduction, and the block's d values one list.
+# one vectorized reduction, the block's d values one list, and each
+# filter state is checked finite once per block.
 _BLOCK_ROWS = 64
 
 
@@ -89,7 +98,8 @@ class AlgoSpec:
     ``kernel_sigma`` only applies to the Gaussian-weighted baseline; when
     None it defaults to ten times the background noise deviation of
     the scenario (or 10.0 when the scenario has no background noise).
-    An explicit value must be positive and finite.
+    An explicit value must be positive and finite, and large enough that
+    ``2 sigma^2`` does not underflow to zero.
     """
 
     kind: str
@@ -101,8 +111,10 @@ class AlgoSpec:
         if self.kind not in ALGORITHMS:
             raise ValueError(f"kind must be one of {ALGORITHMS}, got {self.kind!r}")
         sigma = self.kernel_sigma
-        if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"kernel_sigma must be positive and finite, got {sigma!r}")
+        if sigma is not None:
+            if not (math.isfinite(sigma) and sigma > 0):
+                raise ValueError(f"kernel_sigma must be positive and finite, got {sigma!r}")
+            _check_kernel_width(sigma)
 
     @property
     def name(self) -> str:
@@ -272,9 +284,10 @@ def default_algorithms(
 
 def _make_stepper(
     spec: AlgoSpec, bg_std: float
-) -> Callable[[FilterState, np.ndarray, float], tuple[FilterState, object]]:
+) -> Callable[[FilterState, np.ndarray, float], tuple[float, bool]]:
     """The trusted solver core of ``spec`` with its config and error
-    weighting bound.
+    weighting bound; a call returns the prior error and whether the
+    sample was applied.
 
     Raises here, before any step, what the public step would raise on
     every call for the configuration."""
@@ -325,9 +338,11 @@ def _paired_runs(
     ``draw(run)`` returns the run's regressor rows, desired signal and the
     target the prior error is scored against; every algorithm sees the
     same draw, checked once for shape and finiteness (``ValueError``)
-    before its first step.  With ``w_o`` given, the squared weight
-    deviation from it is averaged into an NMSD curve.  Returns one record
-    per algorithm and each algorithm's prior-error trace of run 0.
+    before its first step.  Each filter state is checked finite after
+    every block of rows (``FilterError``).  With ``w_o`` given, the
+    squared weight deviation from it is averaged into an NMSD curve.
+    Returns one record per algorithm and each algorithm's prior-error
+    trace of run 0.
     """
     if not algorithms:
         raise ValueError("algorithms must not be empty")
@@ -364,11 +379,16 @@ def _paired_runs(
                 block_err = []
                 block_applied = []
                 for t, (x, d_t) in enumerate(rows):
-                    state, out = step(state, x, d_t)
-                    block_err.append(out.prior_error)
-                    block_applied.append(out.applied)
+                    e, a = step(state, x, d_t)
+                    block_err.append(e)
+                    block_applied.append(a)
                     if w_block is not None:
                         w_block[t] = state.w
+                if not _state_is_finite(state):
+                    raise FilterError(
+                        f"{spec.name}: run {run}: the filter state became non-finite"
+                        f" in the block of samples {start} to {stop - 1}"
+                    )
                 err[start:stop] = block_err
                 applied[start:stop] = block_applied
                 if w_block is not None:

@@ -198,6 +198,33 @@ def test_bad_kernel_sigma_is_config_error(tmp_path, capsys, sigma, algos):
     assert not out.exists()
 
 
+def test_kernel_sigma_whose_square_underflows_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = run_cli("sysid", "--kernel-sigma", "1e-300", "--horizon", "20", "--runs", "1", "--out", str(out))
+    assert rc == EXIT_CONFIG
+    assert "kernel_sigma 1e-300 is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_anc_overflowing_waveforms_are_a_runtime_error(tmp_path, capsys):
+    """Finite waveform files near 1e160 overflow the filter statistics; the
+    driver's block check reports it as one runtime error, exit 3."""
+    rng = np.random.default_rng(12)
+    ref = 1e160 * rng.standard_normal(300)
+    p, r = tmp_path / "p.csv", tmp_path / "r.csv"
+    save_waveform(p, 0.5 * ref)
+    save_waveform(r, ref)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = run_cli(
+            "anc", "--primary-file", str(p), "--reference-file", str(r), "--runs", "1",
+            "--out", str(tmp_path / "o"),
+        )
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("asefilt: error: iwf: run 0: the filter state became non-finite")
+    assert "block of samples 0 to 63" in err and "Traceback" not in err
+
+
 def test_sysid_filter_longer_than_horizon(tmp_path):
     out = tmp_path / "o"
     rc = run_cli("sysid", "--horizon", "3", "--length", "6", "--runs", "1", "--out", str(out))

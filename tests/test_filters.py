@@ -179,6 +179,34 @@ def test_step_rejects_bad_samples():
         iwf_step(st, cfg, np.zeros(2), float("nan"))
 
 
+def _huge_step(kind, dcd_update):
+    cfg = default_algorithms(3, (kind,), dcd_update=dcd_update)[0].config
+    st = filter_init(cfg)
+    if kind == "rmcc":
+        st.w[:] = np.nan  # a state gone non-finite gives a NaN weight
+        return lambda: rmcc_step(st, cfg, np.ones(3), 0.5, 1.0)
+    x = np.full(3, 1e160)  # x x^T overflows
+    return lambda: [dcd_ase_step(st, cfg, x, 0.1) for _ in range(3)]
+
+
+@pytest.mark.parametrize(
+    "kind, dcd_update, message",
+    [
+        ("dcd_ase", "shift", "r_matrix rows must be finite"),
+        ("dcd_ase", "dense", "r_matrix and rhs must be finite"),
+        ("rmcc", "shift", "phi must be finite and nonnegative"),
+    ],
+)
+def test_public_steps_keep_their_inner_checks(kind, dcd_update, message):
+    """A public step still checks the ring row it pushes, the system it
+    solves and the weight phi it folds in, which the trusted cores leave
+    to the Monte Carlo driver's block check."""
+    step = _huge_step(kind, dcd_update)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=message):
+            step()
+
+
 def test_iwf_ase_step_decomposes():
     """A step must equal prior error -> weighted stats -> residual move."""
     rng = np.random.default_rng(3)
@@ -281,6 +309,19 @@ def test_rmcc_weighting_factor():
     assert out.applied
     with pytest.raises(ValueError):
         rmcc_step(st, cfg, x, d, kernel_sigma=0.0)
+
+
+def test_rmcc_rejects_a_width_whose_square_underflows():
+    """At sigma = 1e-300 the weight's denominator 2 sigma^2 is 0; the step
+    raises ValueError instead of dividing by zero, and leaves the state.
+    A width whose 2 sigma^2 is subnormal still steps, with weight 0."""
+    cfg = cfg_for(length=2)
+    st = filter_init(cfg)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        rmcc_step(st, cfg, np.ones(2), 0.5, kernel_sigma=1e-300)
+    assert st.step_index == 0 and st.updates_total == 0
+    st, out = rmcc_step(st, cfg, np.ones(2), 0.5, kernel_sigma=1e-160)
+    assert out.applied and np.array_equal(st.r_matrix, cfg.lam * cfg.rho * np.eye(2))
 
 
 # ---------------------------------------------------------------------

@@ -22,11 +22,13 @@ from asefilt.harness import (
     run_sysid,
     steady_state,
 )
+from asefilt.dcd import ShiftMatrix
 from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
 
 from oracles import run_public_steps, sysid_nmsd_reference
 
 CORES = ("_vss_step", "_dcd_step")
+_BLOCK = harness._BLOCK_ROWS
 
 
 def test_nmsd_hand_values():
@@ -234,6 +236,14 @@ def test_algo_spec_labels():
     assert labeled.name == "baseline"
 
 
+def test_algo_spec_rejects_a_kernel_width_whose_square_underflows():
+    config = default_algorithms(4, kinds=("rmcc",))[0].config
+    with pytest.raises(ValueError, match="underflows to 0"):
+        AlgoSpec(kind="rmcc", config=config, kernel_sigma=1e-300)
+    # 2 sigma^2 overflows to inf here, which gives every sample weight 1.
+    assert AlgoSpec(kind="rmcc", config=config, kernel_sigma=1e300).kernel_sigma == 1e300
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(
     kind=st.sampled_from(ALGORITHMS),
@@ -296,27 +306,71 @@ def test_run_sysid_nmsd_matches_per_sample_reference():
 
 
 def test_run_sysid_steps_check_no_sample(monkeypatch):
-    """Each run is checked once: the only per-sample checks left are
-    correlation_update's own, inside the inversion-free steps."""
-    calls = {"check": 0, "update": 0}
-    check, update = filters._check_sample, filters.correlation_update
+    """Each run is checked once and each state once per block: no step of
+    the driver calls a per-sample check, the public correlation update,
+    the checked ring push or the public solve, in either update mode."""
+    calls = {"_check_sample": 0, "correlation_update": 0, "push": 0, "dcd_solve": 0}
 
-    def counting_check(*args):
-        calls["check"] += 1
-        return check(*args)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
-    def counting_update(*args):
-        calls["update"] += 1
-        return update(*args)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(filters, "_check_sample", counting_check)
-    monkeypatch.setattr(filters, "correlation_update", counting_update)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("_check_sample", "correlation_update", "dcd_solve"):
+        counting(filters, name)
+    counting(ShiftMatrix, "push")
     sc = make_sysid_scenario(length=4, horizon=150, mc_runs=2, seed=3)
-    run_sysid(sc, default_algorithms(4, kinds=("dcd_ase",)))
-    assert calls == {"check": 0, "update": 0}
-    run_sysid(sc, default_algorithms(4))
-    assert calls["update"] > 0
-    assert calls["check"] == calls["update"]
+    modes = ("shift", "dense")
+    for dcd_update in modes:
+        records = run_sysid(sc, default_algorithms(4, dcd_update=dcd_update))
+        assert [rec.algorithm for rec in records] == list(ALGORITHMS)
+    assert calls == dict.fromkeys(calls, 0)
+    # The same counters do see the public steps.
+    for dcd_update in modes:
+        for spec in default_algorithms(4, dcd_update=dcd_update):
+            run_public_steps(spec, np.eye(4), np.ones(4), kernel_sigma=1.0)
+    assert calls["_check_sample"] == 2 * 4 * 4 and calls["correlation_update"] == 0
+    assert calls["push"] == 4 and calls["dcd_solve"] > 0
+
+
+@pytest.mark.parametrize("horizon", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])
+def test_run_sysid_dense_constant_matches_public_steps(horizon):
+    """Dense-mode coordinate descent under the constant leakage schedule,
+    across the block edges of the driver's finiteness check."""
+    sc = make_sysid_scenario(length=5, horizon=horizon, mc_runs=2, seed=29)
+    algos = default_algorithms(5, dcd_update="dense", delta_schedule="constant")
+    for rec, expected in zip(run_sysid(sc, algos), sysid_nmsd_reference(sc, algos)):
+        assert np.array_equal(rec.nmsd_db, expected), rec.algorithm
+
+
+def _huge_regressors(u, length):
+    return 1e160 * regressors(u, length)
+
+
+@pytest.mark.parametrize("kind", ["iwf", "dcd_ase"])
+def test_run_sysid_overflow_raises_the_block_error(monkeypatch, kind):
+    """Regressors near 1e160 overflow R (x x^T passes 1e308).  The driver
+    reports it once, at the end of the first block, naming the algorithm,
+    the run and the block."""
+    monkeypatch.setattr(harness, "regressors", _huge_regressors)
+    sc = make_sysid_scenario(length=4, horizon=3 * _BLOCK, mc_runs=2, seed=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FilterError, match=rf"^{kind}: run 0: .*non-finite in the block of samples 0 to 63$"):
+            run_sysid(sc, default_algorithms(4, (kind,)))
+
+
+@pytest.mark.parametrize("kind", ["iwf", "dcd_ase"])
+def test_run_anc_overflow_raises_the_block_error(kind):
+    rng = np.random.default_rng(8)
+    reference = 1e160 * rng.standard_normal(200)
+    anc = AncSpec(horizon=1, mc_runs=1, seed=0, primary=0.5 * reference, reference=reference)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FilterError, match=rf"^{kind}: run 0: .*block of samples 0 to 63$"):
+            run_anc(anc, default_algorithms(5, (kind,)))
 
 
 @pytest.mark.parametrize("bad", ["x-nan", "x-shape", "d-inf", "d-shape"])
