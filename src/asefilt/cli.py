@@ -20,6 +20,7 @@ import numpy as np
 
 from .dcd import DcdParams, dcd_solve
 from .harness import (
+    _FLOOR_RATIO,
     ALGORITHMS,
     AlgoSpec,
     AncSpec,
@@ -323,7 +324,7 @@ def _ops_lines(records) -> list[str]:
 
 
 def _db(series: np.ndarray) -> np.ndarray:
-    return 10.0 * np.log10(np.maximum(np.asarray(series, dtype=float), 1e-40))
+    return 10.0 * np.log10(np.maximum(np.asarray(series, dtype=float), _FLOOR_RATIO))
 
 
 def _write_curves(path: Path, labels: list[str], curves: list[np.ndarray]) -> None:
@@ -444,7 +445,7 @@ def cmd_anc(opts: dict) -> int:
     )
     atomic_write(outdir / "anc.svg", chart)
 
-    steadies = [10.0 * math.log10(max(steady_state(rec.mse), 1e-40)) for rec in records]
+    steadies = [10.0 * math.log10(max(steady_state(rec.mse), _FLOOR_RATIO)) for rec in records]
     lines = _summary_header("anc", opts)
     lines += _record_table(records, "steady_mse_db", steadies)
     lines += _ops_lines(records)
@@ -541,21 +542,20 @@ def cmd_sweep(opts: dict) -> int:
         values = [int(s) if param == "n_updates" else float(s) for s in raw_values]
     except ValueError as exc:
         raise ConfigError(f"invalid sweep values: {exc}") from None
-    kind = opts.get("algo") or "iwf_ase"
-    if kind not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm '{kind}'")
+    # Check --algo (iwf_ase by default) and every value before any run or output.
+    kind = _parse_algo_list({"algos": "iwf_ase", **opts})[0]
+    plan = []
+    for value in values:
+        run_opts = {**opts, param: value}
+        plan.append((value, _build_algorithms(run_opts, (kind,), opts["length"]), _sysid_scenario(run_opts)))
     outdir = _prepare_outdir(opts)
 
     curves = []
     rows = []
-    for value in values:
-        run_opts = dict(opts)
-        run_opts[param] = value
-        kinds = (kind,)
-        algos = _build_algorithms(run_opts, kinds, run_opts["length"])
-        rec = run_sysid(_sysid_scenario(run_opts), algos)[0]
+    for value, algos, scenario in plan:
+        rec = run_sysid(scenario, algos)[0]
         label = f"{param}={value:g}"
-        curves.append((label, np.arange(run_opts["horizon"]), rec.nmsd_db))
+        curves.append((label, np.arange(opts["horizon"]), rec.nmsd_db))
         rows.append([value, steady_state(rec.nmsd_db), rec.update_ratio])
 
     write_csv(outdir / "sweep.csv", [param, "steady_nmsd_db", "update_ratio"], rows, REPORT_FMT)

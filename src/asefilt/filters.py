@@ -104,7 +104,7 @@ class FilterConfig:
         ``"decaying"`` uses delta(n) = lam**(n+1) * rho, whose
         consecutive-difference correction cancels exactly, while
         ``"constant"`` holds delta(n) = rho and applies the resulting
-        (1 - lam) * rho correction every step.
+        constant ``rho - lam * rho`` correction every step.
     dcd_update : str
         Correlation update used by :func:`dcd_ase_step`: ``"shift"`` is the
         O(length) tapped-delay-line update (unweighted statistics, error-side
@@ -138,6 +138,11 @@ class FilterConfig:
             raise ValueError(
                 f"dcd_update must be one of {DCD_UPDATE_MODES}, got {self.dcd_update!r}"
             )
+        # delta(n) - lam * delta(n-1), the same every step: exactly 0.0 when
+        # decaying, rho - lam * rho when constant.  Set here, not as a
+        # cached_property, whose write to __dict__ slows every attribute read.
+        leak = 0.0 if self.delta_schedule == "decaying" else self.rho - self.lam * self.rho
+        object.__setattr__(self, "_leak_correction", leak)
 
 
 @dataclass
@@ -152,15 +157,17 @@ class FilterState:
     first ``length`` rows and ``theta`` in its last, so the decay is one
     in-place multiply and an applied sample one broadcast add.  A step
     whose update needs the other layout raises :class:`FilterError`.
+    No coordinate-descent step writes ``theta``, so it reads zeros there.
+    ``residual`` is ``theta - R w`` or the solver residual, ``step_index``
+    counts the steps and ``updates_applied`` those whose sample was
+    applied; ``ops`` is the optional :class:`~asefilt.counting.OpCounter`.
     """
 
     w: np.ndarray
     stats: np.ndarray
     residual: np.ndarray
-    delta_prev: float
     ring: ShiftMatrix | None = None
     step_index: int = 0
-    updates_total: int = 0
     updates_applied: int = 0
     ops: OpCounter | None = None
 
@@ -190,10 +197,6 @@ class StepOutput:
 def filter_init(config: FilterConfig, *, ops: OpCounter | None = None) -> FilterState:
     """Fresh state: zero weights, ``rho * I`` autocorrelation, zero residual."""
     length = config.length
-    if config.delta_schedule == "decaying":
-        delta_prev = config.lam * config.rho
-    else:
-        delta_prev = config.rho
     r0 = np.eye(length) * config.rho
     if config.dcd is not None and config.dcd_update == "shift":
         ring, stats = ShiftMatrix(r0), np.zeros((1, length))
@@ -203,7 +206,6 @@ def filter_init(config: FilterConfig, *, ops: OpCounter | None = None) -> Filter
         w=np.zeros(length),
         stats=stats,
         residual=np.zeros(length),
-        delta_prev=delta_prev,
         ring=ring,
         ops=ops,
     )
@@ -270,11 +272,6 @@ def _correlation_update(
         state.ops.add(weighted * (n * n + n), n * n + n + weighted * (n * n + 2 * n + 1))
 
 
-def _decay_only(state: FilterState, config: FilterConfig) -> None:
-    stats = _dense_stats(state)
-    stats *= config.lam
-
-
 def _vss_weight_update(state: FilterState, config: FilterConfig, move: bool) -> None:
     """Move the weights along ``theta - R w`` with the step size that
     minimizes the exponentially weighted quadratic in that direction.
@@ -321,11 +318,9 @@ def _vss_step(
 ) -> tuple[float, bool]:
     e = d - float(state.w @ x)
     applied, phi = _weigh(state, e, weighting)
-    if applied:
-        _correlation_update(state, config, x, d, _check_phi(phi) if checked else phi)
-        state.updates_applied += 1
-    else:
-        _decay_only(state, config)
+    # A gated sample has phi = 0.0, so the update only decays the statistics.
+    _correlation_update(state, config, x, d, _check_phi(phi) if checked else phi)
+    state.updates_applied += applied
     # Hold the weights at rest until the delay line has filled once.  With
     # only prehistory-padded regressors absorbed, the regularized
     # least-squares target is dominated by the unexcited directions and a
@@ -335,14 +330,13 @@ def _vss_step(
     move = state.step_index >= config.length - 1
     _vss_weight_update(state, config, move)
     if state.ops is not None:
-        # The prior error, the decay of a skipped sample, the residual
-        # theta - R w, and a move: r.r, R r, r.R r, the step size and w += mu r.
+        # The prior error, the residual theta - R w, and a move: r.r, R r,
+        # r.R r, the step size and w += mu r.
         n = config.length
         state.ops.add(
             n + n * n + move * (n * n + 2 * n - 1),
-            n + (not applied) * (n * n + n) + n * n + move * (n * n + 3 * n + 1),
+            n + n * n + move * (n * n + 3 * n + 1),
         )
-    state.updates_total += 1
     state.step_index += 1
     return e, applied
 
@@ -379,16 +373,16 @@ def rmcc_step(
     weighting under strong impulses.
     """
     kernel_sigma = float(kernel_sigma)
-    if not (math.isfinite(kernel_sigma) and kernel_sigma > 0):
-        raise ValueError(f"kernel_sigma must be positive, got {kernel_sigma!r}")
     _check_kernel_width(kernel_sigma)
     x, d = _check_sample(config, x, d)
     return state, StepOutput(*_vss_step(state, config, x, d, kernel_sigma, True))
 
 
 def _check_kernel_width(sigma: float) -> None:
-    """Reject a positive Gaussian kernel width whose ``2 sigma^2``, the
-    denominator of the weight, underflows to zero."""
+    """Reject a Gaussian kernel width that is not positive and finite, or
+    whose ``2 sigma^2``, the denominator of the weight, underflows to zero."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"kernel_sigma must be positive and finite, got {sigma!r}")
     if 2.0 * sigma * sigma == 0.0:
         raise ValueError(f"kernel_sigma {sigma!r} is too small: 2 * kernel_sigma**2 underflows to 0")
 
@@ -491,11 +485,7 @@ def _dcd_step(
     applied, phi = _weigh(state, e, weighting)
 
     lam = config.lam
-    if config.delta_schedule == "decaying":
-        delta_n = lam * state.delta_prev
-    else:
-        delta_n = config.rho
-    correction = delta_n - lam * state.delta_prev
+    correction = config._leak_correction
 
     shift = config.dcd_update == "shift"
     if shift:
@@ -535,9 +525,10 @@ def _dcd_step(
         state.residual = result.residual_out
 
     if state.ops is not None:
-        # The prior error, the leakage step, the R update, lam * residual
-        # and the error injection, the correction on the entries it touches
-        # (one in shift mode, the diagonal in dense mode) on R and rhs, and
+        # The prior error, the textbook leakage step (1 add, 2 mults, though
+        # the correction is precomputed), the R update, lam * residual and
+        # the error injection, the correction on the entries it touches (one
+        # in shift mode, the diagonal in dense mode) on R and rhs, and
         # w += delta_w, charged per solved step even when the solve applied
         # nothing and the add is skipped; the weighting and the solve count
         # themselves.
@@ -552,10 +543,7 @@ def _dcd_step(
             n + 2 + r_mults + n + injected * (n + 1) + corrected * touched,
         )
 
-    state.delta_prev = delta_n
-    state.updates_total += 1
-    if applied:
-        state.updates_applied += 1
+    state.updates_applied += applied
     state.step_index += 1
     return e, applied
 
@@ -574,7 +562,7 @@ def _state_is_finite(state: FilterState) -> bool:
 
 
 def update_ratio(state: FilterState) -> float:
-    """Fraction of steps whose sample was folded into the statistics."""
-    if state.updates_total == 0:
+    """Fraction of steps whose sample was applied, ``updates_applied / step_index``."""
+    if state.step_index == 0:
         raise NoStepsError("update_ratio is undefined before the first step")
-    return state.updates_applied / state.updates_total
+    return state.updates_applied / state.step_index

@@ -110,11 +110,8 @@ class AlgoSpec:
     def __post_init__(self) -> None:
         if self.kind not in ALGORITHMS:
             raise ValueError(f"kind must be one of {ALGORITHMS}, got {self.kind!r}")
-        sigma = self.kernel_sigma
-        if sigma is not None:
-            if not (math.isfinite(sigma) and sigma > 0):
-                raise ValueError(f"kernel_sigma must be positive and finite, got {sigma!r}")
-            _check_kernel_width(sigma)
+        if self.kernel_sigma is not None:
+            _check_kernel_width(self.kernel_sigma)
 
     @property
     def name(self) -> str:

@@ -8,6 +8,12 @@
 * :func:`dense_shift_step` -- the shift-mode ``dcd_ase_step`` computed on a
   dense ``R`` whose interior block is copied down-right every sample,
   i.e. the O(length^2) memory-traffic form of the ring-of-rows update.
+* :func:`dense_dcd_step` -- the dense-mode ``dcd_ase_step`` with the
+  sample-weighted rank-one update as ``np.outer`` and, like
+  :func:`dense_shift_step`, the literal leakage recursion: ``delta(n)``
+  from the ``delta(n-1)`` kept in the state, and the correction
+  ``delta(n) - lam * delta(n-1)`` recomputed every step.  It also charges
+  an :class:`~asefilt.counting.OpCounter` what the step charges.
 * :func:`separate_vss_step` -- the inversion-free step (``iwf``,
   ``iwf_ase``, ``rmcc``) with ``R`` and ``theta`` as two separate arrays,
   decayed and updated one at a time with ``np.outer``; the library's one
@@ -41,6 +47,7 @@ from asefilt import (
     iwf_step,
     rmcc_step,
 )
+from asefilt.dcd import MIN_PIVOT
 from asefilt.filters import VSS_GUARD
 from asefilt.signals import gen_background, gen_bg_noise, regressors
 
@@ -140,7 +147,7 @@ def dcd_solve_shift_add(
 
 
 @dataclass
-class DenseShiftState:
+class DenseDcdState:
     w: np.ndarray
     r_matrix: np.ndarray
     residual: np.ndarray
@@ -148,9 +155,10 @@ class DenseShiftState:
     step_index: int = 0
 
 
-def dense_shift_init(config: FilterConfig) -> DenseShiftState:
+def dense_dcd_init(config: FilterConfig) -> DenseDcdState:
+    """The state both dense ``dcd_ase`` oracles start from."""
     lam, rho = config.lam, config.rho
-    return DenseShiftState(
+    return DenseDcdState(
         w=np.zeros(config.length),
         r_matrix=np.eye(config.length) * rho,
         residual=np.zeros(config.length),
@@ -158,7 +166,7 @@ def dense_shift_init(config: FilterConfig) -> DenseShiftState:
     )
 
 
-def dense_shift_step(state: DenseShiftState, config: FilterConfig, x: np.ndarray, d: float) -> float:
+def dense_shift_step(state: DenseDcdState, config: FilterConfig, x: np.ndarray, d: float) -> float:
     """One shift-mode ``dcd_ase_step`` on a dense ``R``; returns the prior error."""
     e = d - float(state.w @ x)
     gate_open = abs(e) <= config.ase.cutoff
@@ -190,6 +198,55 @@ def dense_shift_step(state: DenseShiftState, config: FilterConfig, x: np.ndarray
     state.delta_prev = delta_n
     state.step_index += 1
     return e
+
+
+def dense_dcd_step(
+    state: DenseDcdState, config: FilterConfig, x: np.ndarray, d: float, ops: OpCounter | None = None
+) -> tuple[float, bool]:
+    """One dense-mode ``dcd_ase_step``; returns the prior error and whether
+    the sample passed the gate."""
+    n = config.length
+    e = d - float(state.w @ x)
+    applied = abs(e) <= config.ase.cutoff
+    phi = ase_weight(e, config.ase) if applied else 0.0
+    lam = config.lam
+    delta_n = lam * state.delta_prev if config.delta_schedule == "decaying" else config.rho
+    correction = delta_n - lam * state.delta_prev
+
+    r = state.r_matrix
+    r *= lam
+    if phi != 0.0:
+        r += np.outer(phi * x, x)
+    if correction != 0.0:
+        r[np.diag_indices(n)] += correction
+
+    rhs = lam * state.residual
+    if phi != 0.0:
+        rhs += (phi * e) * x
+    if correction != 0.0:
+        rhs -= correction * state.w
+
+    held = state.step_index < n - 1 or r.diagonal().min() < MIN_PIVOT
+    if held:
+        state.residual = rhs
+    else:
+        result = dcd_solve(r, rhs, config.dcd, ops=ops)
+        state.w += result.delta_w
+        state.residual = result.residual_out
+    if ops is not None:
+        # The gate and the weight; the prior error, delta(n) and the
+        # correction, the rank-one update of R, the decay and injection of
+        # the right-hand side, the correction on the diagonal of R and rhs,
+        # and w += delta_w after a solve.
+        injected, corrected = phi != 0.0, correction != 0.0
+        ops.add(applied, 4 * applied, comparisons=1)
+        ops.add(
+            n + 1 + injected * (n * n + n) + 2 * corrected * n + (not held) * n,
+            n + 2 + n * n + injected * (n * n + n) + n + injected * (n + 1) + corrected * n,
+        )
+    state.delta_prev = delta_n
+    state.step_index += 1
+    return e, applied
 
 
 @dataclass

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from asefilt import cli
 from asefilt.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from asefilt.signals import save_waveform
 
@@ -334,6 +335,31 @@ def test_sweep_requires_values(tmp_path, capsys):
     rc = run_cli("sweep", "--param", "c", "--values", " ", "--out", str(tmp_path / "o"))
     assert rc == EXIT_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "param, values",
+    [("c", "1,-1"), ("c", "-1"), ("n_updates", "2,0"), ("impulse_prob", "0.1,2")],
+)
+def test_sweep_bad_value_is_rejected_before_any_run(tmp_path, capsys, monkeypatch, param, values):
+    """Every value is checked before the first run: a bad later value
+    exits 2 without running the good ones or creating the output directory."""
+    calls = []
+    monkeypatch.setattr(cli, "run_sysid", lambda *a, **k: calls.append(a))
+    out = tmp_path / "o"
+    rc = run_cli("sweep", "--param", param, "--values", values, "--algo", "dcd_ase", "--out", str(out))
+    assert rc == EXIT_CONFIG
+    assert calls == []
+    assert not out.exists()
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_sweep_unknown_algorithm(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = run_cli("sweep", "--param", "c", "--values", "1,2", "--algo", "quantum", "--out", str(out))
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+    assert "unknown algorithm 'quantum' (choose from" in capsys.readouterr().err
 
 
 def test_sweep_rejects_unknown_param(tmp_path, capsys):

@@ -42,7 +42,8 @@ from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
 
 from oracles import (
     SeparateState,
-    dense_shift_init,
+    dense_dcd_init,
+    dense_dcd_step,
     dense_shift_step,
     run_public_steps,
     separate_vss_step,
@@ -71,13 +72,20 @@ def test_config_validation():
 
 
 def test_filter_init_shapes_and_leakage_seed():
-    cfg = cfg_for(length=3, rho=0.25)
-    st = filter_init(cfg)
-    assert np.array_equal(st.w, np.zeros(3))
-    assert np.array_equal(st.r_matrix, 0.25 * np.eye(3))
-    assert st.delta_prev == pytest.approx(cfg.lam * 0.25)
-    st2 = filter_init(cfg_for(length=3, rho=0.25, delta_schedule="constant"))
-    assert st2.delta_prev == 0.25
+    """Both leakage schedules start from ``rho I``.  A silent dense-mode
+    coordinate-descent step then decays it to ``lam rho I`` under
+    ``"decaying"`` and tops it back up to ``rho I`` under ``"constant"``."""
+    for schedule in ("decaying", "constant"):
+        cfg = cfg_for(length=3, rho=0.25, dcd=DcdParams(), dcd_update="dense", delta_schedule=schedule)
+        st = filter_init(cfg)
+        assert np.array_equal(st.w, np.zeros(3))
+        assert np.array_equal(st.r_matrix, 0.25 * np.eye(3))
+        assert np.array_equal(st.theta, np.zeros(3))
+        assert np.array_equal(st.residual, np.zeros(3))
+        dcd_ase_step(st, cfg, np.zeros(3), 0.0)
+        leak = cfg.lam * 0.25 if schedule == "decaying" else 0.25
+        assert np.allclose(st.r_matrix, leak * np.eye(3), rtol=1e-15, atol=0)
+        assert np.array_equal(st.residual, np.zeros(3))
 
 
 def test_correlation_update_hand_values():
@@ -151,7 +159,7 @@ def test_statistics_array_matches_separate_arrays():
     th0 = rng.standard_normal(5)
     w0 = rng.standard_normal(5)
     built = FilterState(
-        w=w0.copy(), stats=np.vstack([r0, th0]), residual=np.zeros(5), delta_prev=0.0, step_index=7
+        w=w0.copy(), stats=np.vstack([r0, th0]), residual=np.zeros(5), step_index=7
     )
     assert np.array_equal(built.r_matrix, r0) and np.array_equal(built.theta, th0)
     ref = SeparateState(w=w0.copy(), r_matrix=r0.copy(), theta=th0.copy(), step_index=7)
@@ -266,7 +274,7 @@ def test_update_counters_and_ratio():
         update_ratio(st)
     iwf_ase_step(st, cfg, np.array([1.0, 0.0]), 0.5)
     iwf_ase_step(st, cfg, np.array([1.0, 0.0]), 1e9)
-    assert st.updates_total == 2
+    assert st.step_index == 2
     assert st.updates_applied == 1
     assert update_ratio(st) == 0.5
 
@@ -319,7 +327,7 @@ def test_rmcc_rejects_a_width_whose_square_underflows():
     st = filter_init(cfg)
     with pytest.raises(ValueError, match="underflows to 0"):
         rmcc_step(st, cfg, np.ones(2), 0.5, kernel_sigma=1e-300)
-    assert st.step_index == 0 and st.updates_total == 0
+    assert st.step_index == 0 and st.updates_applied == 0
     st, out = rmcc_step(st, cfg, np.ones(2), 0.5, kernel_sigma=1e-160)
     assert out.applied and np.array_equal(st.r_matrix, cfg.lam * cfg.rho * np.eye(2))
 
@@ -459,12 +467,13 @@ def test_dcd_exact_solver_zeroes_residual_and_tracks_normal_equations(monkeypatc
 
 
 def test_dcd_delta_schedules():
-    # decaying schedule: delta(n) = lam^(n+1) rho, correction cancels exactly
+    # decaying schedule: delta(n) = lam^(n+1) rho, correction cancels
+    # exactly, so the leading entry keeps only lam^4 rho of the leakage
     cfg = cfg_for(length=2, lam=0.5, rho=0.8, c=1e6, dcd=DcdParams(2.0, 4, 4))
     st = filter_init(cfg)
     for t in range(4):
         dcd_ase_step(st, cfg, np.array([1.0, 0.0]), 0.1)
-    assert st.delta_prev == pytest.approx(0.8 * 0.5**5, rel=1e-12)
+    assert st.r_matrix[0, 0] == pytest.approx(0.8 * 0.5**4 + sum(0.5**k for k in range(4)), rel=1e-12)
 
     # constant: delta stays rho; dense mode adds (1-lam) rho to the
     # diagonal every step, keeping the total leakage at rho
@@ -485,7 +494,6 @@ def test_dcd_delta_schedules():
         stc, out = dcd_ase_step(stc, cfgc, x, 0.05)
         phi = ase_weight(out.prior_error, cfgc.ase) if out.applied else 0.0
         r_ref = 0.5 * r_ref + phi * np.outer(x, x) + 0.5 * 0.8 * np.eye(2)
-    assert stc.delta_prev == 0.8
     assert np.allclose(stc.r_matrix, r_ref, atol=1e-12)
 
 
@@ -514,10 +522,9 @@ def test_dcd_counters_and_output_shape():
     cfg = cfg_for(length=2, lam=0.9, rho=0.1, c=2.0, dcd=DcdParams(2.0, 8, 8))
     st = filter_init(cfg)
     st, out = dcd_ase_step(st, cfg, np.array([0.5, 0.1]), 0.2)
-    assert st.updates_total == 1
+    assert st.step_index == 1 and st.updates_applied == 1
     assert out.prior_error == 0.2 and out.applied
     assert st.w.shape == (2,)
-    assert st.step_index == 1
 
 
 @pytest.mark.parametrize("lead_in", [0, 200])
@@ -592,7 +599,7 @@ def test_dcd_shift_ring_matches_dense_reference(length, schedule):
     cfg = default_algorithms(length, ("dcd_ase",), lam=0.99, rho=0.01, delta_schedule=schedule)[0].config
     xs, d = _impulsive_stream(length, 300, seed=length)
     st = filter_init(cfg)
-    ref = dense_shift_init(cfg)
+    ref = dense_dcd_init(cfg)
     for t in range(300):
         st, out = dcd_ase_step(st, cfg, xs[t], d[t])
         e_ref = dense_shift_step(ref, cfg, xs[t], d[t])
@@ -600,6 +607,36 @@ def test_dcd_shift_ring_matches_dense_reference(length, schedule):
         assert np.array_equal(st.w, ref.w)
         assert np.array_equal(st.residual, ref.residual)
         assert np.array_equal(st.r_matrix, ref.r_matrix)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    schedule=st.sampled_from(("decaying", "constant")),
+    length=st.integers(1, 12),
+    horizon=st.integers(1, 200),
+    impulse_var=st.sampled_from((0.0, 25.0, 1e4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dcd_dense_matches_literal_leakage_reference(schedule, length, horizon, impulse_var, seed):
+    """Dense mode must step bit for bit like the oracle that keeps
+    delta(n-1) and recomputes the leakage correction every step: same
+    prior errors and gate, weights, residual and R after every step, and
+    the same operation counts."""
+    cfg = default_algorithms(length, ("dcd_ase",), dcd_update="dense", delta_schedule=schedule)[0].config
+    rng = np.random.default_rng(seed)
+    xs = regressors(rng.standard_normal(horizon), length)
+    d = xs @ rng.standard_normal(length) + 0.1 * rng.standard_normal(horizon)
+    d += gen_bg_noise(horizon, BgNoiseSpec(0.1, impulse_var), rng)
+    ops, ref_ops = OpCounter(), OpCounter()
+    st = filter_init(cfg, ops=ops)
+    ref = dense_dcd_init(cfg)
+    for t in range(horizon):
+        st, out = dcd_ase_step(st, cfg, xs[t], d[t])
+        assert (out.prior_error, out.applied) == dense_dcd_step(ref, cfg, xs[t], float(d[t]), ref_ops)
+        assert np.array_equal(st.w, ref.w)
+        assert np.array_equal(st.residual, ref.residual)
+        assert np.array_equal(st.r_matrix, ref.r_matrix)
+    assert (ops.adds, ops.mults, ops.comparisons) == (ref_ops.adds, ref_ops.mults, ref_ops.comparisons)
 
 
 def test_shift_state_r_matrix_is_a_read_only_copy():
