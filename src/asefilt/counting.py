@@ -8,10 +8,12 @@ updates, halvings and bit exhaustion), so the arithmetic itself carries no
 instrumentation.  Without a counter (the default) that is one ``None``
 check per call.
 
-One charge is made per solved step rather than per add executed: the
-``length`` adds of the coordinate-descent step's ``w += delta_w`` are
-counted whenever the step runs the solver, also when the solve applied
-no update and the step skips the add.
+Two charges of the coordinate-descent step stand above the work
+executed: ``length`` adds for the weight update on every step that runs
+the solver, though the solve adds only into the at most ``n_updates``
+coordinates it moved, and the textbook leakage step's 1 add and 2
+multiplies on every step, though the correction is a precomputed
+constant of the config.
 """
 
 from __future__ import annotations

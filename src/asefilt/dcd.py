@@ -13,7 +13,6 @@ filters that embed it exploit the warm-started residual that it returns.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,21 +54,17 @@ class DcdParams:
             raise ValueError(f"m_bits must be an integer >= 1, got {self.m_bits!r}")
         if not (isinstance(self.n_updates, int) and self.n_updates >= 1):
             raise ValueError(f"n_updates must be an integer >= 1, got {self.n_updates!r}")
-
-    @functools.cached_property
-    def _ladder(self) -> tuple[float, ...]:
-        """The solver's step sizes at halving depths ``0 .. m_bits - 1``.
-
-        They come from ``h / 2`` and then the same repeated ``m *= 0.5`` as
-        a halving loop, so subnormal steps get the same bits.  The ladder
-        stops at the first zero step: every deeper one is zero too.
-        """
+        # The solver's step sizes at halving depths 0 .. m_bits - 1: h / 2,
+        # then the same repeated m *= 0.5 as a halving loop, so subnormal
+        # steps get the same bits.  The ladder stops at the first zero step:
+        # every deeper one is zero too.  Set here, not cached on first read:
+        # a later write to the instance __dict__ slows every attribute read.
         m = self.h / 2.0
         steps = [m]
         while len(steps) < self.m_bits and m != 0.0:
             m *= 0.5
             steps.append(m)
-        return tuple(steps)
+        object.__setattr__(self, "_ladder", tuple(steps))
 
 
 @dataclass
@@ -199,7 +194,22 @@ class ShiftMatrix:
         return self._window.take(self._offsets)
 
 
-def _validate_system(r_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _check_system(
+    r_matrix: np.ndarray | ShiftMatrix, rhs: np.ndarray
+) -> tuple[np.ndarray | ShiftMatrix, np.ndarray]:
+    """The checks of :func:`dcd_solve`, which says what they cover; returns
+    ``r_matrix`` and ``rhs`` as float arrays, a :class:`ShiftMatrix` as it
+    is.  A ring written through ``_push`` relies on its caller's own check
+    of the rows."""
+    if isinstance(r_matrix, ShiftMatrix):
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (r_matrix.length,):
+            raise ValueError(f"rhs must be a vector of length {r_matrix.length}, got shape {rhs.shape}")
+        if not np.isfinite(rhs).all():
+            raise ValueError("rhs must be finite")
+        if not r_matrix.pivots_normal and (r_matrix.diagonal() <= 0.0).any():
+            raise ValueError("r_matrix must have strictly positive diagonal entries")
+        return r_matrix, rhs
     r_matrix = np.asarray(r_matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if r_matrix.ndim != 2 or r_matrix.shape[0] != r_matrix.shape[1]:
@@ -215,22 +225,6 @@ def _validate_system(r_matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray,
     return r_matrix, rhs
 
 
-def _validate_shift_system(r_matrix: ShiftMatrix, rhs: np.ndarray) -> np.ndarray:
-    """O(length) counterpart of :func:`_validate_system`: the rows of a
-    :class:`ShiftMatrix` were checked finite when pushed (or, for a ring
-    written through ``_push``, by the caller's own check), and its cached
-    pivot check settles the diagonal unless some pivot is below
-    :data:`MIN_PIVOT`."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (r_matrix.length,):
-        raise ValueError(f"rhs must be a vector of length {r_matrix.length}, got shape {rhs.shape}")
-    if not np.isfinite(rhs).all():
-        raise ValueError("rhs must be finite")
-    if not r_matrix.pivots_normal and (r_matrix.diagonal() <= 0.0).any():
-        raise ValueError("r_matrix must have strictly positive diagonal entries")
-    return rhs
-
-
 def dcd_solve(
     r_matrix: np.ndarray | ShiftMatrix,
     rhs: np.ndarray,
@@ -238,7 +232,8 @@ def dcd_solve(
     *,
     ops: OpCounter | None = None,
 ) -> DcdSolveResult:
-    """Run one budgeted leading-element DCD solve of ``r_matrix @ x = rhs``.
+    """Run one budgeted leading-element DCD solve of ``r_matrix @ x = rhs``
+    from ``x = 0``.
 
     The leading element is the residual entry of largest magnitude (lowest
     index on ties).  A coordinate update is accepted once the leading
@@ -246,42 +241,45 @@ def dcd_solve(
     entry; until then the step is halved.  Both the step size and the
     halving count persist across updates within the call.
 
-    The steps are read from a halving ladder (``h / 2``, then repeated
-    ``m *= 0.5``), so every threshold ``0.5 * m * pivot`` is the float a
-    halving loop would compare against.  For a fixed pivot the thresholds
-    only shrink down the ladder, so each scan first compares the leading
-    residual with the finest one: at or below it, no depth can pass and
-    the bits are exhausted, which stops the solve.  A solve whose first
-    scan exhausts the bits therefore returns after that one O(length)
-    scan and one comparison, with a zero increment and the residual equal
-    to ``rhs``.  Otherwise the scan moves straight down the ladder to the
-    first depth that passes, with no exhaustion test on the way.  The
-    increment is built once, at the end.
+    The steps are read from the halving ladder that :class:`DcdParams`
+    builds (``h / 2``, then repeated ``m *= 0.5``), so every threshold
+    ``0.5 * m * pivot`` is the float a halving loop would compare against.
+    For a fixed pivot the thresholds only shrink down the ladder, so each
+    scan first compares the leading residual with the finest one: at or
+    below it, no depth can pass and the bits are exhausted, which stops
+    the solve.  A solve whose first scan exhausts the bits therefore
+    returns after that one O(length) scan and one comparison, with a zero
+    increment and the residual equal to ``rhs``.  Otherwise the scan moves
+    straight down the ladder to the first depth that passes, with no
+    exhaustion test on the way.
 
     ``r_matrix`` is a dense symmetric matrix, validated in O(length^2), or
     a :class:`ShiftMatrix`, read in O(length) per column and validated in
     O(length) for ``rhs`` only: its rows were checked finite when pushed,
     and its cached pivot check stands in for a scan of the diagonal.
     Either way ``rhs`` must be a finite vector of matching length and the
-    diagonal strictly positive.
+    diagonal strictly positive.  ``rhs`` is not modified.
     """
-    if isinstance(r_matrix, ShiftMatrix):
-        rhs = _validate_shift_system(r_matrix, rhs)
-    else:
-        r_matrix, rhs = _validate_system(r_matrix, rhs)
-    return _dcd_solve(r_matrix, rhs.copy(), params, ops=ops)
+    r_matrix, rhs = _check_system(r_matrix, rhs)
+    delta_w, residual = np.zeros(rhs.shape[0]), rhs.copy()
+    updates, exhausted = _dcd_solve(r_matrix, residual, params, delta_w, ops=ops)
+    return DcdSolveResult(delta_w, residual, updates, exhausted)
 
 
 def _dcd_solve(
     r_matrix: np.ndarray | ShiftMatrix,
     rhs: np.ndarray,
     params: DcdParams,
+    w: np.ndarray,
     *,
     ops: OpCounter | None = None,
-) -> DcdSolveResult:
-    """:func:`dcd_solve` without the checks, for a float ``r_matrix`` and
-    ``rhs`` of matching shape.  ``rhs`` becomes the returned residual: the
-    solve updates it in place."""
+) -> tuple[int, bool]:
+    """:func:`dcd_solve` warm-started at ``w``, in place and without the
+    checks, for a float ``r_matrix`` and ``rhs`` and ``w`` of matching
+    shape.  ``rhs`` becomes the residual and each moved coordinate's
+    accumulated increment is added into ``w`` once, at the end, so
+    ``w[i] + increment`` is the same float as ``w + delta_w``.  Returns
+    ``(updates_used, exhausted_bits)``."""
     if isinstance(r_matrix, ShiftMatrix):
         diag, column = r_matrix.diagonal(), r_matrix.column
     else:
@@ -310,9 +308,8 @@ def _dcd_solve(
         increments[lead] = increments.get(lead, 0.0) + step
         residual -= step * column(lead)
         updates += 1
-    delta_w = np.zeros(n)
     for lead, increment in increments.items():
-        delta_w[lead] = increment
+        w[lead] += increment
     if ops is not None:
         # Per update: an n-entry scan, a passing significance test (one
         # multiply, one comparison), the column axpy and the increment.  Per
@@ -325,9 +322,4 @@ def _dcd_solve(
             1 + 2 * halvings - exhausted + (n + 1) * updates,
             n * (updates + exhausted) + updates + 2 * halvings,
         )
-    return DcdSolveResult(
-        delta_w=delta_w,
-        residual_out=residual,
-        updates_used=updates,
-        exhausted_bits=exhausted,
-    )
+    return updates, exhausted

@@ -36,9 +36,9 @@ returns the prior error and whether the sample was applied.  Finite
 input can still overflow, so with ``checked`` (the public steps) a core
 keeps the checks of :func:`correlation_update` on ``phi``,
 :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
-:func:`~asefilt.dcd.dcd_solve` on the system.  The Monte Carlo harness
-calls the cores unchecked, which use the private forms of those three,
-and checks each state once per block of rows with
+:func:`~asefilt.dcd.dcd_solve` on the system (``dcd._check_system``).
+The Monte Carlo harness calls the cores unchecked, which use the private
+forms of those three, and checks each state once per block of rows with
 :func:`_state_is_finite`.
 """
 
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import OpCounter
-from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, _dcd_solve, dcd_solve
+from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, _check_system, _dcd_solve
 from .estimator import AseParams, ase_weight
 
 __all__ = [
@@ -272,7 +272,7 @@ def _correlation_update(
         state.ops.add(weighted * (n * n + n), n * n + n + weighted * (n * n + 2 * n + 1))
 
 
-def _vss_weight_update(state: FilterState, config: FilterConfig, move: bool) -> None:
+def _vss_weight_update(state: FilterState, move: bool) -> None:
     """Move the weights along ``theta - R w`` with the step size that
     minimizes the exponentially weighted quadratic in that direction.
 
@@ -328,7 +328,7 @@ def _vss_step(
     # first input sample alone puts ||w|| near |d / x(0)|), after which a
     # saturating gate never reopens.
     move = state.step_index >= config.length - 1
-    _vss_weight_update(state, config, move)
+    _vss_weight_update(state, move)
     if state.ops is not None:
         # The prior error, the residual theta - R w, and a move: r.r, R r,
         # r.R r, the step size and w += mu r.
@@ -511,26 +511,24 @@ def _dcd_step(
     held = state.step_index < n - 1 or (
         not r_mat.pivots_normal if shift else r_mat.diagonal().min() < MIN_PIVOT
     )
-    if held:
-        # Accumulate statistics only while the delay line fills, and while
-        # a silent input has decayed part of the diagonal to zero or to a
-        # subnormal: such a pivot accepts every coordinate update and the
-        # weights run away.
-        state.residual = rhs
-    else:
-        solve = dcd_solve if checked else _dcd_solve
-        result = solve(r_mat, rhs, config.dcd, ops=state.ops)
-        if result.updates_used:  # w never holds -0.0, so adding zeros is a no-op
-            state.w += result.delta_w
-        state.residual = result.residual_out
+    # Accumulate statistics only while the delay line fills, and while a
+    # silent input has decayed part of the diagonal to zero or to a
+    # subnormal: such a pivot accepts every coordinate update and the
+    # weights run away.  Otherwise solve in place: rhs becomes the residual
+    # and the increment goes into w.
+    if not held:
+        if checked:
+            _check_system(r_mat, rhs)
+        _dcd_solve(r_mat, rhs, config.dcd, state.w, ops=state.ops)
+    state.residual = rhs
 
     if state.ops is not None:
         # The prior error, the textbook leakage step (1 add, 2 mults, though
         # the correction is precomputed), the R update, lam * residual and
         # the error injection, the correction on the entries it touches (one
-        # in shift mode, the diagonal in dense mode) on R and rhs, and
-        # w += delta_w, charged per solved step even when the solve applied
-        # nothing and the add is skipped; the weighting and the solve count
+        # in shift mode, the diagonal in dense mode) on R and rhs, and L adds
+        # for the weight update per solved step, though the solve adds only
+        # into the coordinates it moved; the weighting and the solve count
         # themselves.
         injected = phi != 0.0
         corrected = correction != 0.0

@@ -17,9 +17,10 @@ the driver checks each algorithm's solver budget and resolves its RMCC
 kernel width, and before each run's first step it checks the run's
 regressor rows and desired signal for shape and finiteness.  It then
 steps each filter through one of the two private trusted cores in
-``filters``, ``_vss_step`` or ``_dcd_step``, with the algorithm's error
-weighting bound; the cores skip the per-call checks of the public step
-functions, and results are bit-identical to stepping through them.
+``filters``, ``_vss_step`` or ``_dcd_step``, called with the algorithm's
+config and error weighting; the cores skip the per-call checks of the
+public step functions, and results are bit-identical to stepping through
+them.
 
 Finite inputs can still overflow a filter's statistics.  The cores
 leave that to the driver, which checks each state once per block of
@@ -44,7 +45,6 @@ from .estimator import AseParams
 from .filters import (
     FilterConfig,
     FilterError,
-    FilterState,
     _check_kernel_width,
     _check_solver,
     _dcd_step,
@@ -151,6 +151,8 @@ class AncSpec:
             raise ValueError(f"filter_length must be a positive integer, got {self.filter_length!r}")
         if not (0.0 <= self.pulse_rate <= 1.0):
             raise ValueError(f"pulse_rate must lie in [0, 1], got {self.pulse_rate!r}")
+        if not math.isfinite(self.shaping_a1):
+            raise ValueError(f"shaping_a1 must be finite, got {self.shaping_a1!r}")
         external = [v is not None for v in (self.primary, self.reference)]
         if any(external):
             if not all(external):
@@ -279,12 +281,10 @@ def default_algorithms(
     return specs
 
 
-def _make_stepper(
-    spec: AlgoSpec, bg_std: float
-) -> Callable[[FilterState, np.ndarray, float], tuple[float, bool]]:
-    """The trusted solver core of ``spec`` with its config and error
-    weighting bound; a call returns the prior error and whether the
-    sample was applied.
+def _make_stepper(spec: AlgoSpec, bg_std: float) -> tuple[Callable, AseParams | float | None]:
+    """The trusted solver core of ``spec`` and its error weighting:
+    ``core(state, spec.config, x, d, weighting)`` returns the prior error
+    and whether the sample was applied.
 
     Raises here, before any step, what the public step would raise on
     every call for the configuration."""
@@ -297,12 +297,13 @@ def _make_stepper(
             # the nominal error scale) are meaningfully downweighted.
             sigma = 10.0 * bg_std if bg_std > 0.0 else 10.0
         weighting = float(sigma)
-    # The cores are looked up by name on each call, never bound in an
-    # import-time table, so that patching the module attribute takes effect.
+    # The cores are looked up by name when a driver call starts, never
+    # bound in an import-time table, so that patching the module attribute
+    # takes effect.
     if spec.kind == "dcd_ase":
         _check_solver(cfg)
-        return lambda st, x, d: _dcd_step(st, cfg, x, d, weighting)
-    return lambda st, x, d: _vss_step(st, cfg, x, d, weighting)
+        return _dcd_step, weighting
+    return _vss_step, weighting
 
 
 def _check_draw(x_rows, d, horizon: int, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -364,8 +365,9 @@ def _paired_runs(
         x_rows, d, target = draw(run)
         x_rows, d = _check_draw(x_rows, d, horizon, length)
         for idx, spec in enumerate(algorithms):
-            state = filter_init(spec.config, ops=counters[idx])
-            step = steppers[idx]
+            cfg = spec.config
+            state = filter_init(cfg, ops=counters[idx])
+            core, weighting = steppers[idx]
             err = np.empty(horizon)
             applied = np.empty(horizon, dtype=bool)
             t0 = time.perf_counter()
@@ -376,7 +378,7 @@ def _paired_runs(
                 block_err = []
                 block_applied = []
                 for t, (x, d_t) in enumerate(rows):
-                    e, a = step(state, x, d_t)
+                    e, a = core(state, cfg, x, d_t, weighting)
                     block_err.append(e)
                     block_applied.append(a)
                     if w_block is not None:

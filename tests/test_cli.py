@@ -168,6 +168,16 @@ def test_anc_nonfinite_waveform_sample_is_config_error(tmp_path, capsys, bad):
     assert f"{bad}.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_anc_nonfinite_shaping_is_config_error(tmp_path, capsys, value):
+    out = tmp_path / "o"
+    rc = run_cli("anc", "--shaping", value, "--runs", "1", "--horizon", "100", "--out", str(out))
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "shaping" in err
+    assert not out.exists()
+
+
 def test_anc_header_only_waveform_is_config_error(tmp_path, capsys):
     files = []
     for key in ("primary", "reference"):

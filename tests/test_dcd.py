@@ -5,13 +5,15 @@ bit depth and update budget the quantized solution must land within the
 grid resolution of the exact one.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asefilt import DcdParams, DcdSolveResult, OpCounter, dcd_solve
-from asefilt.dcd import ShiftMatrix
+from asefilt.dcd import ShiftMatrix, _dcd_solve
 from asefilt.harness import random_spd_system
 
 from oracles import dcd_solve_reference, dcd_solve_shift_add
@@ -371,3 +373,54 @@ def test_solve_ladder_and_exhaustion_test_match_reference(
     if exhaust:
         assert res.exhausted_bits and res.updates_used == 0
         assert np.array_equal(res.residual_out, rhs)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    length=st.integers(1, 12),
+    cond=st.floats(1.0, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    h_exp=st.integers(-3, 3),
+    m_bits=st.integers(1, 12),
+    n_updates=st.integers(1, 16),
+    rhs_exp=st.sampled_from([0, 0, -8, -40]),
+    w_exp=st.sampled_from([-30, -4, 0, 6]),
+    ring=st.booleans(),
+)
+def test_in_place_solve_adds_the_public_increment(
+    length, cond, seed, h_exp, m_bits, n_updates, rhs_exp, w_exp, ring
+):
+    """_dcd_solve warm-started at nonzero weights w0 leaves w0 + delta_w of
+    the public dcd_solve in w and its residual in rhs, bit for bit, with
+    the same counts and OpCounter totals, on dense and ring systems."""
+    r, _, rhs = random_spd_system(length, cond, seed)
+    rhs = rhs * 2.0**rhs_exp
+    w0 = np.random.default_rng(seed).uniform(0.5, 2.0, length) * 2.0**w_exp
+    w0[::2] *= -1.0
+    system = ShiftMatrix(r) if ring else r
+    params = DcdParams(h=2.0**h_exp, m_bits=m_bits, n_updates=n_updates)
+    ops, ref_ops = OpCounter(), OpCounter()
+    ref = dcd_solve(system, rhs, params, ops=ref_ops)
+    w, residual = w0.copy(), rhs.copy()
+    used, exhausted = _dcd_solve(system, residual, params, w, ops=ops)
+    assert w.tobytes() == (w0 + ref.delta_w).tobytes()
+    assert residual.tobytes() == ref.residual_out.tobytes()
+    assert (used, exhausted) == (ref.updates_used, ref.exhausted_bits)
+    assert ops == ref_ops
+
+
+def test_ladder_is_built_with_the_params():
+    """The ladder is set at construction: a solve writes nothing to the
+    params, replace() rebuilds it, and it is no dataclass field."""
+    params = DcdParams(h=2.0, m_bits=3, n_updates=4)
+    before = dict(vars(params))
+    assert before["_ladder"] == (1.0, 0.5, 0.25)
+    dcd_solve(np.eye(2), np.array([0.7, -0.2]), params)
+    assert vars(params) == before
+    assert dataclasses.replace(params, m_bits=5)._ladder == (1.0, 0.5, 0.25, 0.125, 0.0625)
+    assert params._ladder == (1.0, 0.5, 0.25)
+    assert [f.name for f in dataclasses.fields(params)] == ["h", "m_bits", "n_updates"]
+    twin = DcdParams(h=2.0, m_bits=3, n_updates=4)
+    object.__setattr__(twin, "_ladder", ())
+    assert twin == params and hash(twin) == hash(params)
+    assert repr(params) == "DcdParams(h=2.0, m_bits=3, n_updates=4)"

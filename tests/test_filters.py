@@ -19,7 +19,6 @@ from asefilt import (
     ALGORITHMS,
     AseParams,
     DcdParams,
-    DcdSolveResult,
     FilterConfig,
     FilterError,
     FilterState,
@@ -405,15 +404,17 @@ def test_dcd_dense_residual_invariant():
 
 
 def _dense_solver(solve):
-    """A stand-in for ``filters.dcd_solve`` that hands ``solve(r, rhs) ->
-    (delta_w, residual_out)`` the dense R and counts nothing.  It reports
-    one update, since the step adds ``delta_w`` only when an update was
-    used."""
+    """A stand-in for ``filters._dcd_solve`` that hands ``solve(r, rhs) ->
+    (delta_w, residual_out)`` the dense R, writes the outcome into the
+    step's ``rhs`` and ``w`` as the solver does, reports one update and
+    counts nothing."""
 
-    def fake_solve(r, rhs, params, *, ops=None):
+    def fake_solve(r, rhs, params, w, *, ops=None):
         dense = r.dense() if isinstance(r, ShiftMatrix) else r
         delta_w, residual_out = solve(dense, rhs)
-        return DcdSolveResult(delta_w, np.asarray(residual_out, dtype=float), 1, False)
+        w += delta_w
+        rhs[:] = residual_out
+        return 1, False
 
     return fake_solve
 
@@ -425,7 +426,7 @@ def test_dcd_gated_step_passes_decayed_rhs_only(monkeypatch):
         captured.append(z.copy())
         return np.zeros(r.shape[0]), z
 
-    monkeypatch.setattr(filters, "dcd_solve", _dense_solver(spy_solve))
+    monkeypatch.setattr(filters, "_dcd_solve", _dense_solver(spy_solve))
     cfg = cfg_for(length=2, lam=0.8, rho=1e-12, c=0.5, dcd=DcdParams())
     st = filter_init(cfg)
     st, out1 = dcd_ase_step(st, cfg, np.array([1.0, 0.0]), 0.3)
@@ -455,7 +456,7 @@ def test_dcd_exact_solver_zeroes_residual_and_tracks_normal_equations(monkeypatc
         dw = np.linalg.solve(r, z)
         return dw, z - r @ dw
 
-    monkeypatch.setattr(filters, "dcd_solve", _dense_solver(exact))
+    monkeypatch.setattr(filters, "_dcd_solve", _dense_solver(exact))
     cfg = cfg_for(length=3, lam=0.95, rho=1e-12, c=50.0, dcd=DcdParams())
     st, log = _run_dcd(cfg, 120, impulse_every=0)
     assert np.allclose(st.residual, np.zeros(3), atol=1e-10)
@@ -729,11 +730,11 @@ def test_op_counter_totals_are_pinned(monkeypatch, kind, config_kw, step_kw, sol
     """Exact OpCounter totals of a fixed-seed impulsive stream at L=16, for
     every counted path: each step kind, both update modes under both
     leakage schedules, and (id ``solve_fn``) the step around a dense exact
-    solve that stands in for ``dcd_solve`` and counts nothing.  ops.csv is
+    solve that stands in for ``_dcd_solve`` and counts nothing.  ops.csv is
     built from these counters, so a moved or dropped term shows here even
     where the criterion-3 fits still pass."""
     if solver is not None:
-        monkeypatch.setattr(filters, "dcd_solve", _dense_solver(solver))
+        monkeypatch.setattr(filters, "_dcd_solve", _dense_solver(solver))
     steps = {"iwf": iwf_step, "iwf_ase": iwf_ase_step, "rmcc": rmcc_step, "dcd_ase": dcd_ase_step}
     step = steps[kind]
     cfg = default_algorithms(16, (kind,), **config_kw)[0].config

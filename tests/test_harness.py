@@ -222,6 +222,12 @@ def test_anc_spec_rejects_nonfinite_waveforms(field, value):
         AncSpec(horizon=10, mc_runs=1, seed=1, **waves)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_anc_spec_rejects_nonfinite_shaping(value):
+    with pytest.raises(ValueError, match="shaping_a1 must be finite"):
+        AncSpec(horizon=10, mc_runs=1, seed=1, shaping_a1=float(value))
+
+
 def test_anc_spec_rejects_clean_without_external_waveforms():
     with pytest.raises(ValueError, match="clean requires primary and reference"):
         AncSpec(horizon=50, mc_runs=1, seed=1, clean=np.full(50, np.nan))
@@ -308,8 +314,9 @@ def test_run_sysid_nmsd_matches_per_sample_reference():
 def test_run_sysid_steps_check_no_sample(monkeypatch):
     """Each run is checked once and each state once per block: no step of
     the driver calls a per-sample check, the public correlation update,
-    the checked ring push or the public solve, in either update mode."""
-    calls = {"_check_sample": 0, "correlation_update": 0, "push": 0, "dcd_solve": 0}
+    the checked ring push or the solver's system check, in either update
+    mode."""
+    calls = {"_check_sample": 0, "correlation_update": 0, "push": 0, "_check_system": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -320,7 +327,7 @@ def test_run_sysid_steps_check_no_sample(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("_check_sample", "correlation_update", "dcd_solve"):
+    for name in ("_check_sample", "correlation_update", "_check_system"):
         counting(filters, name)
     counting(ShiftMatrix, "push")
     sc = make_sysid_scenario(length=4, horizon=150, mc_runs=2, seed=3)
@@ -334,7 +341,43 @@ def test_run_sysid_steps_check_no_sample(monkeypatch):
         for spec in default_algorithms(4, dcd_update=dcd_update):
             run_public_steps(spec, np.eye(4), np.ones(4), kernel_sigma=1.0)
     assert calls["_check_sample"] == 2 * 4 * 4 and calls["correlation_update"] == 0
-    assert calls["push"] == 4 and calls["dcd_solve"] > 0
+    assert calls["push"] == 4 and calls["_check_system"] > 0
+
+
+def test_traced_names_see_the_driver_and_the_public_steps(monkeypatch):
+    """perfbench's tracer and set-up probe wrap these module attributes;
+    each must be called by the Monte Carlo driver, and the filters ones
+    by the public steps too, or a library change leaves them blind."""
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+        key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+        calls[key] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in CORES:
+        counting(harness, name)
+    for name in ("_correlation_update", "_dcd_solve", "ase_weight"):
+        counting(filters, name)
+    sc = make_sysid_scenario(length=4, horizon=40, mc_runs=2, seed=3)
+    run_sysid(sc, default_algorithms(4))
+    assert all(calls.values()), calls
+    driver = dict(calls)
+    for spec in default_algorithms(4):
+        run_public_steps(spec, np.eye(4), np.ones(4), kernel_sigma=1.0)
+    assert {key: calls[key] > driver[key] for key in calls} == {
+        "harness._vss_step": False,
+        "harness._dcd_step": False,
+        "filters._correlation_update": True,
+        "filters._dcd_solve": True,
+        "filters.ase_weight": True,
+    }
 
 
 @pytest.mark.parametrize("horizon", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])
