@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dcd import DcdParams, dcd_solve
+from .filters import DCD_UPDATE_MODES, DELTA_SCHEDULES
 from .harness import (
     _FLOOR_RATIO,
     ALGORITHMS,
@@ -27,6 +28,7 @@ from .harness import (
     count_ops,
     default_algorithms,
     make_sysid_scenario,
+    power_db,
     random_spd_system,
     run_anc,
     run_sysid,
@@ -101,14 +103,8 @@ _FILTER_OPTS = [
     Option("h", "float", 2.0, "coordinate-descent step range"),
     Option("m_bits", "int", 8, "coordinate-descent step halvings"),
     Option("n_updates", "int", 8, "coordinate-descent update budget per sample"),
-    Option("dcd_update", "str", "shift", "correlation update of the DCD variant", ("shift", "dense")),
-    Option(
-        "delta_schedule",
-        "str",
-        "decaying",
-        "leakage schedule of the DCD variant",
-        ("decaying", "constant"),
-    ),
+    Option("dcd_update", "str", "shift", "correlation update of the DCD variant", DCD_UPDATE_MODES),
+    Option("delta_schedule", "str", "decaying", "leakage schedule of the DCD variant", DELTA_SCHEDULES),
 ]
 
 _ALGO_OPTS = [
@@ -154,14 +150,14 @@ SCHEMAS: dict[str, list[Option]] = {
         _OUT_OPT,
     ],
     "dcd-bench": [
-        Option("length", "int", 10, "system size"),
+        Option("length", "int", 10, "size of the SPD systems and of dcd_ops.csv"),
         Option("systems", "int", 100, "number of random SPD systems"),
         Option("seed", "int", 20240923, "bench seed"),
         Option("cond", "float", 100.0, "condition number of the test systems"),
-        Option("m_bits", "int", 16, "step halvings for the accuracy sweep"),
-        Option("h", "float", None, "step range (default: auto per system)"),
+        Option("m_bits", "int", 16, "step halvings of the SPD solves and of dcd_ops.csv"),
+        Option("h", "float", None, "step range of the SPD solves (default: auto per system)"),
         Option("nu_list", "str", "1,2,4,8", "comma-separated update budgets to sweep"),
-        Option("embedded", "bool", True, "also benchmark the budgets inside the adaptive filter"),
+        Option("embedded", "bool", True, "also run the budgets in the adaptive filter, always at L=10, h=2, m_bits=8"),
         Option("embedded_runs", "int", 5, "Monte Carlo runs of the embedded benchmark"),
         Option("embedded_horizon", "int", 2000, "iterations of the embedded benchmark"),
         _OUT_OPT,
@@ -323,10 +319,6 @@ def _ops_lines(records) -> list[str]:
     return lines
 
 
-def _db(series: np.ndarray) -> np.ndarray:
-    return 10.0 * np.log10(np.maximum(np.asarray(series, dtype=float), _FLOOR_RATIO))
-
-
 def _write_curves(path: Path, labels: list[str], curves: list[np.ndarray]) -> None:
     """One ``iteration`` column, then one column per curve (all of one length).
 
@@ -438,7 +430,7 @@ def cmd_anc(opts: dict) -> int:
 
     iters = np.arange(horizon)
     chart = line_chart(
-        [(rec.algorithm, iters, _db(rec.mse)) for rec in records],
+        [(rec.algorithm, iters, power_db(rec.mse)) for rec in records],
         title="Cancellation residual",
         xlabel="iteration",
         ylabel="residual MSE (dB)",

@@ -29,13 +29,15 @@ public steps check their arguments on every call and then run one of two
 private trusted cores, ``_vss_step`` (inversion-free) or ``_dcd_step``
 (coordinate descent), with a weighting that :func:`_weigh` applies: None
 for ``iwf_step``, ``config.ase`` for ``iwf_ase_step`` and
-``dcd_ase_step``, the Gaussian kernel width for ``rmcc_step``.  A core
-takes ``x`` and ``d`` as :func:`_check_sample` returns them: a finite
-float vector of shape ``(length,)`` and a finite Python float, and
-returns the prior error and whether the sample was applied.  Finite
-input can still overflow, so with ``checked`` (the public steps) a core
-keeps the checks of :func:`correlation_update` on ``phi``,
-:meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
+``dcd_ase_step``, the Gaussian kernel width for ``rmcc_step``.  Each core
+runs its whole per-sample recursion in one body: the prior error, the
+weighting, the statistics update, then the variable-step move or the
+budgeted solve.  A core takes ``x`` and ``d`` as :func:`_check_sample`
+returns them: a finite float vector of shape ``(length,)`` and a finite
+Python float, and returns the prior error and whether the sample was
+applied.  Finite input can still overflow, so with ``checked`` (the
+public steps) a core keeps the checks of :func:`correlation_update` on
+``phi``, :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
 :func:`~asefilt.dcd.dcd_solve` on the system (``dcd._check_system``).
 The Monte Carlo harness calls the cores unchecked, which use the private
 forms of those three, and checks each state once per block of rows with
@@ -272,24 +274,6 @@ def _correlation_update(
         state.ops.add(weighted * (n * n + n), n * n + n + weighted * (n * n + 2 * n + 1))
 
 
-def _vss_weight_update(state: FilterState, move: bool) -> None:
-    """Move the weights along ``theta - R w`` with the step size that
-    minimizes the exponentially weighted quadratic in that direction.
-
-    With ``move`` false only the residual is refreshed and the weights
-    stay put (used while the delay line is still filling)."""
-    r_mat = state.stats[:-1]  # dense: the statistics update before this checked
-    r = state.theta - r_mat @ state.w
-    state.residual = r
-    if not move:
-        return
-    rr = float(r @ r)
-    r_big = r_mat @ r
-    den = float(r @ r_big) + VSS_GUARD
-    mu = rr / den
-    state.w += mu * r
-
-
 def _weigh(state: FilterState, e: float, weighting: AseParams | float | None) -> tuple[bool, float]:
     """Whether a sample with prior error ``e`` is applied, and its weight ``phi``.
 
@@ -321,14 +305,21 @@ def _vss_step(
     # A gated sample has phi = 0.0, so the update only decays the statistics.
     _correlation_update(state, config, x, d, _check_phi(phi) if checked else phi)
     state.updates_applied += applied
-    # Hold the weights at rest until the delay line has filled once.  With
-    # only prehistory-padded regressors absorbed, the regularized
-    # least-squares target is dominated by the unexcited directions and a
-    # single variable-step move can land arbitrarily far out (a small
-    # first input sample alone puts ||w|| near |d / x(0)|), after which a
-    # saturating gate never reopens.
+    r_mat = state.stats[:-1]  # dense: the statistics update before this checked
+    r = state.theta - r_mat @ state.w
+    state.residual = r
+    # Move the weights along r = theta - R w with the step size that
+    # minimizes the exponentially weighted quadratic in that direction, but
+    # hold them at rest until the delay line has filled once.  With only
+    # prehistory-padded regressors absorbed, the regularized least-squares
+    # target is dominated by the unexcited directions and a single
+    # variable-step move can land arbitrarily far out (a small first input
+    # sample alone puts ||w|| near |d / x(0)|), after which a saturating
+    # gate never reopens.
     move = state.step_index >= config.length - 1
-    _vss_weight_update(state, move)
+    if move:
+        mu = float(r @ r) / (float(r @ (r_mat @ r)) + VSS_GUARD)
+        state.w += mu * r
     if state.ops is not None:
         # The prior error, the residual theta - R w, and a move: r.r, R r,
         # r.R r, the step size and w += mu r.
@@ -387,49 +378,6 @@ def _check_kernel_width(sigma: float) -> None:
         raise ValueError(f"kernel_sigma {sigma!r} is too small: 2 * kernel_sigma**2 underflows to 0")
 
 
-def _shift_correlation_update(
-    state: FilterState, config: FilterConfig, x: np.ndarray, correction: float, checked: bool
-) -> None:
-    """O(length) autocorrelation update for tapped-delay-line inputs.
-
-    The first row follows the exact exponentially weighted recursion
-    ``row0 <- lam row0 + x[0] x`` and the interior block is the previous
-    matrix shifted down-right by one sample; symmetry makes the first
-    column the first row.  Because consecutive regressors share all but
-    one entry, the shifted block *is* the exponentially weighted sum for
-    the interior lags, so the recursion ``R(n) = lam R(n-1) + x x^T``
-    holds entry-exactly (the only deviation is the initial ``rho I``
-    mass, which the interior keeps undecayed).  The shifted interior
-    keeps its leakage mass too, so the leakage ``correction`` tops up the
-    leading entry only.
-
-    ``R`` is held as a :class:`~asefilt.dcd.ShiftMatrix`, a ring of the
-    last ``length`` first rows, so the shift is one row write: O(length)
-    multiplies and O(length) memory traffic.  The previous first row is
-    read through the ring's :attr:`~asefilt.dcd.ShiftMatrix.newest` view,
-    which equals ``column(0)`` without a gather.  :func:`filter_init` makes
-    the ring; a state that holds ``R`` dense raises :class:`FilterError`.
-
-    The sample weighting deliberately does not appear here: scaling the
-    rank-one term by a step-dependent factor breaks the shift identity
-    (the interior would lag the weighting by one sample per row) and with
-    it the exactness of the residual recursion that makes the
-    coordinate-descent variant cheap.  Robust weighting is applied on the
-    error side instead; see :func:`dcd_ase_step`.  Only with ``checked``
-    is the new row checked finite.
-    """
-    ring = state.ring
-    if ring is None:
-        raise FilterError("shift-mode dcd_ase_step needs R as a ring; this state holds R dense")
-    row0 = config.lam * ring.newest + x[0] * x
-    if correction != 0.0:
-        row0[0] += correction
-    if checked:
-        ring.push(row0)
-    else:
-        ring._push(row0)
-
-
 def dcd_ase_step(
     state: FilterState, config: FilterConfig, x, d
 ) -> tuple[FilterState, StepOutput]:
@@ -446,12 +394,24 @@ def dcd_ase_step(
 
     * ``"shift"`` (default) keeps the autocorrelation unweighted, which is
       what makes the O(length) shifted update and the residual recursion
-      exact.  Equivalently, the filter tracks the normal equations for the
-      error-censored desired signal ``d - (1 - phi) e``: outlier samples
-      are replaced by the filter's own prediction while the (impulse-free)
-      regressor statistics keep accumulating.  ``R`` is held as a ring of
-      first rows, which the solver reads one column at a time, so the
-      whole step is O(length) in multiplies and in memory traffic.
+      exact.  Consecutive tapped-delay-line regressors share all but one
+      entry, so the interior of ``R(n) = lam R(n-1) + x x^T`` is the
+      previous matrix shifted down-right by one sample, and only the first
+      row follows the recursion ``row0 <- lam row0 + x[0] x``; symmetry
+      makes the first column the first row.  This holds entry-exactly; the
+      only deviation is the initial ``rho I`` mass, which the interior
+      keeps undecayed, and as the interior keeps its leakage mass too, the
+      leakage correction tops up the leading entry only.  Scaling the
+      rank-one term by a step-dependent weight would break the shift
+      identity (the interior would lag the weighting by one sample per
+      row), so the weighting acts on the error side only.  Equivalently,
+      the filter tracks the normal equations for the error-censored
+      desired signal ``d - (1 - phi) e``: outlier samples are replaced by
+      the filter's own prediction while the (impulse-free) regressor
+      statistics keep accumulating.  ``R`` is held as a ring of the last
+      ``length`` first rows (:class:`~asefilt.dcd.ShiftMatrix`), so the
+      shift is one row write and the solver reads one column at a time:
+      the whole step is O(length) in multiplies and in memory traffic.
     * ``"dense"`` applies the weighting to the full rank-one sample update
       on both sides, at O(length^2) multiplies per step.
 
@@ -466,6 +426,10 @@ def dcd_ase_step(
     coordinate update passes the significance test and the weights run
     away for good.  In shift mode this reads the ring's cached pivot
     check, so it costs O(1).
+
+    :func:`filter_init` fixes where ``R`` lives: a ring for a shift-mode
+    config, dense otherwise.  A state that holds it in the other layout
+    raises :class:`FilterError` before the step changes it.
     """
     _check_solver(config)
     x, d = _check_sample(config, x, d)
@@ -486,11 +450,30 @@ def _dcd_step(
 
     lam = config.lam
     correction = config._leak_correction
+    rhs = lam * state.residual
+    if phi != 0.0:
+        rhs += (phi * e) * x
 
+    # Accumulate statistics only, with the weights held and rhs carried over
+    # as the residual, while the delay line fills, and while a silent input
+    # has decayed part of the diagonal to zero or to a subnormal: such a
+    # pivot accepts every coordinate update and the weights run away.
+    held = state.step_index < n - 1
     shift = config.dcd_update == "shift"
     if shift:
-        _shift_correlation_update(state, config, x, correction, checked)
         r_mat = state.ring
+        if r_mat is None:
+            raise FilterError("shift-mode dcd_ase_step needs R as a ring; this state holds R dense")
+        # The newest row is the previous first row, column(0) without a gather.
+        row0 = lam * r_mat.newest + x[0] * x
+        if correction != 0.0:
+            row0[0] += correction
+            rhs[0] -= correction * state.w[0]
+        if checked:
+            r_mat.push(row0)
+        else:
+            r_mat._push(row0)
+        held = held or not r_mat.pivots_normal
     else:
         r_mat = _dense_stats(state)[:-1]
         r_mat *= lam
@@ -498,24 +481,11 @@ def _dcd_step(
             r_mat += np.outer(phi * x, x)
         if correction != 0.0:
             r_mat[np.diag_indices(n)] += correction
-
-    rhs = lam * state.residual
-    if phi != 0.0:
-        rhs += (phi * e) * x
-    if correction != 0.0:
-        if shift:
-            rhs[0] -= correction * state.w[0]
-        else:
             rhs -= correction * state.w
+        held = held or r_mat.diagonal().min() < MIN_PIVOT
 
-    held = state.step_index < n - 1 or (
-        not r_mat.pivots_normal if shift else r_mat.diagonal().min() < MIN_PIVOT
-    )
-    # Accumulate statistics only while the delay line fills, and while a
-    # silent input has decayed part of the diagonal to zero or to a
-    # subnormal: such a pivot accepts every coordinate update and the
-    # weights run away.  Otherwise solve in place: rhs becomes the residual
-    # and the increment goes into w.
+    # Otherwise solve in place: rhs becomes the residual and the increment
+    # goes into w.
     if not held:
         if checked:
             _check_system(r_mat, rhs)

@@ -57,6 +57,7 @@ from .signals import (
     BgNoiseSpec,
     PdPulseSpec,
     ScenarioSpec,
+    background_variance,
     gen_background,
     gen_bg_noise,
     gen_pd_pulses,
@@ -73,6 +74,7 @@ __all__ = [
     "NominalOps",
     "RunRecord",
     "nmsd",
+    "power_db",
     "steady_state",
     "make_sysid_scenario",
     "default_algorithms",
@@ -84,7 +86,7 @@ __all__ = [
 
 ALGORITHMS = ("iwf", "iwf_ase", "dcd_ase", "rmcc")
 NMSD_FLOOR_DB = -400.0
-_FLOOR_RATIO = 1e-40
+_FLOOR_RATIO = 10.0 ** (NMSD_FLOOR_DB / 10.0)  # 1e-40 exactly
 # Rows per block of the driver's loop: the NMSD deviation of a block is
 # one vectorized reduction, the block's d values one list, and each
 # filter state is checked finite once per block.
@@ -213,6 +215,11 @@ def nmsd(w: np.ndarray, w_o: np.ndarray) -> float:
     diff = w - w_o
     ratio = float(diff @ diff) / denom
     return 10.0 * math.log10(max(ratio, _FLOOR_RATIO))
+
+
+def power_db(ratios: np.ndarray) -> np.ndarray:
+    """Power ratios in dB, floored at :data:`NMSD_FLOOR_DB`."""
+    return 10.0 * np.log10(np.maximum(ratios, _FLOOR_RATIO))
 
 
 def steady_state(series: np.ndarray) -> float:
@@ -406,7 +413,7 @@ def _paired_runs(
         nmsd_db = None
         if w_o is not None:
             mean_dev = dev_sum[idx] / (runs * float(w_o @ w_o))
-            nmsd_db = 10.0 * np.log10(np.maximum(mean_dev, _FLOOR_RATIO))
+            nmsd_db = power_db(mean_dev)
         records.append(
             RunRecord(
                 algorithm=spec.name,
@@ -434,7 +441,7 @@ def run_sysid(
     length = w_o.shape[0]
     horizon = scenario.horizon
     signal_power = float(w_o @ w_o)
-    bg_std = math.sqrt(signal_power * 10.0 ** (-scenario.snr_db / 10.0))
+    bg_std = math.sqrt(background_variance(scenario.snr_db, signal_power))
 
     def draw(run: int) -> tuple[np.ndarray, np.ndarray, float]:
         base = scenario.seed ^ run

@@ -25,6 +25,7 @@ __all__ = [
     "gen_system",
     "gen_bg_noise",
     "gen_background",
+    "background_variance",
     "iir_shape",
     "gen_pd_pulses",
     "regressors",
@@ -103,6 +104,7 @@ class ScenarioSpec:
             raise ValueError(f"mc_runs must be a positive integer, got {self.mc_runs!r}")
         if not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
+        background_variance(self.snr_db, float(taps @ taps))
 
 
 def gen_system(length: int, seed) -> np.ndarray:
@@ -128,13 +130,25 @@ def gen_bg_noise(n: int, spec: BgNoiseSpec, seed) -> np.ndarray:
     return np.where(mask, amplitudes, 0.0)
 
 
+def background_variance(snr_db: float, signal_power: float) -> float:
+    """Noise variance ``signal_power * 10 ** (-snr_db / 10)``; raises
+    ``ValueError`` when it is not finite, as a very low ``snr_db`` makes it."""
+    try:
+        variance = signal_power * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        variance = math.inf
+    if not math.isfinite(variance):
+        raise ValueError(f"snr_db {snr_db!r} is too low: the background noise variance is not finite")
+    return variance
+
+
 def gen_background(n: int, snr_db: float, signal_power: float, seed) -> np.ndarray:
     """White Gaussian noise sized so that ``signal_power`` over its variance hits ``snr_db``."""
     if not (isinstance(n, int) and n >= 0):
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if not (math.isfinite(signal_power) and signal_power > 0):
         raise ValueError(f"signal_power must be positive, got {signal_power!r}")
-    variance = signal_power * 10.0 ** (-snr_db / 10.0)
+    variance = background_variance(snr_db, signal_power)
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) * math.sqrt(variance)
 

@@ -40,7 +40,10 @@ def _ticks(lo: float, hi: float) -> list[float]:
     v = first
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
-        v += step
+        nxt = v + step
+        if nxt == v:  # step is below half the float spacing at v
+            return [lo, hi]
+        v = nxt
     return ticks or [lo, hi]
 
 

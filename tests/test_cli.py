@@ -178,6 +178,14 @@ def test_anc_nonfinite_shaping_is_config_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_snr_db_whose_noise_variance_overflows_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = run_cli("sysid", "--runs", "1", "--horizon", "50", "--snr-db", "-3100", "--out", str(out))
+    assert rc == EXIT_CONFIG
+    assert "snr_db -3100.0 is too low" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_anc_header_only_waveform_is_config_error(tmp_path, capsys):
     files = []
     for key in ("primary", "reference"):
@@ -349,7 +357,7 @@ def test_sweep_requires_values(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "param, values",
-    [("c", "1,-1"), ("c", "-1"), ("n_updates", "2,0"), ("impulse_prob", "0.1,2")],
+    [("c", "1,-1"), ("c", "-1"), ("n_updates", "2,0"), ("impulse_prob", "0.1,2"), ("snr_db", "-4000")],
 )
 def test_sweep_bad_value_is_rejected_before_any_run(tmp_path, capsys, monkeypatch, param, values):
     """Every value is checked before the first run: a bad later value

@@ -7,6 +7,7 @@ from asefilt.signals import (
     BgNoiseSpec,
     PdPulseSpec,
     ScenarioSpec,
+    background_variance,
     gen_background,
     gen_bg_noise,
     gen_pd_pulses,
@@ -57,6 +58,17 @@ def test_background_variance_tracks_snr():
     # 10 dB down
     y = gen_background(100_000, 10.0, 1.0, 9)
     assert y.var() == pytest.approx(0.1, rel=0.05)
+
+
+def test_background_variance_that_is_not_finite_is_rejected():
+    """A very low snr_db raises ValueError, whether the power of ten or the
+    product with the signal power overflows; a finite variance keeps the formula."""
+    assert background_variance(-3000.0, 2.0) == 2.0 * 10.0 ** 300.0
+    for snr_db, power in ((-3100.0, 1.0), (-3080.0, 10.0)):
+        with pytest.raises(ValueError, match="is too low"):
+            gen_background(10, snr_db, power, 0)
+    with pytest.raises(ValueError, match="is too low"):
+        ScenarioSpec(system_taps=np.full(4, 5.0), horizon=10, mc_runs=1, seed=1, snr_db=-3080.0)
 
 
 def test_iir_shape_hand_values():
