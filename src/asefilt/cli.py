@@ -2,8 +2,12 @@
 
 Options resolve as flag > config file > built-in default.  The config
 file is INI-style with one section per subcommand; unknown sections or
-keys are rejected by name.  All CSV and SVG outputs are deterministic
-for a fixed seed and written atomically.
+keys are rejected by name.  Each subcommand plans, then runs: its plan
+checks every option and input file before the output directory exists
+(a rejection, ``ValueError`` included, exits 2), a failed run exits 3,
+and ``main`` writes ``summary.txt`` from the options and the lines the
+run returns.  All CSV and SVG outputs are deterministic for a fixed seed
+and written atomically.
 """
 
 from __future__ import annotations
@@ -244,40 +248,34 @@ def _parse_algo_list(opts: dict) -> tuple[str, ...]:
     return tuple(sorted(set(names), key=ALGORITHMS.index))
 
 
-def _build_algorithms(opts: dict, kinds: tuple[str, ...], length: int) -> list[AlgoSpec]:
-    try:
-        return default_algorithms(
-            length,
-            kinds,
-            lam=opts["lambda"],
-            rho=opts["rho"],
-            c=opts["c"],
-            zeta=opts["zeta"],
-            h=opts["h"],
-            m_bits=opts["m_bits"],
-            n_updates=opts["n_updates"],
-            kernel_sigma=opts["kernel_sigma"],
-            dcd_update=opts["dcd_update"],
-            delta_schedule=opts["delta_schedule"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _build_algorithms(opts: dict, kinds: tuple[str, ...]) -> list[AlgoSpec]:
+    return default_algorithms(
+        opts["length"],
+        kinds,
+        lam=opts["lambda"],
+        rho=opts["rho"],
+        c=opts["c"],
+        zeta=opts["zeta"],
+        h=opts["h"],
+        m_bits=opts["m_bits"],
+        n_updates=opts["n_updates"],
+        kernel_sigma=opts["kernel_sigma"],
+        dcd_update=opts["dcd_update"],
+        delta_schedule=opts["delta_schedule"],
+    )
 
 
 def _sysid_scenario(opts: dict) -> ScenarioSpec:
-    try:
-        return make_sysid_scenario(
-            length=opts["length"],
-            horizon=opts["horizon"],
-            mc_runs=opts["runs"],
-            seed=opts["seed"],
-            snr_db=opts["snr_db"],
-            impulse_prob=opts["impulse_prob"],
-            impulse_var=opts["impulse_var"],
-            with_impulses=opts["impulses"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return make_sysid_scenario(
+        length=opts["length"],
+        horizon=opts["horizon"],
+        mc_runs=opts["runs"],
+        seed=opts["seed"],
+        snr_db=opts["snr_db"],
+        impulse_prob=opts["impulse_prob"],
+        impulse_var=opts["impulse_var"],
+        with_impulses=opts["impulses"],
+    )
 
 
 def _prepare_outdir(opts: dict) -> Path:
@@ -319,40 +317,33 @@ def _ops_lines(records) -> list[str]:
     return lines
 
 
-def _write_curves(path: Path, labels: list[str], curves: list[np.ndarray]) -> None:
-    """One ``iteration`` column, then one column per curve (all of one length).
+def _write_curves(outdir: Path, name: str, chart_name: str, labels: list[str], curves: list[np.ndarray],
+                  title: str, ylabel: str, to_chart=None) -> None:
+    """Write the CSV ``name``, one ``iteration`` column and then one column
+    per curve (all of one length), and its chart ``chart_name``, the curves
+    (mapped through ``to_chart`` if given) against the iteration.
 
     The rows are drawn from the arrays lazily, so ``write_csv`` holds one
     chunk of cells at a time; a ``tolist()`` copy of four 10 000-sample
     curves costs about 1 MiB more at the peak."""
-    rows = zip(range(len(curves[0])), *curves)
-    write_csv(path, ["iteration", *labels], rows, REPORT_FMT)
+    iters = np.arange(len(curves[0]))
+    write_csv(outdir / name, ["iteration", *labels], zip(range(len(iters)), *curves), REPORT_FMT)
+    series = [(label, iters, to_chart(curve) if to_chart else curve) for label, curve in zip(labels, curves)]
+    atomic_write(outdir / chart_name, line_chart(series, title=title, xlabel="iteration", ylabel=ylabel))
 
 
-def cmd_sysid(opts: dict) -> int:
-    kinds = _parse_algo_list(opts)
-    algos = _build_algorithms(opts, kinds, opts["length"])
-    records = run_sysid(_sysid_scenario(opts), algos, instrument=opts["instrument"])
+def plan_sysid(opts: dict) -> tuple[list[AlgoSpec], ScenarioSpec]:
+    return _build_algorithms(opts, _parse_algo_list(opts)), _sysid_scenario(opts)
+
+
+def cmd_sysid(opts: dict, plan) -> list[str]:
+    algos, scenario = plan
+    records = run_sysid(scenario, algos, instrument=opts["instrument"])
     outdir = _prepare_outdir(opts)
-
-    iters = np.arange(opts["horizon"])
-    labels = [rec.algorithm for rec in records]
-    _write_curves(outdir / "nmsd.csv", labels, [rec.nmsd_db for rec in records])
-
-    chart = line_chart(
-        [(rec.algorithm, iters, rec.nmsd_db) for rec in records],
-        title="Identification learning curves",
-        xlabel="iteration",
-        ylabel="NMSD (dB)",
+    _write_curves(
+        outdir, "nmsd.csv", "nmsd.svg", [rec.algorithm for rec in records], [rec.nmsd_db for rec in records],
+        "Identification learning curves", "NMSD (dB)",
     )
-    atomic_write(outdir / "nmsd.svg", chart)
-
-    steadies = [steady_state(rec.nmsd_db) for rec in records]
-    lines = _summary_header("sysid", opts)
-    lines += _record_table(records, "steady_nmsd_db", steadies)
-    lines += _ops_lines(records)
-    atomic_write(outdir / "summary.txt", "\n".join(lines) + "\n")
-
     if opts["instrument"]:
         ops_rows = []
         for rec, spec in zip(records, algos):
@@ -364,7 +355,8 @@ def cmd_sysid(opts: dict) -> int:
         header = ["algorithm", "measured_adds", "measured_mults", "measured_comparisons",
                   "nominal_adds", "nominal_mults"]
         write_csv(outdir / "ops.csv", header, ops_rows, REPORT_FMT)
-    return EXIT_OK
+    steadies = [steady_state(rec.nmsd_db) for rec in records]
+    return _record_table(records, "steady_nmsd_db", steadies) + _ops_lines(records)
 
 
 def _load_external_waveforms(opts: dict):
@@ -378,71 +370,53 @@ def _load_external_waveforms(opts: dict):
             path = opts[key]
             if path and not os.path.exists(path):
                 raise ConfigError(f"waveform file not found: {path}")
-        try:
-            primary = load_waveform(opts["primary_file"])
-            reference = load_waveform(opts["reference_file"])
-            if opts["clean_file"]:
-                clean = load_waveform(opts["clean_file"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        primary = load_waveform(opts["primary_file"])
+        reference = load_waveform(opts["reference_file"])
+        if opts["clean_file"]:
+            clean = load_waveform(opts["clean_file"])
     elif opts["clean_file"]:
         raise ConfigError("clean_file requires primary_file and reference_file")
     return primary, reference, clean
 
 
-def cmd_anc(opts: dict) -> int:
-    kinds = _parse_algo_list(opts)
-    algos = _build_algorithms(opts, kinds, opts["length"])
+def plan_anc(opts: dict) -> tuple[list[AlgoSpec], AncSpec]:
+    algos = _build_algorithms(opts, _parse_algo_list(opts))
     primary, reference, clean = _load_external_waveforms(opts)
-    try:
-        pulse = PdPulseSpec(
-            amplitude=opts["pulse_amplitude"],
-            decay=opts["pulse_decay"],
-            freq=opts["pulse_freq"],
-            length=opts["pulse_length"],
-        )
-        anc = AncSpec(
-            horizon=opts["horizon"],
-            mc_runs=1 if primary is not None else opts["runs"],
-            seed=opts["seed"],
-            filter_length=opts["length"],
-            impulses=BgNoiseSpec(opts["impulse_prob"], opts["impulse_var"]),
-            shaping_a1=opts["shaping"],
-            pulse_rate=opts["pulse_rate"],
-            pulse=pulse,
-            primary=primary,
-            reference=reference,
-            clean=clean,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    pulse = PdPulseSpec(
+        amplitude=opts["pulse_amplitude"],
+        decay=opts["pulse_decay"],
+        freq=opts["pulse_freq"],
+        length=opts["pulse_length"],
+    )
+    anc = AncSpec(
+        horizon=opts["horizon"],
+        mc_runs=1 if primary is not None else opts["runs"],
+        seed=opts["seed"],
+        filter_length=opts["length"],
+        impulses=BgNoiseSpec(opts["impulse_prob"], opts["impulse_var"]),
+        shaping_a1=opts["shaping"],
+        pulse_rate=opts["pulse_rate"],
+        pulse=pulse,
+        primary=primary,
+        reference=reference,
+        clean=clean,
+    )
+    return algos, anc
+
+
+def cmd_anc(opts: dict, plan) -> list[str]:
+    algos, anc = plan
     records, waveforms = run_anc(anc, algos, instrument=opts["instrument"])
     outdir = _prepare_outdir(opts)
-
-    horizon = records[0].mse.shape[0]
     labels = [rec.algorithm for rec in records]
-    _write_curves(outdir / "mse.csv", labels, [rec.mse for rec in records])
-
-    for key in ("primary", "clean", "reference"):
-        save_waveform(outdir / f"{key}.csv", waveforms[key])
-    for rec in records:
-        save_waveform(outdir / f"denoised_{rec.algorithm}.csv", waveforms[f"denoised_{rec.algorithm}"])
-
-    iters = np.arange(horizon)
-    chart = line_chart(
-        [(rec.algorithm, iters, power_db(rec.mse)) for rec in records],
-        title="Cancellation residual",
-        xlabel="iteration",
-        ylabel="residual MSE (dB)",
+    _write_curves(
+        outdir, "mse.csv", "anc.svg", labels, [rec.mse for rec in records],
+        "Cancellation residual", "residual MSE (dB)", power_db,
     )
-    atomic_write(outdir / "anc.svg", chart)
-
+    for key in ("primary", "clean", "reference", *(f"denoised_{label}" for label in labels)):
+        save_waveform(outdir / f"{key}.csv", waveforms[key])
     steadies = [10.0 * math.log10(max(steady_state(rec.mse), _FLOOR_RATIO)) for rec in records]
-    lines = _summary_header("anc", opts)
-    lines += _record_table(records, "steady_mse_db", steadies)
-    lines += _ops_lines(records)
-    atomic_write(outdir / "summary.txt", "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _record_table(records, "steady_mse_db", steadies) + _ops_lines(records)
 
 
 def _parse_int_list(raw: str, what: str) -> list[int]:
@@ -455,23 +429,43 @@ def _parse_int_list(raw: str, what: str) -> list[int]:
         raise ConfigError(f"invalid {what}: {exc}") from None
 
 
-def cmd_dcd_bench(opts: dict) -> int:
+def _plan_sweep_runs(opts: dict, param: str, values: list, kind: str) -> list[tuple]:
+    """One ``(value, algorithms, scenario)`` of ``kind`` per value of ``param``."""
+    runs = []
+    for value in values:
+        run_opts = {**opts, param: value}
+        runs.append((value, _build_algorithms(run_opts, (kind,)), _sysid_scenario(run_opts)))
+    return runs
+
+
+def _run_sweep(outdir: Path, name: str, param: str, runs: list[tuple]) -> tuple[list, list[str]]:
+    """Run each planned value and write its steady NMSD and update ratio to
+    ``name``; return the records and one summary line per value."""
+    records = [run_sysid(scenario, algos)[0] for _, algos, scenario in runs]
+    rows = [[value, steady_state(rec.nmsd_db), rec.update_ratio] for (value, _, _), rec in zip(runs, records)]
+    write_csv(outdir / name, [param, "steady_nmsd_db", "update_ratio"], rows, REPORT_FMT)
+    lines = [f"{param}={value:g}  steady_nmsd_db={nm:.3f}  update_ratio={ur:.4f}" for value, nm, ur in rows]
+    return records, lines
+
+
+def plan_dcd_bench(opts: dict) -> tuple[list[int], list[tuple] | None]:
     nu_list = _parse_int_list(opts["nu_list"], "nu_list")
     if any(nu < 1 for nu in nu_list):
         raise ConfigError("nu_list entries must be >= 1")
-    length = opts["length"]
     if opts["systems"] < 1:
         raise ConfigError(f"systems must be >= 1, got {opts['systems']}")
-    try:
-        random_spd_system(length, opts["cond"], 0)  # checks length and cond
-        DcdParams(h=2.0 if opts["h"] is None else opts["h"], m_bits=opts["m_bits"])
-        scenario = None
-        if opts["embedded"]:
-            scenario = make_sysid_scenario(
-                horizon=opts["embedded_horizon"], mc_runs=opts["embedded_runs"], seed=opts["seed"]
-            )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    random_spd_system(opts["length"], opts["cond"], 0)  # checks length and cond
+    DcdParams(h=2.0 if opts["h"] is None else opts["h"], m_bits=opts["m_bits"])
+    if not opts["embedded"]:
+        return nu_list, None
+    sysid_opts = {opt.name: opt.default for opt in SCHEMAS["sysid"]}
+    sysid_opts.update(runs=opts["embedded_runs"], horizon=opts["embedded_horizon"], seed=opts["seed"])
+    return nu_list, _plan_sweep_runs(sysid_opts, "n_updates", nu_list, "dcd_ase")
+
+
+def cmd_dcd_bench(opts: dict, plan) -> list[str]:
+    nu_list, embedded = plan
+    length = opts["length"]
     outdir = _prepare_outdir(opts)
 
     acc_rows = []
@@ -499,29 +493,16 @@ def cmd_dcd_bench(opts: dict) -> int:
             ops_rows.append([kind, nu, nominal.adds, nominal.mults])
     write_csv(outdir / "dcd_ops.csv", ["algorithm", "n_updates", "adds", "mults"], ops_rows, REPORT_FMT)
 
-    lines = _summary_header("dcd-bench", opts)
-    lines.append("accuracy sweep (max over systems of ||dcd - exact||_inf):")
+    lines = ["accuracy sweep (max over systems of ||dcd - exact||_inf):"]
     for nu, mx, mean in acc_rows:
         lines.append(f"n_updates={nu}/tap  max_err={mx:.3e}  mean_err={mean:.3e}")
-
-    if scenario is not None:
-        emb_rows = []
-        for nu in nu_list:
-            algos = default_algorithms(10, ("dcd_ase",), n_updates=nu)
-            rec = run_sysid(scenario, algos)[0]
-            emb_rows.append([nu, steady_state(rec.nmsd_db), rec.update_ratio])
-        header = ["n_updates", "steady_nmsd_db", "update_ratio"]
-        write_csv(outdir / "dcd_embedded.csv", header, emb_rows, REPORT_FMT)
-        lines.append("")
-        lines.append("embedded in the adaptive filter:")
-        for nu, nm, ur in emb_rows:
-            lines.append(f"n_updates={nu}  steady_nmsd_db={nm:.3f}  update_ratio={ur:.4f}")
-
-    atomic_write(outdir / "summary.txt", "\n".join(lines) + "\n")
-    return EXIT_OK
+    if embedded is not None:
+        lines += ["", "embedded in the adaptive filter:"]
+        lines += _run_sweep(outdir, "dcd_embedded.csv", "n_updates", embedded)[1]
+    return lines
 
 
-def cmd_sweep(opts: dict) -> int:
+def plan_sweep(opts: dict) -> tuple[str, list[tuple]]:
     param = opts["param"]
     if not param:
         raise ConfigError("sweep requires --param")
@@ -534,41 +515,28 @@ def cmd_sweep(opts: dict) -> int:
         values = [int(s) if param == "n_updates" else float(s) for s in raw_values]
     except ValueError as exc:
         raise ConfigError(f"invalid sweep values: {exc}") from None
-    # Check --algo (iwf_ase by default) and every value before any run or output.
     kind = _parse_algo_list({"algos": "iwf_ase", **opts})[0]
-    plan = []
-    for value in values:
-        run_opts = {**opts, param: value}
-        plan.append((value, _build_algorithms(run_opts, (kind,), opts["length"]), _sysid_scenario(run_opts)))
+    return kind, _plan_sweep_runs(opts, param, values, kind)
+
+
+def cmd_sweep(opts: dict, plan) -> list[str]:
+    kind, runs = plan
+    param = opts["param"]
     outdir = _prepare_outdir(opts)
-
-    curves = []
-    rows = []
-    for value, algos, scenario in plan:
-        rec = run_sysid(scenario, algos)[0]
-        label = f"{param}={value:g}"
-        curves.append((label, np.arange(opts["horizon"]), rec.nmsd_db))
-        rows.append([value, steady_state(rec.nmsd_db), rec.update_ratio])
-
-    write_csv(outdir / "sweep.csv", [param, "steady_nmsd_db", "update_ratio"], rows, REPORT_FMT)
-    _write_curves(outdir / "sweep_curves.csv", [c[0] for c in curves], [c[2] for c in curves])
-    atomic_write(
-        outdir / "sweep.svg",
-        line_chart(curves, title=f"{kind}: sweep over {param}", xlabel="iteration", ylabel="NMSD (dB)"),
+    records, lines = _run_sweep(outdir, "sweep.csv", param, runs)
+    _write_curves(
+        outdir, "sweep_curves.csv", "sweep.svg", [f"{param}={value:g}" for value, _, _ in runs],
+        [rec.nmsd_db for rec in records], f"{kind}: sweep over {param}", "NMSD (dB)",
     )
-    lines = _summary_header("sweep", opts)
-    lines.append(f"algorithm = {kind}")
-    for value, nm, ur in rows:
-        lines.append(f"{param}={value:g}  steady_nmsd_db={nm:.3f}  update_ratio={ur:.4f}")
-    atomic_write(outdir / "summary.txt", "\n".join(lines) + "\n")
-    return EXIT_OK
+    return [f"algorithm = {kind}", *lines]
 
 
+# subcommand -> (plan step, run step)
 _COMMANDS = {
-    "sysid": cmd_sysid,
-    "anc": cmd_anc,
-    "dcd-bench": cmd_dcd_bench,
-    "sweep": cmd_sweep,
+    "sysid": (plan_sysid, cmd_sysid),
+    "anc": (plan_anc, cmd_anc),
+    "dcd-bench": (plan_dcd_bench, cmd_dcd_bench),
+    "sweep": (plan_sweep, cmd_sweep),
 }
 
 
@@ -578,9 +546,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_CONFIG
+    plan_step, run_step = _COMMANDS[args.subcommand]
     try:
         opts = resolve_options(args.subcommand, args)
-        return _COMMANDS[args.subcommand](opts)
+        try:
+            plan = plan_step(opts)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        lines = _summary_header(args.subcommand, opts) + run_step(opts, plan)
+        atomic_write(Path(opts["out"]) / "summary.txt", "\n".join(lines) + "\n")
+        return EXIT_OK
     except ConfigError as exc:
         print(f"asefilt: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -47,6 +47,20 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return ticks or [lo, hi]
 
 
+def _widen_flat(lo: float, hi: float) -> tuple[float, float]:
+    """Widen an axis whose ends are one value ``v`` to ``v - 1 .. v + 1``.
+
+    An end that 1 does not move (beyond about 2**53) moves to the
+    neighbouring float instead, so the chart never divides by a zero span."""
+    if lo != hi:
+        return lo, hi
+    lo_w, hi_w = lo - 1.0, hi + 1.0
+    return (
+        lo_w if lo_w != lo else math.nextafter(lo, -math.inf),
+        hi_w if hi_w != hi else math.nextafter(hi, math.inf),
+    )
+
+
 def _fmt(v: float) -> str:
     return format(v, ".6g")
 
@@ -76,12 +90,8 @@ def line_chart(
         y_lo, y_hi = float(np.min(ys_all[finite])), float(np.max(ys_all[finite]))
     else:
         y_lo, y_hi = 0.0, 1.0
-    if x_lo == x_hi:
-        x_lo -= 1.0
-        x_hi += 1.0
-    if y_lo == y_hi:
-        y_lo -= 1.0
-        y_hi += 1.0
+    x_lo, x_hi = _widen_flat(x_lo, x_hi)
+    y_lo, y_hi = _widen_flat(y_lo, y_hi)
     pad = 0.04 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

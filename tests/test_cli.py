@@ -7,6 +7,7 @@ import pytest
 
 from asefilt import cli
 from asefilt.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from asefilt.harness import count_ops, default_algorithms, make_sysid_scenario, run_sysid
 from asefilt.signals import save_waveform
 
 
@@ -405,3 +406,48 @@ def test_out_path_collision_is_runtime_error(tmp_path, capsys):
 def test_missing_subcommand_exits_2(capsys):
     assert run_cli() == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_sysid_instrument_writes_ops_csv(tmp_path):
+    """One ops.csv row per algorithm in canonical order: the measured
+    per-iteration counts of an instrumented run, then the nominal counts."""
+    out = tmp_path / "o"
+    rc = run_cli(
+        "sysid", "--horizon", "120", "--runs", "2", "--algos", "rmcc,dcd_ase,iwf", "--instrument",
+        "--out", str(out),
+    )
+    assert rc == EXIT_OK
+    lines = (out / "ops.csv").read_text().splitlines()
+    assert lines[0] == "algorithm,measured_adds,measured_mults,measured_comparisons,nominal_adds,nominal_mults"
+    specs = default_algorithms(10, ("iwf", "dcd_ase", "rmcc"))
+    records = run_sysid(make_sysid_scenario(horizon=120, mc_runs=2), specs, instrument=True)
+    assert [line.split(",")[0] for line in lines[1:]] == ["iwf", "dcd_ase", "rmcc"]
+    for line, rec, spec in zip(lines[1:], records, specs):
+        cells = line.split(",")
+        measured = (rec.op_counts.adds, rec.op_counts.mults, rec.op_counts.comparisons)
+        assert cells[1:4] == [format(v, ".12g") for v in measured]
+        nominal = count_ops(spec.kind, 10, spec.config.dcd)
+        assert [float(c) for c in cells[4:]] == [nominal.adds, nominal.mults]
+    summary = (out / "summary.txt").read_text().splitlines()
+    measured_lines = [line for line in summary if "measured per-iteration" in line]
+    assert [line.split()[0] for line in measured_lines] == ["iwf", "dcd_ase", "rmcc"]
+
+
+def test_config_file_booleans(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[sysid]\nhorizon = 40\nruns = 1\nimpulses = no\ninstrument = on\n")
+    out = tmp_path / "o"
+    assert run_cli("sysid", "--config", str(cfgfile), "--out", str(out)) == EXIT_OK
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "impulses = False" in summary
+    assert "instrument = True" in summary
+    assert (out / "ops.csv").exists()
+
+
+def test_config_file_bad_boolean_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("[sysid]\nimpulses = maybe\n")
+    out = tmp_path / "o"
+    assert run_cli("sysid", "--config", str(cfgfile), "--out", str(out)) == EXIT_CONFIG
+    assert "invalid bool value 'maybe' for key 'impulses'" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,9 +6,10 @@ import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 import asefilt
-from asefilt.svgplot import line_chart
+from asefilt.svgplot import _widen_flat, line_chart
 
 
 def test_line_chart_escapes_text_into_well_formed_xml():
@@ -34,3 +35,24 @@ def test_span_below_the_float_spacing_gets_end_point_ticks():
     src = os.path.dirname(os.path.dirname(asefilt.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+@pytest.mark.parametrize("flat", ["x", "y"])
+def test_flat_axis_beyond_2_53_gets_a_nonzero_span(flat):
+    """Adding 1 does not move 1e17; the flat axis widens to the neighbouring
+    floats instead of dividing by a zero span."""
+    big = np.array([1e17, 1e17])
+    series = ("a", big, big) if flat == "x" else ("a", np.arange(2), big)
+    svg = line_chart([series])
+    ET.fromstring(svg)
+    assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.parametrize("v", [0.0, -3.5, 2.0**53, 1e17, -1e300, np.finfo(float).max, np.inf, -np.inf])
+def test_widen_flat_moves_both_ends(v):
+    lo, hi = _widen_flat(v, v)
+    assert lo < v < hi or (v == np.inf and lo < v == hi) or (v == -np.inf and lo == v < hi)
+    if v - 1.0 != v:
+        assert lo == v - 1.0
+    if v + 1.0 != v:
+        assert hi == v + 1.0
