@@ -366,14 +366,13 @@ def _load_external_waveforms(opts: dict):
             raise ConfigError("missing primary channel file (--primary-file)")
         if not opts["reference_file"]:
             raise ConfigError("missing reference channel file (--reference-file)")
-        for key in ("primary_file", "reference_file", "clean_file"):
-            path = opts[key]
-            if path and not os.path.exists(path):
-                raise ConfigError(f"waveform file not found: {path}")
-        primary = load_waveform(opts["primary_file"])
-        reference = load_waveform(opts["reference_file"])
-        if opts["clean_file"]:
-            clean = load_waveform(opts["clean_file"])
+        try:
+            primary = load_waveform(opts["primary_file"])
+            reference = load_waveform(opts["reference_file"])
+            if opts["clean_file"]:
+                clean = load_waveform(opts["clean_file"])
+        except OSError as exc:  # missing, a directory or unreadable
+            raise ConfigError(f"cannot read waveform file: {exc}") from None
     elif opts["clean_file"]:
         raise ConfigError("clean_file requires primary_file and reference_file")
     return primary, reference, clean
@@ -438,13 +437,20 @@ def _plan_sweep_runs(opts: dict, param: str, values: list, kind: str) -> list[tu
     return runs
 
 
+def _sweep_labels(param: str, runs: list[tuple]) -> list[str]:
+    """``param=value`` per run: ``str`` of an int, ``:g`` of a float where unique, else its repr."""
+    short = [f"{v:g}" if isinstance(v, float) else str(v) for v, _, _ in runs]
+    return [f"{param}={s if short.count(s) == 1 else repr(v)}" for s, (v, _, _) in zip(short, runs)]
+
+
 def _run_sweep(outdir: Path, name: str, param: str, runs: list[tuple]) -> tuple[list, list[str]]:
     """Run each planned value and write its steady NMSD and update ratio to
     ``name``; return the records and one summary line per value."""
     records = [run_sysid(scenario, algos)[0] for _, algos, scenario in runs]
     rows = [[value, steady_state(rec.nmsd_db), rec.update_ratio] for (value, _, _), rec in zip(runs, records)]
     write_csv(outdir / name, [param, "steady_nmsd_db", "update_ratio"], rows, REPORT_FMT)
-    lines = [f"{param}={value:g}  steady_nmsd_db={nm:.3f}  update_ratio={ur:.4f}" for value, nm, ur in rows]
+    labels = _sweep_labels(param, runs)
+    lines = [f"{label}  steady_nmsd_db={nm:.3f}  update_ratio={ur:.4f}" for label, (_, nm, ur) in zip(labels, rows)]
     return records, lines
 
 
@@ -525,7 +531,7 @@ def cmd_sweep(opts: dict, plan) -> list[str]:
     outdir = _prepare_outdir(opts)
     records, lines = _run_sweep(outdir, "sweep.csv", param, runs)
     _write_curves(
-        outdir, "sweep_curves.csv", "sweep.svg", [f"{param}={value:g}" for value, _, _ in runs],
+        outdir, "sweep_curves.csv", "sweep.svg", _sweep_labels(param, runs),
         [rec.nmsd_db for rec in records], f"{kind}: sweep over {param}", "NMSD (dB)",
     )
     return [f"algorithm = {kind}", *lines]

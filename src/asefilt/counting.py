@@ -1,24 +1,23 @@
-"""Lightweight floating-point operation counters.
+"""Floating-point operation counters and the cost model that fills them.
 
-Filter steps and the coordinate-descent solver accept an optional counter.
-Each counting function adds its work once per call, from a closed-form
-cost in the length and in what the call already decided (the gate, a zero
-weighting factor or leakage correction, the update mode, the solver's
-updates, halvings and bit exhaustion), so the arithmetic itself carries no
-instrumentation.  Without a counter (the default) that is one ``None``
-check per call.
-
-Two charges of the coordinate-descent step stand above the work
-executed: ``length`` adds for the weight update on every step that runs
-the solver, though the solve adds only into the at most ``n_updates``
-coordinates it moved, and the textbook leakage step's 1 add and 2
-multiplies on every step, though the correction is a precomputed
-constant of the config.
+The filter cores count nothing.  The pure ``*_ops`` functions here price
+one call as ``(adds, mults, comparisons)`` in closed form, from the length
+and from what the call decided.  The public steps and
+``correlation_update`` add that price to the state's counter through
+``filters._counted``, which the Monte Carlo driver wraps around its cores
+only when instrumented; a solve given a counter prices itself.  Two
+``dcd_ase`` charges stand above the work executed: ``length`` adds for
+the weight update on every solved step, though the solve adds only into
+the at most ``n_updates`` coordinates it moved, and the textbook leakage
+step's 1 add and 2 multiplies on every step, though the correction is a
+precomputed constant of the config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .estimator import AseParams
 
 
 @dataclass
@@ -33,6 +32,64 @@ class OpCounter:
         self.adds += adds
         self.mults += mults
         self.comparisons += comparisons
+
+
+def correlation_ops(config, phi: float, _result=None) -> tuple[int, int, int]:
+    """The decay; a sample adds phi x, its outer product and phi d x."""
+    n, weighted = config.length, phi != 0.0
+    return weighted * (n * n + n), n * n + n + weighted * (n * n + 2 * n + 1), 0
+
+
+def _weighting_ops(weighting, applied: bool) -> tuple[int, int, int]:
+    """The ASE gate and the weight of an applied sample, or the Gaussian weight."""
+    if isinstance(weighting, AseParams):
+        return applied, 4 * applied, 1
+    return 0, 0 if weighting is None else 4, 0
+
+
+def vss_step_ops(config, weighting, result: tuple) -> tuple[int, int, int]:
+    """An inversion-free step's ``(e, applied, phi, moved)``: the weighting,
+    the statistics update, the prior error, the residual theta - R w, and
+    a move: r.r, R r, r.R r, the step size and w += mu r."""
+    _, applied, phi, moved = result
+    n, (adds, mults, comparisons) = config.length, _weighting_ops(weighting, applied)
+    r_adds, r_mults, _ = correlation_ops(config, phi)
+    adds += r_adds + n + n * n + moved * (n * n + 2 * n - 1)
+    mults += r_mults + n + n * n + moved * (n * n + 3 * n + 1)
+    return adds, mults, comparisons
+
+
+def dcd_step_ops(config, weighting, result: tuple) -> tuple[int, int, int]:
+    """A coordinate-descent step's ``(e, applied, phi, solved)``, but not
+    its solve, which prices itself."""
+    _, applied, phi, solved = result
+    n, (adds, mults, comparisons) = config.length, _weighting_ops(weighting, applied)
+    # The prior error, the textbook leakage step (1 add, 2 mults, though
+    # the correction is precomputed), the R update, lam * residual and
+    # the error injection, the correction on the entries it touches (one
+    # in shift mode, the diagonal in dense mode) on R and rhs, and L adds
+    # for the weight update per solved step, though the solve adds only
+    # into the coordinates it moved.
+    injected, corrected = phi != 0.0, config._leak_correction != 0.0
+    if config.dcd_update == "shift":
+        r_adds, r_mults, touched = n, 2 * n, 1
+    else:
+        r_adds, r_mults, touched = injected * n * n, n * n + injected * (n * n + n), n
+    adds += n + 1 + r_adds + injected * n + 2 * corrected * touched + solved * n
+    mults += n + 2 + r_mults + n + injected * (n + 1) + corrected * touched
+    return adds, mults, comparisons
+
+
+def solve_ops(n: int, m_bits: int, updates: int, depth: int, exhausted: bool) -> tuple[int, int, int]:
+    """A size-``n`` DCD solve that made ``updates`` updates and ended at
+    halving ``depth``, or exhausted its ``m_bits`` halvings."""
+    # Per update: an n-entry scan, a passing significance test (one
+    # multiply, one comparison), the column axpy and the increment.  Per
+    # halving: a failing test, the bit budget check and the step
+    # multiply, which the halving that exhausts the bits skips; that
+    # halving also follows one more scan.  Plus the initial h / 2.
+    halvings, adds = (m_bits if exhausted else depth), (n + 1) * updates
+    return adds, 1 + 2 * halvings - exhausted + adds, n * (updates + exhausted) + updates + 2 * halvings
 
 
 @dataclass(frozen=True)

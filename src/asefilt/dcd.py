@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import OpCounter
+from .counting import OpCounter, solve_ops
 
 __all__ = ["DcdParams", "DcdSolveResult", "ShiftMatrix", "dcd_solve"]
 
@@ -285,7 +285,6 @@ def _dcd_solve(
     else:
         diag, column = r_matrix.diagonal(), r_matrix.T.__getitem__  # r.T[j] is r[:, j]
 
-    n = rhs.shape[0]
     residual = rhs
     steps = params._ladder
     finest = 0.5 * steps[-1]
@@ -311,15 +310,5 @@ def _dcd_solve(
     for lead, increment in increments.items():
         w[lead] += increment
     if ops is not None:
-        # Per update: an n-entry scan, a passing significance test (one
-        # multiply, one comparison), the column axpy and the increment.  Per
-        # halving: a failing test, the bit budget check and the step
-        # multiply, which the halving that exhausts the bits skips; that
-        # halving also follows one more scan.  Plus the initial h / 2.
-        halvings = params.m_bits if exhausted else depth
-        ops.add(
-            (n + 1) * updates,
-            1 + 2 * halvings - exhausted + (n + 1) * updates,
-            n * (updates + exhausted) + updates + 2 * halvings,
-        )
+        ops.add(*solve_ops(rhs.shape[0], params.m_bits, updates, depth, exhausted))
     return updates, exhausted

@@ -25,23 +25,22 @@ All steps mutate the passed state in place and return it together with a
 :class:`StepOutput`; states are single-owner and not thread-safe.
 
 Each algorithm is a solver paired with an error weighting.  The four
-public steps check their arguments on every call and then run one of two
-private trusted cores, ``_vss_step`` (inversion-free) or ``_dcd_step``
-(coordinate descent), with a weighting that :func:`_weigh` applies: None
-for ``iwf_step``, ``config.ase`` for ``iwf_ase_step`` and
-``dcd_ase_step``, the Gaussian kernel width for ``rmcc_step``.  Each core
-runs its whole per-sample recursion in one body: the prior error, the
-weighting, the statistics update, then the variable-step move or the
-budgeted solve.  A core takes ``x`` and ``d`` as :func:`_check_sample`
-returns them: a finite float vector of shape ``(length,)`` and a finite
-Python float, and returns the prior error and whether the sample was
-applied.  Finite input can still overflow, so with ``checked`` (the
-public steps) a core keeps the checks of :func:`correlation_update` on
-``phi``, :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
-:func:`~asefilt.dcd.dcd_solve` on the system (``dcd._check_system``).
-The Monte Carlo harness calls the cores unchecked, which use the private
-forms of those three, and checks each state once per block of rows with
-:func:`_state_is_finite`.
+public steps check their arguments, then run one of two private trusted
+cores, ``_vss_step`` (inversion-free) or ``_dcd_step`` (coordinate
+descent), with the weighting :func:`_weigh` applies: None for
+``iwf_step``, ``config.ase`` for ``iwf_ase_step`` and ``dcd_ase_step``,
+the kernel width for ``rmcc_step``.  A core runs a sample's whole
+recursion in one body, on ``x`` and ``d`` as :func:`_check_sample`
+returns them, and returns ``(prior_error, applied, phi, moved)``, where
+``moved`` says whether the weights moved or the solver ran.  It counts
+nothing: the public steps price that result into ``state.ops`` with
+:func:`_counted` and the cost model of :mod:`~asefilt.counting`.  Finite
+input can still overflow, so with ``checked`` (the public steps) a core
+keeps the checks of :func:`correlation_update` on ``phi``,
+:meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
+:func:`~asefilt.dcd.dcd_solve` on the system.  The Monte Carlo harness
+calls the cores unchecked, with the private forms of those three, and
+checks each state once per block of rows with :func:`_state_is_finite`.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import OpCounter
+from .counting import OpCounter, correlation_ops, dcd_step_ops, vss_step_ops
 from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, _check_system, _dcd_solve
 from .estimator import AseParams, ase_weight
 
@@ -245,8 +244,16 @@ def correlation_update(
     the two separate updates.
     """
     x, d = _check_sample(config, x, d)
-    _correlation_update(state, config, x, d, _check_phi(phi))
+    _counted(_correlation_update, correlation_ops, state, config, x, d, _check_phi(phi))
     return state
+
+
+def _counted(core, price, state: FilterState, config: FilterConfig, x, d, arg, checked=False):
+    """``core(...)``, its result priced by ``price`` into ``state.ops`` if any."""
+    result = core(state, config, x, d, arg, checked)
+    if state.ops is not None:
+        state.ops.add(*price(config, arg, result))
+    return result
 
 
 def _check_phi(phi) -> float:
@@ -257,9 +264,12 @@ def _check_phi(phi) -> float:
 
 
 def _correlation_update(
-    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, phi: float
+    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, phi: float, checked=False
 ) -> None:
-    """:func:`correlation_update` for arguments as its checks return them."""
+    """:func:`correlation_update` for ``x`` and ``d`` as its checks return
+    them; ``phi`` is checked only with ``checked``."""
+    if checked:
+        phi = _check_phi(phi)
     n = config.length
     stats = _dense_stats(state)
     stats *= config.lam
@@ -268,42 +278,32 @@ def _correlation_update(
         np.multiply(x, phi, out=u[:n])
         u[n] = phi * d
         stats += u[:, None] * x
-    if state.ops is not None:
-        # The decay; a sample adds phi x, its outer product and phi d x.
-        weighted = phi != 0.0
-        state.ops.add(weighted * (n * n + n), n * n + n + weighted * (n * n + 2 * n + 1))
 
 
-def _weigh(state: FilterState, e: float, weighting: AseParams | float | None) -> tuple[bool, float]:
+def _weigh(e: float, weighting: AseParams | float | None) -> tuple[bool, float]:
     """Whether a sample with prior error ``e`` is applied, and its weight ``phi``.
 
     ``weighting`` is None (weight 1, every sample applied), an
     :class:`~asefilt.estimator.AseParams` (the gate at ``pi * c``, then
     :func:`~asefilt.estimator.ase_weight`) or a Gaussian kernel width
-    ``sigma`` (``exp(-e^2 / (2 sigma^2))``, every sample applied).  The
-    cost of the gate and the weight is counted here, not by the step.
+    ``sigma`` (``exp(-e^2 / (2 sigma^2))``, every sample applied).
     """
     if weighting is None:
         return True, 1.0
     if isinstance(weighting, AseParams):
         applied = abs(e) <= weighting.cutoff
         phi = ase_weight(e, weighting) if applied else 0.0
-        if state.ops is not None:
-            state.ops.add(applied, 4 * applied, comparisons=1)
         return applied, phi
-    phi = math.exp(-(e * e) / (2.0 * weighting * weighting))
-    if state.ops is not None:
-        state.ops.add(0, 4)
-    return True, phi
+    return True, math.exp(-(e * e) / (2.0 * weighting * weighting))
 
 
 def _vss_step(
     state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting, checked=False
-) -> tuple[float, bool]:
+) -> tuple[float, bool, float, bool]:
     e = d - float(state.w @ x)
-    applied, phi = _weigh(state, e, weighting)
+    applied, phi = _weigh(e, weighting)
     # A gated sample has phi = 0.0, so the update only decays the statistics.
-    _correlation_update(state, config, x, d, _check_phi(phi) if checked else phi)
+    _correlation_update(state, config, x, d, phi, checked)
     state.updates_applied += applied
     r_mat = state.stats[:-1]  # dense: the statistics update before this checked
     r = state.theta - r_mat @ state.w
@@ -320,16 +320,8 @@ def _vss_step(
     if move:
         mu = float(r @ r) / (float(r @ (r_mat @ r)) + VSS_GUARD)
         state.w += mu * r
-    if state.ops is not None:
-        # The prior error, the residual theta - R w, and a move: r.r, R r,
-        # r.R r, the step size and w += mu r.
-        n = config.length
-        state.ops.add(
-            n + n * n + move * (n * n + 2 * n - 1),
-            n + n * n + move * (n * n + 3 * n + 1),
-        )
     state.step_index += 1
-    return e, applied
+    return e, applied, phi, move
 
 
 def iwf_ase_step(
@@ -344,14 +336,14 @@ def iwf_ase_step(
     while the delay line fills.
     """
     x, d = _check_sample(config, x, d)
-    return state, StepOutput(*_vss_step(state, config, x, d, config.ase, True))
+    return state, StepOutput(*_counted(_vss_step, vss_step_ops, state, config, x, d, config.ase, True)[:2])
 
 
 def iwf_step(state: FilterState, config: FilterConfig, x, d) -> tuple[FilterState, StepOutput]:
     """Non-robust baseline: identical to :func:`iwf_ase_step` with the
     weighting factor pinned to 1 and no skip logic."""
     x, d = _check_sample(config, x, d)
-    return state, StepOutput(*_vss_step(state, config, x, d, None, True))
+    return state, StepOutput(*_counted(_vss_step, vss_step_ops, state, config, x, d, None, True)[:2])
 
 
 def rmcc_step(
@@ -366,7 +358,7 @@ def rmcc_step(
     kernel_sigma = float(kernel_sigma)
     _check_kernel_width(kernel_sigma)
     x, d = _check_sample(config, x, d)
-    return state, StepOutput(*_vss_step(state, config, x, d, kernel_sigma, True))
+    return state, StepOutput(*_counted(_vss_step, vss_step_ops, state, config, x, d, kernel_sigma, True)[:2])
 
 
 def _check_kernel_width(sigma: float) -> None:
@@ -433,7 +425,7 @@ def dcd_ase_step(
     """
     _check_solver(config)
     x, d = _check_sample(config, x, d)
-    return state, StepOutput(*_dcd_step(state, config, x, d, config.ase, True))
+    return state, StepOutput(*_counted(_dcd_step, dcd_step_ops, state, config, x, d, config.ase, True)[:2])
 
 
 def _check_solver(config: FilterConfig) -> None:
@@ -443,10 +435,10 @@ def _check_solver(config: FilterConfig) -> None:
 
 def _dcd_step(
     state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting, checked=False
-) -> tuple[float, bool]:
+) -> tuple[float, bool, float, bool]:
     n = config.length
     e = d - float(state.w @ x)
-    applied, phi = _weigh(state, e, weighting)
+    applied, phi = _weigh(e, weighting)
 
     lam = config.lam
     correction = config._leak_correction
@@ -459,8 +451,7 @@ def _dcd_step(
     # has decayed part of the diagonal to zero or to a subnormal: such a
     # pivot accepts every coordinate update and the weights run away.
     held = state.step_index < n - 1
-    shift = config.dcd_update == "shift"
-    if shift:
+    if config.dcd_update == "shift":
         r_mat = state.ring
         if r_mat is None:
             raise FilterError("shift-mode dcd_ase_step needs R as a ring; this state holds R dense")
@@ -487,33 +478,21 @@ def _dcd_step(
     # Otherwise solve in place: rhs becomes the residual and the increment
     # goes into w.
     if not held:
-        if checked:
-            _check_system(r_mat, rhs)
-        _dcd_solve(r_mat, rhs, config.dcd, state.w, ops=state.ops)
+        _solve(state, r_mat, rhs, config.dcd, checked)
     state.residual = rhs
-
-    if state.ops is not None:
-        # The prior error, the textbook leakage step (1 add, 2 mults, though
-        # the correction is precomputed), the R update, lam * residual and
-        # the error injection, the correction on the entries it touches (one
-        # in shift mode, the diagonal in dense mode) on R and rhs, and L adds
-        # for the weight update per solved step, though the solve adds only
-        # into the coordinates it moved; the weighting and the solve count
-        # themselves.
-        injected = phi != 0.0
-        corrected = correction != 0.0
-        if shift:
-            r_adds, r_mults, touched = n, 2 * n, 1
-        else:
-            r_adds, r_mults, touched = injected * n * n, n * n + injected * (n * n + n), n
-        state.ops.add(
-            n + 1 + r_adds + injected * n + 2 * corrected * touched + (not held) * n,
-            n + 2 + r_mults + n + injected * (n + 1) + corrected * touched,
-        )
 
     state.updates_applied += applied
     state.step_index += 1
-    return e, applied
+    return e, applied, phi, not held
+
+
+def _solve(state: FilterState, r_mat, rhs: np.ndarray, params: DcdParams, checked: bool) -> None:
+    """:func:`~asefilt.dcd.dcd_solve` for a step: with ``checked`` its
+    checks, then the solve in place into ``rhs`` and ``state.w``, which
+    prices itself into ``state.ops``."""
+    if checked:
+        _check_system(r_mat, rhs)
+    _dcd_solve(r_mat, rhs, params, state.w, ops=state.ops)
 
 
 def _state_is_finite(state: FilterState) -> bool:

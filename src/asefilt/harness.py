@@ -19,15 +19,17 @@ regressor rows and desired signal for shape and finiteness.  It then
 steps each filter through one of the two private trusted cores in
 ``filters``, ``_vss_step`` or ``_dcd_step``, called with the algorithm's
 config and error weighting; the cores skip the per-call checks of the
-public step functions, and results are bit-identical to stepping through
-them.
+public step functions and count nothing, and results are bit-identical
+to stepping through them.  Only an ``instrument`` run wraps them in the
+public steps' pricing, ``filters._counted``.
 
-Finite inputs can still overflow a filter's statistics.  The cores
-leave that to the driver, which checks each state once per block of
-``_BLOCK_ROWS`` rows (``filters._state_is_finite``) and raises one
+Finite inputs can still overflow a filter's statistics.  The driver
+checks each state once per block of ``_BLOCK_ROWS`` rows
+(``filters._state_is_finite``) and raises one
 :class:`~asefilt.filters.FilterError` naming the algorithm, the run and
-the block's samples.  The squared weight deviation of the NMSD curves is
-likewise computed per block of rows, not per sample.
+the block's samples; numpy's overflow warnings are silenced while the
+cores run.  The squared weight deviation of the NMSD curves is likewise
+computed per block of rows, not per sample.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .counting import OpCounter, OpsPerIteration, per_iteration
+from .counting import OpCounter, OpsPerIteration, dcd_step_ops, per_iteration, vss_step_ops
 from .dcd import DcdParams
 from .estimator import AseParams
 from .filters import (
@@ -47,6 +50,7 @@ from .filters import (
     FilterError,
     _check_kernel_width,
     _check_solver,
+    _counted,
     _dcd_step,
     _state_is_finite,
     _vss_step,
@@ -288,10 +292,10 @@ def default_algorithms(
     return specs
 
 
-def _make_stepper(spec: AlgoSpec, bg_std: float) -> tuple[Callable, AseParams | float | None]:
-    """The trusted solver core of ``spec`` and its error weighting:
-    ``core(state, spec.config, x, d, weighting)`` returns the prior error
-    and whether the sample was applied.
+def _make_stepper(spec: AlgoSpec, bg_std: float, instrument: bool) -> tuple[Callable, AseParams | float | None]:
+    """The trusted solver core of ``spec``, priced with its cost model only
+    with ``instrument``, and its error weighting: ``core(state,
+    spec.config, x, d, weighting)`` returns ``(prior_error, applied, phi, moved)``.
 
     Raises here, before any step, what the public step would raise on
     every call for the configuration."""
@@ -309,8 +313,8 @@ def _make_stepper(spec: AlgoSpec, bg_std: float) -> tuple[Callable, AseParams | 
     # takes effect.
     if spec.kind == "dcd_ase":
         _check_solver(cfg)
-        return _dcd_step, weighting
-    return _vss_step, weighting
+    core, price = (_dcd_step, dcd_step_ops) if spec.kind == "dcd_ase" else (_vss_step, vss_step_ops)
+    return (partial(_counted, core, price) if instrument else core), weighting
 
 
 def _check_draw(x_rows, d, horizon: int, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,7 +360,7 @@ def _paired_runs(
             raise ValueError(
                 f"algorithm {spec.name!r} has length {spec.config.length}, experiment needs {length}"
             )
-    steppers = [_make_stepper(spec, bg_std) for spec in algorithms]
+    steppers = [_make_stepper(spec, bg_std, instrument) for spec in algorithms]
     counters = [OpCounter() if instrument else None for _ in algorithms]
     se_sum = [np.zeros(horizon) for _ in algorithms]
     applied_sum = [np.zeros(horizon) for _ in algorithms]
@@ -384,12 +388,14 @@ def _paired_runs(
                 rows = zip(x_rows[start:stop], d[start:stop].tolist())
                 block_err = []
                 block_applied = []
-                for t, (x, d_t) in enumerate(rows):
-                    e, a = core(state, cfg, x, d_t, weighting)
-                    block_err.append(e)
-                    block_applied.append(a)
-                    if w_block is not None:
-                        w_block[t] = state.w
+                # The block check below is the one report of an overflow.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for t, (x, d_t) in enumerate(rows):
+                        e, a, _, _ = core(state, cfg, x, d_t, weighting)
+                        block_err.append(e)
+                        block_applied.append(a)
+                        if w_block is not None:
+                            w_block[t] = state.w
                 if not _state_is_finite(state):
                     raise FilterError(
                         f"{spec.name}: run {run}: the filter state became non-finite"

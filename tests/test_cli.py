@@ -245,6 +245,30 @@ def test_anc_overflowing_waveforms_are_a_runtime_error(tmp_path, capsys):
     assert "block of samples 0 to 63" in err and "Traceback" not in err
 
 
+def test_anc_huge_shaping_overflow_is_one_runtime_error(tmp_path, capsys):
+    """A finite but huge --shaping overflows R.  The block check is the one
+    report: exit 3 with its message, and no numpy warning, which tier-1's
+    warning filter would otherwise turn into a different error."""
+    out = tmp_path / "o"
+    rc = run_cli("anc", "--shaping", "1e307", "--runs", "1", "--horizon", "100", "--out", str(out))
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err == "asefilt: error: iwf: run 0: the filter state became non-finite in the block of samples 0 to 63\n"
+    assert not out.exists()
+
+
+def test_anc_directory_as_waveform_file_is_config_error(tmp_path, capsys):
+    primary, folder = tmp_path / "p.csv", tmp_path / "ref_dir"
+    save_waveform(primary, np.zeros(64))
+    folder.mkdir()
+    out = tmp_path / "o"
+    rc = run_cli("anc", "--primary-file", str(primary), "--reference-file", str(folder), "--out", str(out))
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("asefilt: configuration error: cannot read waveform file") and "ref_dir" in err
+    assert not out.exists()
+
+
 def test_sysid_filter_longer_than_horizon(tmp_path):
     out = tmp_path / "o"
     rc = run_cli("sysid", "--horizon", "3", "--length", "6", "--runs", "1", "--out", str(out))
@@ -348,6 +372,27 @@ def test_sweep_cutoff_ordering(tmp_path):
     assert steady[0] < steady[1]
     assert (out / "sweep_curves.csv").exists()
     assert (out / "sweep.svg").exists()
+
+
+def test_sweep_labels_are_unique(tmp_path):
+    """Values equal to 6 significant digits get their repr, in the curves
+    header, the summary and the chart legend; the rest keep ``:g``."""
+    out = tmp_path / "o"
+    rc = run_cli(
+        "sweep", "--param", "c", "--values", "2.0000001,2.0000002,3", "--runs", "1", "--horizon", "50",
+        "--out", str(out),
+    )
+    assert rc == EXIT_OK
+    labels = ["c=2.0000001", "c=2.0000002", "c=3"]
+    assert read_header(out / "sweep_curves.csv") == ",".join(["iteration", *labels])
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert [line.split("  ")[0] for line in summary[-3:]] == labels
+    svg = (out / "sweep.svg").read_text()
+    assert all(f">{label}<" in svg for label in labels)
+    runs = [(value, None, None) for value in (1, 8, 1000000)]
+    assert cli._sweep_labels("n_updates", runs) == ["n_updates=1", "n_updates=8", "n_updates=1000000"]
+    runs = [(value, None, None) for value in (0.5, 1e-07, 1.00000001e-07)]
+    assert cli._sweep_labels("c", runs) == ["c=0.5", "c=1e-07", "c=1.00000001e-07"]
 
 
 def test_sweep_requires_values(tmp_path, capsys):

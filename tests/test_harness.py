@@ -2,6 +2,7 @@
 experiment drivers at toy scale."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -378,6 +379,33 @@ def test_traced_names_see_the_driver_and_the_public_steps(monkeypatch):
         "filters._dcd_solve": True,
         "filters.ase_weight": True,
     }
+
+
+def test_uninstrumented_driver_prices_nothing(monkeypatch):
+    """Without ``instrument`` the driver steps the bare cores: neither the
+    pricing wrapper nor a step's cost model runs.  With it they do."""
+
+    def no_pricing(*args):
+        raise AssertionError("priced an uninstrumented step")
+
+    for name in ("_counted", "vss_step_ops", "dcd_step_ops"):
+        monkeypatch.setattr(harness, name, no_pricing)
+    sc = make_sysid_scenario(length=4, horizon=80, mc_runs=2, seed=5)
+    anc = AncSpec(horizon=80, mc_runs=2, seed=5, filter_length=4)
+    for dcd_update in ("shift", "dense"):
+        algos = default_algorithms(4, dcd_update=dcd_update)
+        assert all(rec.op_counts is None for rec in run_sysid(sc, algos))
+        assert all(rec.op_counts is None for rec in run_anc(anc, algos)[0])
+        for spec in algos:
+            with pytest.raises(AssertionError, match="priced an uninstrumented step"):
+                run_sysid(sc, [spec], instrument=True)
+
+
+def test_trusted_cores_do_no_counting():
+    """The cores and the weighting are arithmetic only: the cost model
+    lives in ``counting`` and the pricing in ``filters._counted``."""
+    for fn in (filters._vss_step, filters._dcd_step, filters._weigh, filters._correlation_update):
+        assert "ops" not in inspect.getsource(fn), fn.__name__
 
 
 @pytest.mark.parametrize("horizon", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])
