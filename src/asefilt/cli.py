@@ -5,8 +5,9 @@ file is INI-style with one section per subcommand; unknown sections or
 keys are rejected by name.  Each subcommand plans, then runs: its plan
 checks every option and input file before the output directory exists
 (a rejection, ``ValueError`` included, exits 2), a failed run exits 3,
-and ``main`` writes ``summary.txt`` from the options and the lines the
-run returns.  All CSV and SVG outputs are deterministic for a fixed seed
+the run step creates the output directory only after its runs, and
+``main`` writes ``summary.txt`` from the options and the lines the run
+returns.  All CSV and SVG outputs are deterministic for a fixed seed
 and written atomically.
 """
 
@@ -428,6 +429,12 @@ def _parse_int_list(raw: str, what: str) -> list[int]:
         raise ConfigError(f"invalid {what}: {exc}") from None
 
 
+def _check_distinct(values: list, what: str) -> None:
+    """Reject a value that ``values`` holds twice, compared as parsed."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{what} must not repeat a value, got {values}")
+
+
 def _plan_sweep_runs(opts: dict, param: str, values: list, kind: str) -> list[tuple]:
     """One ``(value, algorithms, scenario)`` of ``kind`` per value of ``param``."""
     runs = []
@@ -443,19 +450,20 @@ def _sweep_labels(param: str, runs: list[tuple]) -> list[str]:
     return [f"{param}={s if short.count(s) == 1 else repr(v)}" for s, (v, _, _) in zip(short, runs)]
 
 
-def _run_sweep(outdir: Path, name: str, param: str, runs: list[tuple]) -> tuple[list, list[str]]:
-    """Run each planned value and write its steady NMSD and update ratio to
-    ``name``; return the records and one summary line per value."""
+def _run_sweep(param: str, runs: list[tuple]) -> tuple[list, tuple[list, list], list[str]]:
+    """Run each planned value; return the records, the table of each
+    value's steady NMSD and update ratio as ``(header, rows)``, and one
+    summary line per value."""
     records = [run_sysid(scenario, algos)[0] for _, algos, scenario in runs]
     rows = [[value, steady_state(rec.nmsd_db), rec.update_ratio] for (value, _, _), rec in zip(runs, records)]
-    write_csv(outdir / name, [param, "steady_nmsd_db", "update_ratio"], rows, REPORT_FMT)
     labels = _sweep_labels(param, runs)
     lines = [f"{label}  steady_nmsd_db={nm:.3f}  update_ratio={ur:.4f}" for label, (_, nm, ur) in zip(labels, rows)]
-    return records, lines
+    return records, ([param, "steady_nmsd_db", "update_ratio"], rows), lines
 
 
 def plan_dcd_bench(opts: dict) -> tuple[list[int], list[tuple] | None]:
     nu_list = _parse_int_list(opts["nu_list"], "nu_list")
+    _check_distinct(nu_list, "nu_list")
     if any(nu < 1 for nu in nu_list):
         raise ConfigError("nu_list entries must be >= 1")
     if opts["systems"] < 1:
@@ -472,7 +480,6 @@ def plan_dcd_bench(opts: dict) -> tuple[list[int], list[tuple] | None]:
 def cmd_dcd_bench(opts: dict, plan) -> list[str]:
     nu_list, embedded = plan
     length = opts["length"]
-    outdir = _prepare_outdir(opts)
 
     acc_rows = []
     for nu in nu_list:
@@ -488,8 +495,6 @@ def cmd_dcd_bench(opts: dict, plan) -> list[str]:
             result = dcd_solve(r_matrix, rhs, params)
             errs.append(float(np.max(np.abs(result.delta_w - x_star))))
         acc_rows.append([nu, max(errs), sum(errs) / len(errs)])
-    header = ["n_updates_per_tap", "max_abs_err", "mean_abs_err"]
-    write_csv(outdir / "dcd_accuracy.csv", header, acc_rows, REPORT_FMT)
 
     ops_rows = []
     for nu in nu_list:
@@ -497,14 +502,21 @@ def cmd_dcd_bench(opts: dict, plan) -> list[str]:
         for kind in ("iwf", "iwf_ase", "rmcc", "dcd_rmcc", "dcd_ase"):
             nominal = count_ops(kind, length, dcd)
             ops_rows.append([kind, nu, nominal.adds, nominal.mults])
-    write_csv(outdir / "dcd_ops.csv", ["algorithm", "n_updates", "adds", "mults"], ops_rows, REPORT_FMT)
+    tables = {
+        "dcd_accuracy.csv": (["n_updates_per_tap", "max_abs_err", "mean_abs_err"], acc_rows),
+        "dcd_ops.csv": (["algorithm", "n_updates", "adds", "mults"], ops_rows),
+    }
 
     lines = ["accuracy sweep (max over systems of ||dcd - exact||_inf):"]
     for nu, mx, mean in acc_rows:
         lines.append(f"n_updates={nu}/tap  max_err={mx:.3e}  mean_err={mean:.3e}")
     if embedded is not None:
-        lines += ["", "embedded in the adaptive filter:"]
-        lines += _run_sweep(outdir, "dcd_embedded.csv", "n_updates", embedded)[1]
+        _, tables["dcd_embedded.csv"], embedded_lines = _run_sweep("n_updates", embedded)
+        lines += ["", "embedded in the adaptive filter:", *embedded_lines]
+
+    outdir = _prepare_outdir(opts)
+    for name, table in tables.items():
+        write_csv(outdir / name, *table, REPORT_FMT)
     return lines
 
 
@@ -521,6 +533,7 @@ def plan_sweep(opts: dict) -> tuple[str, list[tuple]]:
         values = [int(s) if param == "n_updates" else float(s) for s in raw_values]
     except ValueError as exc:
         raise ConfigError(f"invalid sweep values: {exc}") from None
+    _check_distinct(values, "sweep values")
     kind = _parse_algo_list({"algos": "iwf_ase", **opts})[0]
     return kind, _plan_sweep_runs(opts, param, values, kind)
 
@@ -528,8 +541,9 @@ def plan_sweep(opts: dict) -> tuple[str, list[tuple]]:
 def cmd_sweep(opts: dict, plan) -> list[str]:
     kind, runs = plan
     param = opts["param"]
+    records, table, lines = _run_sweep(param, runs)
     outdir = _prepare_outdir(opts)
-    records, lines = _run_sweep(outdir, "sweep.csv", param, runs)
+    write_csv(outdir / "sweep.csv", *table, REPORT_FMT)
     _write_curves(
         outdir, "sweep_curves.csv", "sweep.svg", _sweep_labels(param, runs),
         [rec.nmsd_db for rec in records], f"{kind}: sweep over {param}", "NMSD (dB)",

@@ -4,8 +4,10 @@ The filter cores count nothing.  The pure ``*_ops`` functions here price
 one call as ``(adds, mults, comparisons)`` in closed form, from the length
 and from what the call decided.  The public steps and
 ``correlation_update`` add that price to the state's counter through
-``filters._counted``, which the Monte Carlo driver wraps around its cores
-only when instrumented; a solve given a counter prices itself.  Two
+``filters._counted``.  The Monte Carlo driver records each core's result
+row and, only when instrumented, prices a block's rows once after the
+block's finiteness check.  A solve given a counter prices itself, since
+only the solve knows its halving depth.  Two
 ``dcd_ase`` charges stand above the work executed: ``length`` adds for
 the weight update on every solved step, though the solve adds only into
 the at most ``n_updates`` coordinates it moved, and the textbook leakage

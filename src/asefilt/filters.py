@@ -34,13 +34,17 @@ recursion in one body, on ``x`` and ``d`` as :func:`_check_sample`
 returns them, and returns ``(prior_error, applied, phi, moved)``, where
 ``moved`` says whether the weights moved or the solver ran.  It counts
 nothing: the public steps price that result into ``state.ops`` with
-:func:`_counted` and the cost model of :mod:`~asefilt.counting`.  Finite
-input can still overflow, so with ``checked`` (the public steps) a core
-keeps the checks of :func:`correlation_update` on ``phi``,
+:func:`_counted` and the cost model of :mod:`~asefilt.counting`, and the
+Monte Carlo harness prices the results it recorded once per block of
+rows; only the DCD solve prices itself.  Finite input can still
+overflow, so with ``checked`` (the public steps) a core keeps the checks
+of :func:`correlation_update` on ``phi``,
 :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
-:func:`~asefilt.dcd.dcd_solve` on the system.  The Monte Carlo harness
-calls the cores unchecked, with the private forms of those three, and
-checks each state once per block of rows with :func:`_state_is_finite`.
+:func:`~asefilt.dcd.dcd_solve` on the system, and ``_vss_step`` raises
+:class:`ValueError` on a step size that is not finite before the weights
+move.  The Monte Carlo harness calls the cores unchecked, with the
+private forms of those checks, and checks each state once per block of
+rows with :func:`_state_is_finite`.
 """
 
 from __future__ import annotations
@@ -319,6 +323,8 @@ def _vss_step(
     move = state.step_index >= config.length - 1
     if move:
         mu = float(r @ r) / (float(r @ (r_mat @ r)) + VSS_GUARD)
+        if checked and not math.isfinite(mu):
+            raise ValueError(f"the weight step size must be finite, got {mu!r}")
         state.w += mu * r
     state.step_index += 1
     return e, applied, phi, move

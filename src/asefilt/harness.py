@@ -20,16 +20,26 @@ steps each filter through one of the two private trusted cores in
 ``filters``, ``_vss_step`` or ``_dcd_step``, called with the algorithm's
 config and error weighting; the cores skip the per-call checks of the
 public step functions and count nothing, and results are bit-identical
-to stepping through them.  Only an ``instrument`` run wraps them in the
-public steps' pricing, ``filters._counted``.
+to stepping through them.  The driver keeps each block's core results,
+one ``(prior_error, applied, phi, moved)`` row per sample, as the
+block's trace and fills the error and applied series from it.  The
+stepping loop is the same with and without ``instrument``; an
+``instrument`` run then prices the block's rows once, after the block
+check, with the core's cost function from :mod:`~asefilt.counting`.
+Only the DCD solve prices itself, into the state's counter, since only
+the solve knows how deep it halved.
 
 Finite inputs can still overflow a filter's statistics.  The driver
 checks each state once per block of ``_BLOCK_ROWS`` rows
 (``filters._state_is_finite``) and raises one
 :class:`~asefilt.filters.FilterError` naming the algorithm, the run and
-the block's samples; numpy's overflow warnings are silenced while the
-cores run.  The squared weight deviation of the NMSD curves is likewise
-computed per block of rows, not per sample.
+the block's samples.  The squared weight deviation of the NMSD curves is
+likewise computed per block of rows, not per sample.  A finite state can
+still overflow the scores, so the curve an experiment reports, the NMSD
+with a target plant and the residual MSE without one, must come out
+finite, or one ``FilterError`` names the algorithm.  numpy's overflow
+warnings are silenced while the cores run and while the driver scores
+them, so these checks are the one report.
 """
 
 from __future__ import annotations
@@ -37,7 +47,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -50,7 +59,6 @@ from .filters import (
     FilterError,
     _check_kernel_width,
     _check_solver,
-    _counted,
     _dcd_step,
     _state_is_finite,
     _vss_step,
@@ -292,10 +300,11 @@ def default_algorithms(
     return specs
 
 
-def _make_stepper(spec: AlgoSpec, bg_std: float, instrument: bool) -> tuple[Callable, AseParams | float | None]:
-    """The trusted solver core of ``spec``, priced with its cost model only
-    with ``instrument``, and its error weighting: ``core(state,
-    spec.config, x, d, weighting)`` returns ``(prior_error, applied, phi, moved)``.
+def _make_stepper(spec: AlgoSpec, bg_std: float) -> tuple[Callable, Callable, AseParams | float | None]:
+    """The trusted solver core of ``spec``, its cost function and its error
+    weighting: ``core(state, spec.config, x, d, weighting)`` returns the
+    row ``(prior_error, applied, phi, moved)`` that ``price(spec.config,
+    weighting, row)`` prices.
 
     Raises here, before any step, what the public step would raise on
     every call for the configuration."""
@@ -313,8 +322,8 @@ def _make_stepper(spec: AlgoSpec, bg_std: float, instrument: bool) -> tuple[Call
     # takes effect.
     if spec.kind == "dcd_ase":
         _check_solver(cfg)
-    core, price = (_dcd_step, dcd_step_ops) if spec.kind == "dcd_ase" else (_vss_step, vss_step_ops)
-    return (partial(_counted, core, price) if instrument else core), weighting
+        return _dcd_step, dcd_step_ops, weighting
+    return _vss_step, vss_step_ops, weighting
 
 
 def _check_draw(x_rows, d, horizon: int, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +369,7 @@ def _paired_runs(
             raise ValueError(
                 f"algorithm {spec.name!r} has length {spec.config.length}, experiment needs {length}"
             )
-    steppers = [_make_stepper(spec, bg_std, instrument) for spec in algorithms]
+    steppers = [_make_stepper(spec, bg_std) for spec in algorithms]
     counters = [OpCounter() if instrument else None for _ in algorithms]
     se_sum = [np.zeros(horizon) for _ in algorithms]
     applied_sum = [np.zeros(horizon) for _ in algorithms]
@@ -375,56 +384,62 @@ def _paired_runs(
     for run in range(runs):
         x_rows, d, target = draw(run)
         x_rows, d = _check_draw(x_rows, d, horizon, length)
-        for idx, spec in enumerate(algorithms):
-            cfg = spec.config
-            state = filter_init(cfg, ops=counters[idx])
-            core, weighting = steppers[idx]
-            err = np.empty(horizon)
-            applied = np.empty(horizon, dtype=bool)
-            t0 = time.perf_counter()
-            for start in range(0, horizon, _BLOCK_ROWS):
-                stop = min(start + _BLOCK_ROWS, horizon)
-                # d as Python floats, as the public steps' check converts it.
-                rows = zip(x_rows[start:stop], d[start:stop].tolist())
-                block_err = []
-                block_applied = []
-                # The block check below is the one report of an overflow.
-                with np.errstate(over="ignore", invalid="ignore"):
+        # The block check and the check of the reported curve below are the
+        # one report of an overflow, in the cores or in the scoring.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx, spec in enumerate(algorithms):
+                cfg = spec.config
+                state = filter_init(cfg, ops=counters[idx])
+                core, price, weighting = steppers[idx]
+                err = np.empty(horizon)
+                applied = np.empty(horizon, dtype=bool)
+                t0 = time.perf_counter()
+                for start in range(0, horizon, _BLOCK_ROWS):
+                    stop = min(start + _BLOCK_ROWS, horizon)
+                    # d as Python floats, as the public steps' check converts it.
+                    rows = zip(x_rows[start:stop], d[start:stop].tolist())
+                    # The block's trace: one (prior_error, applied, phi, moved) row per sample.
+                    block = []
                     for t, (x, d_t) in enumerate(rows):
-                        e, a, _, _ = core(state, cfg, x, d_t, weighting)
-                        block_err.append(e)
-                        block_applied.append(a)
+                        block.append(core(state, cfg, x, d_t, weighting))
                         if w_block is not None:
                             w_block[t] = state.w
-                if not _state_is_finite(state):
-                    raise FilterError(
-                        f"{spec.name}: run {run}: the filter state became non-finite"
-                        f" in the block of samples {start} to {stop - 1}"
-                    )
-                err[start:stop] = block_err
-                applied[start:stop] = block_applied
-                if w_block is not None:
-                    diff = w_block[: stop - start] - w_o
-                    dev_sum[idx][start:stop] += np.vecdot(diff, diff)
-            wall[idx] += time.perf_counter() - t0
-            ur_sum[idx] += update_ratio(state)
-            resid = err - target
-            se_sum[idx] += resid * resid
-            applied_sum[idx] += applied
-            if run == 0:
-                first_errors.append(err)
+                    if not _state_is_finite(state):
+                        raise FilterError(
+                            f"{spec.name}: run {run}: the filter state became non-finite"
+                            f" in the block of samples {start} to {stop - 1}"
+                        )
+                    err[start:stop], applied[start:stop], _, _ = zip(*block)
+                    if instrument:
+                        for row in block:
+                            state.ops.add(*price(cfg, weighting, row))
+                    if w_block is not None:
+                        diff = w_block[: stop - start] - w_o
+                        dev_sum[idx][start:stop] += np.vecdot(diff, diff)
+                wall[idx] += time.perf_counter() - t0
+                ur_sum[idx] += update_ratio(state)
+                resid = err - target
+                se_sum[idx] += resid * resid
+                applied_sum[idx] += applied
+                if run == 0:
+                    first_errors.append(err)
 
     records = []
     for idx, spec in enumerate(algorithms):
         nmsd_db = None
         if w_o is not None:
-            mean_dev = dev_sum[idx] / (runs * float(w_o @ w_o))
-            nmsd_db = power_db(mean_dev)
+            with np.errstate(over="ignore"):
+                nmsd_db = power_db(dev_sum[idx] / (runs * float(w_o @ w_o)))
+        mse = se_sum[idx] / runs
+        # The curve the experiment reports: the NMSD with a plant, else the residual MSE.
+        name, curve = ("residual MSE", mse) if nmsd_db is None else ("NMSD", nmsd_db)
+        if not np.isfinite(curve).all():
+            raise FilterError(f"{spec.name}: the {name} curve is not finite")
         records.append(
             RunRecord(
                 algorithm=spec.name,
                 nmsd_db=nmsd_db,
-                mse=se_sum[idx] / runs,
+                mse=mse,
                 update_ratio=ur_sum[idx] / runs,
                 applied_rate=applied_sum[idx] / runs,
                 wall_time=wall[idx],

@@ -257,6 +257,40 @@ def test_anc_huge_shaping_overflow_is_one_runtime_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sysid_overflowing_mse_stays_quiet_beside_a_finite_nmsd(tmp_path, capsys):
+    """Impulses of variance 1e308 overflow the squared prior error, a score
+    sysid never writes.  The robust filters reject them, so the NMSD stays
+    finite and the run succeeds without a numpy warning, which tier-1's
+    warning filter would turn into an error."""
+    out = tmp_path / "o"
+    rc = run_cli(
+        "sysid", "--impulse-var", "1e308", "--runs", "2", "--horizon", "300",
+        "--algos", "iwf_ase,dcd_ase", "--out", str(out),
+    )
+    assert rc == EXIT_OK
+    assert capsys.readouterr().err == ""
+    cells = [cell for row in (out / "nmsd.csv").read_text().splitlines()[1:] for cell in row.split(",")]
+    assert np.isfinite(np.array(cells, dtype=float)).all()
+
+
+def test_anc_overflowing_residual_mse_is_one_runtime_error(tmp_path, capsys):
+    """A +-1e160 primary waveform leaves the robust filters' states finite
+    (they reject every sample) but squares to inf in the residual MSE that
+    mse.csv would hold: exit 3 naming the algorithm, and no output."""
+    rng = np.random.default_rng(3)
+    p, r = tmp_path / "p.csv", tmp_path / "r.csv"
+    save_waveform(p, 1e160 * np.sign(rng.standard_normal(300)))
+    save_waveform(r, rng.standard_normal(300))
+    out = tmp_path / "o"
+    rc = run_cli(
+        "anc", "--primary-file", str(p), "--reference-file", str(r), "--algos", "iwf_ase,dcd_ase",
+        "--out", str(out),
+    )
+    assert rc == EXIT_RUNTIME
+    assert capsys.readouterr().err == "asefilt: error: iwf_ase: the residual MSE curve is not finite\n"
+    assert not out.exists()
+
+
 def test_anc_directory_as_waveform_file_is_config_error(tmp_path, capsys):
     primary, folder = tmp_path / "p.csv", tmp_path / "ref_dir"
     save_waveform(primary, np.zeros(64))
@@ -339,6 +373,8 @@ def test_dcd_bench_empty_sweep_list(tmp_path, capsys):
         ("--h", "-1"),
         ("--embedded-runs", "0"),
         ("--embedded-horizon", "0"),
+        ("--nu-list", "1,1"),
+        ("--nu-list", "2,4,2"),
     ],
 )
 def test_dcd_bench_bad_option_is_config_error(tmp_path, capsys, flag, value):
@@ -403,7 +439,10 @@ def test_sweep_requires_values(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "param, values",
-    [("c", "1,-1"), ("c", "-1"), ("n_updates", "2,0"), ("impulse_prob", "0.1,2"), ("snr_db", "-4000")],
+    [
+        ("c", "1,-1"), ("c", "-1"), ("n_updates", "2,0"), ("impulse_prob", "0.1,2"), ("snr_db", "-4000"),
+        ("c", "2,2"), ("c", "2,3,2.0"), ("n_updates", "4,4"),
+    ],
 )
 def test_sweep_bad_value_is_rejected_before_any_run(tmp_path, capsys, monkeypatch, param, values):
     """Every value is checked before the first run: a bad later value
@@ -416,6 +455,27 @@ def test_sweep_bad_value_is_rejected_before_any_run(tmp_path, capsys, monkeypatc
     assert calls == []
     assert not out.exists()
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--param", "c", "--values", "1,2", "--runs", "1", "--horizon", "50"],
+        ["dcd-bench", "--systems", "2", "--embedded-runs", "1", "--embedded-horizon", "50"],
+    ],
+)
+def test_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, argv):
+    """sweep and dcd-bench, like sysid and anc, create the output directory
+    only after their runs: a run that fails exits 3 and leaves none."""
+
+    def failing_run(*args, **kwargs):
+        raise RuntimeError("the run failed")
+
+    monkeypatch.setattr(cli, "run_sysid", failing_run)
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "asefilt: error: the run failed\n"
+    assert not out.exists()
 
 
 def test_sweep_unknown_algorithm(tmp_path, capsys):

@@ -214,6 +214,23 @@ def test_public_steps_keep_their_inner_checks(kind, dcd_update, message):
             step()
 
 
+@pytest.mark.parametrize("step", [iwf_step, iwf_ase_step])
+def test_public_vss_steps_stop_before_nan_weights(step):
+    """x x^T overflows R at once and the residual is NaN from the first
+    step; the first move, once the delay line has filled, would make the
+    weights NaN.  The public step raises instead and leaves them as they
+    were."""
+    cfg = cfg_for(length=3)
+    st = filter_init(cfg)
+    x = np.full(3, 1e160)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            step(st, cfg, x, 0.1)
+        with pytest.raises(ValueError, match="the weight step size must be finite, got nan"):
+            step(st, cfg, x, 0.1)
+    assert np.array_equal(st.w, np.zeros(3))
+
+
 def test_iwf_ase_step_decomposes():
     """A step must equal prior error -> weighted stats -> residual move."""
     rng = np.random.default_rng(3)

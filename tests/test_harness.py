@@ -388,7 +388,7 @@ def test_uninstrumented_driver_prices_nothing(monkeypatch):
     def no_pricing(*args):
         raise AssertionError("priced an uninstrumented step")
 
-    for name in ("_counted", "vss_step_ops", "dcd_step_ops"):
+    for name in ("vss_step_ops", "dcd_step_ops"):
         monkeypatch.setattr(harness, name, no_pricing)
     sc = make_sysid_scenario(length=4, horizon=80, mc_runs=2, seed=5)
     anc = AncSpec(horizon=80, mc_runs=2, seed=5, filter_length=4)
@@ -399,6 +399,33 @@ def test_uninstrumented_driver_prices_nothing(monkeypatch):
         for spec in algos:
             with pytest.raises(AssertionError, match="priced an uninstrumented step"):
                 run_sysid(sc, [spec], instrument=True)
+
+
+def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
+    """The driver calls each core with the same five arguments, state,
+    config, row, d and weighting, with and without ``instrument``: the
+    pricing is added to the recorded rows, not wrapped around the cores."""
+    calls = []
+
+    def recording(name):
+        core = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, len(args), kwargs, args[1], tuple(args[2]), args[3], args[4]))
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    for name in CORES:
+        recording(name)
+    sc = make_sysid_scenario(length=4, horizon=_BLOCK + 5, mc_runs=2, seed=5)
+    seen = {}
+    for instrument in (False, True):
+        calls.clear()
+        run_sysid(sc, default_algorithms(4), instrument=instrument)
+        seen[instrument] = list(calls)
+    assert {(name, n, tuple(kwargs)) for name, n, kwargs, *_ in seen[True]} == {(name, 5, ()) for name in CORES}
+    assert seen[False] == seen[True]
 
 
 def test_trusted_cores_do_no_counting():
