@@ -197,13 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> configparser.ConfigParser:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
+    """The checked config file; its values are literal (no ``%`` interpolation)."""
+    cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from None
+        with open(path, encoding="utf-8") as f:
+            cp.read_file(f)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:  # missing, a directory, not UTF-8, not INI
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for section in cp.sections():
         if section not in SCHEMAS:
             raise ConfigError(f"unknown config section [{section}] in {path}")
@@ -419,20 +419,19 @@ def cmd_anc(opts: dict, plan) -> list[str]:
     return _record_table(records, "steady_mse_db", steadies) + _ops_lines(records)
 
 
-def _parse_int_list(raw: str, what: str) -> list[int]:
+def _parse_list(raw: str, what: str, parse) -> list:
+    """The comma-separated items of ``raw``, each through ``parse``; an
+    empty list or a value given twice, compared as parsed, is rejected."""
     items = [s.strip() for s in str(raw).split(",") if s.strip()]
     if not items:
         raise ConfigError(f"{what} must not be empty")
     try:
-        return [int(s) for s in items]
+        values = [parse(s) for s in items]
     except ValueError as exc:
         raise ConfigError(f"invalid {what}: {exc}") from None
-
-
-def _check_distinct(values: list, what: str) -> None:
-    """Reject a value that ``values`` holds twice, compared as parsed."""
     if len(set(values)) < len(values):
         raise ConfigError(f"{what} must not repeat a value, got {values}")
+    return values
 
 
 def _plan_sweep_runs(opts: dict, param: str, values: list, kind: str) -> list[tuple]:
@@ -462,8 +461,7 @@ def _run_sweep(param: str, runs: list[tuple]) -> tuple[list, tuple[list, list], 
 
 
 def plan_dcd_bench(opts: dict) -> tuple[list[int], list[tuple] | None]:
-    nu_list = _parse_int_list(opts["nu_list"], "nu_list")
-    _check_distinct(nu_list, "nu_list")
+    nu_list = _parse_list(opts["nu_list"], "nu_list", int)
     if any(nu < 1 for nu in nu_list):
         raise ConfigError("nu_list entries must be >= 1")
     if opts["systems"] < 1:
@@ -526,14 +524,7 @@ def plan_sweep(opts: dict) -> tuple[str, list[tuple]]:
         raise ConfigError("sweep requires --param")
     if not opts["values"]:
         raise ConfigError("sweep requires --values (comma-separated)")
-    raw_values = [s.strip() for s in str(opts["values"]).split(",") if s.strip()]
-    if not raw_values:
-        raise ConfigError("sweep values must not be empty")
-    try:
-        values = [int(s) if param == "n_updates" else float(s) for s in raw_values]
-    except ValueError as exc:
-        raise ConfigError(f"invalid sweep values: {exc}") from None
-    _check_distinct(values, "sweep values")
+    values = _parse_list(opts["values"], "sweep values", int if param == "n_updates" else float)
     kind = _parse_algo_list({"algos": "iwf_ase", **opts})[0]
     return kind, _plan_sweep_runs(opts, param, values, kind)
 

@@ -2,12 +2,11 @@
 
 The filter cores count nothing.  The pure ``*_ops`` functions here price
 one call as ``(adds, mults, comparisons)`` in closed form, from the length
-and from what the call decided.  The public steps and
-``correlation_update`` add that price to the state's counter through
-``filters._counted``.  The Monte Carlo driver records each core's result
-row and, only when instrumented, prices a block's rows once after the
-block's finiteness check.  A solve given a counter prices itself, since
-only the solve knows its halving depth.  Two
+and from what the call decided.  The public steps and the Monte Carlo
+driver both price the row a core returns: a public step adds it to the
+state's counter per call, the driver, only when instrumented, once per
+block of recorded rows after the block's finiteness check.  Only a
+solve given a counter prices itself, since only it knows its depth.  Two
 ``dcd_ase`` charges stand above the work executed: ``length`` adds for
 the weight update on every solved step, though the solve adds only into
 the at most ``n_updates`` coordinates it moved, and the textbook leakage
@@ -36,7 +35,7 @@ class OpCounter:
         self.comparisons += comparisons
 
 
-def correlation_ops(config, phi: float, _result=None) -> tuple[int, int, int]:
+def correlation_ops(config, phi: float) -> tuple[int, int, int]:
     """The decay; a sample adds phi x, its outer product and phi d x."""
     n, weighted = config.length, phi != 0.0
     return weighted * (n * n + n), n * n + n + weighted * (n * n + 2 * n + 1), 0

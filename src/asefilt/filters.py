@@ -31,13 +31,13 @@ descent), with the weighting :func:`_weigh` applies: None for
 ``iwf_step``, ``config.ase`` for ``iwf_ase_step`` and ``dcd_ase_step``,
 the kernel width for ``rmcc_step``.  A core runs a sample's whole
 recursion in one body, on ``x`` and ``d`` as :func:`_check_sample`
-returns them, and returns ``(prior_error, applied, phi, moved)``, where
-``moved`` says whether the weights moved or the solver ran.  It counts
-nothing: the public steps price that result into ``state.ops`` with
-:func:`_counted` and the cost model of :mod:`~asefilt.counting`, and the
-Monte Carlo harness prices the results it recorded once per block of
-rows; only the DCD solve prices itself.  Finite input can still
-overflow, so with ``checked`` (the public steps) a core keeps the checks
+returns them, and returns the row ``(prior_error, applied, phi, moved)``,
+where ``moved`` says whether the weights moved or the solver ran.  It
+counts nothing: the public steps and the Monte Carlo harness both price
+the row a core returns with the cost model of :mod:`~asefilt.counting`,
+a public step per call into ``state.ops`` and the harness once per block
+of rows it recorded; only the DCD solve prices itself.  Finite input can
+still overflow, so with ``checked`` (the public steps) a core keeps the checks
 of :func:`correlation_update` on ``phi``,
 :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
 :func:`~asefilt.dcd.dcd_solve` on the system, and ``_vss_step`` raises
@@ -248,16 +248,11 @@ def correlation_update(
     the two separate updates.
     """
     x, d = _check_sample(config, x, d)
-    _counted(_correlation_update, correlation_ops, state, config, x, d, _check_phi(phi))
-    return state
-
-
-def _counted(core, price, state: FilterState, config: FilterConfig, x, d, arg, checked=False):
-    """``core(...)``, its result priced by ``price`` into ``state.ops`` if any."""
-    result = core(state, config, x, d, arg, checked)
+    phi = _check_phi(phi)
+    _correlation_update(state, config, x, d, phi)
     if state.ops is not None:
-        state.ops.add(*price(config, arg, result))
-    return result
+        state.ops.add(*correlation_ops(config, phi))
+    return state
 
 
 def _check_phi(phi) -> float:
@@ -267,13 +262,8 @@ def _check_phi(phi) -> float:
     return phi
 
 
-def _correlation_update(
-    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, phi: float, checked=False
-) -> None:
-    """:func:`correlation_update` for ``x`` and ``d`` as its checks return
-    them; ``phi`` is checked only with ``checked``."""
-    if checked:
-        phi = _check_phi(phi)
+def _correlation_update(state: FilterState, config: FilterConfig, x: np.ndarray, d: float, phi: float) -> None:
+    """:func:`correlation_update` for ``x``, ``d`` and ``phi`` as its checks return them."""
     n = config.length
     stats = _dense_stats(state)
     stats *= config.lam
@@ -306,8 +296,10 @@ def _vss_step(
 ) -> tuple[float, bool, float, bool]:
     e = d - float(state.w @ x)
     applied, phi = _weigh(e, weighting)
+    if checked:
+        _check_phi(phi)
     # A gated sample has phi = 0.0, so the update only decays the statistics.
-    _correlation_update(state, config, x, d, phi, checked)
+    _correlation_update(state, config, x, d, phi)
     state.updates_applied += applied
     r_mat = state.stats[:-1]  # dense: the statistics update before this checked
     r = state.theta - r_mat @ state.w
@@ -330,6 +322,16 @@ def _vss_step(
     return e, applied, phi, move
 
 
+def _public_step(core, price, state: FilterState, config: FilterConfig, x, d, weighting) -> StepOutput:
+    """The body of a public step after its own checks: ``core`` on the
+    checked sample, its row priced by ``price`` into ``state.ops`` if any."""
+    x, d = _check_sample(config, x, d)
+    row = core(state, config, x, d, weighting, True)
+    if state.ops is not None:
+        state.ops.add(*price(config, weighting, row))
+    return StepOutput(*row[:2])
+
+
 def iwf_ase_step(
     state: FilterState, config: FilterConfig, x, d
 ) -> tuple[FilterState, StepOutput]:
@@ -341,15 +343,13 @@ def iwf_ase_step(
     update.  The weights stay at rest for the first ``length - 1`` steps
     while the delay line fills.
     """
-    x, d = _check_sample(config, x, d)
-    return state, StepOutput(*_counted(_vss_step, vss_step_ops, state, config, x, d, config.ase, True)[:2])
+    return state, _public_step(_vss_step, vss_step_ops, state, config, x, d, config.ase)
 
 
 def iwf_step(state: FilterState, config: FilterConfig, x, d) -> tuple[FilterState, StepOutput]:
     """Non-robust baseline: identical to :func:`iwf_ase_step` with the
     weighting factor pinned to 1 and no skip logic."""
-    x, d = _check_sample(config, x, d)
-    return state, StepOutput(*_counted(_vss_step, vss_step_ops, state, config, x, d, None, True)[:2])
+    return state, _public_step(_vss_step, vss_step_ops, state, config, x, d, None)
 
 
 def rmcc_step(
@@ -363,8 +363,7 @@ def rmcc_step(
     """
     kernel_sigma = float(kernel_sigma)
     _check_kernel_width(kernel_sigma)
-    x, d = _check_sample(config, x, d)
-    return state, StepOutput(*_counted(_vss_step, vss_step_ops, state, config, x, d, kernel_sigma, True)[:2])
+    return state, _public_step(_vss_step, vss_step_ops, state, config, x, d, kernel_sigma)
 
 
 def _check_kernel_width(sigma: float) -> None:
@@ -430,8 +429,7 @@ def dcd_ase_step(
     raises :class:`FilterError` before the step changes it.
     """
     _check_solver(config)
-    x, d = _check_sample(config, x, d)
-    return state, StepOutput(*_counted(_dcd_step, dcd_step_ops, state, config, x, d, config.ase, True)[:2])
+    return state, _public_step(_dcd_step, dcd_step_ops, state, config, x, d, config.ase)
 
 
 def _check_solver(config: FilterConfig) -> None:

@@ -13,14 +13,17 @@ import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
+_WIDTH = 840
+_HEIGHT = 480
+_TICKS = 6  # the number of axis ticks aimed at
 _MARGIN_LEFT = 72.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 40.0
 _MARGIN_BOTTOM = 48.0
 
 
-def _nice_step(span: float, target: int = 6) -> float:
-    raw = span / max(target, 1)
+def _nice_step(span: float) -> float:
+    raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -76,8 +79,6 @@ def line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 840,
-    height: int = 480,
 ) -> str:
     """Render labeled (x, y) series as a standalone SVG document string."""
     if not series:
@@ -96,8 +97,8 @@ def line_chart(
     y_lo -= pad
     y_hi += pad
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -107,13 +108,13 @@ def line_chart(
 
     out: list[str] = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" fill="#111111">{_escape(title)}</text>'
         )
 
@@ -143,7 +144,7 @@ def line_chart(
     )
     if xlabel:
         out.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle" '
+            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" fill="#111111">{_escape(xlabel)}</text>'
         )
     if ylabel:

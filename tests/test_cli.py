@@ -8,7 +8,7 @@ import pytest
 from asefilt import cli
 from asefilt.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from asefilt.harness import count_ops, default_algorithms, make_sysid_scenario, run_sysid
-from asefilt.signals import save_waveform
+from asefilt.signals import load_waveform, save_waveform
 
 
 def run_cli(*argv):
@@ -88,6 +88,55 @@ def test_config_file_unknown_section(tmp_path, capsys):
     rc = run_cli("sysid", "--config", str(cfgfile), "--out", str(tmp_path / "o"))
     assert rc == EXIT_CONFIG
     assert "sysyd" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, literal_out",
+    [
+        (None, None),
+        ("directory", None),
+        (b"[sysid]\nruns = 1\xff\n", None),
+        (b"runs = 1\n", None),
+        (b"[sysid]\nout = res%1\n", "res%1"),
+    ],
+    ids=["missing", "directory", "undecodable", "no-section", "percent"],
+)
+def test_config_file_is_checked_and_read_literally(tmp_path, capsys, monkeypatch, content, literal_out):
+    """A config file that is missing, is a directory, cannot be decoded or
+    cannot be parsed exits 2 naming it, before any output exists; a value
+    is read literally, ``%`` included."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ASEFILT_OUTDIR", raising=False)
+    cfgfile = tmp_path / "run.cfg"
+    if content == "directory":
+        cfgfile.mkdir()
+    elif content is not None:
+        cfgfile.write_bytes(content)
+    rc = run_cli("sysid", "--config", str(cfgfile), "--runs", "1", "--horizon", "20", "--algo", "iwf")
+    err = capsys.readouterr().err
+    made = sorted(path.name for path in tmp_path.iterdir() if path != cfgfile)
+    if literal_out is None:
+        assert rc == EXIT_CONFIG
+        assert err.startswith(f"asefilt: configuration error: cannot read config file {cfgfile}: ")
+        assert made == []
+    else:
+        assert (rc, err, made) == (EXIT_OK, "", [literal_out])
+        assert (tmp_path / literal_out / "nmsd.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sysid", "--algos", ","], "no algorithms selected"),
+        (["anc", "--reference-file", "r.csv"], "missing primary channel file (--primary-file)"),
+        (["anc", "--clean-file", "c.csv"], "clean_file requires primary_file and reference_file"),
+    ],
+)
+def test_planning_rejects_incomplete_inputs(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"asefilt: configuration error: {message}\n"
+    assert not out.exists()
 
 
 def test_bad_flag_value_exits_2(tmp_path, capsys):
@@ -335,6 +384,41 @@ def test_anc_external_waveforms_run(tmp_path):
     assert (out / "denoised_iwf.csv").exists()
 
 
+def test_anc_clean_file_is_the_target(tmp_path):
+    """With --clean-file the residual MSE scores the prior error against
+    the given clean waveform, which clean.csv holds as read."""
+    rng = np.random.default_rng(8)
+    ref = rng.standard_normal(300)
+    clean = np.sin(0.1 * np.arange(300))
+    files = {key: tmp_path / f"in_{key}.csv" for key in ("primary", "reference", "clean")}
+    save_waveform(files["primary"], clean + np.convolve(ref, [0.5, -0.2], mode="full")[:300])
+    save_waveform(files["reference"], ref)
+    save_waveform(files["clean"], clean)
+    out = tmp_path / "o"
+    rc = run_cli(
+        "anc", "--primary-file", str(files["primary"]), "--reference-file", str(files["reference"]),
+        "--clean-file", str(files["clean"]), "--algos", "iwf", "--out", str(out),
+    )
+    assert rc == EXIT_OK
+    assert (out / "clean.csv").read_bytes() == files["clean"].read_bytes()
+    mse = np.loadtxt(out / "mse.csv", delimiter=",", skiprows=1)[:, 1]
+    np.testing.assert_allclose(mse, (load_waveform(out / "denoised_iwf.csv") - clean) ** 2, rtol=1e-10)
+
+
+def test_dcd_bench_fixed_h_without_embedded(tmp_path, monkeypatch):
+    """--h fixes the step range of every SPD solve, and --no-embedded runs
+    no adaptive filter and writes no dcd_embedded.csv."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran the embedded benchmark")
+
+    monkeypatch.setattr(cli, "run_sysid", no_run)
+    out = tmp_path / "o"
+    assert run_cli("dcd-bench", "--systems", "2", "--h", "2", "--no-embedded", "--out", str(out)) == EXIT_OK
+    assert sorted(path.name for path in out.iterdir()) == ["dcd_accuracy.csv", "dcd_ops.csv", "summary.txt"]
+    assert "h = 2.0" in (out / "summary.txt").read_text().splitlines()
+
+
 def test_dcd_bench_layout(tmp_path):
     out = tmp_path / "o"
     rc = run_cli(
@@ -375,6 +459,8 @@ def test_dcd_bench_empty_sweep_list(tmp_path, capsys):
         ("--embedded-horizon", "0"),
         ("--nu-list", "1,1"),
         ("--nu-list", "2,4,2"),
+        ("--nu-list", "0"),
+        ("--nu-list", "1,x"),
     ],
 )
 def test_dcd_bench_bad_option_is_config_error(tmp_path, capsys, flag, value):
@@ -441,7 +527,7 @@ def test_sweep_requires_values(tmp_path, capsys):
     "param, values",
     [
         ("c", "1,-1"), ("c", "-1"), ("n_updates", "2,0"), ("impulse_prob", "0.1,2"), ("snr_db", "-4000"),
-        ("c", "2,2"), ("c", "2,3,2.0"), ("n_updates", "4,4"),
+        ("c", "2,2"), ("c", "2,3,2.0"), ("n_updates", "4,4"), (None, "1,2"), ("c", ","), ("c", "a"),
     ],
 )
 def test_sweep_bad_value_is_rejected_before_any_run(tmp_path, capsys, monkeypatch, param, values):
@@ -450,7 +536,8 @@ def test_sweep_bad_value_is_rejected_before_any_run(tmp_path, capsys, monkeypatc
     calls = []
     monkeypatch.setattr(cli, "run_sysid", lambda *a, **k: calls.append(a))
     out = tmp_path / "o"
-    rc = run_cli("sweep", "--param", param, "--values", values, "--algo", "dcd_ase", "--out", str(out))
+    param_flag = ["--param", param] if param else []
+    rc = run_cli("sweep", *param_flag, "--values", values, "--algo", "dcd_ase", "--out", str(out))
     assert rc == EXIT_CONFIG
     assert calls == []
     assert not out.exists()

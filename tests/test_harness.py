@@ -382,8 +382,8 @@ def test_traced_names_see_the_driver_and_the_public_steps(monkeypatch):
 
 
 def test_uninstrumented_driver_prices_nothing(monkeypatch):
-    """Without ``instrument`` the driver steps the bare cores: neither the
-    pricing wrapper nor a step's cost model runs.  With it they do."""
+    """Without ``instrument`` the driver steps the cores and no step's cost
+    model prices the rows they return.  With it the cost model runs."""
 
     def no_pricing(*args):
         raise AssertionError("priced an uninstrumented step")
@@ -430,7 +430,8 @@ def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
 
 def test_trusted_cores_do_no_counting():
     """The cores and the weighting are arithmetic only: the cost model
-    lives in ``counting`` and the pricing in ``filters._counted``."""
+    lives in ``counting``, and the public steps and the driver price the
+    rows the cores return."""
     for fn in (filters._vss_step, filters._dcd_step, filters._weigh, filters._correlation_update):
         assert "ops" not in inspect.getsource(fn), fn.__name__
 
