@@ -199,28 +199,24 @@ def _check_system(
 ) -> tuple[np.ndarray | ShiftMatrix, np.ndarray]:
     """The checks of :func:`dcd_solve`, which says what they cover; returns
     ``r_matrix`` and ``rhs`` as float arrays, a :class:`ShiftMatrix` as it
-    is.  A ring written through ``_push`` relies on its caller's own check
-    of the rows."""
-    if isinstance(r_matrix, ShiftMatrix):
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (r_matrix.length,):
-            raise ValueError(f"rhs must be a vector of length {r_matrix.length}, got shape {rhs.shape}")
-        if not np.isfinite(rhs).all():
-            raise ValueError("rhs must be finite")
-        if not r_matrix.pivots_normal and (r_matrix.diagonal() <= 0.0).any():
-            raise ValueError("r_matrix must have strictly positive diagonal entries")
-        return r_matrix, rhs
-    r_matrix = np.asarray(r_matrix, dtype=float)
+    is.  One body checks both: a ring's rows were checked finite when
+    pushed, so only a dense ``r_matrix`` is scanned, and a ring's cached
+    pivot check stands in for the diagonal scan while it holds.  A ring
+    written through ``_push`` relies on its caller's own check of the rows."""
+    ring = isinstance(r_matrix, ShiftMatrix)
+    if ring:
+        n = r_matrix.length
+    else:
+        r_matrix = np.asarray(r_matrix, dtype=float)
+        if r_matrix.ndim != 2 or r_matrix.shape[0] != r_matrix.shape[1] or r_matrix.shape[0] == 0:
+            raise ValueError(f"r_matrix must be square and non-empty, got shape {r_matrix.shape}")
+        n = r_matrix.shape[0]
     rhs = np.asarray(rhs, dtype=float)
-    if r_matrix.ndim != 2 or r_matrix.shape[0] != r_matrix.shape[1]:
-        raise ValueError(f"r_matrix must be square, got shape {r_matrix.shape}")
-    if rhs.ndim != 1 or rhs.shape[0] != r_matrix.shape[0]:
-        raise ValueError(
-            f"rhs must be a vector matching r_matrix, got {rhs.shape} vs {r_matrix.shape}"
-        )
-    if not np.isfinite(r_matrix).all() or not np.isfinite(rhs).all():
+    if rhs.shape != (n,):
+        raise ValueError(f"rhs must be a vector of length {n}, got shape {rhs.shape}")
+    if not np.isfinite(rhs).all() or not (ring or np.isfinite(r_matrix).all()):
         raise ValueError("r_matrix and rhs must be finite")
-    if np.any(np.diag(r_matrix) <= 0.0):
+    if not (ring and r_matrix.pivots_normal) and (r_matrix.diagonal() <= 0.0).any():
         raise ValueError("r_matrix must have strictly positive diagonal entries")
     return r_matrix, rhs
 
@@ -257,8 +253,9 @@ def dcd_solve(
     a :class:`ShiftMatrix`, read in O(length) per column and validated in
     O(length) for ``rhs`` only: its rows were checked finite when pushed,
     and its cached pivot check stands in for a scan of the diagonal.
-    Either way ``rhs`` must be a finite vector of matching length and the
-    diagonal strictly positive.  ``rhs`` is not modified.
+    Either way one check, with one message per condition, requires ``rhs``
+    to be a finite vector of matching length and the diagonal to be
+    strictly positive.  ``rhs`` is not modified.
     """
     r_matrix, rhs = _check_system(r_matrix, rhs)
     delta_w, residual = np.zeros(rhs.shape[0]), rhs.copy()

@@ -36,15 +36,20 @@ where ``moved`` says whether the weights moved or the solver ran.  It
 counts nothing: the public steps and the Monte Carlo harness both price
 the row a core returns with the cost model of :mod:`~asefilt.counting`,
 a public step per call into ``state.ops`` and the harness once per block
-of rows it recorded; only the DCD solve prices itself.  Finite input can
+of rows it recorded; only the DCD solve prices itself.  Each condition is
+checked once, at the public boundary: a public step and
+:func:`correlation_update` check the sample, then that the state holds
+``R`` in the layout their update needs, and the cores index
+``state.stats`` and ``state.ring`` as they find them.  Finite input can
 still overflow, so with ``checked`` (the public steps) a core keeps the checks
 of :func:`correlation_update` on ``phi``,
 :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
 :func:`~asefilt.dcd.dcd_solve` on the system, and ``_vss_step`` raises
 :class:`ValueError` on a step size that is not finite before the weights
-move.  The Monte Carlo harness calls the cores unchecked, with the
-private forms of those checks, and checks each state once per block of
-rows with :func:`_state_is_finite`.
+move.  Unchecked, a core runs no check at all: the Monte Carlo harness
+builds every state itself with :func:`filter_init`, so the layout always
+matches, calls the cores with the private forms of those checks, and
+checks each state once per block of rows with :func:`_state_is_finite`.
 """
 
 from __future__ import annotations
@@ -160,8 +165,9 @@ class FilterState:
     ``(1, length)`` ``theta`` row.  Every other config leaves ``ring``
     None and ``stats`` of shape ``(length + 1, length)``: ``R`` in its
     first ``length`` rows and ``theta`` in its last, so the decay is one
-    in-place multiply and an applied sample one broadcast add.  A step
-    whose update needs the other layout raises :class:`FilterError`.
+    in-place multiply and an applied sample one broadcast add.  A public
+    step whose update needs the other layout raises :class:`FilterError`
+    before it runs.
     No coordinate-descent step writes ``theta``, so it reads zeros there.
     ``residual`` is ``theta - R w`` or the solver residual, ``step_index``
     counts the steps and ``updates_applied`` those whose sample was
@@ -228,11 +234,11 @@ def _check_sample(config: FilterConfig, x, d) -> tuple[np.ndarray, float]:
     return x, d
 
 
-def _dense_stats(state: FilterState) -> np.ndarray:
-    """``stats`` for a dense update of ``R``; a ring-held ``R`` raises."""
-    if state.ring is not None:
-        raise FilterError("this update needs a dense R; this state holds R as a ring")
-    return state.stats
+def _check_layout(state: FilterState, ring: bool) -> None:
+    """Raise :class:`FilterError` unless ``state`` holds ``R`` as a ring
+    exactly when the update needs one (``ring``)."""
+    if (state.ring is not None) != ring:
+        raise FilterError(f"this state holds R {'dense' if ring else 'as a ring'}; the update needs the other layout")
 
 
 def correlation_update(
@@ -249,6 +255,7 @@ def correlation_update(
     """
     x, d = _check_sample(config, x, d)
     phi = _check_phi(phi)
+    _check_layout(state, False)
     _correlation_update(state, config, x, d, phi)
     if state.ops is not None:
         state.ops.add(*correlation_ops(config, phi))
@@ -265,7 +272,7 @@ def _check_phi(phi) -> float:
 def _correlation_update(state: FilterState, config: FilterConfig, x: np.ndarray, d: float, phi: float) -> None:
     """:func:`correlation_update` for ``x``, ``d`` and ``phi`` as its checks return them."""
     n = config.length
-    stats = _dense_stats(state)
+    stats = state.stats
     stats *= config.lam
     if phi != 0.0:
         u = np.empty(n + 1)
@@ -301,7 +308,7 @@ def _vss_step(
     # A gated sample has phi = 0.0, so the update only decays the statistics.
     _correlation_update(state, config, x, d, phi)
     state.updates_applied += applied
-    r_mat = state.stats[:-1]  # dense: the statistics update before this checked
+    r_mat = state.stats[:-1]
     r = state.theta - r_mat @ state.w
     state.residual = r
     # Move the weights along r = theta - R w with the step size that
@@ -322,10 +329,12 @@ def _vss_step(
     return e, applied, phi, move
 
 
-def _public_step(core, price, state: FilterState, config: FilterConfig, x, d, weighting) -> StepOutput:
+def _public_step(core, price, state: FilterState, config: FilterConfig, x, d, weighting, ring=False) -> StepOutput:
     """The body of a public step after its own checks: ``core`` on the
-    checked sample, its row priced by ``price`` into ``state.ops`` if any."""
+    checked sample, on a state whose layout of ``R`` is a ring exactly when
+    ``ring``, its row priced by ``price`` into ``state.ops`` if any."""
     x, d = _check_sample(config, x, d)
+    _check_layout(state, ring)
     row = core(state, config, x, d, weighting, True)
     if state.ops is not None:
         state.ops.add(*price(config, weighting, row))
@@ -426,10 +435,12 @@ def dcd_ase_step(
 
     :func:`filter_init` fixes where ``R`` lives: a ring for a shift-mode
     config, dense otherwise.  A state that holds it in the other layout
-    raises :class:`FilterError` before the step changes it.
+    raises :class:`FilterError` before the core runs.
     """
     _check_solver(config)
-    return state, _public_step(_dcd_step, dcd_step_ops, state, config, x, d, config.ase)
+    return state, _public_step(
+        _dcd_step, dcd_step_ops, state, config, x, d, config.ase, config.dcd_update == "shift"
+    )
 
 
 def _check_solver(config: FilterConfig) -> None:
@@ -457,8 +468,6 @@ def _dcd_step(
     held = state.step_index < n - 1
     if config.dcd_update == "shift":
         r_mat = state.ring
-        if r_mat is None:
-            raise FilterError("shift-mode dcd_ase_step needs R as a ring; this state holds R dense")
         # The newest row is the previous first row, column(0) without a gather.
         row0 = lam * r_mat.newest + x[0] * x
         if correction != 0.0:
@@ -470,7 +479,7 @@ def _dcd_step(
             r_mat._push(row0)
         held = held or not r_mat.pivots_normal
     else:
-        r_mat = _dense_stats(state)[:-1]
+        r_mat = state.stats[:-1]
         r_mat *= lam
         if phi != 0.0:
             r_mat += np.outer(phi * x, x)

@@ -250,18 +250,23 @@ def save_waveform(path, x: np.ndarray) -> None:
 def load_waveform(path) -> np.ndarray:
     """Read a waveform written by :func:`save_waveform` (or any index,value CSV).
 
-    Raises ``ValueError`` for a malformed row or a non-finite sample."""
+    The file is read as UTF-8.  Raises ``ValueError`` naming ``path``, and
+    the row where there is one, for a file that is empty or not UTF-8 CSV,
+    a row without a numeric second cell or a non-finite sample."""
     values: list[float] = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty waveform file")
-        for row in reader:
-            if len(row) < 2:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            value = float(row[1])
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: non-finite sample {row[1]!r} at index {len(values)}")
-            values.append(value)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) is None:
+                raise ValueError(f"{path}: empty waveform file")
+            for row in reader:
+                try:
+                    value = float(row[1])
+                except (IndexError, ValueError):
+                    raise ValueError(f"{path}: malformed row {row!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}: non-finite sample {row[1]!r} at index {len(values)}")
+                values.append(value)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return np.asarray(values)

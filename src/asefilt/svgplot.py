@@ -32,11 +32,9 @@ def _nice_step(span: float) -> float:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
+    """Tick values on ``lo .. hi``, an axis :func:`_widen_flat` has already widened."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
-    if lo == hi:
-        lo -= 1.0
-        hi += 1.0
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     ticks = []

@@ -352,6 +352,31 @@ def test_anc_directory_as_waveform_file_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"index,value\n0,1.0\n1,\xff\n",
+        b"index,value\n0,1.0\n1,abc\n",
+        b"",
+        b"index,value\n0,1.0\n1\n",
+        b"index,value\n0," + b"1" * 200_000 + b"\n",  # above the csv module's field size limit
+    ],
+    ids=["not-utf8", "not-a-number", "zero-bytes", "one-cell-row", "oversized-field"],
+)
+def test_anc_unreadable_waveform_content_names_the_file(tmp_path, capsys, content):
+    """Bad content in a waveform file is a configuration error that names
+    the file, raised before the output directory is made."""
+    primary, reference = tmp_path / "p.csv", tmp_path / "bad_ref.csv"
+    save_waveform(primary, np.zeros(64))
+    reference.write_bytes(content)
+    out = tmp_path / "o"
+    rc = run_cli("anc", "--primary-file", str(primary), "--reference-file", str(reference), "--out", str(out))
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("asefilt: configuration error: ") and "bad_ref.csv" in err
+    assert not out.exists()
+
+
 def test_sysid_filter_longer_than_horizon(tmp_path):
     out = tmp_path / "o"
     rc = run_cli("sysid", "--horizon", "3", "--length", "6", "--runs", "1", "--out", str(out))

@@ -202,6 +202,24 @@ def test_shift_matrix_validation():
         dcd_solve(ring, np.zeros(2), p)
 
 
+@pytest.mark.parametrize("make", [np.asarray, ShiftMatrix], ids=["dense", "ring"])
+@pytest.mark.parametrize(
+    "diagonal, rhs, message",
+    [
+        ([1.0, 1.0], [0.0, 0.0, 0.0], r"rhs must be a vector of length 2, got shape \(3,\)"),
+        ([1.0, 1.0], [0.0, np.nan], "r_matrix and rhs must be finite"),
+        ([1.0, 0.0], [0.0, 0.0], "r_matrix must have strictly positive diagonal entries"),
+        ([1.0, -1.0], [0.0, 0.0], "r_matrix must have strictly positive diagonal entries"),
+        ([], [], r"r_matrix must be square and non-empty, got shape \(0, 0\)"),
+    ],
+    ids=["rhs-length", "rhs-nonfinite", "zero-pivot", "negative-pivot", "empty"],
+)
+def test_dense_and_ring_systems_fail_alike(make, diagonal, rhs, message):
+    """One check covers both inputs, with one message per condition."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dcd_solve(make(np.diag(diagonal)), np.array(rhs), DcdParams())
+
+
 def test_ring_solve_accepts_subnormal_pivots():
     """The filter holds its solve below a normal pivot; public dcd_solve
     rejects only a diagonal that is not positive."""

@@ -401,6 +401,29 @@ def test_uninstrumented_driver_prices_nothing(monkeypatch):
                 run_sysid(sc, [spec], instrument=True)
 
 
+def test_driver_checks_no_layout(monkeypatch):
+    """The driver builds every state with ``filter_init``, so it never
+    checks where ``R`` lives; each public step and the public correlation
+    update check it once, before the core."""
+
+    def no_layout_check(*args):
+        raise AssertionError("checked a layout")
+
+    monkeypatch.setattr(filters, "_check_layout", no_layout_check)
+    sc = make_sysid_scenario(length=4, horizon=80, mc_runs=2, seed=5)
+    anc = AncSpec(horizon=80, mc_runs=2, seed=5, filter_length=4)
+    for dcd_update in ("shift", "dense"):
+        algos = default_algorithms(4, dcd_update=dcd_update)
+        assert [rec.algorithm for rec in run_sysid(sc, algos)] == list(ALGORITHMS)
+        assert [rec.algorithm for rec in run_anc(anc, algos)[0]] == list(ALGORITHMS)
+        for spec in algos:
+            with pytest.raises(AssertionError, match="checked a layout"):
+                run_public_steps(spec, np.eye(4), np.ones(4), kernel_sigma=1.0)
+    cfg = default_algorithms(4, ("iwf",))[0].config
+    with pytest.raises(AssertionError, match="checked a layout"):
+        filters.correlation_update(filters.filter_init(cfg), cfg, np.ones(4), 0.5, 1.0)
+
+
 def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
     """The driver calls each core with the same five arguments, state,
     config, row, d and weighting, with and without ``instrument``: the
