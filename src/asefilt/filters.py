@@ -50,6 +50,9 @@ move.  Unchecked, a core runs no check at all: the Monte Carlo harness
 builds every state itself with :func:`filter_init`, so the layout always
 matches, calls the cores with the private forms of those checks, and
 checks each state once per block of rows with :func:`_state_is_finite`.
+The harness steps its inversion-free states in lockstep through
+:func:`_vss_steps`, the ``_vss_step`` recursion on a :class:`_VssBatch`
+of states, one sample of every state per call and bit for bit.
 """
 
 from __future__ import annotations
@@ -326,6 +329,67 @@ def _vss_step(
             raise ValueError(f"the weight step size must be finite, got {mu!r}")
         state.w += mu * r
     state.step_index += 1
+    return e, applied, phi, move
+
+
+class _VssBatch:
+    """Inversion-free states stepped in lockstep by :func:`_vss_steps`.
+
+    ``states`` holds one list of runs per algorithm, ``lams`` and
+    ``weightings`` each algorithm's forgetting factor and weighting.  Their
+    weights and residuals are stacked into ``w`` and ``residual``, ``(A, B,
+    L)``, and their statistics into ``stats``, ``(A, B, L + 1, L)``; each
+    state then holds views of its row, so it follows the batch and stays
+    inspectable.  The views and buffers every step reuses are made here.
+    """
+
+    def __init__(self, states: list[list[FilterState]], lams: list[float], weightings: list) -> None:
+        arrays = [np.array([[getattr(st, name) for st in runs] for runs in states]) for name in ("w", "stats", "residual")]
+        for a, runs in enumerate(states):
+            for b, st in enumerate(runs):
+                st.w, st.stats, st.residual = (arr[a, b] for arr in arrays)
+        self.w, self.stats, self.residual = arrays
+        self.lam = np.reshape(lams, (-1, 1, 1, 1))
+        self.weightings = weightings
+        self.r_mat, self.theta = self.stats[..., :-1, :], self.stats[..., -1, :]
+        self.w_col, self.residual_col = self.w[..., None], self.residual[..., None]
+        self.u = np.empty(self.stats.shape[:-1])
+        self.u_col = self.u[..., None]
+        self.outer = np.empty(self.stats.shape)
+        self.product = np.empty(self.w.shape + (1,))
+        self.product_row = self.product[..., 0]
+
+
+def _vss_steps(batch: _VssBatch, xd: np.ndarray, move: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Unchecked :func:`_vss_step` on every row of ``batch`` at once, bit for bit.
+
+    Row ``b`` of ``xd``, ``(B, L + 1)``, is run ``b``'s sample, its
+    regressor row ``x`` followed by ``d``, shared by its algorithms.
+    ``move`` says whether the weights move: every row has taken the same
+    number of steps.  Returns the row ``(prior_error, applied, phi, moved)``
+    of every state, the first three as ``(A, B)`` arrays.  Each product is
+    the scalar core's: ``np.vecdot`` for its dots, a stacked ``np.matmul``
+    for its ``R`` products, :func:`_weigh` per row, and ``u = phi [x; d]``
+    in one multiply.
+    """
+    n, w, stats, residual, product = xd.shape[-1] - 1, batch.w, batch.stats, batch.residual, batch.product
+    x = xd[:, :n]
+    e = xd[:, n] - np.vecdot(w, x)
+    applied, phi = zip(*[_weigh(v, wt) for row, wt in zip(e.tolist(), batch.weightings) for v in row])
+    # Rows with phi = 0.0 only decay, as in the scalar core.
+    where = True if 0.0 not in phi else (np.array(phi) != 0.0).reshape(e.shape + (1, 1))
+    applied = np.array(applied).reshape(e.shape)
+    phi = np.array(phi).reshape(e.shape)
+    stats *= batch.lam
+    np.multiply(phi[..., None], xd, out=batch.u)
+    np.multiply(batch.u_col, x[:, None, :], out=batch.outer)
+    np.add(stats, batch.outer, out=stats, where=where)
+    np.matmul(batch.r_mat, batch.w_col, out=product)
+    np.subtract(batch.theta, batch.product_row, out=residual)
+    if move:
+        rr = np.vecdot(residual, residual)
+        np.matmul(batch.r_mat, batch.residual_col, out=product)
+        w += (rr / (np.vecdot(residual, batch.product_row) + VSS_GUARD))[..., None] * residual
     return e, applied, phi, move
 
 

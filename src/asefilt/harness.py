@@ -14,26 +14,33 @@ the plant itself uses ``[s, 0]`` and is shared by all runs.
 
 Validation happens once per run, not once per sample.  Before any step
 the driver checks each algorithm's solver budget and resolves its RMCC
-kernel width, and before each run's first step it checks the run's
-regressor rows and desired signal for shape and finiteness.  It then
-steps each filter through one of the two private trusted cores in
-``filters``, ``_vss_step`` or ``_dcd_step``, called with the algorithm's
-config and error weighting; the cores skip the per-call checks of the
-public step functions and count nothing, and results are bit-identical
-to stepping through them.  The driver keeps each block's core results,
-one ``(prior_error, applied, phi, moved)`` row per sample, as the
+kernel width.  It draws the runs in chunks of at most ``_CHUNK_BYTES`` of
+regressor rows (one run at least) and checks each run's regressor rows
+and desired signal for shape and finiteness before the chunk's first
+step.  The runs of a chunk then step in lockstep, one block of
+``_BLOCK_ROWS`` samples at a time, through the private trusted cores in
+``filters``: one call of the batched ``_vss_steps`` per sample advances
+every ``iwf``, ``iwf_ase`` and ``rmcc`` row of the chunk, a row being an
+(algorithm, run) pair, and each ``dcd_ase`` run steps through the scalar
+``_dcd_step`` over the same block.  The cores skip the per-call checks
+of the public step functions and count nothing, and results are
+bit-identical to stepping each run through them, since every sum adds
+the runs in run order.  The driver keeps each block's core results, one
+``(prior_error, applied, phi, moved)`` row per state and sample, as the
 block's trace and fills the error and applied series from it.  The
 stepping loop is the same with and without ``instrument``; an
 ``instrument`` run then prices the block's rows once, after the block
 check, with the core's cost function from :mod:`~asefilt.counting`.
 Only the DCD solve prices itself, into the state's counter, since only
-the solve knows how deep it halved.
+the solve knows how deep it halved.  The public steps keep the scalar
+cores, through which one row alone steps faster than batched.
 
 Finite inputs can still overflow a filter's statistics.  The driver
 checks each state once per block of ``_BLOCK_ROWS`` rows
 (``filters._state_is_finite``) and raises one
-:class:`~asefilt.filters.FilterError` naming the algorithm, the run and
-the block's samples.  The squared weight deviation of the NMSD curves is
+:class:`~asefilt.filters.FilterError` at the first block of a chunk in
+which any state fails, naming the first failing run, in run order, its
+first failing algorithm, in the order given, and the block's samples.  The squared weight deviation of the NMSD curves is
 likewise computed per block of rows, not per sample.  A finite state can
 still overflow the scores, so the curve an experiment reports, the NMSD
 with a target plant and the residual MSE without one, must come out
@@ -57,11 +64,13 @@ from .estimator import AseParams
 from .filters import (
     FilterConfig,
     FilterError,
+    FilterState,
     _check_kernel_width,
     _check_solver,
     _dcd_step,
     _state_is_finite,
-    _vss_step,
+    _VssBatch,
+    _vss_steps,
     filter_init,
     update_ratio,
 )
@@ -103,6 +112,9 @@ _FLOOR_RATIO = 10.0 ** (NMSD_FLOOR_DB / 10.0)  # 1e-40 exactly
 # one vectorized reduction, the block's d values one list, and each
 # filter state is checked finite once per block.
 _BLOCK_ROWS = 64
+# Float64 bytes of regressor rows drawn at once: the runs of one chunk step
+# in lockstep, and the next chunk is drawn when they are done.
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -196,7 +208,13 @@ class AncSpec:
 
 @dataclass
 class RunRecord:
-    """Averaged outcome of one algorithm over all Monte Carlo runs."""
+    """Averaged outcome of one algorithm over all Monte Carlo runs.
+
+    ``wall_time`` is the seconds spent stepping the algorithm's filters.
+    One batched call steps every inversion-free algorithm (``iwf``,
+    ``iwf_ase``, ``rmcc``) at once, so its time is split evenly across
+    them; each ``dcd_ase`` algorithm is timed on its own.
+    """
 
     algorithm: str
     nmsd_db: np.ndarray | None
@@ -301,10 +319,11 @@ def default_algorithms(
 
 
 def _make_stepper(spec: AlgoSpec, bg_std: float) -> tuple[Callable, Callable, AseParams | float | None]:
-    """The trusted solver core of ``spec``, its cost function and its error
-    weighting: ``core(state, spec.config, x, d, weighting)`` returns the
-    row ``(prior_error, applied, phi, moved)`` that ``price(spec.config,
-    weighting, row)`` prices.
+    """The trusted core of ``spec``, its cost function and its error
+    weighting.  A coordinate-descent core ``core(state, spec.config, x, d,
+    weighting)`` returns the row ``(prior_error, applied, phi, moved)`` that
+    ``price(spec.config, weighting, row)`` prices; the inversion-free core
+    is the batched ``_vss_steps``, whose rows the driver prices one by one.
 
     Raises here, before any step, what the public step would raise on
     every call for the configuration."""
@@ -323,7 +342,7 @@ def _make_stepper(spec: AlgoSpec, bg_std: float) -> tuple[Callable, Callable, As
     if spec.kind == "dcd_ase":
         _check_solver(cfg)
         return _dcd_step, dcd_step_ops, weighting
-    return _vss_step, vss_step_ops, weighting
+    return _vss_steps, vss_step_ops, weighting
 
 
 def _check_draw(x_rows, d, horizon: int, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -341,6 +360,20 @@ def _check_draw(x_rows, d, horizon: int, length: int) -> tuple[np.ndarray, np.nd
     return x_rows, d
 
 
+def _step_run(core, cfg: FilterConfig, weighting, state: FilterState, xd: np.ndarray, w_rows: np.ndarray | None) -> list[tuple]:
+    """Step one run's ``state`` through the scalar ``core`` over the samples
+    ``xd``, regressor rows with ``d`` as one more column, and return its
+    rows; with ``w_rows``, write the weights after each step into it."""
+    length = xd.shape[-1] - 1
+    rows = []
+    # d as Python floats, as the public steps' check converts it.
+    for k, (x, d) in enumerate(zip(xd[:, :length], xd[:, length].tolist())):
+        rows.append(core(state, cfg, x, d, weighting))
+        if w_rows is not None:
+            w_rows[k] = state.w
+    return rows
+
+
 def _paired_runs(
     algorithms: list[AlgoSpec],
     length: int,
@@ -355,12 +388,15 @@ def _paired_runs(
 
     ``draw(run)`` returns the run's regressor rows, desired signal and the
     target the prior error is scored against; every algorithm sees the
-    same draw, checked once for shape and finiteness (``ValueError``)
-    before its first step.  Each filter state is checked finite after
-    every block of rows (``FilterError``).  With ``w_o`` given, the
-    squared weight deviation from it is averaged into an NMSD curve.
-    Returns one record per algorithm and each algorithm's prior-error
-    trace of run 0.
+    same draw.  Runs are drawn in chunks of ``_CHUNK_BYTES`` of regressor
+    rows (at least one run), each draw checked once for shape and
+    finiteness (``ValueError``) before the chunk's first step.  The runs
+    of a chunk then step in lockstep, one block of ``_BLOCK_ROWS`` samples
+    at a time, and every filter state is checked finite after each block
+    (``FilterError``, naming the first failing run, then algorithm).
+    With ``w_o`` given, the squared weight deviation from it is averaged
+    into an NMSD curve.  Returns one record per algorithm and each
+    algorithm's prior-error trace of run 0.
     """
     if not algorithms:
         raise ValueError("algorithms must not be empty")
@@ -369,60 +405,112 @@ def _paired_runs(
             raise ValueError(
                 f"algorithm {spec.name!r} has length {spec.config.length}, experiment needs {length}"
             )
+    # The inversion-free algorithms step together through one batched core,
+    # the coordinate-descent ones one run at a time.
+    vss = [idx for idx, spec in enumerate(algorithms) if spec.kind != "dcd_ase"]
+    dcd = [idx for idx, spec in enumerate(algorithms) if spec.kind == "dcd_ase"]
     steppers = [_make_stepper(spec, bg_std) for spec in algorithms]
     counters = [OpCounter() if instrument else None for _ in algorithms]
-    se_sum = [np.zeros(horizon) for _ in algorithms]
-    applied_sum = [np.zeros(horizon) for _ in algorithms]
-    dev_sum = [np.zeros(horizon) for _ in algorithms]
-    ur_sum = [0.0 for _ in algorithms]
-    wall = [0.0 for _ in algorithms]
-    first_errors = []
-    # The weights after each step of a block; np.vecdot matches a per-row
-    # diff @ diff bit for bit, where einsum or multiply-then-sum would not.
-    w_block = np.empty((_BLOCK_ROWS, length)) if w_o is not None else None
+    se_sum, applied_sum, dev_sum = (np.zeros((len(algorithms), horizon)) for _ in range(3))
+    first_errors = np.empty((len(algorithms), horizon))
+    ur_sum = [0.0] * len(algorithms)
+    wall = [0.0] * len(algorithms)
+    chunk = max(1, min(runs, _CHUNK_BYTES // (8 * horizon * length)))
 
-    for run in range(runs):
-        x_rows, d, target = draw(run)
-        x_rows, d = _check_draw(x_rows, d, horizon, length)
+    for first in range(0, runs, chunk):
+        n_runs = min(chunk, runs - first)
+        # Each run's regressor rows with d as one more column, time-major,
+        # so that each sample of the chunk's runs is one view.
+        xd_chunk = np.empty((horizon, n_runs, length + 1))
+        target = np.empty((horizon, n_runs))
+        for b in range(n_runs):
+            x_rows, d, target[:, b] = draw(first + b)
+            xd_chunk[:, b, :length], xd_chunk[:, b, length] = _check_draw(x_rows, d, horizon, length)
+        states = [[filter_init(spec.config, ops=counter) for _ in range(n_runs)] for spec, counter in zip(algorithms, counters)]
+        if vss:
+            batch = _VssBatch(
+                [states[idx] for idx in vss],
+                [algorithms[idx].config.lam for idx in vss],
+                [steppers[idx][2] for idx in vss],
+            )
+        applied_count = np.zeros((len(algorithms), n_runs), dtype=int)
+        # The weights after each step of a block; np.vecdot matches a per-row
+        # diff @ diff bit for bit, where einsum or multiply-then-sum would not.
+        w_block = np.empty((_BLOCK_ROWS, len(algorithms), n_runs, length)) if w_o is not None else None
         # The block check and the check of the reported curve below are the
         # one report of an overflow, in the cores or in the scoring.
         with np.errstate(over="ignore", invalid="ignore"):
-            for idx, spec in enumerate(algorithms):
-                cfg = spec.config
-                state = filter_init(cfg, ops=counters[idx])
-                core, price, weighting = steppers[idx]
-                err = np.empty(horizon)
-                applied = np.empty(horizon, dtype=bool)
-                t0 = time.perf_counter()
-                for start in range(0, horizon, _BLOCK_ROWS):
-                    stop = min(start + _BLOCK_ROWS, horizon)
-                    # d as Python floats, as the public steps' check converts it.
-                    rows = zip(x_rows[start:stop], d[start:stop].tolist())
-                    # The block's trace: one (prior_error, applied, phi, moved) row per sample.
-                    block = []
-                    for t, (x, d_t) in enumerate(rows):
-                        block.append(core(state, cfg, x, d_t, weighting))
+            for start in range(0, horizon, _BLOCK_ROWS):
+                stop = min(start + _BLOCK_ROWS, horizon)
+                err = np.empty((len(algorithms), n_runs, stop - start))
+                applied = np.empty(err.shape, dtype=bool)
+                # The block's trace: each algorithm's (prior_error, applied,
+                # phi, moved) rows, one sequence per run.
+                traces = [None] * len(algorithms)
+                for idx in dcd:
+                    core, _, weighting = steppers[idx]
+                    t0 = time.perf_counter()
+                    traces[idx] = [
+                        _step_run(core, algorithms[idx].config, weighting, state, xd_chunk[start:stop, b],
+                                  None if w_block is None else w_block[:, idx, b])
+                        for b, state in enumerate(states[idx])
+                    ]
+                    wall[idx] += time.perf_counter() - t0
+                    for b, rows in enumerate(traces[idx]):
+                        err[idx, b], applied[idx, b], _, _ = zip(*rows)
+                if vss:
+                    core = steppers[vss[0]][0]
+                    t0 = time.perf_counter()
+                    columns = []
+                    for k, t in enumerate(range(start, stop)):
+                        columns.append(core(batch, xd_chunk[t], t >= length - 1))
                         if w_block is not None:
-                            w_block[t] = state.w
-                    if not _state_is_finite(state):
-                        raise FilterError(
-                            f"{spec.name}: run {run}: the filter state became non-finite"
-                            f" in the block of samples {start} to {stop - 1}"
-                        )
-                    err[start:stop], applied[start:stop], _, _ = zip(*block)
+                            w_block[k, vss] = batch.w
+                    # One call steps them all, so its time is split evenly.
+                    share = (time.perf_counter() - t0) / len(vss)
+                    for idx in vss:
+                        wall[idx] += share
+                    e_cols, applied_cols, phi_cols, moved = zip(*columns)
+                    err[vss] = np.stack(e_cols, axis=-1)
+                    applied[vss] = np.stack(applied_cols, axis=-1)
                     if instrument:
-                        for row in block:
-                            state.ops.add(*price(cfg, weighting, row))
+                        phi = np.stack(phi_cols, axis=-1)
+                        for a, idx in enumerate(vss):
+                            rows = zip(err[idx].tolist(), applied[idx].tolist(), phi[a].tolist())
+                            traces[idx] = [zip(*run_rows, moved) for run_rows in rows]
+                for b in range(n_runs):
+                    for idx, spec in enumerate(algorithms):
+                        if not _state_is_finite(states[idx][b]):
+                            raise FilterError(
+                                f"{spec.name}: run {first + b}: the filter state became non-finite"
+                                f" in the block of samples {start} to {stop - 1}"
+                            )
+                if instrument:
+                    for idx, (_, price, weighting) in enumerate(steppers):
+                        for rows in traces[idx]:
+                            for row in rows:
+                                counters[idx].add(*price(algorithms[idx].config, weighting, row))
+                applied_count += applied.sum(axis=-1)
+                resid = err - target[start:stop].T
+                sq = resid * resid
+                if w_block is not None:
+                    diff = w_block[: stop - start]
+                    diff -= w_o
+                    dev = np.vecdot(diff, diff).T
+                # Each sum adds the runs in run order, as one run at a time would.
+                for b in range(n_runs):
+                    se_sum[:, start:stop] += sq[:, b]
+                    applied_sum[:, start:stop] += applied[:, b]
                     if w_block is not None:
-                        diff = w_block[: stop - start] - w_o
-                        dev_sum[idx][start:stop] += np.vecdot(diff, diff)
-                wall[idx] += time.perf_counter() - t0
+                        dev_sum[:, start:stop] += dev[b]
+                if first == 0:
+                    first_errors[:, start:stop] = err[:, 0]
+        for b in range(n_runs):
+            for idx in range(len(algorithms)):
+                state = states[idx][b]
+                if idx in vss:
+                    state.step_index, state.updates_applied = horizon, int(applied_count[idx, b])
                 ur_sum[idx] += update_ratio(state)
-                resid = err - target
-                se_sum[idx] += resid * resid
-                applied_sum[idx] += applied
-                if run == 0:
-                    first_errors.append(err)
 
     records = []
     for idx, spec in enumerate(algorithms):
@@ -446,7 +534,7 @@ def _paired_runs(
                 op_counts=per_iteration(counters[idx], runs * horizon) if instrument else None,
             )
         )
-    return records, first_errors
+    return records, list(first_errors)
 
 
 def run_sysid(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asefilt import DcdParams, FilterError, OpCounter, filters, harness
+from asefilt import AseParams, DcdParams, FilterConfig, FilterError, OpCounter, filters, harness, update_ratio
 from asefilt.harness import (
     ALGORITHMS,
     AlgoSpec,
@@ -28,7 +28,7 @@ from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
 
 from oracles import run_public_steps, sysid_nmsd_reference
 
-CORES = ("_vss_step", "_dcd_step")
+CORES = ("_vss_steps", "_dcd_step")
 _BLOCK = harness._BLOCK_ROWS
 
 
@@ -302,6 +302,174 @@ def test_trusted_driver_matches_public_steps(
         assert np.array_equal(records[0].nmsd_db, expected)
 
 
+def _lockstep_case(monkeypatch, algorithms, length, horizon, runs, chunk_runs, with_nmsd, instrument, seed):
+    """``_paired_runs`` on ``runs`` random draws, ``chunk_runs`` runs per
+    chunk, against each algorithm stepped through the public steps one run
+    at a time and reduced in run order: every series, score, final state
+    and operation total bit for bit."""
+    rng = np.random.default_rng(seed)
+    w_o = rng.standard_normal(length) if with_nmsd else None
+    draws = []
+    for _ in range(runs):
+        x_rows = regressors(rng.standard_normal(horizon), length)
+        d = x_rows @ rng.standard_normal(length) + 0.1 * rng.standard_normal(horizon)
+        d += gen_bg_noise(horizon, BgNoiseSpec(0.1, 1e4), rng)
+        draws.append((x_rows, d, 0.0 if with_nmsd else rng.standard_normal(horizon)))
+    bg_std = 0.1
+    states = {id(spec.config): [] for spec in algorithms}
+
+    def recording_init(config, *, ops=None):
+        states[id(config)].append(filters.filter_init(config, ops=ops))
+        return states[id(config)][-1]
+
+    monkeypatch.setattr(harness, "filter_init", recording_init)
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_runs * 8 * horizon * length)
+    records, errors = harness._paired_runs(
+        algorithms, length, horizon, runs, bg_std, draws.__getitem__, w_o, instrument
+    )
+    for spec, rec, first_err in zip(algorithms, records, errors):
+        sigma = spec.kernel_sigma if spec.kernel_sigma is not None else 10.0 * bg_std
+        counter = OpCounter()
+        se, applied_sum, dev_sum, ur = np.zeros(horizon), np.zeros(horizon), np.zeros(horizon), 0.0
+        for run, (x_rows, d, target) in enumerate(draws):
+            state, err, applied, dev = run_public_steps(spec, x_rows, d, sigma, w_o, counter)
+            if run == 0:
+                assert np.array_equal(first_err, err), spec.name
+            resid = err - target
+            se += resid * resid
+            applied_sum += applied
+            dev_sum += dev
+            ur += update_ratio(state)
+            trusted = states[id(spec.config)][run]
+            assert np.array_equal(trusted.w, state.w), spec.name
+            assert np.array_equal(trusted.residual, state.residual), spec.name
+            assert np.array_equal(trusted.r_matrix, state.r_matrix), spec.name
+            assert (trusted.step_index, trusted.updates_applied) == (state.step_index, state.updates_applied)
+        assert len(states[id(spec.config)]) == runs
+        assert np.array_equal(rec.mse, se / runs), spec.name
+        assert np.array_equal(rec.applied_rate, applied_sum / runs), spec.name
+        assert rec.update_ratio == ur / runs, spec.name
+        if with_nmsd:
+            expected = 10.0 * np.log10(np.maximum(dev_sum / (runs * float(w_o @ w_o)), 1e-40))
+            assert np.array_equal(rec.nmsd_db, expected), spec.name
+        else:
+            assert rec.nmsd_db is None
+        if instrument:
+            assert dataclasses.astuple(trusted.ops) == dataclasses.astuple(counter), spec.name
+        else:
+            assert rec.op_counts is None and trusted.ops is None
+
+
+def _alternate_vss_spec(kind, length, lam, rho, c, kernel_sigma):
+    """An inversion-free spec whose forgetting factor, regularization and
+    ASE width differ from the defaults, so batched rows differ in each."""
+    config = FilterConfig(length=length, lam=lam, rho=rho, ase=AseParams(c=c))
+    return AlgoSpec(kind=kind, config=config, kernel_sigma=kernel_sigma, label=f"{kind}-alt")
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=4),
+    alternate=st.sampled_from(("iwf", "iwf_ase", "rmcc")),
+    lam=st.sampled_from((0.9, 0.99, 0.9995)),
+    rho=st.sampled_from((1e-3, 0.5)),
+    c=st.sampled_from((0.5, 5.0)),
+    kernel_sigma=st.sampled_from((None, 0.3)),
+    position=st.integers(0, 4),
+    length=st.integers(1, 12),
+    horizon=st.integers(1, 3 * harness._BLOCK_ROWS + 1),
+    runs=st.integers(1, 7),
+    chunk_runs=st.integers(1, 7),
+    dcd_update=st.sampled_from(("shift", "dense")),
+    with_nmsd=st.booleans(),
+    instrument=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lockstep_driver_matches_public_steps(
+    kinds, alternate, lam, rho, c, kernel_sigma, position, length, horizon, runs, chunk_runs,
+    dcd_update, with_nmsd, instrument, seed,
+):
+    """The batched inversion-free rows and the per-run coordinate-descent
+    rows of a mixed algorithm list, two inversion-free specs among them
+    with different lam, rho and c, step and score exactly as the public
+    steps do, across block and chunk edges."""
+    algorithms = default_algorithms(length, tuple(kinds), dcd_update=dcd_update)
+    algorithms.insert(position, _alternate_vss_spec(alternate, length, lam, rho, c, kernel_sigma))
+    with pytest.MonkeyPatch.context() as mp:
+        _lockstep_case(mp, algorithms, length, horizon, runs, chunk_runs, with_nmsd, instrument, seed)
+
+
+def test_lockstep_driver_matches_public_steps_at_length_64(monkeypatch):
+    algorithms = default_algorithms(64)
+    algorithms.insert(2, _alternate_vss_spec("iwf_ase", 64, 0.99, 0.5, 5.0, None))
+    _lockstep_case(monkeypatch, algorithms, 64, 2 * _BLOCK + 5, 3, 2, True, True, 64)
+
+
+def test_lockstep_gated_row_keeps_signed_zeros(monkeypatch):
+    """A gated row only decays, as in the scalar core: after a silence has
+    decayed entries of R to -0.0, a gated impulse leaves them -0.0, where
+    adding its zero-weighted sample would make them +0.0."""
+    config = FilterConfig(length=2, lam=0.5, rho=1e-4, ase=AseParams(c=2.0))
+    spec = AlgoSpec(kind="iwf_ase", config=config)
+    x_rows = np.zeros((1203, 2))
+    x_rows[0], x_rows[1] = [1.0, 0.0], [-1.0, 1.0]
+    d = np.zeros(1203)
+    d[:2], d[-1] = 0.1, 1e3
+    states = []
+
+    def recording_init(config, *, ops=None):
+        states.append(filters.filter_init(config, ops=ops))
+        return states[-1]
+
+    monkeypatch.setattr(harness, "filter_init", recording_init)
+    records, _ = harness._paired_runs([spec], 2, 1203, 1, 0.0, lambda run: (x_rows, d, 0.0), None, False)
+    public = run_public_steps(spec, x_rows, d, 1.0)[0]
+    assert not records[0].applied_rate[-1]
+    assert np.signbit(public.stats).any()
+    assert states[0].stats.tobytes() == public.stats.tobytes()
+
+
+@pytest.mark.parametrize("kinds", [("iwf", "dcd_ase"), ("dcd_ase", "iwf")])
+def test_block_error_names_the_first_failing_run_then_algorithm(kinds):
+    """Runs step in lockstep, so the first block in which any state fails
+    raises, naming its first failing run and, within it, algorithm: run 1
+    overflows in block 0, before run 0 does in block 1."""
+    horizon, length = 3 * _BLOCK, 4
+    rng = np.random.default_rng(3)
+    late = regressors(rng.standard_normal(horizon), length)
+    late[_BLOCK + 10 :] *= 1e160
+    early = 1e160 * regressors(rng.standard_normal(horizon), length)
+    draws = [(late, late @ np.ones(length), 0.0), (early, early @ np.ones(length), 0.0)]
+    pattern = rf"^{kinds[0]}: run 1: the filter state became non-finite in the block of samples 0 to 63$"
+    with pytest.raises(FilterError, match=pattern):
+        harness._paired_runs(
+            default_algorithms(length, kinds), length, horizon, 2, 0.0, draws.__getitem__, None, False
+        )
+
+
+def test_block_error_orders_runs_before_algorithms(monkeypatch):
+    """In one block, run 0's second algorithm fails and run 1's first: the
+    error names run 0, since runs come first, then algorithms in the order
+    given, whichever core steps them."""
+    states = []
+
+    def recording_init(config, *, ops=None):
+        states.append(filters.filter_init(config, ops=ops))
+        return states[-1]
+
+    algorithms = default_algorithms(3, ("dcd_ase", "iwf", "rmcc"))
+    failing = {(1, 0), (0, 1)}  # (algorithm, run)
+    monkeypatch.setattr(harness, "filter_init", recording_init)
+    def finite(state):
+        index = next(i for i, st in enumerate(states) if st is state)
+        return divmod(index, 2) not in failing
+
+    monkeypatch.setattr(harness, "_state_is_finite", finite)
+    x_rows = regressors(np.ones(70), 3)
+    with pytest.raises(FilterError, match=r"^iwf: run 0: .* block of samples 0 to 63$"):
+        harness._paired_runs(algorithms, 3, 70, 2, 0.0, lambda run: (x_rows, np.ones(70), 0.0), None, False)
+
+
 def test_run_sysid_nmsd_matches_per_sample_reference():
     """Per-block deviations give the NMSD of a per-sample diff @ diff,
     including the last, partial block."""
@@ -348,7 +516,10 @@ def test_run_sysid_steps_check_no_sample(monkeypatch):
 def test_traced_names_see_the_driver_and_the_public_steps(monkeypatch):
     """perfbench's tracer and set-up probe wrap these module attributes;
     each must be called by the Monte Carlo driver, and the filters ones
-    by the public steps too, or a library change leaves them blind."""
+    by the public steps too, or a library change leaves them blind.  The
+    scalar correlation update is the one exception: the batched core
+    updates the driver's statistics itself, so only the public steps call
+    it."""
     calls = {}
 
     def counting(module, name):
@@ -368,12 +539,12 @@ def test_traced_names_see_the_driver_and_the_public_steps(monkeypatch):
         counting(filters, name)
     sc = make_sysid_scenario(length=4, horizon=40, mc_runs=2, seed=3)
     run_sysid(sc, default_algorithms(4))
-    assert all(calls.values()), calls
+    assert {key for key, n in calls.items() if not n} == {"filters._correlation_update"}, calls
     driver = dict(calls)
     for spec in default_algorithms(4):
         run_public_steps(spec, np.eye(4), np.ones(4), kernel_sigma=1.0)
     assert {key: calls[key] > driver[key] for key in calls} == {
-        "harness._vss_step": False,
+        "harness._vss_steps": False,
         "harness._dcd_step": False,
         "filters._correlation_update": True,
         "filters._dcd_solve": True,
@@ -425,16 +596,27 @@ def test_driver_checks_no_layout(monkeypatch):
 
 
 def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
-    """The driver calls each core with the same five arguments, state,
-    config, row, d and weighting, with and without ``instrument``: the
-    pricing is added to the recorded rows, not wrapped around the cores."""
+    """The driver calls each core with the same arguments with and without
+    ``instrument``: ``_dcd_step`` with state, config, row, d and weighting,
+    ``_vss_steps`` with the batch, the forgetting factors, the weightings,
+    each run's sample and ``move``.  The pricing is added to the recorded
+    rows, not wrapped around the cores."""
     calls = []
+
+    def snapshot(arg):
+        if isinstance(arg, np.ndarray):
+            return arg.shape, arg.tobytes()
+        if isinstance(arg, filters.FilterState):
+            return "state"
+        if isinstance(arg, filters._VssBatch):
+            return tuple(map(snapshot, (arg.w, arg.stats, arg.residual, arg.lam, arg.weightings)))
+        return tuple(arg) if isinstance(arg, list) else arg
 
     def recording(name):
         core = getattr(harness, name)
 
         def wrapper(*args, **kwargs):
-            calls.append((name, len(args), kwargs, args[1], tuple(args[2]), args[3], args[4]))
+            calls.append((name, len(args), tuple(kwargs), tuple(map(snapshot, args))))
             return core(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, wrapper)
@@ -447,7 +629,7 @@ def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
         calls.clear()
         run_sysid(sc, default_algorithms(4), instrument=instrument)
         seen[instrument] = list(calls)
-    assert {(name, n, tuple(kwargs)) for name, n, kwargs, *_ in seen[True]} == {(name, 5, ()) for name in CORES}
+    assert {(name, n, kwargs) for name, n, kwargs, _ in seen[True]} == {("_vss_steps", 3, ()), ("_dcd_step", 5, ())}
     assert seen[False] == seen[True]
 
 
