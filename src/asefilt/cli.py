@@ -170,7 +170,7 @@ SCHEMAS: dict[str, list[Option]] = {
 }
 SCHEMAS["sweep"] = [
     Option("param", "str", None, "swept parameter", ("c", "lambda", "rho", "snr_db", "impulse_prob", "n_updates")),
-    Option("values", "str", None, "comma-separated sweep values"),
+    Option("values", "str", None, "comma-separated sweep values; a list starting with a minus sign takes the = form, --values=-10,0"),
     *[o for o in SCHEMAS["sysid"] if o.name not in ("algos", "instrument")],
 ]
 

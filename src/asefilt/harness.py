@@ -25,12 +25,13 @@ every ``iwf``, ``iwf_ase`` and ``rmcc`` row of the chunk, a row being an
 ``_dcd_step`` over the same block.  The cores skip the per-call checks
 of the public step functions and count nothing, and results are
 bit-identical to stepping each run through them, since every sum adds
-the runs in run order.  The driver keeps each block's core results, one
-``(prior_error, applied, phi, moved)`` row per state and sample, as the
-block's trace and fills the error and applied series from it.  The
-stepping loop is the same with and without ``instrument``; an
-``instrument`` run then prices the block's rows once, after the block
-check, with the core's cost function from :mod:`~asefilt.counting`.
+the runs in run order.  The driver keeps one record per block: four
+``(algorithms, runs, block)`` arrays holding each row's prior error,
+applied flag, weight ``phi`` and whether its weights moved, filled from
+the rows the cores return.  The error and applied series come from it.
+The stepping loop is the same with and without ``instrument``; an
+``instrument`` run then prices the record's rows once, after the block
+check, with each family's cost function from :mod:`~asefilt.counting`.
 Only the DCD solve prices itself, into the state's counter, since only
 the solve knows how deep it halved.  The public steps keep the scalar
 cores, through which one row alone steps faster than batched.
@@ -125,7 +126,9 @@ class AlgoSpec:
     None it defaults to ten times the background noise deviation of
     the scenario (or 10.0 when the scenario has no background noise).
     An explicit value must be positive and finite, and large enough that
-    ``2 sigma^2`` does not underflow to zero.
+    ``2 sigma^2`` does not underflow to zero.  Only a ``dcd_ase`` config
+    may carry ``DcdParams``, which make ``filter_init`` lay ``R`` out for
+    the coordinate-descent step.
     """
 
     kind: str
@@ -136,6 +139,8 @@ class AlgoSpec:
     def __post_init__(self) -> None:
         if self.kind not in ALGORITHMS:
             raise ValueError(f"kind must be one of {ALGORITHMS}, got {self.kind!r}")
+        if self.kind != "dcd_ase" and self.config.dcd is not None:
+            raise ValueError(f"kind {self.kind!r} takes no DcdParams: its config must have dcd=None")
         if self.kernel_sigma is not None:
             _check_kernel_width(self.kernel_sigma)
 
@@ -318,31 +323,22 @@ def default_algorithms(
     return specs
 
 
-def _make_stepper(spec: AlgoSpec, bg_std: float) -> tuple[Callable, Callable, AseParams | float | None]:
-    """The trusted core of ``spec``, its cost function and its error
-    weighting.  A coordinate-descent core ``core(state, spec.config, x, d,
-    weighting)`` returns the row ``(prior_error, applied, phi, moved)`` that
-    ``price(spec.config, weighting, row)`` prices; the inversion-free core
-    is the batched ``_vss_steps``, whose rows the driver prices one by one.
-
-    Raises here, before any step, what the public step would raise on
-    every call for the configuration."""
-    cfg = spec.config
-    weighting = None if spec.kind == "iwf" else cfg.ase
+def _weighting(spec: AlgoSpec, bg_std: float) -> AseParams | float | None:
+    """The error weighting ``spec``'s core takes.  Raises here, before any
+    step, what the public step would raise on every call for the
+    configuration."""
+    if spec.kind == "dcd_ase":
+        _check_solver(spec.config)
+    if spec.kind == "iwf":
+        return None
     if spec.kind == "rmcc":
         sigma = spec.kernel_sigma
         if sigma is None:
             # Wide kernel: only gross outliers (an order of magnitude beyond
             # the nominal error scale) are meaningfully downweighted.
             sigma = 10.0 * bg_std if bg_std > 0.0 else 10.0
-        weighting = float(sigma)
-    # The cores are looked up by name when a driver call starts, never
-    # bound in an import-time table, so that patching the module attribute
-    # takes effect.
-    if spec.kind == "dcd_ase":
-        _check_solver(cfg)
-        return _dcd_step, dcd_step_ops, weighting
-    return _vss_steps, vss_step_ops, weighting
+        return float(sigma)
+    return spec.config.ase
 
 
 def _check_draw(x_rows, d, horizon: int, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,15 +356,17 @@ def _check_draw(x_rows, d, horizon: int, length: int) -> tuple[np.ndarray, np.nd
     return x_rows, d
 
 
-def _step_run(core, cfg: FilterConfig, weighting, state: FilterState, xd: np.ndarray, w_rows: np.ndarray | None) -> list[tuple]:
-    """Step one run's ``state`` through the scalar ``core`` over the samples
-    ``xd``, regressor rows with ``d`` as one more column, and return its
-    rows; with ``w_rows``, write the weights after each step into it."""
+def _step_run(cfg: FilterConfig, weighting, state: FilterState, xd: np.ndarray, w_rows: np.ndarray | None) -> list[tuple]:
+    """Step one ``dcd_ase`` run's ``state`` through ``_dcd_step`` over the
+    samples ``xd``, regressor rows with ``d`` as one more column, and
+    return its rows of the block record, one ``(prior_error, applied, phi,
+    moved)`` per sample; with ``w_rows``, write the weights after each step
+    into it."""
     length = xd.shape[-1] - 1
     rows = []
     # d as Python floats, as the public steps' check converts it.
     for k, (x, d) in enumerate(zip(xd[:, :length], xd[:, length].tolist())):
-        rows.append(core(state, cfg, x, d, weighting))
+        rows.append(_dcd_step(state, cfg, x, d, weighting))
         if w_rows is not None:
             w_rows[k] = state.w
     return rows
@@ -392,11 +390,14 @@ def _paired_runs(
     rows (at least one run), each draw checked once for shape and
     finiteness (``ValueError``) before the chunk's first step.  The runs
     of a chunk then step in lockstep, one block of ``_BLOCK_ROWS`` samples
-    at a time, and every filter state is checked finite after each block
-    (``FilterError``, naming the first failing run, then algorithm).
-    With ``w_o`` given, the squared weight deviation from it is averaged
-    into an NMSD curve.  Returns one record per algorithm and each
-    algorithm's prior-error trace of run 0.
+    at a time, into one block record of ``(algorithms, runs, block)``
+    arrays: the prior error, applied flag, ``phi`` and moved flag of every
+    row.  The scores, the update ratios and, with ``instrument``, the
+    operation totals are read from it.  Every filter state is checked
+    finite after each block (``FilterError``, naming the first failing
+    run, then algorithm).  With ``w_o`` given, the squared weight
+    deviation from it is averaged into an NMSD curve.  Returns one record
+    per algorithm and each algorithm's prior-error trace of run 0.
     """
     if not algorithms:
         raise ValueError("algorithms must not be empty")
@@ -405,11 +406,12 @@ def _paired_runs(
             raise ValueError(
                 f"algorithm {spec.name!r} has length {spec.config.length}, experiment needs {length}"
             )
-    # The inversion-free algorithms step together through one batched core,
-    # the coordinate-descent ones one run at a time.
+    # The inversion-free algorithms step together through the batched
+    # _vss_steps, the coordinate-descent ones one run at a time through
+    # _dcd_step.  Both are looked up when called, so patching them takes effect.
     vss = [idx for idx, spec in enumerate(algorithms) if spec.kind != "dcd_ase"]
     dcd = [idx for idx, spec in enumerate(algorithms) if spec.kind == "dcd_ase"]
-    steppers = [_make_stepper(spec, bg_std) for spec in algorithms]
+    weightings = [_weighting(spec, bg_std) for spec in algorithms]
     counters = [OpCounter() if instrument else None for _ in algorithms]
     se_sum, applied_sum, dev_sum = (np.zeros((len(algorithms), horizon)) for _ in range(3))
     first_errors = np.empty((len(algorithms), horizon))
@@ -431,7 +433,7 @@ def _paired_runs(
             batch = _VssBatch(
                 [states[idx] for idx in vss],
                 [algorithms[idx].config.lam for idx in vss],
-                [steppers[idx][2] for idx in vss],
+                [weightings[idx] for idx in vss],
             )
         applied_count = np.zeros((len(algorithms), n_runs), dtype=int)
         # The weights after each step of a block; np.vecdot matches a per-row
@@ -442,42 +444,33 @@ def _paired_runs(
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, horizon, _BLOCK_ROWS):
                 stop = min(start + _BLOCK_ROWS, horizon)
-                err = np.empty((len(algorithms), n_runs, stop - start))
-                applied = np.empty(err.shape, dtype=bool)
-                # The block's trace: each algorithm's (prior_error, applied,
-                # phi, moved) rows, one sequence per run.
-                traces = [None] * len(algorithms)
+                # The block record: one (prior_error, applied, phi, moved)
+                # row per algorithm, run and sample.
+                shape = (len(algorithms), n_runs, stop - start)
+                err, phi = np.empty((2,) + shape)
+                applied, moved = np.empty((2,) + shape, dtype=bool)
                 for idx in dcd:
-                    core, _, weighting = steppers[idx]
-                    t0 = time.perf_counter()
-                    traces[idx] = [
-                        _step_run(core, algorithms[idx].config, weighting, state, xd_chunk[start:stop, b],
-                                  None if w_block is None else w_block[:, idx, b])
-                        for b, state in enumerate(states[idx])
-                    ]
-                    wall[idx] += time.perf_counter() - t0
-                    for b, rows in enumerate(traces[idx]):
-                        err[idx, b], applied[idx, b], _, _ = zip(*rows)
+                    for b, state in enumerate(states[idx]):
+                        t0 = time.perf_counter()
+                        rows = _step_run(algorithms[idx].config, weightings[idx], state, xd_chunk[start:stop, b],
+                                         None if w_block is None else w_block[:, idx, b])
+                        wall[idx] += time.perf_counter() - t0
+                        err[idx, b], applied[idx, b], phi[idx, b], moved[idx, b] = zip(*rows)
                 if vss:
-                    core = steppers[vss[0]][0]
                     t0 = time.perf_counter()
                     columns = []
                     for k, t in enumerate(range(start, stop)):
-                        columns.append(core(batch, xd_chunk[t], t >= length - 1))
+                        columns.append(_vss_steps(batch, xd_chunk[t], t >= length - 1))
                         if w_block is not None:
                             w_block[k, vss] = batch.w
                     # One call steps them all, so its time is split evenly.
                     share = (time.perf_counter() - t0) / len(vss)
                     for idx in vss:
                         wall[idx] += share
-                    e_cols, applied_cols, phi_cols, moved = zip(*columns)
-                    err[vss] = np.stack(e_cols, axis=-1)
-                    applied[vss] = np.stack(applied_cols, axis=-1)
-                    if instrument:
-                        phi = np.stack(phi_cols, axis=-1)
-                        for a, idx in enumerate(vss):
-                            rows = zip(err[idx].tolist(), applied[idx].tolist(), phi[a].tolist())
-                            traces[idx] = [zip(*run_rows, moved) for run_rows in rows]
+                    # Each column is (algorithms, runs); the record puts the samples last.
+                    *cols, moved_cols = zip(*columns)
+                    err[vss], applied[vss], phi[vss] = (np.array(col).transpose(1, 2, 0) for col in cols)
+                    moved[vss] = moved_cols
                 for b in range(n_runs):
                     for idx, spec in enumerate(algorithms):
                         if not _state_is_finite(states[idx][b]):
@@ -486,10 +479,10 @@ def _paired_runs(
                                 f" in the block of samples {start} to {stop - 1}"
                             )
                 if instrument:
-                    for idx, (_, price, weighting) in enumerate(steppers):
-                        for rows in traces[idx]:
-                            for row in rows:
-                                counters[idx].add(*price(algorithms[idx].config, weighting, row))
+                    for idx, spec in enumerate(algorithms):
+                        price = dcd_step_ops if spec.kind == "dcd_ase" else vss_step_ops
+                        for row in zip(*(field[idx].ravel().tolist() for field in (err, applied, phi, moved))):
+                            counters[idx].add(*price(spec.config, weightings[idx], row))
                 applied_count += applied.sum(axis=-1)
                 resid = err - target[start:stop].T
                 sq = resid * resid
@@ -507,9 +500,10 @@ def _paired_runs(
                     first_errors[:, start:stop] = err[:, 0]
         for b in range(n_runs):
             for idx in range(len(algorithms)):
+                # The batched core keeps no step counts; the record gives every
+                # state the counts a scalar core keeps.
                 state = states[idx][b]
-                if idx in vss:
-                    state.step_index, state.updates_applied = horizon, int(applied_count[idx, b])
+                state.step_index, state.updates_applied = horizon, int(applied_count[idx, b])
                 ur_sum[idx] += update_ratio(state)
 
     records = []

@@ -542,6 +542,16 @@ def test_sweep_labels_are_unique(tmp_path):
     assert cli._sweep_labels("c", runs) == ["c=0.5", "c=1e-07", "c=1.00000001e-07"]
 
 
+def test_sweep_negative_values_take_the_equals_form(tmp_path):
+    """argparse reads ``-10,0`` after a separate ``--values`` as a flag; the
+    ``=`` form, which the help text names, runs."""
+    out = tmp_path / "o"
+    rc = run_cli("sweep", "--param", "snr_db", "--values=-10,0", "--runs", "1", "--horizon", "50", "--out", str(out))
+    assert rc == EXIT_OK
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 2
+    assert "--values=-10,0" in next(opt.help for opt in cli.SCHEMAS["sweep"] if opt.name == "values")
+
+
 def test_sweep_requires_values(tmp_path, capsys):
     rc = run_cli("sweep", "--param", "c", "--values", " ", "--out", str(tmp_path / "o"))
     assert rc == EXIT_CONFIG

@@ -243,6 +243,15 @@ def test_algo_spec_labels():
     assert labeled.name == "baseline"
 
 
+@pytest.mark.parametrize("kind", ["iwf", "iwf_ase", "rmcc"])
+def test_inversion_free_spec_rejects_solver_params(kind):
+    """A config carrying DcdParams gets a ring-held R from filter_init,
+    which no inversion-free core steps: the spec is rejected, naming its kind."""
+    config = dataclasses.replace(default_algorithms(4, (kind,))[0].config, dcd=DcdParams())
+    with pytest.raises(ValueError, match=f"^kind '{kind}' takes no DcdParams"):
+        AlgoSpec(kind=kind, config=config)
+
+
 def test_algo_spec_rejects_a_kernel_width_whose_square_underflows():
     config = default_algorithms(4, kinds=("rmcc",))[0].config
     with pytest.raises(ValueError, match="underflows to 0"):
@@ -381,19 +390,20 @@ def _alternate_vss_spec(kind, length, lam, rho, c, kernel_sigma):
     runs=st.integers(1, 7),
     chunk_runs=st.integers(1, 7),
     dcd_update=st.sampled_from(("shift", "dense")),
+    delta_schedule=st.sampled_from(("decaying", "constant")),
     with_nmsd=st.booleans(),
     instrument=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_lockstep_driver_matches_public_steps(
     kinds, alternate, lam, rho, c, kernel_sigma, position, length, horizon, runs, chunk_runs,
-    dcd_update, with_nmsd, instrument, seed,
+    dcd_update, delta_schedule, with_nmsd, instrument, seed,
 ):
     """The batched inversion-free rows and the per-run coordinate-descent
     rows of a mixed algorithm list, two inversion-free specs among them
     with different lam, rho and c, step and score exactly as the public
     steps do, across block and chunk edges."""
-    algorithms = default_algorithms(length, tuple(kinds), dcd_update=dcd_update)
+    algorithms = default_algorithms(length, tuple(kinds), dcd_update=dcd_update, delta_schedule=delta_schedule)
     algorithms.insert(position, _alternate_vss_spec(alternate, length, lam, rho, c, kernel_sigma))
     with pytest.MonkeyPatch.context() as mp:
         _lockstep_case(mp, algorithms, length, horizon, runs, chunk_runs, with_nmsd, instrument, seed)
