@@ -26,7 +26,6 @@ import numpy as np
 from .dcd import DcdParams, dcd_solve
 from .filters import DCD_UPDATE_MODES, DELTA_SCHEDULES
 from .harness import (
-    _FLOOR_RATIO,
     ALGORITHMS,
     AlgoSpec,
     AncSpec,
@@ -415,7 +414,7 @@ def cmd_anc(opts: dict, plan) -> list[str]:
     )
     for key in ("primary", "clean", "reference", *(f"denoised_{label}" for label in labels)):
         save_waveform(outdir / f"{key}.csv", waveforms[key])
-    steadies = [10.0 * math.log10(max(steady_state(rec.mse), _FLOOR_RATIO)) for rec in records]
+    steadies = [power_db(steady_state(rec.mse)) for rec in records]
     return _record_table(records, "steady_mse_db", steadies) + _ops_lines(records)
 
 

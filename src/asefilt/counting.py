@@ -1,12 +1,12 @@
 """Floating-point operation counters and the cost model that fills them.
 
-The filter cores count nothing.  The pure ``*_ops`` functions here price
-one call as ``(adds, mults, comparisons)`` in closed form, from the length
-and from what the call decided.  The public steps and the Monte Carlo
-driver both price the row a core returns: a public step adds it to the
-state's counter per call, the driver, only when instrumented, once per
-block of recorded rows after the block's finiteness check.  Only a
-solve given a counter prices itself, since only it knows its depth.  Two
+The filter cores and the DCD solve count nothing: each returns what it
+decided.  The pure ``*_ops`` functions here price one call as ``(adds,
+mults, comparisons)`` in closed form, from the length and from those
+decisions, at the public boundary or in the Monte Carlo driver: a public
+step or solve adds its price to the caller's counter per call, the
+driver, only when instrumented, prices its block record once per block
+after the block's finiteness check.  Two
 ``dcd_ase`` charges stand above the work executed: ``length`` adds for
 the weight update on every solved step, though the solve adds only into
 the at most ``n_updates`` coordinates it moved, and the textbook leakage
@@ -49,10 +49,11 @@ def _weighting_ops(weighting, applied: bool) -> tuple[int, int, int]:
 
 
 def vss_step_ops(config, weighting, result: tuple) -> tuple[int, int, int]:
-    """An inversion-free step's ``(e, applied, phi, moved)``: the weighting,
-    the statistics update, the prior error, the residual theta - R w, and
-    a move: r.r, R r, r.R r, the step size and w += mu r."""
-    _, applied, phi, moved = result
+    """An inversion-free step's ``(e, applied, phi, moved)``, the first
+    fields of a block record's row: the weighting, the statistics update,
+    the prior error, the residual theta - R w, and a move: r.r, R r,
+    r.R r, the step size and w += mu r."""
+    _, applied, phi, moved = result[:4]
     n, (adds, mults, comparisons) = config.length, _weighting_ops(weighting, applied)
     r_adds, r_mults, _ = correlation_ops(config, phi)
     adds += r_adds + n + n * n + moved * (n * n + 2 * n - 1)
@@ -61,9 +62,9 @@ def vss_step_ops(config, weighting, result: tuple) -> tuple[int, int, int]:
 
 
 def dcd_step_ops(config, weighting, result: tuple) -> tuple[int, int, int]:
-    """A coordinate-descent step's ``(e, applied, phi, solved)``, but not
-    its solve, which prices itself."""
-    _, applied, phi, solved = result
+    """A coordinate-descent step's ``(e, applied, phi, solved, updates,
+    halvings)``, its solve included."""
+    _, applied, phi, solved, updates, halvings = result
     n, (adds, mults, comparisons) = config.length, _weighting_ops(weighting, applied)
     # The prior error, the textbook leakage step (1 add, 2 mults, though
     # the correction is precomputed), the R update, lam * residual and
@@ -78,18 +79,19 @@ def dcd_step_ops(config, weighting, result: tuple) -> tuple[int, int, int]:
         r_adds, r_mults, touched = injected * n * n, n * n + injected * (n * n + n), n
     adds += n + 1 + r_adds + injected * n + 2 * corrected * touched + solved * n
     mults += n + 2 + r_mults + n + injected * (n + 1) + corrected * touched
-    return adds, mults, comparisons
+    s_adds, s_mults, s_comparisons = solve_ops(n, config.dcd.m_bits, updates, halvings) if solved else (0, 0, 0)
+    return adds + s_adds, mults + s_mults, comparisons + s_comparisons
 
 
-def solve_ops(n: int, m_bits: int, updates: int, depth: int, exhausted: bool) -> tuple[int, int, int]:
+def solve_ops(n: int, m_bits: int, updates: int, halvings: int) -> tuple[int, int, int]:
     """A size-``n`` DCD solve that made ``updates`` updates and ended at
-    halving ``depth``, or exhausted its ``m_bits`` halvings."""
+    depth ``halvings``, which is ``m_bits`` exactly when the bits ran out."""
     # Per update: an n-entry scan, a passing significance test (one
     # multiply, one comparison), the column axpy and the increment.  Per
     # halving: a failing test, the bit budget check and the step
     # multiply, which the halving that exhausts the bits skips; that
     # halving also follows one more scan.  Plus the initial h / 2.
-    halvings, adds = (m_bits if exhausted else depth), (n + 1) * updates
+    exhausted, adds = halvings == m_bits, (n + 1) * updates
     return adds, 1 + 2 * halvings - exhausted + adds, n * (updates + exhausted) + updates + 2 * halvings
 
 

@@ -255,28 +255,30 @@ def dcd_solve(
     and its cached pivot check stands in for a scan of the diagonal.
     Either way one check, with one message per condition, requires ``rhs``
     to be a finite vector of matching length and the diagonal to be
-    strictly positive.  ``rhs`` is not modified.
+    strictly positive.  ``rhs`` is not modified.  With ``ops`` the solve
+    is priced into it by :func:`~asefilt.counting.solve_ops`.
     """
     r_matrix, rhs = _check_system(r_matrix, rhs)
     delta_w, residual = np.zeros(rhs.shape[0]), rhs.copy()
-    updates, exhausted = _dcd_solve(r_matrix, residual, params, delta_w, ops=ops)
-    return DcdSolveResult(delta_w, residual, updates, exhausted)
+    updates, halvings = _dcd_solve(r_matrix, residual, params, delta_w)
+    if ops is not None:
+        ops.add(*solve_ops(rhs.shape[0], params.m_bits, updates, halvings))
+    return DcdSolveResult(delta_w, residual, updates, halvings == params.m_bits)
 
 
 def _dcd_solve(
-    r_matrix: np.ndarray | ShiftMatrix,
-    rhs: np.ndarray,
-    params: DcdParams,
-    w: np.ndarray,
-    *,
-    ops: OpCounter | None = None,
-) -> tuple[int, bool]:
+    r_matrix: np.ndarray | ShiftMatrix, rhs: np.ndarray, params: DcdParams, w: np.ndarray
+) -> tuple[int, int]:
     """:func:`dcd_solve` warm-started at ``w``, in place and without the
     checks, for a float ``r_matrix`` and ``rhs`` and ``w`` of matching
     shape.  ``rhs`` becomes the residual and each moved coordinate's
     accumulated increment is added into ``w`` once, at the end, so
     ``w[i] + increment`` is the same float as ``w + delta_w``.  Returns
-    ``(updates_used, exhausted_bits)``."""
+    what the solve decided, ``(updates_used, halvings)``: ``halvings`` is
+    the depth the solve ended at, or ``m_bits`` exactly when the bits ran
+    out, since a solve that uses up its budget ends at a depth below
+    ``m_bits``.  It counts nothing: :mod:`~asefilt.counting` prices the
+    pair."""
     if isinstance(r_matrix, ShiftMatrix):
         diag, column = r_matrix.diagonal(), r_matrix.column
     else:
@@ -288,14 +290,13 @@ def _dcd_solve(
     depth = 0
     increments: dict[int, float] = {}
     updates = 0
-    exhausted = False
     while updates < params.n_updates:
         lead = int(np.abs(residual).argmax())
         value = float(residual[lead])
         lead_mag = abs(value)
         pivot = float(diag[lead])
         if lead_mag <= finest * pivot:
-            exhausted = True
+            depth = params.m_bits
             break
         while lead_mag <= 0.5 * steps[depth] * pivot:
             depth += 1
@@ -306,6 +307,4 @@ def _dcd_solve(
         updates += 1
     for lead, increment in increments.items():
         w[lead] += increment
-    if ops is not None:
-        ops.add(*solve_ops(rhs.shape[0], params.m_bits, updates, depth, exhausted))
-    return updates, exhausted
+    return updates, depth

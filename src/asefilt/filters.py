@@ -31,25 +31,27 @@ descent), with the weighting :func:`_weigh` applies: None for
 ``iwf_step``, ``config.ase`` for ``iwf_ase_step`` and ``dcd_ase_step``,
 the kernel width for ``rmcc_step``.  A core runs a sample's whole
 recursion in one body, on ``x`` and ``d`` as :func:`_check_sample`
-returns them, and returns the row ``(prior_error, applied, phi, moved)``,
-where ``moved`` says whether the weights moved or the solver ran.  It
-counts nothing: the public steps and the Monte Carlo harness both price
-the row a core returns with the cost model of :mod:`~asefilt.counting`,
-a public step per call into ``state.ops`` and the harness once per block
-of rows it recorded; only the DCD solve prices itself.  Each condition is
+returns them, and returns the row of what it decided: ``(prior_error,
+applied, phi, moved)``, where ``moved`` says whether the weights moved
+or the solver ran, and for ``_dcd_step`` also the solve's ``(updates,
+halvings)``.  It counts nothing: the public steps and the Monte Carlo
+harness both price the row a core returns with the cost model of
+:mod:`~asefilt.counting`, a public step per call into ``state.ops`` and
+the harness once per block of rows it recorded.  Each condition is
 checked once, at the public boundary: a public step and
 :func:`correlation_update` check the sample, then that the state holds
 ``R`` in the layout their update needs, and the cores index
 ``state.stats`` and ``state.ring`` as they find them.  Finite input can
-still overflow, so with ``checked`` (the public steps) a core keeps the checks
-of :func:`correlation_update` on ``phi``,
-:meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
-:func:`~asefilt.dcd.dcd_solve` on the system, and ``_vss_step`` raises
+still overflow, so ``_vss_step``, which only the public steps call, keeps
+the check of :func:`correlation_update` on ``phi`` and raises
 :class:`ValueError` on a step size that is not finite before the weights
-move.  Unchecked, a core runs no check at all: the Monte Carlo harness
-builds every state itself with :func:`filter_init`, so the layout always
-matches, calls the cores with the private forms of those checks, and
-checks each state once per block of rows with :func:`_state_is_finite`.
+move, and ``_dcd_step`` keeps, unless called with ``checked=False``, the
+checks of :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
+:func:`~asefilt.dcd.dcd_solve` on the system.  The Monte Carlo harness
+runs ``_dcd_step`` unchecked: it builds every state itself with
+:func:`filter_init`, so the layout always matches, calls the private
+forms of those checks, and checks each state once per block of rows with
+:func:`_state_is_finite`.
 The harness steps its inversion-free states in lockstep through
 :func:`_vss_steps`, the ``_vss_step`` recursion on a :class:`_VssBatch`
 of states, one sample of every state per call and bit for bit.
@@ -302,12 +304,11 @@ def _weigh(e: float, weighting: AseParams | float | None) -> tuple[bool, float]:
 
 
 def _vss_step(
-    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting, checked=False
+    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting
 ) -> tuple[float, bool, float, bool]:
     e = d - float(state.w @ x)
     applied, phi = _weigh(e, weighting)
-    if checked:
-        _check_phi(phi)
+    _check_phi(phi)
     # A gated sample has phi = 0.0, so the update only decays the statistics.
     _correlation_update(state, config, x, d, phi)
     state.updates_applied += applied
@@ -325,7 +326,7 @@ def _vss_step(
     move = state.step_index >= config.length - 1
     if move:
         mu = float(r @ r) / (float(r @ (r_mat @ r)) + VSS_GUARD)
-        if checked and not math.isfinite(mu):
+        if not math.isfinite(mu):
             raise ValueError(f"the weight step size must be finite, got {mu!r}")
         state.w += mu * r
     state.step_index += 1
@@ -399,7 +400,7 @@ def _public_step(core, price, state: FilterState, config: FilterConfig, x, d, we
     ``ring``, its row priced by ``price`` into ``state.ops`` if any."""
     x, d = _check_sample(config, x, d)
     _check_layout(state, ring)
-    row = core(state, config, x, d, weighting, True)
+    row = core(state, config, x, d, weighting)
     if state.ops is not None:
         state.ops.add(*price(config, weighting, row))
     return StepOutput(*row[:2])
@@ -513,8 +514,8 @@ def _check_solver(config: FilterConfig) -> None:
 
 
 def _dcd_step(
-    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting, checked=False
-) -> tuple[float, bool, float, bool]:
+    state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting, checked=True
+) -> tuple[float, bool, float, bool, int, int]:
     n = config.length
     e = d - float(state.w @ x)
     applied, phi = _weigh(e, weighting)
@@ -554,22 +555,16 @@ def _dcd_step(
 
     # Otherwise solve in place: rhs becomes the residual and the increment
     # goes into w.
+    updates = halvings = 0
     if not held:
-        _solve(state, r_mat, rhs, config.dcd, checked)
+        if checked:
+            _check_system(r_mat, rhs)
+        updates, halvings = _dcd_solve(r_mat, rhs, config.dcd, state.w)
     state.residual = rhs
 
     state.updates_applied += applied
     state.step_index += 1
-    return e, applied, phi, not held
-
-
-def _solve(state: FilterState, r_mat, rhs: np.ndarray, params: DcdParams, checked: bool) -> None:
-    """:func:`~asefilt.dcd.dcd_solve` for a step: with ``checked`` its
-    checks, then the solve in place into ``rhs`` and ``state.w``, which
-    prices itself into ``state.ops``."""
-    if checked:
-        _check_system(r_mat, rhs)
-    _dcd_solve(r_mat, rhs, params, state.w, ops=state.ops)
+    return e, applied, phi, not held, updates, halvings
 
 
 def _state_is_finite(state: FilterState) -> bool:

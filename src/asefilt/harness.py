@@ -25,16 +25,17 @@ every ``iwf``, ``iwf_ase`` and ``rmcc`` row of the chunk, a row being an
 ``_dcd_step`` over the same block.  The cores skip the per-call checks
 of the public step functions and count nothing, and results are
 bit-identical to stepping each run through them, since every sum adds
-the runs in run order.  The driver keeps one record per block: four
+the runs in run order.  The driver keeps one record per block: six
 ``(algorithms, runs, block)`` arrays holding each row's prior error,
-applied flag, weight ``phi`` and whether its weights moved, filled from
-the rows the cores return.  The error and applied series come from it.
-The stepping loop is the same with and without ``instrument``; an
-``instrument`` run then prices the record's rows once, after the block
-check, with each family's cost function from :mod:`~asefilt.counting`.
-Only the DCD solve prices itself, into the state's counter, since only
-the solve knows how deep it halved.  The public steps keep the scalar
-cores, through which one row alone steps faster than batched.
+applied flag, weight ``phi``, whether its weights moved or its solver
+ran, and the solve's updates and halvings (zero for a row that ran no
+solve), filled from the rows the cores return.  The error and applied
+series come from it.  The stepping loop is the same with and without
+``instrument``; an ``instrument`` run then prices the record's rows once,
+after the block check, with each family's cost function from
+:mod:`~asefilt.counting`, into counters the states never see.  The
+public steps keep the scalar cores, through which one row alone steps
+faster than batched.
 
 Finite inputs can still overflow a filter's statistics.  The driver
 checks each state once per block of ``_BLOCK_ROWS`` rows
@@ -46,8 +47,9 @@ likewise computed per block of rows, not per sample.  A finite state can
 still overflow the scores, so the curve an experiment reports, the NMSD
 with a target plant and the residual MSE without one, must come out
 finite, or one ``FilterError`` names the algorithm.  numpy's overflow
-warnings are silenced while the cores run and while the driver scores
-them, so these checks are the one report.
+warnings are silenced while the runs are drawn, while the cores run and
+while the driver scores them, so these checks, and the draw check that
+names the run, are the one report.
 """
 
 from __future__ import annotations
@@ -341,32 +343,31 @@ def _weighting(spec: AlgoSpec, bg_std: float) -> AseParams | float | None:
     return spec.config.ase
 
 
-def _check_draw(x_rows, d, horizon: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """One run's regressor rows and desired signal, checked for every step of the run."""
-    x_rows = np.asarray(x_rows, dtype=float)
-    if x_rows.shape != (horizon, length):
-        raise ValueError(f"x_rows must have shape ({horizon}, {length}), got {x_rows.shape}")
-    if not np.isfinite(x_rows).all():
-        raise ValueError("x_rows must be finite")
-    d = np.asarray(d, dtype=float)
-    if d.shape != (horizon,):
-        raise ValueError(f"d must have shape ({horizon},), got {d.shape}")
-    if not np.isfinite(d).all():
-        raise ValueError("d must be finite")
-    return x_rows, d
+def _check_draw(run: int, x_rows, d, horizon: int, length: int) -> list[np.ndarray]:
+    """Run ``run``'s regressor rows and desired signal, checked for every
+    step of the run; a ``ValueError`` names the run."""
+    checked = []
+    for name, value, shape in (("x_rows", x_rows, (horizon, length)), ("d", d, (horizon,))):
+        value = np.asarray(value, dtype=float)
+        if value.shape != shape:
+            raise ValueError(f"run {run}: {name} must have shape {shape}, got {value.shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"run {run}: {name} must be finite")
+        checked.append(value)
+    return checked
 
 
 def _step_run(cfg: FilterConfig, weighting, state: FilterState, xd: np.ndarray, w_rows: np.ndarray | None) -> list[tuple]:
-    """Step one ``dcd_ase`` run's ``state`` through ``_dcd_step`` over the
-    samples ``xd``, regressor rows with ``d`` as one more column, and
-    return its rows of the block record, one ``(prior_error, applied, phi,
-    moved)`` per sample; with ``w_rows``, write the weights after each step
-    into it."""
+    """Step one ``dcd_ase`` run's ``state`` through the unchecked
+    ``_dcd_step`` over the samples ``xd``, regressor rows with ``d`` as one
+    more column, and return its rows of the block record, one
+    ``(prior_error, applied, phi, moved, updates, halvings)`` per sample;
+    with ``w_rows``, write the weights after each step into it."""
     length = xd.shape[-1] - 1
     rows = []
     # d as Python floats, as the public steps' check converts it.
     for k, (x, d) in enumerate(zip(xd[:, :length], xd[:, length].tolist())):
-        rows.append(_dcd_step(state, cfg, x, d, weighting))
+        rows.append(_dcd_step(state, cfg, x, d, weighting, False))
         if w_rows is not None:
             w_rows[k] = state.w
     return rows
@@ -388,12 +389,13 @@ def _paired_runs(
     target the prior error is scored against; every algorithm sees the
     same draw.  Runs are drawn in chunks of ``_CHUNK_BYTES`` of regressor
     rows (at least one run), each draw checked once for shape and
-    finiteness (``ValueError``) before the chunk's first step.  The runs
-    of a chunk then step in lockstep, one block of ``_BLOCK_ROWS`` samples
-    at a time, into one block record of ``(algorithms, runs, block)``
-    arrays: the prior error, applied flag, ``phi`` and moved flag of every
-    row.  The scores, the update ratios and, with ``instrument``, the
-    operation totals are read from it.  Every filter state is checked
+    finiteness (``ValueError`` naming the run) before the chunk's first
+    step.  The runs of a chunk then step in lockstep, one block of
+    ``_BLOCK_ROWS`` samples at a time, into one block record of
+    ``(algorithms, runs, block)`` arrays: the prior error, applied flag,
+    ``phi``, moved flag, solver updates and halvings of every row.  The
+    scores, the update ratios and, with ``instrument``, the operation
+    totals are read from it.  Every filter state is checked
     finite after each block (``FilterError``, naming the first failing
     run, then algorithm).  With ``w_o`` given, the squared weight
     deviation from it is averaged into an NMSD curve.  Returns one record
@@ -421,14 +423,7 @@ def _paired_runs(
 
     for first in range(0, runs, chunk):
         n_runs = min(chunk, runs - first)
-        # Each run's regressor rows with d as one more column, time-major,
-        # so that each sample of the chunk's runs is one view.
-        xd_chunk = np.empty((horizon, n_runs, length + 1))
-        target = np.empty((horizon, n_runs))
-        for b in range(n_runs):
-            x_rows, d, target[:, b] = draw(first + b)
-            xd_chunk[:, b, :length], xd_chunk[:, b, length] = _check_draw(x_rows, d, horizon, length)
-        states = [[filter_init(spec.config, ops=counter) for _ in range(n_runs)] for spec, counter in zip(algorithms, counters)]
+        states = [[filter_init(spec.config) for _ in range(n_runs)] for spec in algorithms]
         if vss:
             batch = _VssBatch(
                 [states[idx] for idx in vss],
@@ -439,23 +434,34 @@ def _paired_runs(
         # The weights after each step of a block; np.vecdot matches a per-row
         # diff @ diff bit for bit, where einsum or multiply-then-sum would not.
         w_block = np.empty((_BLOCK_ROWS, len(algorithms), n_runs, length)) if w_o is not None else None
-        # The block check and the check of the reported curve below are the
-        # one report of an overflow, in the cores or in the scoring.
+        # Each run's regressor rows with d as one more column, time-major,
+        # so that each sample of the chunk's runs is one view.
+        xd_chunk = np.empty((horizon, n_runs, length + 1))
+        target = np.empty((horizon, n_runs))
+        # The draw check, the block check and the check of the reported
+        # curve below are the one report of an overflow, in the draws, in
+        # the cores or in the scoring.
         with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(n_runs):
+                x_rows, d, target[:, b] = draw(first + b)
+                xd_chunk[:, b, :length], xd_chunk[:, b, length] = _check_draw(first + b, x_rows, d, horizon, length)
             for start in range(0, horizon, _BLOCK_ROWS):
                 stop = min(start + _BLOCK_ROWS, horizon)
-                # The block record: one (prior_error, applied, phi, moved)
-                # row per algorithm, run and sample.
+                # The block record: one (prior_error, applied, phi, moved,
+                # updates, halvings) row per algorithm, run and sample.
                 shape = (len(algorithms), n_runs, stop - start)
                 err, phi = np.empty((2,) + shape)
                 applied, moved = np.empty((2,) + shape, dtype=bool)
+                updates, halvings = np.zeros((2,) + shape, dtype=int)
+                record = (err, applied, phi, moved, updates, halvings)
                 for idx in dcd:
                     for b, state in enumerate(states[idx]):
                         t0 = time.perf_counter()
                         rows = _step_run(algorithms[idx].config, weightings[idx], state, xd_chunk[start:stop, b],
                                          None if w_block is None else w_block[:, idx, b])
                         wall[idx] += time.perf_counter() - t0
-                        err[idx, b], applied[idx, b], phi[idx, b], moved[idx, b] = zip(*rows)
+                        for field, column in zip(record, zip(*rows)):
+                            field[idx, b] = column
                 if vss:
                     t0 = time.perf_counter()
                     columns = []
@@ -467,7 +473,8 @@ def _paired_runs(
                     share = (time.perf_counter() - t0) / len(vss)
                     for idx in vss:
                         wall[idx] += share
-                    # Each column is (algorithms, runs); the record puts the samples last.
+                    # Each column is (algorithms, runs); the record puts the
+                    # samples last.  These rows run no solve.
                     *cols, moved_cols = zip(*columns)
                     err[vss], applied[vss], phi[vss] = (np.array(col).transpose(1, 2, 0) for col in cols)
                     moved[vss] = moved_cols
@@ -481,7 +488,7 @@ def _paired_runs(
                 if instrument:
                     for idx, spec in enumerate(algorithms):
                         price = dcd_step_ops if spec.kind == "dcd_ase" else vss_step_ops
-                        for row in zip(*(field[idx].ravel().tolist() for field in (err, applied, phi, moved))):
+                        for row in zip(*(field[idx].ravel().tolist() for field in record)):
                             counters[idx].add(*price(spec.config, weightings[idx], row))
                 applied_count += applied.sum(axis=-1)
                 resid = err - target[start:stop].T

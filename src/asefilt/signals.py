@@ -54,8 +54,11 @@ class BgNoiseSpec:
 class PdPulseSpec:
     """Shape of one synthetic partial-discharge pulse (damped oscillation).
 
-    ``amplitude`` is the exact peak magnitude of the pulse; the template is
-    normalized so its largest sample equals it.
+    ``amplitude`` is the exact peak magnitude of the pulse; the template,
+    ``exp(-t / decay) * sin(2 pi freq t)`` over ``length`` samples, is
+    scaled so its largest sample equals it.  The scaled template is built
+    here, once; a ``decay`` and ``freq`` whose template is zero, or too
+    small to scale to a finite ``amplitude``, raise ``ValueError``.
     """
 
     amplitude: float = 10.0
@@ -72,6 +75,13 @@ class PdPulseSpec:
             raise ValueError(f"freq must lie in (0, 0.5) cycles/sample, got {self.freq!r}")
         if not (isinstance(self.length, int) and self.length >= 2):
             raise ValueError(f"length must be an integer >= 2, got {self.length!r}")
+        t = np.arange(self.length, dtype=float)
+        template = np.exp(-t / self.decay) * np.sin(2.0 * math.pi * self.freq * t)
+        peak = float(np.max(np.abs(template)))
+        if peak == 0.0 or not math.isfinite(self.amplitude / peak):
+            raise ValueError(f"decay {self.decay!r} and freq {self.freq!r} give a pulse template"
+                             f" too small to scale to amplitude {self.amplitude!r}")
+        object.__setattr__(self, "_template", template * (self.amplitude / peak))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,18 +177,14 @@ def gen_pd_pulses(n: int, pulse_rate: float, seed, pulse: PdPulseSpec = PdPulseS
     """Sparse train of damped-oscillation pulses.
 
     Each sample independently starts a pulse with probability ``pulse_rate``;
-    overlapping pulses superpose.  The template is
-    ``exp(-t / decay) * sin(2 pi freq t)`` scaled so its peak magnitude
-    equals ``pulse.amplitude`` exactly.
+    overlapping pulses superpose.  Each pulse is the scaled template of
+    ``pulse``, whose peak magnitude equals ``pulse.amplitude`` exactly.
     """
     if not (isinstance(n, int) and n >= 0):
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if not (0.0 <= pulse_rate <= 1.0):
         raise ValueError(f"pulse_rate must lie in [0, 1], got {pulse_rate!r}")
-    t = np.arange(pulse.length, dtype=float)
-    template = np.exp(-t / pulse.decay) * np.sin(2.0 * math.pi * pulse.freq * t)
-    peak = float(np.max(np.abs(template)))
-    template = template * (pulse.amplitude / peak)
+    template = pulse._template
     rng = np.random.default_rng(seed)
     starts = np.flatnonzero(rng.random(n) < pulse_rate)
     out = np.zeros(n)

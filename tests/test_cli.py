@@ -306,6 +306,31 @@ def test_anc_huge_shaping_overflow_is_one_runtime_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_anc_overflowing_draw_is_one_runtime_error_naming_the_run(tmp_path, capsys):
+    """--shaping 1e308 overflows the shaped reference itself.  The draw
+    check is the one report: exit 3 naming run 0, and no numpy warning,
+    which tier-1's warning filter would otherwise turn into the error."""
+    out = tmp_path / "o"
+    rc = run_cli("anc", "--shaping", "1e308", "--runs", "1", "--horizon", "100", "--out", str(out))
+    assert rc == EXIT_RUNTIME
+    assert capsys.readouterr().err == "asefilt: error: run 0: x_rows must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--pulse-decay", "1e-3"), ("--pulse-freq", "1e-320")])
+def test_anc_vanishing_pulse_template_is_config_error(tmp_path, capsys, flag, value):
+    """A decay that underflows every template sample to 0, or a frequency
+    whose template is too small to scale to the amplitude, is one
+    configuration error naming decay and freq, with no numpy warning."""
+    out = tmp_path / "o"
+    rc = run_cli("anc", flag, value, "--runs", "1", "--horizon", "100", "--out", str(out))
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("asefilt: configuration error: decay ") and err.count("\n") == 1
+    assert "freq" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sysid_overflowing_mse_stays_quiet_beside_a_finite_nmsd(tmp_path, capsys):
     """Impulses of variance 1e308 overflow the squared prior error, a score
     sysid never writes.  The robust filters reject them, so the NMSD stays

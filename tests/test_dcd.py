@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asefilt import DcdParams, DcdSolveResult, OpCounter, dcd_solve
+from asefilt.counting import solve_ops
 from asefilt.dcd import ShiftMatrix, _dcd_solve
 from asefilt.harness import random_spd_system
 
@@ -409,22 +410,24 @@ def test_in_place_solve_adds_the_public_increment(
     length, cond, seed, h_exp, m_bits, n_updates, rhs_exp, w_exp, ring
 ):
     """_dcd_solve warm-started at nonzero weights w0 leaves w0 + delta_w of
-    the public dcd_solve in w and its residual in rhs, bit for bit, with
-    the same counts and OpCounter totals, on dense and ring systems."""
+    the public dcd_solve in w and its residual in rhs, bit for bit, on
+    dense and ring systems.  The (updates, halvings) it returns, priced
+    with solve_ops, give the public solve's counts and OpCounter totals."""
     r, _, rhs = random_spd_system(length, cond, seed)
     rhs = rhs * 2.0**rhs_exp
     w0 = np.random.default_rng(seed).uniform(0.5, 2.0, length) * 2.0**w_exp
     w0[::2] *= -1.0
     system = ShiftMatrix(r) if ring else r
     params = DcdParams(h=2.0**h_exp, m_bits=m_bits, n_updates=n_updates)
-    ops, ref_ops = OpCounter(), OpCounter()
+    ref_ops = OpCounter()
     ref = dcd_solve(system, rhs, params, ops=ref_ops)
     w, residual = w0.copy(), rhs.copy()
-    used, exhausted = _dcd_solve(system, residual, params, w, ops=ops)
+    used, halvings = _dcd_solve(system, residual, params, w)
     assert w.tobytes() == (w0 + ref.delta_w).tobytes()
     assert residual.tobytes() == ref.residual_out.tobytes()
-    assert (used, exhausted) == (ref.updates_used, ref.exhausted_bits)
-    assert ops == ref_ops
+    assert (used, halvings == m_bits) == (ref.updates_used, ref.exhausted_bits)
+    assert 0 <= halvings <= m_bits
+    assert OpCounter(*solve_ops(length, m_bits, used, halvings)) == ref_ops
 
 
 def test_ladder_is_built_with_the_params():

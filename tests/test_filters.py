@@ -36,6 +36,7 @@ from asefilt import (
     rmcc_step,
     update_ratio,
 )
+from asefilt.counting import solve_ops
 from asefilt.dcd import ShiftMatrix
 from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
 
@@ -423,15 +424,15 @@ def test_dcd_dense_residual_invariant():
 def _dense_solver(solve):
     """A stand-in for ``filters._dcd_solve`` that hands ``solve(r, rhs) ->
     (delta_w, residual_out)`` the dense R, writes the outcome into the
-    step's ``rhs`` and ``w`` as the solver does, reports one update and
-    counts nothing."""
+    step's ``rhs`` and ``w`` as the solver does and reports one update at
+    depth 0, ``(updates, halvings) = (1, 0)``."""
 
-    def fake_solve(r, rhs, params, w, *, ops=None):
+    def fake_solve(r, rhs, params, w):
         dense = r.dense() if isinstance(r, ShiftMatrix) else r
         delta_w, residual_out = solve(dense, rhs)
         w += delta_w
         rhs[:] = residual_out
-        return 1, False
+        return 1, 0
 
     return fake_solve
 
@@ -730,7 +731,15 @@ def _exact_solve(r, rhs):
             None,
             (134545, 244336, 22476),
         ),
-        ("dcd_ase", {}, {}, _exact_solve, (25174, 33582, 400)),
+        # The step-only total plus the stand-in's one update at depth 0 on
+        # each of the 385 steps after the delay line fills.
+        (
+            "dcd_ase",
+            {},
+            {},
+            _exact_solve,
+            tuple(a + 385 * b for a, b in zip((25174, 33582, 400), solve_ops(16, 8, 1, 0))),
+        ),
     ],
     ids=[
         "iwf",
@@ -747,7 +756,8 @@ def test_op_counter_totals_are_pinned(monkeypatch, kind, config_kw, step_kw, sol
     """Exact OpCounter totals of a fixed-seed impulsive stream at L=16, for
     every counted path: each step kind, both update modes under both
     leakage schedules, and (id ``solve_fn``) the step around a dense exact
-    solve that stands in for ``_dcd_solve`` and counts nothing.  ops.csv is
+    solve that stands in for ``_dcd_solve`` and reports one update at
+    depth 0, which the step prices like any solve.  ops.csv is
     built from these counters, so a moved or dropped term shows here even
     where the criterion-3 fits still pass."""
     if solver is not None:

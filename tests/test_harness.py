@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asefilt import AseParams, DcdParams, FilterConfig, FilterError, OpCounter, filters, harness, update_ratio
+from asefilt import AseParams, DcdParams, FilterConfig, FilterError, OpCounter, dcd, filters, harness, update_ratio
 from asefilt.harness import (
     ALGORITHMS,
     AlgoSpec,
@@ -23,6 +23,7 @@ from asefilt.harness import (
     run_sysid,
     steady_state,
 )
+from asefilt.counting import per_iteration
 from asefilt.dcd import ShiftMatrix
 from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
 
@@ -305,7 +306,8 @@ def test_trusted_driver_matches_public_steps(
     assert np.array_equal(trusted.w, state.w)
     assert np.array_equal(trusted.residual, state.residual)
     assert np.array_equal(trusted.r_matrix, state.r_matrix)
-    assert dataclasses.astuple(trusted.ops) == dataclasses.astuple(counter)
+    assert records[0].op_counts == per_iteration(counter, horizon)
+    assert trusted.ops is None
     if with_nmsd:
         expected = 10.0 * np.log10(np.maximum(dev / float(w_o @ w_o), 1e-40))
         assert np.array_equal(records[0].nmsd_db, expected)
@@ -363,10 +365,11 @@ def _lockstep_case(monkeypatch, algorithms, length, horizon, runs, chunk_runs, w
             assert np.array_equal(rec.nmsd_db, expected), spec.name
         else:
             assert rec.nmsd_db is None
+        assert trusted.ops is None, spec.name
         if instrument:
-            assert dataclasses.astuple(trusted.ops) == dataclasses.astuple(counter), spec.name
+            assert rec.op_counts == per_iteration(counter, runs * horizon), spec.name
         else:
-            assert rec.op_counts is None and trusted.ops is None
+            assert rec.op_counts is None
 
 
 def _alternate_vss_spec(kind, length, lam, rho, c, kernel_sigma):
@@ -607,7 +610,8 @@ def test_driver_checks_no_layout(monkeypatch):
 
 def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
     """The driver calls each core with the same arguments with and without
-    ``instrument``: ``_dcd_step`` with state, config, row, d and weighting,
+    ``instrument``: ``_dcd_step`` with state, config, row, d, weighting and
+    ``checked=False``,
     ``_vss_steps`` with the batch, the forgetting factors, the weightings,
     each run's sample and ``move``.  The pricing is added to the recorded
     rows, not wrapped around the cores."""
@@ -639,15 +643,15 @@ def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
         calls.clear()
         run_sysid(sc, default_algorithms(4), instrument=instrument)
         seen[instrument] = list(calls)
-    assert {(name, n, kwargs) for name, n, kwargs, _ in seen[True]} == {("_vss_steps", 3, ()), ("_dcd_step", 5, ())}
+    assert {(name, n, kwargs) for name, n, kwargs, _ in seen[True]} == {("_vss_steps", 3, ()), ("_dcd_step", 6, ())}
     assert seen[False] == seen[True]
 
 
 def test_trusted_cores_do_no_counting():
-    """The cores and the weighting are arithmetic only: the cost model
-    lives in ``counting``, and the public steps and the driver price the
-    rows the cores return."""
-    for fn in (filters._vss_step, filters._dcd_step, filters._weigh, filters._correlation_update):
+    """The cores, the weighting and the solve are arithmetic only: the cost
+    model lives in ``counting``, and the public steps and solve and the
+    driver price what the cores and the solve return."""
+    for fn in (filters._vss_step, filters._dcd_step, filters._weigh, filters._correlation_update, dcd._dcd_solve):
         assert "ops" not in inspect.getsource(fn), fn.__name__
 
 

@@ -105,6 +105,15 @@ def test_pd_pulse_spec_validation():
         PdPulseSpec(length=1)
 
 
+@pytest.mark.parametrize("kwargs", [{"decay": 1e-3}, {"freq": 1e-320}])
+def test_pd_pulse_spec_rejects_a_template_it_cannot_scale(kwargs):
+    """decay=1e-3 underflows every sample after t=0 to 0, and sin(0) is 0,
+    so the template is all zeros; freq=1e-320 leaves a subnormal peak
+    whose scale to the amplitude overflows."""
+    with pytest.raises(ValueError, match=r"^decay .* and freq .* give a pulse template too small"):
+        PdPulseSpec(**kwargs)
+
+
 def test_regressors_tapped_delay_line():
     x = regressors(np.array([1.0, 2.0, 3.0]), 2)
     assert np.array_equal(x, np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 2.0]]))
