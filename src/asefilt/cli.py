@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dcd import DcdParams, dcd_solve
-from .filters import DCD_UPDATE_MODES, DELTA_SCHEDULES
+from .filters import DCD_UPDATE_MODES, DELTA_SCHEDULES, FilterError
 from .harness import (
     ALGORITHMS,
     AlgoSpec,
@@ -406,6 +406,12 @@ def plan_anc(opts: dict) -> tuple[list[AlgoSpec], AncSpec]:
 def cmd_anc(opts: dict, plan) -> list[str]:
     algos, anc = plan
     records, waveforms = run_anc(anc, algos, instrument=opts["instrument"])
+    # The mean over a finite curve can still overflow; checked before --out is made.
+    with np.errstate(over="ignore"):
+        steadies = [power_db(steady_state(rec.mse)) for rec in records]
+    for rec, steady in zip(records, steadies):
+        if not math.isfinite(steady):
+            raise FilterError(f"{rec.algorithm}: the steady-state residual MSE is not finite")
     outdir = _prepare_outdir(opts)
     labels = [rec.algorithm for rec in records]
     _write_curves(
@@ -414,7 +420,6 @@ def cmd_anc(opts: dict, plan) -> list[str]:
     )
     for key in ("primary", "clean", "reference", *(f"denoised_{label}" for label in labels)):
         save_waveform(outdir / f"{key}.csv", waveforms[key])
-    steadies = [power_db(steady_state(rec.mse)) for rec in records]
     return _record_table(records, "steady_mse_db", steadies) + _ops_lines(records)
 
 

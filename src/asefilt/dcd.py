@@ -113,8 +113,9 @@ class ShiftMatrix:
     driver checks their states once per block of rows instead.
 
     The ring head cycles through ``length`` positions, so every view it
-    needs is built once, in ``__init__``: for each head the window, a
-    read-only view of its diagonal, a read-only view of its first row
+    needs is built once, in ``__init__``, or again when the Monte Carlo
+    driver moves the rows into a batch of rings: for each head the window,
+    a read-only view of its diagonal, a read-only view of its first row
     (:attr:`newest`) and the slot pair a push writes.  A push is then the
     finiteness check, two slot writes and list lookups.  It also keeps
     :attr:`pivots_normal` up to date, true while every pivot is a normal
@@ -145,7 +146,16 @@ class ShiftMatrix:
         self.length = n
         self._offsets = offsets
         self._offset_rows = list(offsets)
+        self._bind(buf)
+        self._seek(0, (r.diagonal() < MIN_PIVOT).tolist())
+
+    def _bind(self, buf: np.ndarray) -> None:
+        """Hold the rows in ``buf``, a C-contiguous ``(2 length, length)``
+        array, and build each head's views over it; :meth:`_seek` then
+        picks one."""
+        n = self.length
         flat = buf.reshape(-1)
+        self._buf = buf
         # _heads[h]: (window, diagonal, newest row, low slot, high slot) while the head is h.
         self._heads = []
         for h in range(n):
@@ -154,12 +164,17 @@ class ShiftMatrix:
             diag.flags.writeable = False
             newest.flags.writeable = False
             self._heads.append((window, diag, newest, buf[h], buf[h + n]))
-        # _weak[s]: whether the pivot in slot s is below MIN_PIVOT.
-        self._weak = (r.diagonal() < MIN_PIVOT).tolist()
-        self._weak_pivots = sum(self._weak)
-        self._head = 0
-        self._window, self._diag, self.newest, _, _ = self._heads[0]
-        self.pivots_normal = self._weak_pivots == 0
+
+    def _seek(self, head: int, weak: list[bool] | None = None) -> None:
+        """Make ``head`` the ring head, for rows another writer put in the
+        buffer; with ``weak``, also whether the pivot in each slot is below
+        :data:`MIN_PIVOT`."""
+        self._head = head
+        self._window, self._diag, self.newest, _, _ = self._heads[head]
+        if weak is not None:
+            self._weak = weak
+            self._weak_pivots = sum(weak)
+            self.pivots_normal = self._weak_pivots == 0
 
     def push(self, row: np.ndarray) -> None:
         """Shift ``R`` down-right by one and make ``row`` its first row and column."""

@@ -54,7 +54,10 @@ forms of those checks, and checks each state once per block of rows with
 :func:`_state_is_finite`.
 The harness steps its inversion-free states in lockstep through
 :func:`_vss_steps`, the ``_vss_step`` recursion on a :class:`_VssBatch`
-of states, one sample of every state per call and bit for bit.
+of states, one sample of every state per call and bit for bit, and the
+shift-mode coordinate-descent runs of a large enough chunk likewise
+through :func:`_dcd_batch_step` on a :class:`_DcdBatch`, which batches
+the O(length) recursions and leaves each solve to ``_dcd_solve``.
 """
 
 from __future__ import annotations
@@ -565,6 +568,90 @@ def _dcd_step(
     state.updates_applied += applied
     state.step_index += 1
     return e, applied, phi, not held, updates, halvings
+
+
+class _DcdBatch:
+    """Shift-mode coordinate-descent states of one algorithm stepped in
+    lockstep by :func:`_dcd_batch_step`.
+
+    Their weights and residuals are stacked into ``w`` and ``residual``,
+    ``(B, L)``, and their rings into ``ring``, one ``(B, 2 L, L)`` buffer
+    with one ``head``, since every run pushes a row each sample; ``weak``,
+    ``(B, L)``, says whether the pivot in each run's slot is below
+    :data:`~asefilt.dcd.MIN_PIVOT`.  Each state then holds views of its
+    row, as in :class:`_VssBatch`: its ring follows the shared head before
+    its own solve and, with its weak slots, at :meth:`sync`.
+    """
+
+    def __init__(self, states: list[FilterState], config: FilterConfig, weighting) -> None:
+        self.states, self.config, self.weighting = states, config, weighting
+        self.w, self.residual = (np.array([getattr(st, name) for st in states]) for name in ("w", "residual"))
+        self.ring = np.array([st.ring._buf for st in states])
+        self.weak = np.array([st.ring._weak for st in states])
+        self.head = states[0].ring._head
+        for b, st in enumerate(states):
+            st.w, st.residual = self.w[b], self.residual[b]
+            st.ring._bind(self.ring[b])
+            st.ring._seek(self.head)
+        self.runs = np.arange(len(states))
+
+    def sync(self) -> None:
+        """Move every state's ring to the shared head and its weak slots."""
+        for st, weak in zip(self.states, self.weak.tolist()):
+            st.ring._seek(self.head, weak)
+
+
+def _dcd_batch_step(batch: _DcdBatch, xd: np.ndarray, step_index: int) -> tuple:
+    """Unchecked shift-mode :func:`_dcd_step` on every run of ``batch`` at
+    once, bit for bit.
+
+    Row ``b`` of ``xd``, ``(B, L + 1)``, is run ``b``'s regressor row
+    followed by ``d``; every run has taken ``step_index`` steps.  The O(L)
+    recursions every run makes each sample run batched: the prior error
+    (``np.vecdot``), :func:`_weigh` per row, ``rhs = lam residual + (phi
+    e) x`` with the add masked where ``phi == 0.0``, the leakage
+    correction, the ring push, the weak-pivot slots, the hold test and the
+    solve's first scan.  A run whose leading residual does not pass the
+    finest threshold there ends its solve as :func:`~asefilt.dcd._dcd_solve`
+    would, with the bits exhausted; each other run solves through
+    ``_dcd_solve`` on its own ring, since the number of coordinate updates
+    differs from run to run.  Returns the row ``(prior_error, applied,
+    phi, moved, updates, halvings)`` of every run, each of length ``B``.
+    """
+    config = batch.config
+    n, lam, correction, params = config.length, config.lam, config._leak_correction, config.dcd
+    w, rhs, ring = batch.w, batch.residual, batch.ring
+    x = xd[:, :n]
+    e = xd[:, n] - np.vecdot(w, x)
+    applied, phi = zip(*[_weigh(v, batch.weighting) for v in e.tolist()])
+    # Runs with phi = 0.0 add nothing, as in the scalar core.
+    where = True if 0.0 not in phi else (np.array(phi) != 0.0)[:, None]
+    phi = np.array(phi)
+    rhs *= lam
+    np.add(rhs, (phi * e)[:, None] * x, out=rhs, where=where)
+    head = (batch.head or n) - 1
+    row0 = lam * ring[:, batch.head] + x[:, :1] * x
+    if correction != 0.0:
+        row0[:, 0] += correction
+        rhs[:, 0] -= correction * w[:, 0]
+    ring[:, head] = row0
+    ring[:, head + n] = row0
+    batch.weak[:, head] = row0[:, 0] < MIN_PIVOT
+    batch.head = head
+    moved = ~batch.weak.any(axis=1) & (step_index >= n - 1)
+    magnitude = np.abs(rhs)
+    lead = magnitude.argmax(axis=1)
+    runs = batch.runs
+    # The first scan of _dcd_solve: at or below the finest threshold no
+    # depth passes, and the solve ends with the bits exhausted.
+    exhausted = magnitude[runs, lead] <= (0.5 * params._ladder[-1]) * ring[runs, head + lead, 0]
+    updates, halvings = np.zeros((2, len(e)), dtype=int)
+    halvings[moved] = params.m_bits
+    for b in np.flatnonzero(moved & ~exhausted).tolist():
+        state = batch.states[b]
+        state.ring._seek(head)
+        updates[b], halvings[b] = _dcd_solve(state.ring, rhs[b], params, state.w)
+    return e, applied, phi, moved, updates, halvings
 
 
 def _state_is_finite(state: FilterState) -> bool:

@@ -365,6 +365,24 @@ def test_anc_overflowing_residual_mse_is_one_runtime_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_anc_overflowing_steady_mse_is_one_runtime_error(tmp_path, capsys):
+    """A +-3e153 primary waveform gives mse.csv cells near 9e306, each
+    finite, whose steady-state mean overflows: exit 3 naming the first
+    algorithm, with no numpy warning and no output."""
+    rng = np.random.default_rng(3)
+    p, r = tmp_path / "p.csv", tmp_path / "r.csv"
+    save_waveform(p, 3e153 * np.sign(rng.standard_normal(300)))
+    save_waveform(r, 0.5 * rng.standard_normal(300))
+    out = tmp_path / "o"
+    rc = run_cli(
+        "anc", "--primary-file", str(p), "--reference-file", str(r), "--algos", "iwf_ase,dcd_ase",
+        "--out", str(out),
+    )
+    assert rc == EXIT_RUNTIME
+    assert capsys.readouterr().err == "asefilt: error: iwf_ase: the steady-state residual MSE is not finite\n"
+    assert not out.exists()
+
+
 def test_anc_directory_as_waveform_file_is_config_error(tmp_path, capsys):
     primary, folder = tmp_path / "p.csv", tmp_path / "ref_dir"
     save_waveform(primary, np.zeros(64))

@@ -29,7 +29,7 @@ from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
 
 from oracles import run_public_steps, sysid_nmsd_reference
 
-CORES = ("_vss_steps", "_dcd_step")
+CORES = ("_vss_steps", "_dcd_step", "_dcd_batch_step")
 _BLOCK = harness._BLOCK_ROWS
 
 
@@ -326,6 +326,15 @@ def _lockstep_case(monkeypatch, algorithms, length, horizon, runs, chunk_runs, w
         d = x_rows @ rng.standard_normal(length) + 0.1 * rng.standard_normal(horizon)
         d += gen_bg_noise(horizon, BgNoiseSpec(0.1, 1e4), rng)
         draws.append((x_rows, d, 0.0 if with_nmsd else rng.standard_normal(horizon)))
+    _driver_matches_public_steps(monkeypatch, algorithms, draws, w_o, chunk_runs, instrument)
+
+
+def _driver_matches_public_steps(monkeypatch, algorithms, draws, w_o, chunk_runs, instrument):
+    """``_paired_runs`` on ``draws``, ``chunk_runs`` runs per chunk, against
+    each algorithm stepped through the public steps one run at a time, as
+    :func:`_lockstep_case` says."""
+    runs, (horizon, length) = len(draws), draws[0][0].shape
+    with_nmsd = w_o is not None
     bg_std = 0.1
     states = {id(spec.config): [] for spec in algorithms}
 
@@ -397,19 +406,98 @@ def _alternate_vss_spec(kind, length, lam, rho, c, kernel_sigma):
     with_nmsd=st.booleans(),
     instrument=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    batch_min_runs=st.sampled_from((1, harness._DCD_BATCH_MIN_RUNS)),
 )
 def test_lockstep_driver_matches_public_steps(
     kinds, alternate, lam, rho, c, kernel_sigma, position, length, horizon, runs, chunk_runs,
-    dcd_update, delta_schedule, with_nmsd, instrument, seed,
+    dcd_update, delta_schedule, with_nmsd, instrument, seed, batch_min_runs,
 ):
-    """The batched inversion-free rows and the per-run coordinate-descent
-    rows of a mixed algorithm list, two inversion-free specs among them
-    with different lam, rho and c, step and score exactly as the public
-    steps do, across block and chunk edges."""
+    """The batched inversion-free rows and the coordinate-descent rows, per
+    run or batched, of a mixed algorithm list, two inversion-free specs
+    among them with different lam, rho and c, step and score exactly as
+    the public steps do, across block and chunk edges."""
     algorithms = default_algorithms(length, tuple(kinds), dcd_update=dcd_update, delta_schedule=delta_schedule)
     algorithms.insert(position, _alternate_vss_spec(alternate, length, lam, rho, c, kernel_sigma))
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_DCD_BATCH_MIN_RUNS", batch_min_runs)
         _lockstep_case(mp, algorithms, length, horizon, runs, chunk_runs, with_nmsd, instrument, seed)
+
+
+def _spy_batched_core(monkeypatch):
+    """Record each ``_dcd_batch_step`` call's step index and moved flags,
+    and fail on any per-run ``_dcd_step`` call of the driver."""
+    calls = []
+    core = harness._dcd_batch_step
+
+    def spy(batch, xd, step_index):
+        row = core(batch, xd, step_index)
+        calls.append((step_index, row[3].tolist()))
+        return row
+
+    def no_scalar_step(*args):
+        pytest.fail("the driver stepped a dcd_ase run alone")
+
+    monkeypatch.setattr(harness, "_dcd_batch_step", spy)
+    monkeypatch.setattr(harness, "_dcd_step", no_scalar_step)
+    return calls
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    length=st.integers(1, 12),
+    lam=st.sampled_from((0.5, 0.99, 0.999)),
+    rho=st.sampled_from((1e-4, 1e-310)),
+    n_updates=st.integers(1, 9),
+    horizon=st.integers(1, 3 * harness._BLOCK_ROWS + 1),
+    runs=st.integers(1, 7),
+    chunk_runs=st.integers(1, 7),
+    delta_schedule=st.sampled_from(("decaying", "constant")),
+    with_nmsd=st.booleans(),
+    instrument=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_dcd_driver_matches_public_steps(
+    length, lam, rho, n_updates, horizon, runs, chunk_runs, delta_schedule, with_nmsd, instrument, seed
+):
+    """Every chunk of shift-mode ``dcd_ase`` runs steps batched, one run
+    alone included, and matches the public steps bit for bit: the series,
+    the operation totals and each run's final weights, residual and ring.
+    A subnormal ``rho`` starts every pivot weak."""
+    config = FilterConfig(
+        length=length, lam=lam, rho=rho, ase=AseParams(c=2.0), dcd=DcdParams(n_updates=n_updates),
+        delta_schedule=delta_schedule,
+    )
+    algorithms = [AlgoSpec(kind="dcd_ase", config=config), *default_algorithms(length, ("iwf_ase",))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_DCD_BATCH_MIN_RUNS", 1)
+        calls = _spy_batched_core(mp)
+        _lockstep_case(mp, algorithms, length, horizon, runs, chunk_runs, with_nmsd, instrument, seed)
+    assert len(calls) == horizon * -(-runs // chunk_runs)
+
+
+def test_batched_dcd_run_held_by_a_silence_resumes(monkeypatch):
+    """One run of a batched chunk goes silent until its pivots decay below
+    ``MIN_PIVOT`` and its solve is held, while the other runs keep solving;
+    once its input returns it solves again, and every run matches the
+    public steps bit for bit."""
+    length, horizon, runs, silent = 3, 1400, 6, 3
+    rng = np.random.default_rng(31)
+    draws = []
+    for run in range(runs):
+        u = rng.standard_normal(horizon)
+        if run == silent:
+            u[100:1250] = 0.0
+        x_rows = regressors(u, length)
+        d = x_rows @ np.ones(length) + 0.1 * rng.standard_normal(horizon)
+        draws.append((x_rows, d, 0.0))
+    config = FilterConfig(length=length, lam=0.5, rho=1e-4, ase=AseParams(c=2.0), dcd=DcdParams())
+    calls = _spy_batched_core(monkeypatch)
+    _driver_matches_public_steps(monkeypatch, [AlgoSpec(kind="dcd_ase", config=config)], draws, None, runs, True)
+    assert runs >= harness._DCD_BATCH_MIN_RUNS
+    held = [t for t, moved in calls if t >= length - 1 and not moved[silent]]
+    assert held and held[-1] < horizon - 1
+    assert all(all(moved[:silent] + moved[silent + 1 :]) for t, moved in calls if t in held)
+    assert calls[-1][1] == [True] * runs
 
 
 def test_lockstep_driver_matches_public_steps_at_length_64(monkeypatch):
@@ -458,6 +546,28 @@ def test_block_error_names_the_first_failing_run_then_algorithm(kinds):
         harness._paired_runs(
             default_algorithms(length, kinds), length, horizon, 2, 0.0, draws.__getitem__, None, False
         )
+
+
+def test_batched_block_error_names_the_first_failing_run(monkeypatch):
+    """In a batched chunk of six ``dcd_ase`` runs, runs 3 and 5 overflow in
+    block 0 and run 1 in block 1: the error names run 3."""
+    horizon, length, runs = 3 * _BLOCK, 4, 6
+    rng = np.random.default_rng(4)
+    draws = []
+    for run in range(runs):
+        x_rows = regressors(rng.standard_normal(horizon), length)
+        if run in (3, 5):
+            x_rows *= 1e160
+        elif run == 1:
+            x_rows[_BLOCK + 10 :] *= 1e160
+        draws.append((x_rows, x_rows @ np.ones(length), 0.0))
+    calls = _spy_batched_core(monkeypatch)
+    pattern = r"^dcd_ase: run 3: the filter state became non-finite in the block of samples 0 to 63$"
+    with pytest.raises(FilterError, match=pattern):
+        harness._paired_runs(
+            default_algorithms(length, ("dcd_ase",)), length, horizon, runs, 0.0, draws.__getitem__, None, False
+        )
+    assert len(calls) == _BLOCK
 
 
 def test_block_error_orders_runs_before_algorithms(monkeypatch):
@@ -550,8 +660,9 @@ def test_traced_names_see_the_driver_and_the_public_steps(monkeypatch):
         counting(harness, name)
     for name in ("_correlation_update", "_dcd_solve", "ase_weight"):
         counting(filters, name)
-    sc = make_sysid_scenario(length=4, horizon=40, mc_runs=2, seed=3)
-    run_sysid(sc, default_algorithms(4))
+    for runs in (2, harness._DCD_BATCH_MIN_RUNS):
+        sc = make_sysid_scenario(length=4, horizon=40, mc_runs=runs, seed=3)
+        run_sysid(sc, default_algorithms(4))
     assert {key for key, n in calls.items() if not n} == {"filters._correlation_update"}, calls
     driver = dict(calls)
     for spec in default_algorithms(4):
@@ -559,10 +670,41 @@ def test_traced_names_see_the_driver_and_the_public_steps(monkeypatch):
     assert {key: calls[key] > driver[key] for key in calls} == {
         "harness._vss_steps": False,
         "harness._dcd_step": False,
+        "harness._dcd_batch_step": False,
         "filters._correlation_update": True,
         "filters._dcd_solve": True,
         "filters.ase_weight": True,
     }
+
+
+def test_setup_probe_stops_the_driver_at_its_first_sample(monkeypatch):
+    """perfbench's set-up probe replaces every callable of ``harness`` and
+    ``filters`` whose name ends in ``_step`` with a hook that stops the main
+    call.  On ``sysid-mc``'s shape (10 runs, L=10, four algorithms) the
+    driver reaches one before any sample steps, and for ``dcd_ase`` at 10
+    shift-mode runs that is the batched core, not ``_dcd_step``."""
+
+    class FirstSample(BaseException):
+        pass
+
+    reached, stepped = [], []
+
+    def hook(name):
+        def first_step(*args, **kwargs):
+            reached.append(name)
+            raise FirstSample
+
+        return first_step
+
+    for module in (harness, filters):
+        for attr in dir(module):
+            if attr.endswith("_step") and callable(getattr(module, attr)):
+                monkeypatch.setattr(module, attr, hook(f"{module.__name__}.{attr}"))
+    vss_steps = harness._vss_steps
+    monkeypatch.setattr(harness, "_vss_steps", lambda *args: stepped.append(args) or vss_steps(*args))
+    with pytest.raises(FirstSample):
+        run_sysid(make_sysid_scenario(length=10, horizon=1000, mc_runs=10), default_algorithms(10))
+    assert reached == ["asefilt.harness._dcd_batch_step"] and not stepped
 
 
 def test_uninstrumented_driver_prices_nothing(monkeypatch):
@@ -613,7 +755,8 @@ def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
     ``instrument``: ``_dcd_step`` with state, config, row, d, weighting and
     ``checked=False``,
     ``_vss_steps`` with the batch, the forgetting factors, the weightings,
-    each run's sample and ``move``.  The pricing is added to the recorded
+    each run's sample and ``move``, ``_dcd_batch_step`` with the batch, the
+    runs' sample and the step index.  The pricing is added to the recorded
     rows, not wrapped around the cores."""
     calls = []
 
@@ -624,6 +767,8 @@ def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
             return "state"
         if isinstance(arg, filters._VssBatch):
             return tuple(map(snapshot, (arg.w, arg.stats, arg.residual, arg.lam, arg.weightings)))
+        if isinstance(arg, filters._DcdBatch):
+            return tuple(map(snapshot, (arg.w, arg.residual, arg.ring, arg.weak, arg.head)))
         return tuple(arg) if isinstance(arg, list) else arg
 
     def recording(name):
@@ -637,13 +782,16 @@ def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
 
     for name in CORES:
         recording(name)
-    sc = make_sysid_scenario(length=4, horizon=_BLOCK + 5, mc_runs=2, seed=5)
     seen = {}
     for instrument in (False, True):
         calls.clear()
-        run_sysid(sc, default_algorithms(4), instrument=instrument)
+        for runs in (2, harness._DCD_BATCH_MIN_RUNS):
+            sc = make_sysid_scenario(length=4, horizon=_BLOCK + 5, mc_runs=runs, seed=5)
+            run_sysid(sc, default_algorithms(4), instrument=instrument)
         seen[instrument] = list(calls)
-    assert {(name, n, kwargs) for name, n, kwargs, _ in seen[True]} == {("_vss_steps", 3, ()), ("_dcd_step", 6, ())}
+    assert {(name, n, kwargs) for name, n, kwargs, _ in seen[True]} == {
+        ("_vss_steps", 3, ()), ("_dcd_step", 6, ()), ("_dcd_batch_step", 3, ())
+    }
     assert seen[False] == seen[True]
 
 
