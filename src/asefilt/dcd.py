@@ -282,18 +282,22 @@ def dcd_solve(
 
 
 def _dcd_solve(
-    r_matrix: np.ndarray | ShiftMatrix, rhs: np.ndarray, params: DcdParams, w: np.ndarray
+    r_matrix: np.ndarray | ShiftMatrix, rhs: np.ndarray, params: DcdParams, w: np.ndarray,
+    lead: int | None = None,
 ) -> tuple[int, int]:
     """:func:`dcd_solve` warm-started at ``w``, in place and without the
     checks, for a float ``r_matrix`` and ``rhs`` and ``w`` of matching
     shape.  ``rhs`` becomes the residual and each moved coordinate's
     accumulated increment is added into ``w`` once, at the end, so
-    ``w[i] + increment`` is the same float as ``w + delta_w``.  Returns
-    what the solve decided, ``(updates_used, halvings)``: ``halvings`` is
-    the depth the solve ended at, or ``m_bits`` exactly when the bits ran
-    out, since a solve that uses up its budget ends at a depth below
-    ``m_bits``.  It counts nothing: :mod:`~asefilt.counting` prices the
-    pair."""
+    ``w[i] + increment`` is the same float as ``w + delta_w``.  ``lead``,
+    when given, is the leading element of ``rhs`` (``np.abs(rhs).argmax()``,
+    the lowest index on ties) as a caller's own scan of ``rhs`` found it:
+    the first update starts from it instead of scanning again, and every
+    later update scans the residual.  Returns what the solve decided,
+    ``(updates_used, halvings)``: ``halvings`` is the depth the solve ended
+    at, or ``m_bits`` exactly when the bits ran out, since a solve that
+    uses up its budget ends at a depth below ``m_bits``.  It counts
+    nothing: :mod:`~asefilt.counting` prices the pair."""
     if isinstance(r_matrix, ShiftMatrix):
         diag, column = r_matrix.diagonal(), r_matrix.column
     else:
@@ -305,8 +309,9 @@ def _dcd_solve(
     depth = 0
     increments: dict[int, float] = {}
     updates = 0
-    while updates < params.n_updates:
+    if lead is None:
         lead = int(np.abs(residual).argmax())
+    while True:
         value = float(residual[lead])
         lead_mag = abs(value)
         pivot = float(diag[lead])
@@ -320,6 +325,9 @@ def _dcd_solve(
         increments[lead] = increments.get(lead, 0.0) + step
         residual -= step * column(lead)
         updates += 1
+        if updates == params.n_updates:
+            break
+        lead = int(np.abs(residual).argmax())
     for lead, increment in increments.items():
         w[lead] += increment
     return updates, depth

@@ -28,6 +28,11 @@ class AseParams:
     zeta : float
         Small positive regularizer keeping the weighting factor finite at
         zero error.  Default 1e-4.
+
+    Attributes
+    ----------
+    cutoff : float
+        Magnitude ``pi * c`` beyond which the estimator saturates.
     """
 
     c: float
@@ -38,11 +43,9 @@ class AseParams:
             raise ValueError(f"c must be a positive finite number, got {self.c!r}")
         if not (isinstance(self.zeta, (int, float)) and math.isfinite(self.zeta) and self.zeta > 0):
             raise ValueError(f"zeta must be a positive finite number, got {self.zeta!r}")
-
-    @property
-    def cutoff(self) -> float:
-        """Magnitude ``pi * c`` beyond which the estimator saturates."""
-        return math.pi * self.c
+        # Set here, not computed on every read: the filters' weighting reads
+        # it once or twice per sample.
+        object.__setattr__(self, "cutoff", math.pi * self.c)
 
 
 def ase_cost(e: float, params: AseParams) -> float:

@@ -50,14 +50,16 @@ checks of :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
 :func:`~asefilt.dcd.dcd_solve` on the system.  The Monte Carlo harness
 runs ``_dcd_step`` unchecked: it builds every state itself with
 :func:`filter_init`, so the layout always matches, calls the private
-forms of those checks, and checks each state once per block of rows with
-:func:`_state_is_finite`.
+forms of those checks, and checks each state once per block of rows,
+through the ``finite`` method of its batch if it has one and with
+:func:`_state_is_finite` where that fails or it has none.
 The harness steps its inversion-free states in lockstep through
 :func:`_vss_steps`, the ``_vss_step`` recursion on a :class:`_VssBatch`
 of states, one sample of every state per call and bit for bit, and the
 shift-mode coordinate-descent runs of a large enough chunk likewise
 through :func:`_dcd_batch_step` on a :class:`_DcdBatch`, which batches
-the O(length) recursions and leaves each solve to ``_dcd_solve``.
+the O(length) recursions and the solve's first scan, and leaves each
+solve to ``_dcd_solve``, started from the lead that scan found.
 """
 
 from __future__ import annotations
@@ -353,7 +355,9 @@ class _VssBatch:
             for b, st in enumerate(runs):
                 st.w, st.stats, st.residual = (arr[a, b] for arr in arrays)
         self.w, self.stats, self.residual = arrays
-        self.lam = np.reshape(lams, (-1, 1, 1, 1))
+        # One float when the algorithms share lam, as every CLI run does: the
+        # same product per element as the broadcast multiply, at less cost.
+        self.lam = lams[0] if len(set(lams)) == 1 else np.reshape(lams, (-1, 1, 1, 1))
         self.weightings = weightings
         self.r_mat, self.theta = self.stats[..., :-1, :], self.stats[..., -1, :]
         self.w_col, self.residual_col = self.w[..., None], self.residual[..., None]
@@ -362,6 +366,11 @@ class _VssBatch:
         self.outer = np.empty(self.stats.shape)
         self.product = np.empty(self.w.shape + (1,))
         self.product_row = self.product[..., 0]
+
+    def finite(self) -> bool:
+        """Whether ``w``, ``stats`` and ``residual`` are finite: if so, every
+        state of the batch, which holds views of its row, is finite."""
+        return all(np.isfinite(arr).all() for arr in (self.w, self.stats, self.residual))
 
 
 def _vss_steps(batch: _VssBatch, xd: np.ndarray, move: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -595,6 +604,11 @@ class _DcdBatch:
             st.ring._seek(self.head)
         self.runs = np.arange(len(states))
 
+    def finite(self) -> bool:
+        """Whether ``w``, ``residual`` and ``ring`` are finite: if so, every
+        state of the batch, which holds views of its row, is finite."""
+        return all(np.isfinite(arr).all() for arr in (self.w, self.residual, self.ring))
+
     def sync(self) -> None:
         """Move every state's ring to the shared head and its weak slots."""
         for st, weak in zip(self.states, self.weak.tolist()):
@@ -615,7 +629,8 @@ def _dcd_batch_step(batch: _DcdBatch, xd: np.ndarray, step_index: int) -> tuple:
     finest threshold there ends its solve as :func:`~asefilt.dcd._dcd_solve`
     would, with the bits exhausted; each other run solves through
     ``_dcd_solve`` on its own ring, since the number of coordinate updates
-    differs from run to run.  Returns the row ``(prior_error, applied,
+    differs from run to run, starting from the lead this scan found, so
+    the scan is not repeated.  Returns the row ``(prior_error, applied,
     phi, moved, updates, halvings)`` of every run, each of length ``B``.
     """
     config = batch.config
@@ -638,19 +653,23 @@ def _dcd_batch_step(batch: _DcdBatch, xd: np.ndarray, step_index: int) -> tuple:
     ring[:, head + n] = row0
     batch.weak[:, head] = row0[:, 0] < MIN_PIVOT
     batch.head = head
-    moved = ~batch.weak.any(axis=1) & (step_index >= n - 1)
+    # Every run is held while the delay line fills, and after that a run
+    # with a weak pivot.
+    moved = ~batch.weak.any(axis=1) if step_index >= n - 1 else np.zeros(len(e), dtype=bool)
     magnitude = np.abs(rhs)
     lead = magnitude.argmax(axis=1)
     runs = batch.runs
     # The first scan of _dcd_solve: at or below the finest threshold no
     # depth passes, and the solve ends with the bits exhausted.
     exhausted = magnitude[runs, lead] <= (0.5 * params._ladder[-1]) * ring[runs, head + lead, 0]
-    updates, halvings = np.zeros((2, len(e)), dtype=int)
-    halvings[moved] = params.m_bits
-    for b in np.flatnonzero(moved & ~exhausted).tolist():
+    updates, halvings = np.zeros(len(e), dtype=int), moved * params.m_bits
+    # Solve where moved > exhausted, i.e. in the moved runs whose scan passed,
+    # each from the lead this scan found.
+    leads = lead.tolist()
+    for b in np.flatnonzero(moved > exhausted).tolist():
         state = batch.states[b]
         state.ring._seek(head)
-        updates[b], halvings[b] = _dcd_solve(state.ring, rhs[b], params, state.w)
+        updates[b], halvings[b] = _dcd_solve(state.ring, rhs[b], params, state.w, leads[b])
     return e, applied, phi, moved, updates, halvings
 
 

@@ -25,11 +25,12 @@ every ``iwf``, ``iwf_ase`` and ``rmcc`` row of the chunk, a row being an
 has at least ``_DCD_BATCH_MIN_RUNS`` runs (5, the measured crossover at
 L=10) steps them all through one ``_dcd_batch_step`` call per sample,
 before ``_vss_steps``.  It batches the O(L) recursions every run makes
-each sample, and only the runs whose first solver scan passes (54% of
-solves at 10 ``sysid`` runs of L=10, under 2% at ``anc`` defaults) go
-on through ``_dcd_solve``, one at a time: a lockstep solve loop would
-last as long as the slowest run, which at 10 runs makes 4 of the 8
-budgeted updates on average and all 8 on 17% of samples.  In smaller
+each sample and the solve's first scan, and only the runs whose scan
+passes (54% of solves at 10 ``sysid`` runs of L=10, under 2% at ``anc``
+defaults) go on through ``_dcd_solve``, one at a time, each from the
+lead the batch's scan found: a lockstep solve loop would last as long
+as the slowest run, which at 10 runs makes 4 of the 8 budgeted updates
+on average and all 8 on 17% of samples.  In smaller
 chunks and in dense mode each ``dcd_ase`` run steps through the scalar
 ``_dcd_step`` over the same block.  The cores skip the per-call checks
 of the public step functions and count nothing, and results are
@@ -47,8 +48,9 @@ public steps keep the scalar cores, through which one row alone steps
 faster than batched.
 
 Finite inputs can still overflow a filter's statistics.  The driver
-checks each state once per block of ``_BLOCK_ROWS`` rows
-(``filters._state_is_finite``) and raises one
+checks each batch's arrays once per block of ``_BLOCK_ROWS`` rows, and
+each state (``filters._state_is_finite``) when one of them is not finite
+or a ``dcd_ase`` algorithm stepped its runs one at a time, and raises one
 :class:`~asefilt.filters.FilterError` at the first block of a chunk in
 which any state fails, naming the first failing run, in run order, its
 first failing algorithm, in the order given, and the block's samples.
@@ -426,11 +428,12 @@ def _paired_runs(
     ``(algorithms, runs, block)`` arrays: the prior error, applied flag,
     ``phi``, moved flag, solver updates and halvings of every row.  The
     scores, the update ratios and, with ``instrument``, the operation
-    totals are read from it.  Every filter state is checked
-    finite after each block (``FilterError``, naming the first failing
-    run, then algorithm).  With ``w_o`` given, the squared weight
-    deviation from it is averaged into an NMSD curve.  Returns one record
-    per algorithm and each algorithm's prior-error trace of run 0.
+    totals are read from it.  Every filter state is checked finite after
+    each block, through its batch's arrays if it has one (``FilterError``,
+    naming the first failing run, then algorithm).  With ``w_o`` given,
+    the squared weight deviation from it is averaged into an NMSD curve.
+    Returns one record per algorithm and each algorithm's prior-error
+    trace of run 0.
     """
     if not algorithms:
         raise ValueError("algorithms must not be empty")
@@ -467,6 +470,11 @@ def _paired_runs(
             for idx in dcd
             if n_runs >= _DCD_BATCH_MIN_RUNS and algorithms[idx].config.dcd_update == "shift"
         }
+        # While every batch's arrays are finite so is each state they hold,
+        # and the per-state check, which alone raises, is skipped unless a
+        # dcd_ase algorithm steps its runs one at a time.
+        batches = ([batch] if vss else []) + list(dcd_batches.values())
+        check_states = len(dcd_batches) < len(dcd)
         applied_count = np.zeros((len(algorithms), n_runs), dtype=int)
         # The weights after each step of a block; np.vecdot matches a per-row
         # diff @ diff bit for bit, where einsum or multiply-then-sum would not.
@@ -525,13 +533,14 @@ def _paired_runs(
                     *cols, moved_cols = zip(*columns)
                     err[vss], applied[vss], phi[vss] = (np.array(col).transpose(1, 2, 0) for col in cols)
                     moved[vss] = moved_cols
-                for b in range(n_runs):
-                    for idx, spec in enumerate(algorithms):
-                        if not _state_is_finite(states[idx][b]):
-                            raise FilterError(
-                                f"{spec.name}: run {first + b}: the filter state became non-finite"
-                                f" in the block of samples {start} to {stop - 1}"
-                            )
+                if check_states or not all(bt.finite() for bt in batches):
+                    for b in range(n_runs):
+                        for idx, spec in enumerate(algorithms):
+                            if not _state_is_finite(states[idx][b]):
+                                raise FilterError(
+                                    f"{spec.name}: run {first + b}: the filter state became non-finite"
+                                    f" in the block of samples {start} to {stop - 1}"
+                                )
                 if instrument:
                     for idx, spec in enumerate(algorithms):
                         price = dcd_step_ops if spec.kind == "dcd_ase" else vss_step_ops

@@ -78,7 +78,8 @@ def line_chart(
     xlabel: str = "",
     ylabel: str = "",
 ) -> str:
-    """Render labeled (x, y) series as a standalone SVG document string."""
+    """Render labeled (x, y) series, each ``xs`` and ``ys`` of one length,
+    as a standalone SVG document string."""
     if not series:
         raise ValueError("series must not be empty")
     xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
@@ -98,10 +99,11 @@ def line_chart(
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    # Each maps a float, or elementwise an array, to its pixel coordinate.
+    def px(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     out: list[str] = []
@@ -157,11 +159,8 @@ def line_chart(
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(
-            f"{px(float(x)):.2f},{py(float(y)):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(float(y))
-        )
+        keep = np.isfinite(ys)
+        points = " ".join("%.2f,%.2f" % p for p in zip(px(xs[keep]).tolist(), py(ys[keep]).tolist()))
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -445,3 +445,35 @@ def test_ladder_is_built_with_the_params():
     object.__setattr__(twin, "_ladder", ())
     assert twin == params and hash(twin) == hash(params)
     assert repr(params) == "DcdParams(h=2.0, m_bits=3, n_updates=4)"
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    length=st.integers(1, 12),
+    cond=st.floats(1.0, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    n_updates=st.integers(1, 9),
+    rhs_exp=st.sampled_from([0, -8, -40]),
+    ties=st.integers(0, 3),
+    ring=st.booleans(),
+)
+def test_solve_from_a_given_lead_matches_its_own_scan(length, cond, seed, n_updates, rhs_exp, ties, ring):
+    """_dcd_solve started from the lead a caller's scan found, the lowest
+    index of largest magnitude, leaves the same residual, weights and
+    (updates, halvings) bit for bit as the solve that scans for it, on
+    dense and ring systems, warm-started, with ties in |rhs|."""
+    r, _, rhs = random_spd_system(length, cond, seed)
+    rng = np.random.default_rng(seed)
+    rhs = rhs * 2.0**rhs_exp
+    top = int(np.abs(rhs).argmax())
+    for slot in rng.integers(0, length, ties):  # copy the largest magnitude, either sign
+        rhs[slot] = rhs[top] * rng.choice([-1.0, 1.0])
+    lead = int(np.abs(rhs).argmax())
+    w0 = rng.standard_normal(length)
+    system = ShiftMatrix(r) if ring else r
+    params = DcdParams(h=2.0, m_bits=8, n_updates=n_updates)
+    residual, w, seeded_residual, seeded_w = rhs.copy(), w0.copy(), rhs.copy(), w0.copy()
+    expected = _dcd_solve(system, residual, params, w)
+    assert _dcd_solve(system, seeded_residual, params, seeded_w, lead) == expected
+    assert seeded_residual.tobytes() == residual.tobytes()
+    assert seeded_w.tobytes() == w.tobytes()

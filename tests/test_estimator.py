@@ -1,5 +1,6 @@
 """Unit tests for the saturating error-weighting functions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,21 @@ def test_params_validation():
 def test_cutoff_is_pi_c():
     p = AseParams(2.5)
     assert p.cutoff == pytest.approx(math.pi * 2.5, rel=0, abs=0)
+
+
+def test_cutoff_is_set_with_the_params():
+    """The cutoff is computed once, at construction, as exactly pi * c:
+    replace() recomputes it, and it is no dataclass field, so equality,
+    hashing and repr see c and zeta only."""
+    p = AseParams(2.5, zeta=1e-3)
+    assert vars(p)["cutoff"] == math.pi * 2.5
+    assert dataclasses.replace(p, c=0.7).cutoff == math.pi * 0.7
+    assert p.cutoff == math.pi * 2.5
+    assert [f.name for f in dataclasses.fields(p)] == ["c", "zeta"]
+    twin = AseParams(2.5, zeta=1e-3)
+    object.__setattr__(twin, "cutoff", 0.0)
+    assert twin == p and hash(twin) == hash(p)
+    assert repr(p) == "AseParams(c=2.5, zeta=0.001)"
 
 
 def test_cost_frozen_value():

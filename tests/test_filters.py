@@ -546,6 +546,35 @@ def test_dcd_counters_and_output_shape():
     assert st.w.shape == (2,)
 
 
+def test_batched_first_scan_keeps_an_exhausted_run_from_the_solve(monkeypatch):
+    """In the batched step, a run whose leading residual equals the finest
+    threshold exactly ends with the bits exhausted and never reaches the
+    solve; a run one ulp above it solves, once, from the lead the batch's
+    scan found."""
+    cfg = cfg_for(length=2, lam=0.5, rho=1.0, dcd=DcdParams())
+    batch = filters._DcdBatch([filter_init(cfg) for _ in range(2)], cfg, cfg.ase)
+    # x = 0 and d = 0: rhs = lam * residual, the new row halves the first
+    # pivot, and the pivot of coordinate 1 stays rho = 1.
+    threshold = 0.5 * cfg.dcd._ladder[-1]
+    batch.residual[:, 1] = [threshold, np.nextafter(threshold, np.inf)]
+    batch.residual /= cfg.lam
+    calls = []
+    solve = filters._dcd_solve
+
+    def spy(r_matrix, rhs, params, w, lead=None):
+        calls.append((rhs.tolist(), lead))
+        return solve(r_matrix, rhs, params, w, lead)
+
+    monkeypatch.setattr(filters, "_dcd_solve", spy)
+    _, _, _, moved, updates, halvings = filters._dcd_batch_step(batch, np.zeros((2, 3)), 5)
+    assert moved.tolist() == [True, True]
+    assert calls == [([0.0, np.nextafter(threshold, np.inf)], 1)]
+    assert (updates[0], halvings[0]) == (0, cfg.dcd.m_bits)
+    # One update at the finest step leaves the lead below the threshold.
+    assert (updates[1], halvings[1]) == (1, cfg.dcd.m_bits)
+    assert batch.residual[0].tolist() == [0.0, threshold]
+
+
 @pytest.mark.parametrize("lead_in", [0, 200])
 def test_dcd_silent_input_holds_weights_until_input_resumes(lead_in):
     """Silence decays the shift-mode R diagonal to zero at lam=0.5; the
