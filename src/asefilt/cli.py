@@ -470,7 +470,8 @@ def plan_dcd_bench(opts: dict) -> tuple[list[int], list[tuple] | None]:
         raise ConfigError("nu_list entries must be >= 1")
     if opts["systems"] < 1:
         raise ConfigError(f"systems must be >= 1, got {opts['systems']}")
-    random_spd_system(opts["length"], opts["cond"], 0)  # checks length and cond
+    for i in range(opts["systems"]):  # checks length, and cond on every system the bench solves
+        random_spd_system(opts["length"], opts["cond"], [opts["seed"], 7, i])
     DcdParams(h=2.0 if opts["h"] is None else opts["h"], m_bits=opts["m_bits"])
     if not opts["embedded"]:
         return nu_list, None

@@ -48,18 +48,15 @@ the check of :func:`correlation_update` on ``phi`` and raises
 move, and ``_dcd_step`` keeps, unless called with ``checked=False``, the
 checks of :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
 :func:`~asefilt.dcd.dcd_solve` on the system.  The Monte Carlo harness
-runs ``_dcd_step`` unchecked: it builds every state itself with
-:func:`filter_init`, so the layout always matches, calls the private
-forms of those checks, and checks each state once per block of rows,
-through the ``finite`` method of its batch if it has one and with
-:func:`_state_is_finite` where that fails or it has none.
-The harness steps its inversion-free states in lockstep through
-:func:`_vss_steps`, the ``_vss_step`` recursion on a :class:`_VssBatch`
-of states, one sample of every state per call and bit for bit, and the
-shift-mode coordinate-descent runs of a large enough chunk likewise
-through :func:`_dcd_batch_step` on a :class:`_DcdBatch`, which batches
-the O(length) recursions and the solve's first scan, and leaves each
-solve to ``_dcd_solve``, started from the lead that scan found.
+(see :mod:`~asefilt.harness`) builds every state itself with
+:func:`filter_init`, so the layout always matches, and runs the cores
+unchecked.  It steps batches in lockstep, bit for bit: inversion-free
+states through :func:`_vss_steps` on a :class:`_VssBatch`, and
+shift-mode coordinate-descent runs through :func:`_dcd_batch_step` on a
+:class:`_DcdBatch`, which batches the O(length) recursions and the
+solve's first scan and leaves each solve to ``_dcd_solve``, started from
+the lead that scan found.  It checks a batch once per block of rows
+with its ``finite`` method, and a state with :func:`_state_is_finite`.
 """
 
 from __future__ import annotations
@@ -372,15 +369,18 @@ class _VssBatch:
         state of the batch, which holds views of its row, is finite."""
         return all(np.isfinite(arr).all() for arr in (self.w, self.stats, self.residual))
 
+    def sync(self) -> None:
+        """Nothing to move: each state holds views of its rows of the batch."""
 
-def _vss_steps(batch: _VssBatch, xd: np.ndarray, move: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+
+def _vss_steps(batch: _VssBatch, xd: np.ndarray, step_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """Unchecked :func:`_vss_step` on every row of ``batch`` at once, bit for bit.
 
     Row ``b`` of ``xd``, ``(B, L + 1)``, is run ``b``'s sample, its
-    regressor row ``x`` followed by ``d``, shared by its algorithms.
-    ``move`` says whether the weights move: every row has taken the same
-    number of steps.  Returns the row ``(prior_error, applied, phi, moved)``
-    of every state, the first three as ``(A, B)`` arrays.  Each product is
+    regressor row ``x`` followed by ``d``, shared by its algorithms; every
+    row has taken ``step_index`` steps, so the weights of all of them move
+    or none.  Returns the row ``(prior_error, applied, phi, moved)`` of
+    every state, the first three as ``(A, B)`` arrays.  Each product is
     the scalar core's: ``np.vecdot`` for its dots, a stacked ``np.matmul``
     for its ``R`` products, :func:`_weigh` per row, and ``u = phi [x; d]``
     in one multiply.
@@ -399,6 +399,7 @@ def _vss_steps(batch: _VssBatch, xd: np.ndarray, move: bool) -> tuple[np.ndarray
     np.add(stats, batch.outer, out=stats, where=where)
     np.matmul(batch.r_mat, batch.w_col, out=product)
     np.subtract(batch.theta, batch.product_row, out=residual)
+    move = step_index >= n - 1
     if move:
         rr = np.vecdot(residual, residual)
         np.matmul(batch.r_mat, batch.residual_col, out=product)

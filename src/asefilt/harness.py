@@ -12,56 +12,44 @@ Seed derivation: run ``i`` of a scenario with seed ``s`` draws stream
 1 = filter input, 2 = background noise, 3 = impulses, 4 = pulse signal;
 the plant itself uses ``[s, 0]`` and is shared by all runs.
 
-Validation happens once per run, not once per sample.  Before any step
-the driver checks each algorithm's solver budget and resolves its RMCC
-kernel width.  It draws the runs in chunks of at most ``_CHUNK_BYTES`` of
-regressor rows (one run at least) and checks each run's regressor rows
-and desired signal for shape and finiteness before the chunk's first
-step.  The runs of a chunk then step in lockstep, one block of
-``_BLOCK_ROWS`` samples at a time, through the private trusted cores in
-``filters``: one call of the batched ``_vss_steps`` per sample advances
-every ``iwf``, ``iwf_ase`` and ``rmcc`` row of the chunk, a row being an
-(algorithm, run) pair.  A shift-mode ``dcd_ase`` algorithm whose chunk
-has at least ``_DCD_BATCH_MIN_RUNS`` runs (5, the measured crossover at
-L=10) steps them all through one ``_dcd_batch_step`` call per sample,
-before ``_vss_steps``.  It batches the O(L) recursions every run makes
-each sample and the solve's first scan, and only the runs whose scan
-passes (54% of solves at 10 ``sysid`` runs of L=10, under 2% at ``anc``
-defaults) go on through ``_dcd_solve``, one at a time, each from the
-lead the batch's scan found: a lockstep solve loop would last as long
-as the slowest run, which at 10 runs makes 4 of the 8 budgeted updates
-on average and all 8 on 17% of samples.  In smaller
-chunks and in dense mode each ``dcd_ase`` run steps through the scalar
-``_dcd_step`` over the same block.  The cores skip the per-call checks
-of the public step functions and count nothing, and results are
-bit-identical to stepping each run through them, since every sum adds
-the runs in run order.  The driver keeps one record per block: six
-``(algorithms, runs, block)`` arrays holding each row's prior error,
-applied flag, weight ``phi``, whether its weights moved or its solver
-ran, and the solve's updates and halvings (zero for a row that ran no
-solve), filled from the rows the cores return.  The error and applied
-series come from it.  The stepping loop is the same with and without
-``instrument``; an ``instrument`` run then prices the record's rows once,
-after the block check, with each family's cost function from
-:mod:`~asefilt.counting`, into counters the states never see.  The
-public steps keep the scalar cores, through which one row alone steps
-faster than batched.
+One driver, ``_paired_runs``, serves both.  Before any step it checks
+each algorithm's solver budget and resolves its RMCC kernel width.  It
+draws the runs in chunks of at most ``_CHUNK_BYTES`` of regressor rows
+(one run at least) and checks each run's rows and desired signal for
+shape and finiteness before the chunk's first step.
 
-Finite inputs can still overflow a filter's statistics.  The driver
-checks each batch's arrays once per block of ``_BLOCK_ROWS`` rows, and
-each state (``filters._state_is_finite``) when one of them is not finite
-or a ``dcd_ase`` algorithm stepped its runs one at a time, and raises one
-:class:`~asefilt.filters.FilterError` at the first block of a chunk in
-which any state fails, naming the first failing run, in run order, its
-first failing algorithm, in the order given, and the block's samples.
-The squared weight deviation of the NMSD curves is likewise computed
-per block of rows, not per sample.  A finite state can still overflow
-the scores, so the curve an experiment reports, the NMSD with a target
-plant and the residual MSE without one, must come out finite, or one
-``FilterError`` names the algorithm.  numpy's overflow
-warnings are silenced while the runs are drawn, while the cores run and
-while the driver scores them, so these checks, and the draw check that
-names the run, are the one report.
+A row is an (algorithm, run) pair.  For each chunk the driver builds its
+row groups once, and this is the one place where it tells the families
+apart: the ``iwf``, ``iwf_ase`` and ``rmcc`` rows form one
+``filters._VssBatch``; a shift-mode ``dcd_ase`` algorithm whose chunk
+has at least ``_DCD_BATCH_MIN_RUNS`` runs forms a ``filters._DcdBatch``;
+any other ``dcd_ase`` algorithm steps one run at a time through the
+scalar ``_dcd_step``: a batch of a few runs steps slower than the scalar
+core, and no batch holds the dense update.  The chunk then steps
+one block of ``_BLOCK_ROWS`` samples at a time, the ``dcd_ase`` groups
+first, each group with one call that advances its rows through the
+unchecked private cores of :mod:`~asefilt.filters` and writes them into
+the block record: six ``(runs, algorithms, block)`` arrays of each row's
+prior error, applied flag, weight ``phi``, moved flag, and solver updates
+and halvings (zero for a row that ran no solve).  The scores, the update
+ratios and, with ``instrument``, the operation totals, priced once per
+block with each group's cost function from :mod:`~asefilt.counting`, are
+read from it.  A call's time is split evenly across the algorithms of its
+group.  Every sum adds the runs in run order, so each result is
+bit-identical to stepping each run through the public steps.
+
+Finite inputs can still overflow a filter's statistics.  After each
+block every group says whether its states are finite, a batch from its
+arrays and a run-by-run group state by state; only when one says no does
+the driver check each state (``filters._state_is_finite``) and raise one
+:class:`~asefilt.filters.FilterError` naming the first failing run, in
+run order, its first failing algorithm, in the order given, and the
+block's samples.  A finite state can still overflow the scores, so the
+curve an experiment reports, the NMSD with a target plant and the
+residual MSE without one, must come out finite, or one ``FilterError``
+names the algorithm.  numpy's overflow warnings are silenced while the
+runs are drawn, while the cores run and while the driver scores them, so
+these checks, and the draw check that names the run, are the one report.
 """
 
 from __future__ import annotations
@@ -69,6 +57,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -132,8 +121,8 @@ _BLOCK_ROWS = 64
 # Float64 bytes of regressor rows drawn at once: the runs of one chunk step
 # in lockstep, and the next chunk is drawn when they are done.
 _CHUNK_BYTES = 4 << 20
-# Fewest runs of a chunk whose shift-mode dcd_ase states step batched: the
-# measured crossover at L=10, below which the scalar core is faster.
+# Fewest runs of a chunk whose shift-mode dcd_ase states step batched: with
+# fewer, the scalar core is faster (README, "Monte Carlo driver").
 _DCD_BATCH_MIN_RUNS = 5
 
 
@@ -234,11 +223,11 @@ class AncSpec:
 class RunRecord:
     """Averaged outcome of one algorithm over all Monte Carlo runs.
 
-    ``wall_time`` is the seconds spent stepping the algorithm's filters.
-    One batched call steps every inversion-free algorithm (``iwf``,
-    ``iwf_ase``, ``rmcc``) at once, so its time is split evenly across
-    them; each ``dcd_ase`` algorithm is timed on its own, its runs
-    batched or one at a time.
+    ``wall_time`` is the seconds the driver spent in the block calls of
+    the algorithm's row group, which step its filters and record their
+    rows, each call's time split evenly across the group's algorithms:
+    the inversion-free ones share one group, and each ``dcd_ase``
+    algorithm has its own.
     """
 
     algorithm: str
@@ -375,35 +364,72 @@ def _check_draw(run: int, x_rows, d, horizon: int, length: int) -> list[np.ndarr
     return checked
 
 
-def _step_run(cfg: FilterConfig, weighting, state: FilterState, xd: np.ndarray, w_rows: np.ndarray | None) -> list[tuple]:
-    """Step one ``dcd_ase`` run's ``state`` through the unchecked
-    ``_dcd_step`` over the samples ``xd``, regressor rows with ``d`` as one
-    more column, and return its rows of the block record, one
-    ``(prior_error, applied, phi, moved, updates, halvings)`` per sample;
-    with ``w_rows``, write the weights after each step into it."""
-    length = xd.shape[-1] - 1
-    rows = []
-    # d as Python floats, as the public steps' check converts it.
-    for k, (x, d) in enumerate(zip(xd[:, :length], xd[:, length].tolist())):
-        rows.append(_dcd_step(state, cfg, x, d, weighting, False))
-        if w_rows is not None:
-            w_rows[k] = state.w
-    return rows
+def _step_runs(config: FilterConfig, weighting, states: list[FilterState], idx: int, xd: np.ndarray,
+               first_step: int, record: tuple, w_block: np.ndarray | None) -> None:
+    """Step a ``dcd_ase`` algorithm's ``states`` one run at a time through
+    the scalar ``_dcd_step`` over the block ``xd``, writing run ``b``'s
+    rows into each record field's ``[b, idx]`` and its weights into
+    ``w_block[:, idx, b]``.  Each state counts its own steps."""
+    length = config.length
+    for b, state in enumerate(states):
+        w_rows = None if w_block is None else w_block[:, idx, b]
+        rows = []
+        # d as Python floats, as the public steps' check converts it.
+        for k, (x, d) in enumerate(zip(xd[:, b, :length], xd[:, b, length].tolist())):
+            rows.append(_dcd_step(state, config, x, d, weighting, False))
+            if w_rows is not None:
+                w_rows[k] = state.w
+        for field, column in zip(record, zip(*rows)):
+            field[b, idx] = column
 
 
-def _step_batch(batch: _DcdBatch, xd: np.ndarray, first_step: int, w_rows: np.ndarray | None) -> list[tuple]:
-    """Step a ``dcd_ase`` batch through the unchecked ``_dcd_batch_step``
-    over the samples ``xd``, ``(block, runs, L + 1)``, from step
-    ``first_step`` on, and return the rows it returns, one per sample;
-    with ``w_rows``, write the weights after each step into it.  The
-    states' rings then follow the batch's."""
+def _step_batched(core, batch, rows, xd: np.ndarray, first_step: int, record: tuple, w_block: np.ndarray | None) -> None:
+    """Step ``batch`` through its batched ``core`` over the block ``xd``
+    from step ``first_step`` on, writing its rows into each record field's
+    ``[:, rows]`` and its weights into ``w_block[:, rows]``; then its
+    states follow it."""
     columns = []
     for k, sample in enumerate(xd):
-        columns.append(_dcd_batch_step(batch, sample, first_step + k))
-        if w_rows is not None:
-            w_rows[k] = batch.w
+        columns.append(core(batch, sample, first_step + k))
+        if w_block is not None:
+            w_block[k, rows] = batch.w
     batch.sync()
-    return columns
+    # A core returns each field per sample as an (algorithms, runs) or (runs,)
+    # array, or as one flag; the transpose puts the runs first, the samples last.
+    for field, column in zip(record, zip(*columns)):
+        field[:, rows] = np.array(column).T
+
+
+def _states_finite(states: list[FilterState]) -> bool:
+    return all(_state_is_finite(state) for state in states)
+
+
+def _row_groups(algorithms: list[AlgoSpec], weightings: list, states: list[list[FilterState]]) -> list[tuple]:
+    """The row groups of a chunk whose algorithms hold ``states``, one list
+    of runs each, as ``(indices, step, finite, price)``: the indices of
+    its algorithms; ``step(xd, first_step, record, w_block)``, which steps
+    them over one block, ``(block, runs, L + 1)``, and writes their rows of
+    the record and of ``w_block``; ``finite()``, whether all its states
+    are finite; and its rows' cost function.  The inversion-free group
+    comes last, since perfbench's set-up probe stops at the first call
+    whose name ends in ``_step``.  The cores are read here, so patching
+    them takes effect."""
+    groups, vss = [], []
+    for idx, spec in enumerate(algorithms):
+        if spec.kind != "dcd_ase":
+            vss.append(idx)
+        elif len(states[idx]) >= _DCD_BATCH_MIN_RUNS and spec.config.dcd_update == "shift":
+            batch = _DcdBatch(states[idx], spec.config, weightings[idx])
+            groups.append(([idx], partial(_step_batched, _dcd_batch_step, batch, idx), batch.finite, dcd_step_ops))
+        else:
+            step = partial(_step_runs, spec.config, weightings[idx], states[idx], idx)
+            groups.append(([idx], step, partial(_states_finite, states[idx]), dcd_step_ops))
+    if vss:
+        batch = _VssBatch(
+            [states[idx] for idx in vss], [algorithms[idx].config.lam for idx in vss], [weightings[idx] for idx in vss]
+        )
+        groups.append((vss, partial(_step_batched, _vss_steps, batch, vss), batch.finite, vss_step_ops))
+    return groups
 
 
 def _paired_runs(
@@ -424,13 +450,14 @@ def _paired_runs(
     rows (at least one run), each draw checked once for shape and
     finiteness (``ValueError`` naming the run) before the chunk's first
     step.  The runs of a chunk then step in lockstep, one block of
-    ``_BLOCK_ROWS`` samples at a time, into one block record of
-    ``(algorithms, runs, block)`` arrays: the prior error, applied flag,
+    ``_BLOCK_ROWS`` samples at a time, each row group of
+    :func:`_row_groups` with one call per block, into one block record of
+    ``(runs, algorithms, block)`` arrays: the prior error, applied flag,
     ``phi``, moved flag, solver updates and halvings of every row.  The
     scores, the update ratios and, with ``instrument``, the operation
-    totals are read from it.  Every filter state is checked finite after
-    each block, through its batch's arrays if it has one (``FilterError``,
-    naming the first failing run, then algorithm).  With ``w_o`` given,
+    totals are read from it.  After each block every group says whether
+    its states are finite, and if one does not, the first failing state
+    raises ``FilterError``, naming its run, then algorithm.  With ``w_o`` given,
     the squared weight deviation from it is averaged into an NMSD curve.
     Returns one record per algorithm and each algorithm's prior-error
     trace of run 0.
@@ -442,12 +469,6 @@ def _paired_runs(
             raise ValueError(
                 f"algorithm {spec.name!r} has length {spec.config.length}, experiment needs {length}"
             )
-    # The inversion-free algorithms step together through the batched
-    # _vss_steps, the coordinate-descent ones through _dcd_batch_step or one
-    # run at a time through _dcd_step.  The cores are looked up when called,
-    # so patching them takes effect.
-    vss = [idx for idx, spec in enumerate(algorithms) if spec.kind != "dcd_ase"]
-    dcd = [idx for idx, spec in enumerate(algorithms) if spec.kind == "dcd_ase"]
     weightings = [_weighting(spec, bg_std) for spec in algorithms]
     counters = [OpCounter() if instrument else None for _ in algorithms]
     se_sum, applied_sum, dev_sum = (np.zeros((len(algorithms), horizon)) for _ in range(3))
@@ -459,23 +480,8 @@ def _paired_runs(
     for first in range(0, runs, chunk):
         n_runs = min(chunk, runs - first)
         states = [[filter_init(spec.config) for _ in range(n_runs)] for spec in algorithms]
-        if vss:
-            batch = _VssBatch(
-                [states[idx] for idx in vss],
-                [algorithms[idx].config.lam for idx in vss],
-                [weightings[idx] for idx in vss],
-            )
-        dcd_batches = {
-            idx: _DcdBatch(states[idx], algorithms[idx].config, weightings[idx])
-            for idx in dcd
-            if n_runs >= _DCD_BATCH_MIN_RUNS and algorithms[idx].config.dcd_update == "shift"
-        }
-        # While every batch's arrays are finite so is each state they hold,
-        # and the per-state check, which alone raises, is skipped unless a
-        # dcd_ase algorithm steps its runs one at a time.
-        batches = ([batch] if vss else []) + list(dcd_batches.values())
-        check_states = len(dcd_batches) < len(dcd)
-        applied_count = np.zeros((len(algorithms), n_runs), dtype=int)
+        groups = _row_groups(algorithms, weightings, states)
+        applied_count = np.zeros((n_runs, len(algorithms)), dtype=int)
         # The weights after each step of a block; np.vecdot matches a per-row
         # diff @ diff bit for bit, where einsum or multiply-then-sum would not.
         w_block = np.empty((_BLOCK_ROWS, len(algorithms), n_runs, length)) if w_o is not None else None
@@ -493,47 +499,22 @@ def _paired_runs(
             for start in range(0, horizon, _BLOCK_ROWS):
                 stop = min(start + _BLOCK_ROWS, horizon)
                 # The block record: one (prior_error, applied, phi, moved,
-                # updates, halvings) row per algorithm, run and sample.
-                shape = (len(algorithms), n_runs, stop - start)
+                # updates, halvings) row per run, algorithm and sample.
+                shape = (n_runs, len(algorithms), stop - start)
                 err, phi = np.empty((2,) + shape)
                 applied, moved = np.empty((2,) + shape, dtype=bool)
                 updates, halvings = np.zeros((2,) + shape, dtype=int)
                 record = (err, applied, phi, moved, updates, halvings)
-                # The coordinate-descent rows step first: perfbench's set-up
-                # probe stops at the first call whose name ends in _step.
-                for idx in dcd:
-                    if idx in dcd_batches:
-                        t0 = time.perf_counter()
-                        columns = _step_batch(dcd_batches[idx], xd_chunk[start:stop], start,
-                                              None if w_block is None else w_block[:, idx])
-                        wall[idx] += time.perf_counter() - t0
-                        for field, column in zip(record, zip(*columns)):
-                            field[idx] = np.array(column).T
-                        continue
-                    for b, state in enumerate(states[idx]):
-                        t0 = time.perf_counter()
-                        rows = _step_run(algorithms[idx].config, weightings[idx], state, xd_chunk[start:stop, b],
-                                         None if w_block is None else w_block[:, idx, b])
-                        wall[idx] += time.perf_counter() - t0
-                        for field, column in zip(record, zip(*rows)):
-                            field[idx, b] = column
-                if vss:
+                for indices, step, _, _ in groups:
                     t0 = time.perf_counter()
-                    columns = []
-                    for k, t in enumerate(range(start, stop)):
-                        columns.append(_vss_steps(batch, xd_chunk[t], t >= length - 1))
-                        if w_block is not None:
-                            w_block[k, vss] = batch.w
-                    # One call steps them all, so its time is split evenly.
-                    share = (time.perf_counter() - t0) / len(vss)
-                    for idx in vss:
+                    step(xd_chunk[start:stop], start, record, w_block)
+                    # One call steps the group's algorithms, so its time is split evenly.
+                    share = (time.perf_counter() - t0) / len(indices)
+                    for idx in indices:
                         wall[idx] += share
-                    # Each column is (algorithms, runs); the record puts the
-                    # samples last.  These rows run no solve.
-                    *cols, moved_cols = zip(*columns)
-                    err[vss], applied[vss], phi[vss] = (np.array(col).transpose(1, 2, 0) for col in cols)
-                    moved[vss] = moved_cols
-                if check_states or not all(bt.finite() for bt in batches):
+                # Only when a group finds a state that is not finite does the
+                # per-state check, which alone raises, look for the first one.
+                if not all(finite() for _, _, finite, _ in groups):
                     for b in range(n_runs):
                         for idx, spec in enumerate(algorithms):
                             if not _state_is_finite(states[idx][b]):
@@ -542,12 +523,12 @@ def _paired_runs(
                                     f" in the block of samples {start} to {stop - 1}"
                                 )
                 if instrument:
-                    for idx, spec in enumerate(algorithms):
-                        price = dcd_step_ops if spec.kind == "dcd_ase" else vss_step_ops
-                        for row in zip(*(field[idx].ravel().tolist() for field in record)):
-                            counters[idx].add(*price(spec.config, weightings[idx], row))
+                    for indices, _, _, price in groups:
+                        for idx in indices:
+                            for row in zip(*(field[:, idx].ravel().tolist() for field in record)):
+                                counters[idx].add(*price(algorithms[idx].config, weightings[idx], row))
                 applied_count += applied.sum(axis=-1)
-                resid = err - target[start:stop].T
+                resid = err - target[start:stop].T[:, None]
                 sq = resid * resid
                 if w_block is not None:
                     diff = w_block[: stop - start]
@@ -555,18 +536,18 @@ def _paired_runs(
                     dev = np.vecdot(diff, diff).T
                 # Each sum adds the runs in run order, as one run at a time would.
                 for b in range(n_runs):
-                    se_sum[:, start:stop] += sq[:, b]
-                    applied_sum[:, start:stop] += applied[:, b]
+                    se_sum[:, start:stop] += sq[b]
+                    applied_sum[:, start:stop] += applied[b]
                     if w_block is not None:
                         dev_sum[:, start:stop] += dev[b]
                 if first == 0:
-                    first_errors[:, start:stop] = err[:, 0]
+                    first_errors[:, start:stop] = err[0]
         for b in range(n_runs):
             for idx in range(len(algorithms)):
-                # The batched core keeps no step counts; the record gives every
+                # The batched cores keep no step counts; the record gives every
                 # state the counts a scalar core keeps.
                 state = states[idx][b]
-                state.step_index, state.updates_applied = horizon, int(applied_count[idx, b])
+                state.step_index, state.updates_applied = horizon, int(applied_count[b, idx])
                 ur_sum[idx] += update_ratio(state)
 
     records = []
@@ -674,7 +655,9 @@ def random_spd_system(length: int, cond: float, seed) -> tuple[np.ndarray, np.nd
     """Random symmetric positive-definite test system.
 
     Eigenvalues are spread linearly over [1, cond] on a random orthogonal
-    basis.  Returns ``(matrix, solution, right_hand_side)``.
+    basis.  Returns ``(matrix, solution, right_hand_side)``.  A ``cond``
+    near the largest float can overflow the matrix or the right-hand side,
+    which raises ``ValueError``.
     """
     if not (isinstance(length, int) and length >= 1):
         raise ValueError(f"length must be a positive integer, got {length!r}")
@@ -683,10 +666,14 @@ def random_spd_system(length: int, cond: float, seed) -> tuple[np.ndarray, np.nd
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((length, length)))
     eigs = np.linspace(1.0, float(cond), length)
-    matrix = (q * eigs) @ q.T
-    matrix = 0.5 * (matrix + matrix.T)
-    solution = rng.standard_normal(length)
-    return matrix, solution, matrix @ solution
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = (q * eigs) @ q.T
+        matrix = 0.5 * (matrix + matrix.T)
+        solution = rng.standard_normal(length)
+        rhs = matrix @ solution
+    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
+        raise ValueError(f"cond {cond!r} is too large: the test system overflows")
+    return matrix, solution, rhs
 
 
 def count_ops(kind: str, length: int, dcd: DcdParams | None = None) -> NominalOps:

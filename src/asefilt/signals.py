@@ -76,7 +76,9 @@ class PdPulseSpec:
         if not (isinstance(self.length, int) and self.length >= 2):
             raise ValueError(f"length must be an integer >= 2, got {self.length!r}")
         t = np.arange(self.length, dtype=float)
-        template = np.exp(-t / self.decay) * np.sin(2.0 * math.pi * self.freq * t)
+        # A tiny decay overflows -t / decay to -inf, whose exp is 0.
+        with np.errstate(over="ignore"):
+            template = np.exp(-t / self.decay) * np.sin(2.0 * math.pi * self.freq * t)
         peak = float(np.max(np.abs(template)))
         if peak == 0.0 or not math.isfinite(self.amplitude / peak):
             raise ValueError(f"decay {self.decay!r} and freq {self.freq!r} give a pulse template"

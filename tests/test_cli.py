@@ -317,7 +317,9 @@ def test_anc_overflowing_draw_is_one_runtime_error_naming_the_run(tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--pulse-decay", "1e-3"), ("--pulse-freq", "1e-320")])
+@pytest.mark.parametrize(
+    "flag, value", [("--pulse-decay", "1e-3"), ("--pulse-decay", "1e-320"), ("--pulse-freq", "1e-320")]
+)
 def test_anc_vanishing_pulse_template_is_config_error(tmp_path, capsys, flag, value):
     """A decay that underflows every template sample to 0, or a frequency
     whose template is too small to scale to the amplitude, is one
@@ -521,6 +523,7 @@ def test_dcd_bench_empty_sweep_list(tmp_path, capsys):
         ("--length", "0"),
         ("--cond", "0.5"),
         ("--cond", "nan"),
+        ("--cond", "1e308"),
         ("--m-bits", "0"),
         ("--h", "-1"),
         ("--embedded-runs", "0"),

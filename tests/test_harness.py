@@ -88,6 +88,16 @@ def test_random_spd_system_properties():
     assert np.array_equal(a, a2)
 
 
+def test_random_spd_system_rejects_a_cond_that_overflows():
+    """At cond 1.7e308 the matrix overflows: one ValueError naming cond, and
+    no numpy warning, which tier-1's warning filter would turn into an
+    error.  Just below, the system is finite."""
+    with pytest.raises(ValueError, match=r"^cond 1\.7e\+308 is too large: the test system overflows$"):
+        random_spd_system(10, 1.7e308, 0)
+    a, x, b = random_spd_system(10, 1e300, 0)
+    assert np.isfinite(a).all() and np.isfinite(b).all()
+
+
 def test_default_algorithms_kinds_and_order():
     specs = default_algorithms(4)
     assert [s.kind for s in specs] == list(ALGORITHMS)
@@ -498,6 +508,92 @@ def test_batched_dcd_run_held_by_a_silence_resumes(monkeypatch):
     assert held and held[-1] < horizon - 1
     assert all(all(moved[:silent] + moved[silent + 1 :]) for t, moved in calls if t in held)
     assert calls[-1][1] == [True] * runs
+
+
+def _dense_dcd_spec(length):
+    spec = default_algorithms(length, ("dcd_ase",), dcd_update="dense", delta_schedule="constant")[0]
+    return dataclasses.replace(spec, label="dcd_ase-dense")
+
+
+@pytest.mark.parametrize("length", [1, 3, 10])
+def test_groups_of_every_kind_in_one_chunk_match_public_steps(monkeypatch, length):
+    """One chunk of six runs holds a row group of each kind: a shift-mode
+    ``dcd_ase`` stepped batched, a dense-mode ``dcd_ase`` stepped one run at
+    a time, and the inversion-free rows, placed around both.  Every
+    algorithm steps, fills its rows of the block record and scores exactly
+    as the public steps do, across the 64-row block edges."""
+    runs = 6
+    assert runs >= harness._DCD_BATCH_MIN_RUNS
+    iwf, iwf_ase, shift, rmcc = default_algorithms(length, ("iwf", "iwf_ase", "dcd_ase", "rmcc"))
+    algorithms = [iwf, shift, iwf_ase, _dense_dcd_spec(length), rmcc]
+    batched = harness._dcd_batch_step
+    seen = {"batched": set(), "scalar": set()}
+
+    def spy_batched(batch, xd, step_index):
+        seen["batched"].add(batch.config.dcd_update)
+        return batched(batch, xd, step_index)
+
+    def spy_scalar(state, config, *args):
+        seen["scalar"].add(config.dcd_update)
+        return filters._dcd_step(state, config, *args)
+
+    monkeypatch.setattr(harness, "_dcd_batch_step", spy_batched)
+    monkeypatch.setattr(harness, "_dcd_step", spy_scalar)
+    _lockstep_case(monkeypatch, algorithms, length, 2 * _BLOCK + 5, runs, runs, True, True, 25 + length)
+    assert seen == {"batched": {"shift"}, "scalar": {"dense"}}
+
+
+def test_block_error_of_a_run_by_run_group_beside_finite_batches(monkeypatch):
+    """Beside a batched shift-mode ``dcd_ase`` and the inversion-free batch,
+    a dense-mode ``dcd_ase`` steps one run at a time, and only its run 2
+    turns non-finite, at sample 70.  Every batched state stays finite, so
+    the block check finds the failure through the run-by-run group alone,
+    and the error names that run and algorithm and the second block."""
+    length, horizon, runs = 3, 3 * _BLOCK, 6
+    assert runs >= harness._DCD_BATCH_MIN_RUNS
+    rng = np.random.default_rng(5)
+    draws = []
+    for _ in range(runs):
+        x_rows = regressors(rng.standard_normal(horizon), length)
+        draws.append((x_rows, x_rows @ np.ones(length) + 0.1 * rng.standard_normal(horizon), 0.0))
+    dense = _dense_dcd_spec(length)
+    algorithms = [*default_algorithms(length, ("dcd_ase", "iwf_ase")), dense]
+    states = {id(spec.config): [] for spec in algorithms}
+    scalar = harness._dcd_step
+
+    def recording_init(config, *, ops=None):
+        states[id(config)].append(filters.filter_init(config, ops=ops))
+        return states[id(config)][-1]
+
+    def poisoning(state, config, *args):
+        row = scalar(state, config, *args)
+        if state is states[id(dense.config)][2] and state.step_index == 71:
+            state.w[0] = np.nan
+        return row
+
+    monkeypatch.setattr(harness, "filter_init", recording_init)
+    monkeypatch.setattr(harness, "_dcd_step", poisoning)
+    pattern = r"^dcd_ase-dense: run 2: the filter state became non-finite in the block of samples 64 to 127$"
+    with pytest.raises(FilterError, match=pattern):
+        harness._paired_runs(algorithms, length, horizon, runs, 0.0, draws.__getitem__, None, False)
+    failing = [
+        (spec.name, run) for spec in algorithms for run, state in enumerate(states[id(spec.config)])
+        if not filters._state_is_finite(state)
+    ]
+    assert failing == [("dcd_ase-dense", 2)]
+
+
+@pytest.mark.parametrize("runs", [2, harness._DCD_BATCH_MIN_RUNS])
+def test_wall_time_splits_each_group_call_evenly(monkeypatch, runs):
+    """A clock that moves one second per reading makes each block call of
+    a row group last one second: over three blocks ``dcd_ase``, a group of
+    its own whether stepped batched or one run at a time, gets 3 s, and
+    the three inversion-free algorithms, which share one group, 1 s each."""
+    clock = iter(range(10**6))
+    monkeypatch.setattr(harness, "time", type("Clock", (), {"perf_counter": staticmethod(lambda: next(clock))}))
+    sc = make_sysid_scenario(length=4, horizon=2 * _BLOCK + 5, mc_runs=runs, seed=5)
+    records = run_sysid(sc, default_algorithms(4))
+    assert {rec.algorithm: rec.wall_time for rec in records} == {"iwf": 1.0, "iwf_ase": 1.0, "dcd_ase": 3.0, "rmcc": 1.0}
 
 
 def test_lockstep_driver_matches_public_steps_at_length_64(monkeypatch):

@@ -105,11 +105,12 @@ def test_pd_pulse_spec_validation():
         PdPulseSpec(length=1)
 
 
-@pytest.mark.parametrize("kwargs", [{"decay": 1e-3}, {"freq": 1e-320}])
+@pytest.mark.parametrize("kwargs", [{"decay": 1e-3}, {"decay": 1e-320}, {"freq": 1e-320}])
 def test_pd_pulse_spec_rejects_a_template_it_cannot_scale(kwargs):
     """decay=1e-3 underflows every sample after t=0 to 0, and sin(0) is 0,
-    so the template is all zeros; freq=1e-320 leaves a subnormal peak
-    whose scale to the amplitude overflows."""
+    so the template is all zeros, as it is for decay=1e-320, where -t /
+    decay overflows to -inf without a numpy warning; freq=1e-320 leaves a
+    subnormal peak whose scale to the amplitude overflows."""
     with pytest.raises(ValueError, match=r"^decay .* and freq .* give a pulse template too small"):
         PdPulseSpec(**kwargs)
 
