@@ -89,6 +89,8 @@ DELTA_SCHEDULES = ("decaying", "constant")
 DCD_UPDATE_MODES = ("shift", "dense")
 #: Additive guard in the variable-step-size denominator.
 VSS_GUARD = 1e-12
+# Shortest row whose dense rank-one product np.einsum builds (see _einsum_route).
+_EINSUM_MIN_LENGTH = 64
 
 
 class FilterError(Exception):
@@ -160,6 +162,28 @@ class FilterConfig:
         # cached_property, whose write to __dict__ slows every attribute read.
         leak = 0.0 if self.delta_schedule == "decaying" else self.rho - self.lam * self.rho
         object.__setattr__(self, "_leak_correction", leak)
+        # Which route builds the dense rank-one product, fixed like the above.
+        object.__setattr__(self, "_einsum_outer", _einsum_route(self.length, (self.lam,)))
+
+
+def _einsum_route(length: int, lams) -> bool:
+    """Whether the dense rank-one products ``u x^T`` of rows of ``length``
+    taps, in statistics decayed by each of ``lams``, are built by
+    ``np.einsum`` rather than by the broadcast multiply ``u[:, None] * x``.
+
+    einsum's outer-product loop is the faster one from 64 taps on, numpy's
+    stride-0 broadcast loop below (``tools/layer_times.py``: at L = 32, 2.0
+    against 1.6 us; at L = 64, 3.1 against 3.6 us).  Each entry is one
+    product and no sum, so both round it alike, with one exception: einsum
+    adds the product to +0.0, so an exact -0.0 product comes out +0.0.  Added to a decayed statistic
+    ``fl(lam s)``, it changes the sum only if that is -0.0 too.  With ``lam
+    > 0.5`` it never is, for statistics that :func:`filter_init` started at
+    +0.0 or ``rho > 0``: ``fl(lam s)`` of a negative ``s`` rounds to at
+    least the smallest subnormal in magnitude, so no decay yields -0.0, and
+    a sum is -0.0 only when both its terms are.  At ``lam <= 0.5`` a
+    negative subnormal decays to -0.0, so those rows keep the broadcast.
+    """
+    return length >= _EINSUM_MIN_LENGTH and all(lam > 0.5 for lam in lams)
 
 
 @dataclass
@@ -172,7 +196,9 @@ class FilterState:
     ``(1, length)`` ``theta`` row.  Every other config leaves ``ring``
     None and ``stats`` of shape ``(length + 1, length)``: ``R`` in its
     first ``length`` rows and ``theta`` in its last, so the decay is one
-    in-place multiply and an applied sample one broadcast add.  A public
+    in-place multiply and an applied sample one add of the rank-one
+    product, which the broadcast multiply or, from 64 taps on,
+    ``np.einsum`` builds (see :func:`_einsum_route`).  A public
     step whose update needs the other layout raises :class:`FilterError`
     before it runs.
     No coordinate-descent step writes ``theta``, so it reads zeros there.
@@ -258,7 +284,8 @@ def correlation_update(
     Both act on the statistics array at once: the decay is one in-place
     multiply and the sample one add of ``u x^T`` with ``u = [phi x; phi d]``,
     whose entries ``(phi x_i) x_j`` and ``(phi d) x_j`` are the products of
-    the two separate updates.
+    the two separate updates, bit for bit by either route of
+    :func:`_einsum_route`.
     """
     x, d = _check_sample(config, x, d)
     phi = _check_phi(phi)
@@ -285,7 +312,8 @@ def _correlation_update(state: FilterState, config: FilterConfig, x: np.ndarray,
         u = np.empty(n + 1)
         np.multiply(x, phi, out=u[:n])
         u[n] = phi * d
-        stats += u[:, None] * x
+        # Inline, not through a helper, whose call costs about 1% of a step at L=10.
+        stats += np.einsum("i,j->ij", u, x) if config._einsum_outer else u[:, None] * x
 
 
 def _weigh(e: float, weighting: AseParams | float | None) -> tuple[bool, float]:
@@ -343,7 +371,9 @@ class _VssBatch:
     weights and residuals are stacked into ``w`` and ``residual``, ``(A, B,
     L)``, and their statistics into ``stats``, ``(A, B, L + 1, L)``; each
     state then holds views of its row, so it follows the batch and stays
-    inspectable.  The views and buffers every step reuses are made here.
+    inspectable.  The views and buffers every step reuses are made here,
+    and the route of the rank-one products, :func:`_einsum_route` on every
+    algorithm's ``lam``: with ``einsum_outer``, one ``np.einsum`` per run.
     """
 
     def __init__(self, states: list[list[FilterState]], lams: list[float], weightings: list) -> None:
@@ -361,6 +391,9 @@ class _VssBatch:
         self.u = np.empty(self.stats.shape[:-1])
         self.u_col = self.u[..., None]
         self.outer = np.empty(self.stats.shape)
+        self.einsum_outer = _einsum_route(self.stats.shape[-1], lams)
+        # Each run's (A, L + 1) weighted samples and (A, L + 1, L) products.
+        self.u_runs, self.outer_runs = self.u.swapaxes(0, 1), self.outer.swapaxes(0, 1)
         self.product = np.empty(self.w.shape + (1,))
         self.product_row = self.product[..., 0]
 
@@ -382,8 +415,11 @@ def _vss_steps(batch: _VssBatch, xd: np.ndarray, step_index: int) -> tuple[np.nd
     or none.  Returns the row ``(prior_error, applied, phi, moved)`` of
     every state, the first three as ``(A, B)`` arrays.  Each product is
     the scalar core's: ``np.vecdot`` for its dots, a stacked ``np.matmul``
-    for its ``R`` products, :func:`_weigh` per row, and ``u = phi [x; d]``
-    in one multiply.
+    for its ``R`` products, :func:`_weigh` per row, ``u = phi [x; d]``
+    in one multiply and the products ``u x^T`` by the core's route: one
+    broadcast multiply over the batch, or with ``batch.einsum_outer`` one
+    ``np.einsum`` per run, which from 64 taps on beats the broadcast at
+    every run count, and a single 4-D einsum over the batch from 2 runs.
     """
     n, w, stats, residual, product = xd.shape[-1] - 1, batch.w, batch.stats, batch.residual, batch.product
     x = xd[:, :n]
@@ -395,7 +431,11 @@ def _vss_steps(batch: _VssBatch, xd: np.ndarray, step_index: int) -> tuple[np.nd
     phi = np.array(phi).reshape(e.shape)
     stats *= batch.lam
     np.multiply(phi[..., None], xd, out=batch.u)
-    np.multiply(batch.u_col, x[:, None, :], out=batch.outer)
+    if batch.einsum_outer:
+        for u, x_run, outer in zip(batch.u_runs, x, batch.outer_runs):
+            np.einsum("ai,j->aij", u, x_run, out=outer)
+    else:
+        np.multiply(batch.u_col, x[:, None, :], out=batch.outer)
     np.add(stats, batch.outer, out=stats, where=where)
     np.matmul(batch.r_mat, batch.w_col, out=product)
     np.subtract(batch.theta, batch.product_row, out=residual)
@@ -560,7 +600,8 @@ def _dcd_step(
         r_mat = state.stats[:-1]
         r_mat *= lam
         if phi != 0.0:
-            r_mat += np.outer(phi * x, x)
+            u = phi * x
+            r_mat += np.einsum("i,j->ij", u, x) if config._einsum_outer else u[:, None] * x
         if correction != 0.0:
             r_mat[np.diag_indices(n)] += correction
             rhs -= correction * state.w

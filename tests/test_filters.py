@@ -8,6 +8,7 @@ correlation-update modes the maintained right-hand side must equal
 independently from the step outputs.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -685,6 +686,99 @@ def test_dcd_dense_matches_literal_leakage_reference(schedule, length, horizon, 
         assert np.array_equal(st.residual, ref.residual)
         assert np.array_equal(st.r_matrix, ref.r_matrix)
     assert (ops.adds, ops.mults, ops.comparisons) == (ref_ops.adds, ref_ops.mults, ref_ops.comparisons)
+
+
+def _on_route(by_einsum, length, build):
+    """``build()`` with the einsum route's length threshold set so that
+    rows of ``length`` taps take that route exactly when ``by_einsum``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filters, "_EINSUM_MIN_LENGTH", length if by_einsum else length + 1)
+        return build()
+
+
+def _rounding_stream(length, horizon, seed):
+    """Regressor rows and desired samples that reach every rounding case of
+    the rank-one products: exact zero taps beside negative ones (exact
+    -0.0 products), impulses on every fifth sample, which the ASE gate and
+    a narrow Gaussian weight shut out, and a stretch scaled by 1e-160,
+    whose products are subnormal."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(horizon)
+    u[rng.random(horizon) < 0.25] = 0.0
+    u[horizon // 3 : horizon // 3 + length] *= 1e-160
+    xs = regressors(u, length)
+    d = xs @ rng.standard_normal(length) + 0.1 * rng.standard_normal(horizon)
+    d[1::5] += 1e4
+    return xs, d
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    length=st.sampled_from((63, 64, 65, 256)),
+    lam=st.sampled_from((0.51, 0.9, 0.999)),
+    runs=st.sampled_from((1, 3)),
+    horizon=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_einsum_route_matches_broadcast_route_bit_for_bit(length, lam, runs, horizon, seed):
+    """Both routes of the dense rank-one product leave byte-identical
+    statistics after every step: in the scalar inversion-free core, in
+    dense-mode ``dcd_ase`` and in the batched core over three algorithms,
+    two with ``lam`` and one with 0.999, and ``runs`` runs."""
+    streams = [_rounding_stream(length, horizon, seed + run) for run in range(runs)]
+    xs, d = streams[0]
+    sigma = 0.5
+    routes = []
+    for by_einsum in (False, True):
+        def build():
+            vss = cfg_for(length=length, lam=lam, rho=1e-4)
+            dense = dataclasses.replace(vss, dcd=DcdParams(), dcd_update="dense")
+            lams, weightings = (lam, 0.999, lam), (None, vss.ase, sigma)
+            states = [[filter_init(vss) for _ in range(runs)] for _ in lams]
+            batch = filters._VssBatch(states, list(lams), list(weightings))
+            return vss, dense, batch
+        vss, dense, batch = _on_route(by_einsum, length, build)
+        assert vss._einsum_outer == dense._einsum_outer == batch.einsum_outer == by_einsum
+        routes.append((vss, dense, (filter_init(vss), filter_init(dense), batch)))
+    for t in range(horizon):
+        xd = np.array([np.append(x_rows[t], d_run[t]) for x_rows, d_run in streams])
+        for vss, dense, (vss_state, dense_state, batch) in routes:
+            iwf_ase_step(vss_state, vss, xs[t], d[t])
+            dcd_ase_step(dense_state, dense, xs[t], d[t])
+            filters._vss_steps(batch, xd, t)
+        for broadcast, einsum in zip(routes[0][2], routes[1][2]):
+            for name in ("stats", "w", "residual"):
+                assert getattr(broadcast, name).tobytes() == getattr(einsum, name).tobytes(), (t, name)
+
+
+def test_einsum_route_guard_keeps_signed_zeros_at_half_lam():
+    """At ``lam = 0.5`` a silence of gated impulses decays a negative entry
+    of R to -0.0, and an applied sample then adds the exact -0.0 product
+    of a zero tap and a negative tap there.  The broadcast route keeps the
+    -0.0, einsum's would make it +0.0, so a 64-tap config and batch at
+    ``lam = 0.5`` keep the broadcast route."""
+    length = 64
+    config = cfg_for(length=length, lam=0.5, rho=1e-4)
+    assert not config._einsum_outer
+    assert not filters._einsum_route(length, (0.999, 0.5))
+    forced = dataclasses.replace(config)
+    object.__setattr__(forced, "_einsum_outer", True)
+    xs = np.zeros((1202, length))
+    xs[0, :2], xs[-1, 1] = [1.0, -1.0], -1.0
+    d = np.full(1202, 1e3)
+    d[0] = 0.1
+    stats = []
+    for cfg in (config, forced):
+        st = filter_init(cfg)
+        for x, dt in zip(xs[:-1], d[:-1]):
+            iwf_ase_step(st, cfg, x, dt)
+        assert np.signbit(st.stats[0, 1]) and st.stats[0, 1] == 0.0
+        st, out = iwf_ase_step(st, cfg, xs[-1], float(st.w @ xs[-1]) + 0.5)
+        assert out.applied
+        stats.append(st.stats)
+    kept, lost = stats
+    assert np.signbit(kept[0, 1]) and not np.signbit(lost[0, 1])
+    assert np.array_equal(kept, lost)
 
 
 def test_shift_state_r_matrix_is_a_read_only_copy():

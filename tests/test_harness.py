@@ -602,6 +602,28 @@ def test_lockstep_driver_matches_public_steps_at_length_64(monkeypatch):
     _lockstep_case(monkeypatch, algorithms, 64, 2 * _BLOCK + 5, 3, 2, True, True, 64)
 
 
+def test_lockstep_driver_matches_public_steps_on_the_einsum_route(monkeypatch):
+    """With the einsum route's length threshold lowered to 1, the batched
+    core, dense-mode ``dcd_ase`` and the public steps all build their
+    rank-one products by ``np.einsum`` at L=6, and the driver still matches
+    the public steps bit for bit, over chunks of two runs and of one."""
+    monkeypatch.setattr(filters, "_EINSUM_MIN_LENGTH", 1)
+    length = 6
+    algorithms = [*default_algorithms(length, ("iwf", "iwf_ase", "rmcc")), _dense_dcd_spec(length)]
+    algorithms.insert(2, _alternate_vss_spec("iwf_ase", length, 0.9, 0.5, 5.0, None))
+    assert all(spec.config._einsum_outer for spec in algorithms)
+    routes = []
+    core = harness._vss_steps
+
+    def spy(batch, xd, step_index):
+        routes.append(batch.einsum_outer)
+        return core(batch, xd, step_index)
+
+    monkeypatch.setattr(harness, "_vss_steps", spy)
+    _lockstep_case(monkeypatch, algorithms, length, 2 * _BLOCK + 5, 3, 2, True, True, 6)
+    assert routes and all(routes)
+
+
 def test_lockstep_gated_row_keeps_signed_zeros(monkeypatch):
     """A gated row only decays, as in the scalar core: after a silence has
     decayed entries of R to -0.0, a gated impulse leaves them -0.0, where
