@@ -484,20 +484,18 @@ def cmd_dcd_bench(opts: dict, plan) -> list[str]:
     nu_list, embedded = plan
     length = opts["length"]
 
-    acc_rows = []
-    for nu in nu_list:
-        errs = []
-        for i in range(opts["systems"]):
-            r_matrix, x_star, rhs = random_spd_system(length, opts["cond"], [opts["seed"], 7, i])
-            if opts["h"] is not None:
-                h = opts["h"]
-            else:
-                amp = max(2.0 * float(np.max(np.abs(x_star))), 1e-6)
-                h = 2.0 ** math.ceil(math.log2(amp))
-            params = DcdParams(h=h, m_bits=opts["m_bits"], n_updates=nu * length)
-            result = dcd_solve(r_matrix, rhs, params)
-            errs.append(float(np.max(np.abs(result.delta_w - x_star))))
-        acc_rows.append([nu, max(errs), sum(errs) / len(errs)])
+    # Each system is drawn once and solved at every budget; each budget's
+    # errors are kept in system order.
+    errs = {nu: [] for nu in nu_list}
+    for i in range(opts["systems"]):
+        r_matrix, x_star, rhs = random_spd_system(length, opts["cond"], [opts["seed"], 7, i])
+        h = opts["h"]
+        if h is None:
+            h = 2.0 ** math.ceil(math.log2(max(2.0 * float(np.max(np.abs(x_star))), 1e-6)))
+        for nu, nu_errs in errs.items():
+            result = dcd_solve(r_matrix, rhs, DcdParams(h=h, m_bits=opts["m_bits"], n_updates=nu * length))
+            nu_errs.append(float(np.max(np.abs(result.delta_w - x_star))))
+    acc_rows = [[nu, max(nu_errs), sum(nu_errs) / len(nu_errs)] for nu, nu_errs in errs.items()]
 
     ops_rows = []
     for nu in nu_list:

@@ -119,9 +119,10 @@ class ShiftMatrix:
     (:attr:`newest`) and the slot pair a push writes.  A push is then the
     finiteness check, two slot writes and list lookups.  It also keeps
     :attr:`pivots_normal` up to date, true while every pivot is a normal
-    positive float (at least :data:`MIN_PIVOT`): a push changes one pivot
-    in and one out, so the check costs O(1) instead of a scan of the
-    diagonal.
+    positive float (at least :data:`MIN_PIVOT`), from one count: how many
+    of the newest rows, counted back from the newest, have a normal pivot.
+    A push resets it to 0 or adds 1, so the check costs O(1) instead of a
+    scan of the diagonal.
     """
 
     def __init__(self, r_matrix: np.ndarray) -> None:
@@ -147,7 +148,9 @@ class ShiftMatrix:
         self._offsets = offsets
         self._offset_rows = list(offsets)
         self._bind(buf)
-        self._seek(0, (r.diagonal() < MIN_PIVOT).tolist())
+        # Slot k holds the row pushed k pushes ago, so the count of normal
+        # rows is the index of the first weak pivot, or n if none is weak.
+        self._seek(0, next((k for k, pivot in enumerate(r.diagonal().tolist()) if pivot < MIN_PIVOT), n))
 
     def _bind(self, buf: np.ndarray) -> None:
         """Hold the rows in ``buf``, a C-contiguous ``(2 length, length)``
@@ -165,16 +168,15 @@ class ShiftMatrix:
             newest.flags.writeable = False
             self._heads.append((window, diag, newest, buf[h], buf[h + n]))
 
-    def _seek(self, head: int, weak: list[bool] | None = None) -> None:
+    def _seek(self, head: int, normal_rows: int | None = None) -> None:
         """Make ``head`` the ring head, for rows another writer put in the
-        buffer; with ``weak``, also whether the pivot in each slot is below
-        :data:`MIN_PIVOT`."""
+        buffer; with ``normal_rows``, also how many of the newest rows have
+        a pivot of at least :data:`MIN_PIVOT`."""
         self._head = head
         self._window, self._diag, self.newest, _, _ = self._heads[head]
-        if weak is not None:
-            self._weak = weak
-            self._weak_pivots = sum(weak)
-            self.pivots_normal = self._weak_pivots == 0
+        if normal_rows is not None:
+            self._normal_rows = normal_rows
+            self.pivots_normal = normal_rows >= self.length
 
     def push(self, row: np.ndarray) -> None:
         """Shift ``R`` down-right by one and make ``row`` its first row and column."""
@@ -186,15 +188,14 @@ class ShiftMatrix:
         """:meth:`push` without the finiteness check."""
         # Slot ``head`` holds the oldest row, whose pivot leaves the window.
         head = (self._head or self.length) - 1
-        weak = float(row[0]) < MIN_PIVOT
         window, diag, newest, low, high = self._heads[head]
         low[:] = row
         high[:] = row
-        self._weak_pivots += weak - self._weak[head]
-        self._weak[head] = weak
+        # A NaN pivot is not below MIN_PIVOT, so it counts as normal.
+        self._normal_rows = 0 if float(row[0]) < MIN_PIVOT else self._normal_rows + 1
         self._head = head
         self._window, self._diag, self.newest = window, diag, newest
-        self.pivots_normal = self._weak_pivots == 0
+        self.pivots_normal = self._normal_rows >= self.length
 
     def diagonal(self) -> np.ndarray:
         """Read-only view of the diagonal of ``R``: entry 0 of each row in the window."""

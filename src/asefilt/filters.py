@@ -417,9 +417,10 @@ def _vss_steps(batch: _VssBatch, xd: np.ndarray, step_index: int) -> tuple[np.nd
     the scalar core's: ``np.vecdot`` for its dots, a stacked ``np.matmul``
     for its ``R`` products, :func:`_weigh` per row, ``u = phi [x; d]``
     in one multiply and the products ``u x^T`` by the core's route: one
-    broadcast multiply over the batch, or with ``batch.einsum_outer`` one
-    ``np.einsum`` per run, which from 64 taps on beats the broadcast at
-    every run count, and a single 4-D einsum over the batch from 2 runs.
+    broadcast multiply over the batch or, with ``batch.einsum_outer``, one
+    ``np.einsum`` per run.  From 64 taps on, the per-run einsum beat the
+    broadcast at every run count timed, and a single 4-D einsum over the
+    batch from 2 runs on (``tools/layer_times.py``).
     """
     n, w, stats, residual, product = xd.shape[-1] - 1, batch.w, batch.stats, batch.residual, batch.product
     x = xd[:, :n]
@@ -627,18 +628,19 @@ class _DcdBatch:
 
     Their weights and residuals are stacked into ``w`` and ``residual``,
     ``(B, L)``, and their rings into ``ring``, one ``(B, 2 L, L)`` buffer
-    with one ``head``, since every run pushes a row each sample; ``weak``,
-    ``(B, L)``, says whether the pivot in each run's slot is below
-    :data:`~asefilt.dcd.MIN_PIVOT`.  Each state then holds views of its
-    row, as in :class:`_VssBatch`: its ring follows the shared head before
-    its own solve and, with its weak slots, at :meth:`sync`.
+    with one ``head``, since every run pushes a row each sample;
+    ``normal_rows``, ``(B,)``, counts how many of each run's newest rows
+    have a pivot of at least :data:`~asefilt.dcd.MIN_PIVOT`.  Each state
+    then holds views of its row, as in :class:`_VssBatch`: its ring follows
+    the shared head before its own solve and, with its count, at
+    :meth:`sync`.
     """
 
     def __init__(self, states: list[FilterState], config: FilterConfig, weighting) -> None:
         self.states, self.config, self.weighting = states, config, weighting
         self.w, self.residual = (np.array([getattr(st, name) for st in states]) for name in ("w", "residual"))
         self.ring = np.array([st.ring._buf for st in states])
-        self.weak = np.array([st.ring._weak for st in states])
+        self.normal_rows = np.array([st.ring._normal_rows for st in states])
         self.head = states[0].ring._head
         for b, st in enumerate(states):
             st.w, st.residual = self.w[b], self.residual[b]
@@ -652,9 +654,9 @@ class _DcdBatch:
         return all(np.isfinite(arr).all() for arr in (self.w, self.residual, self.ring))
 
     def sync(self) -> None:
-        """Move every state's ring to the shared head and its weak slots."""
-        for st, weak in zip(self.states, self.weak.tolist()):
-            st.ring._seek(self.head, weak)
+        """Move every state's ring to the shared head and its pivot count."""
+        for st, normal_rows in zip(self.states, self.normal_rows.tolist()):
+            st.ring._seek(self.head, normal_rows)
 
 
 def _dcd_batch_step(batch: _DcdBatch, xd: np.ndarray, step_index: int) -> tuple:
@@ -666,7 +668,7 @@ def _dcd_batch_step(batch: _DcdBatch, xd: np.ndarray, step_index: int) -> tuple:
     recursions every run makes each sample run batched: the prior error
     (``np.vecdot``), :func:`_weigh` per row, ``rhs = lam residual + (phi
     e) x`` with the add masked where ``phi == 0.0``, the leakage
-    correction, the ring push, the weak-pivot slots, the hold test and the
+    correction, the ring push, the pivot count, the hold test and the
     solve's first scan.  A run whose leading residual does not pass the
     finest threshold there ends its solve as :func:`~asefilt.dcd._dcd_solve`
     would, with the bits exhausted; each other run solves through
@@ -693,11 +695,12 @@ def _dcd_batch_step(batch: _DcdBatch, xd: np.ndarray, step_index: int) -> tuple:
         rhs[:, 0] -= correction * w[:, 0]
     ring[:, head] = row0
     ring[:, head + n] = row0
-    batch.weak[:, head] = row0[:, 0] < MIN_PIVOT
+    batch.normal_rows += 1
+    batch.normal_rows[row0[:, 0] < MIN_PIVOT] = 0
     batch.head = head
     # Every run is held while the delay line fills, and after that a run
     # with a weak pivot.
-    moved = ~batch.weak.any(axis=1) if step_index >= n - 1 else np.zeros(len(e), dtype=bool)
+    moved = batch.normal_rows >= n if step_index >= n - 1 else np.zeros(len(e), dtype=bool)
     magnitude = np.abs(rhs)
     lead = magnitude.argmax(axis=1)
     runs = batch.runs

@@ -18,16 +18,19 @@ draws the runs in chunks of at most ``_CHUNK_BYTES`` of regressor rows
 (one run at least) and checks each run's rows and desired signal for
 shape and finiteness before the chunk's first step.
 
-A row is an (algorithm, run) pair.  For each chunk the driver builds its
-row groups once, and this is the one place where it tells the families
-apart: the ``iwf``, ``iwf_ase`` and ``rmcc`` rows form one
-``filters._VssBatch``; a shift-mode ``dcd_ase`` algorithm whose chunk
-has at least ``_DCD_BATCH_MIN_RUNS`` runs forms a ``filters._DcdBatch``;
-any other ``dcd_ase`` algorithm steps one run at a time through the
-scalar ``_dcd_step``: a batch of a few runs steps slower than the scalar
-core, and no batch holds the dense update.  The chunk then steps
-one block of ``_BLOCK_ROWS`` samples at a time, the ``dcd_ase`` groups
-first, each group with one call that advances its rows through the
+Each algorithm kind is resolved once, through the table ``_KINDS``, into
+its solver, ``"vss"`` (inversion-free) or ``"dcd"`` (coordinate
+descent), and its weighting, None, ``"ase"`` or ``"gaussian"``; no
+function reads a kind's name.  A row is an (algorithm, run) pair.  For
+each chunk the driver builds its row groups once, by solver alone: the
+inversion-free rows form one ``filters._VssBatch``; a shift-mode
+coordinate-descent algorithm whose chunk has at least
+``_DCD_BATCH_MIN_RUNS`` runs forms a ``filters._DcdBatch``; any other
+coordinate-descent algorithm steps one run at a time through the scalar
+``_dcd_step``: at L <= 10 a batch of 3 runs or fewer took 1.1 to 2.5
+times the scalar time, and no batch holds the dense update.  The chunk then steps one block of
+``_BLOCK_ROWS`` samples at a time, the coordinate-descent groups first,
+each group with one call that advances its rows through the
 unchecked private cores of :mod:`~asefilt.filters` and writes them into
 the block record: six ``(runs, algorithms, block)`` arrays of each row's
 prior error, applied flag, weight ``phi``, moved flag, and solver updates
@@ -111,7 +114,17 @@ __all__ = [
     "count_ops",
 ]
 
-ALGORITHMS = ("iwf", "iwf_ase", "dcd_ase", "rmcc")
+# Each algorithm kind as its (solver, weighting): the solver "vss", the
+# inversion-free iterative Wiener filter, or "dcd", coordinate descent; the
+# weighting None, "ase", Andrew's sine, or "gaussian", the kernel of
+# correntropy.  With _NOMINAL below, the only place a kind's name is read.
+_KINDS = {
+    "iwf": ("vss", None),
+    "iwf_ase": ("vss", "ase"),
+    "dcd_ase": ("dcd", "ase"),
+    "rmcc": ("vss", "gaussian"),
+}
+ALGORITHMS = tuple(_KINDS)
 NMSD_FLOOR_DB = -400.0
 _FLOOR_RATIO = 10.0 ** (NMSD_FLOOR_DB / 10.0)  # 1e-40 exactly
 # Rows per block of the driver's loop: the NMSD deviation of a block is
@@ -121,8 +134,10 @@ _BLOCK_ROWS = 64
 # Float64 bytes of regressor rows drawn at once: the runs of one chunk step
 # in lockstep, and the next chunk is drawn when they are done.
 _CHUNK_BYTES = 4 << 20
-# Fewest runs of a chunk whose shift-mode dcd_ase states step batched: with
-# fewer, the scalar core is faster (README, "Monte Carlo driver").
+# Fewest runs of a chunk whose shift-mode coordinate-descent states step
+# batched.  At L = 5 and 10 a batch took 2.4 to 2.5 times the scalar time
+# at 1 run, 1.4 to 1.5 at 2, 1.1 at 3 and 0.92 to 0.94 at 4 (README,
+# "Monte Carlo driver").
 _DCD_BATCH_MIN_RUNS = 5
 
 
@@ -147,7 +162,7 @@ class AlgoSpec:
     def __post_init__(self) -> None:
         if self.kind not in ALGORITHMS:
             raise ValueError(f"kind must be one of {ALGORITHMS}, got {self.kind!r}")
-        if self.kind != "dcd_ase" and self.config.dcd is not None:
+        if _KINDS[self.kind][0] != "dcd" and self.config.dcd is not None:
             raise ValueError(f"kind {self.kind!r} takes no DcdParams: its config must have dcd=None")
         if self.kernel_sigma is not None:
             _check_kernel_width(self.kernel_sigma)
@@ -226,7 +241,7 @@ class RunRecord:
     ``wall_time`` is the seconds the driver spent in the block calls of
     the algorithm's row group, which step its filters and record their
     rows, each call's time split evenly across the group's algorithms:
-    the inversion-free ones share one group, and each ``dcd_ase``
+    the inversion-free ones share one group, and each coordinate-descent
     algorithm has its own.
     """
 
@@ -324,7 +339,8 @@ def default_algorithms(
             lam=lam,
             rho=rho,
             ase=ase,
-            dcd=dcd if kind == "dcd_ase" else None,
+            # An unknown kind is left to AlgoSpec, which names the kinds.
+            dcd=dcd if kind in ALGORITHMS and _KINDS[kind][0] == "dcd" else None,
             delta_schedule=delta_schedule,
             dcd_update=dcd_update,
         )
@@ -336,18 +352,17 @@ def _weighting(spec: AlgoSpec, bg_std: float) -> AseParams | float | None:
     """The error weighting ``spec``'s core takes.  Raises here, before any
     step, what the public step would raise on every call for the
     configuration."""
-    if spec.kind == "dcd_ase":
+    solver, weighting = _KINDS[spec.kind]
+    if solver == "dcd":
         _check_solver(spec.config)
-    if spec.kind == "iwf":
-        return None
-    if spec.kind == "rmcc":
+    if weighting == "gaussian":
         sigma = spec.kernel_sigma
         if sigma is None:
             # Wide kernel: only gross outliers (an order of magnitude beyond
             # the nominal error scale) are meaningfully downweighted.
             sigma = 10.0 * bg_std if bg_std > 0.0 else 10.0
         return float(sigma)
-    return spec.config.ase
+    return spec.config.ase if weighting == "ase" else None
 
 
 def _check_draw(run: int, x_rows, d, horizon: int, length: int) -> list[np.ndarray]:
@@ -366,7 +381,7 @@ def _check_draw(run: int, x_rows, d, horizon: int, length: int) -> list[np.ndarr
 
 def _step_runs(config: FilterConfig, weighting, states: list[FilterState], idx: int, xd: np.ndarray,
                first_step: int, record: tuple, w_block: np.ndarray | None) -> None:
-    """Step a ``dcd_ase`` algorithm's ``states`` one run at a time through
+    """Step a coordinate-descent algorithm's ``states`` one run at a time through
     the scalar ``_dcd_step`` over the block ``xd``, writing run ``b``'s
     rows into each record field's ``[b, idx]`` and its weights into
     ``w_block[:, idx, b]``.  Each state counts its own steps."""
@@ -410,13 +425,14 @@ def _row_groups(algorithms: list[AlgoSpec], weightings: list, states: list[list[
     its algorithms; ``step(xd, first_step, record, w_block)``, which steps
     them over one block, ``(block, runs, L + 1)``, and writes their rows of
     the record and of ``w_block``; ``finite()``, whether all its states
-    are finite; and its rows' cost function.  The inversion-free group
+    are finite; and its rows' cost function.  An algorithm's group
+    follows from its solver in ``_KINDS`` alone.  The inversion-free group
     comes last, since perfbench's set-up probe stops at the first call
     whose name ends in ``_step``.  The cores are read here, so patching
     them takes effect."""
     groups, vss = [], []
     for idx, spec in enumerate(algorithms):
-        if spec.kind != "dcd_ase":
+        if _KINDS[spec.kind][0] == "vss":
             vss.append(idx)
         elif len(states[idx]) >= _DCD_BATCH_MIN_RUNS and spec.config.dcd_update == "shift":
             batch = _DcdBatch(states[idx], spec.config, weightings[idx])
@@ -676,25 +692,30 @@ def random_spd_system(length: int, cond: float, seed) -> tuple[np.ndarray, np.nd
     return matrix, solution, rhs
 
 
+# Each kind's solver and the (adds, mults) of its textbook form, from the
+# filter length L and, for coordinate descent, the update budget nu and the
+# bits mb.  DCD-RMCC, the coordinate-descent solver with the Gaussian
+# weighting, has a nominal cost but no filter yet.
+_NOMINAL = {
+    "iwf": ("vss", lambda L: (3 * L * L + 4 * L, 3.5 * L * L + 6 * L)),
+    "iwf_ase": ("vss", lambda L: (3 * L * L + 4 * L, 3.5 * L * L + 8 * L + 3)),
+    "dcd_ase": ("dcd", lambda L, nu, mb: (3 * L + 2 * nu * L + mb + 1, 7 * L + 6)),
+    "rmcc": ("vss", lambda L: (3 * L * L + 7 * L + 4, 3 * L * L + 13 * L + 12)),
+    "dcd_rmcc": ("dcd", lambda L, nu, mb: (3 * L + 2 * nu * L + mb, 7 * L + 5)),
+}
+
+
 def count_ops(kind: str, length: int, dcd: DcdParams | None = None) -> NominalOps:
     """Per-iteration addition and multiplication counts of the textbook
     forms of each algorithm, as polynomial functions of the filter length
     and, for the coordinate-descent variants, the solver budget."""
     if not (isinstance(length, int) and length >= 1):
         raise ValueError(f"length must be a positive integer, got {length!r}")
-    L = float(length)
-    if kind == "rmcc":
-        return NominalOps(adds=3 * L * L + 7 * L + 4, mults=3 * L * L + 13 * L + 12)
-    if kind == "iwf":
-        return NominalOps(adds=3 * L * L + 4 * L, mults=3.5 * L * L + 6 * L)
-    if kind == "iwf_ase":
-        return NominalOps(adds=3 * L * L + 4 * L, mults=3.5 * L * L + 8 * L + 3)
-    if kind in ("dcd_rmcc", "dcd_ase"):
-        if dcd is None:
-            raise ValueError(f"count_ops({kind!r}) requires DcdParams")
-        nu = float(dcd.n_updates)
-        mb = float(dcd.m_bits)
-        if kind == "dcd_rmcc":
-            return NominalOps(adds=3 * L + 2 * nu * L + mb, mults=7 * L + 5)
-        return NominalOps(adds=3 * L + 2 * nu * L + mb + 1, mults=7 * L + 6)
-    raise ValueError(f"unknown algorithm kind {kind!r}")
+    if kind not in _NOMINAL:
+        raise ValueError(f"unknown algorithm kind {kind!r}")
+    solver, cost = _NOMINAL[kind]
+    if solver == "vss":
+        return NominalOps(*cost(float(length)))
+    if dcd is None:
+        raise ValueError(f"count_ops({kind!r}) requires DcdParams")
+    return NominalOps(*cost(float(length), float(dcd.n_updates), float(dcd.m_bits)))

@@ -72,6 +72,12 @@ def test_config_validation():
         FilterConfig(length=3, lam=0.9, rho=0.1, ase="not params")
 
 
+@pytest.mark.parametrize("dcd", ["not params", AseParams(2.0), (2.0, 8, 8)])
+def test_config_rejects_solver_params_of_another_type(dcd):
+    with pytest.raises(ValueError, match="dcd must be a DcdParams instance or None"):
+        cfg_for(dcd=dcd)
+
+
 def test_filter_init_shapes_and_leakage_seed():
     """Both leakage schedules start from ``rho I``.  A silent dense-mode
     coordinate-descent step then decays it to ``lam rho I`` under

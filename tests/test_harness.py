@@ -1,8 +1,10 @@
 """Experiment-harness tests: metrics, operation accounting, and the two
 experiment drivers at toy scale."""
 
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,18 @@ def test_count_ops_errors():
         count_ops("unknown", 10)
     with pytest.raises(ValueError):
         count_ops("dcd_ase", 10)  # needs solver parameters
+
+
+@pytest.mark.parametrize("length", [0, -1, 2.0, "10"])
+def test_count_ops_rejects_a_bad_length(length):
+    with pytest.raises(ValueError, match="length must be a positive integer"):
+        count_ops("iwf", length)
+
+
+@pytest.mark.parametrize("iterations", [0, -3])
+def test_per_iteration_rejects_no_iterations(iterations):
+    with pytest.raises(ValueError, match="iterations must be positive"):
+        per_iteration(OpCounter(), iterations)
 
 
 def test_random_spd_system_properties():
@@ -223,6 +237,23 @@ def test_anc_spec_validation():
             reference=np.zeros(10),
             clean=np.zeros(9),
         )
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"mc_runs": 0}, "mc_runs must be a positive integer"),
+        ({"mc_runs": 1.0}, "mc_runs must be a positive integer"),
+        ({"filter_length": 0}, "filter_length must be a positive integer"),
+        ({"pulse_rate": 1.5}, r"pulse_rate must lie in \[0, 1\]"),
+        ({"pulse_rate": -0.1}, r"pulse_rate must lie in \[0, 1\]"),
+        ({"primary": np.zeros(10), "reference": np.zeros(9)}, "vectors of equal length"),
+        ({"primary": np.zeros((2, 5)), "reference": np.zeros((2, 5))}, "vectors of equal length"),
+    ],
+)
+def test_anc_spec_rejects_each_bad_field(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        AncSpec(**{"horizon": 10, "mc_runs": 1, "seed": 1, **kwargs})
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -886,7 +917,7 @@ def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
         if isinstance(arg, filters._VssBatch):
             return tuple(map(snapshot, (arg.w, arg.stats, arg.residual, arg.lam, arg.weightings)))
         if isinstance(arg, filters._DcdBatch):
-            return tuple(map(snapshot, (arg.w, arg.residual, arg.ring, arg.weak, arg.head)))
+            return tuple(map(snapshot, (arg.w, arg.residual, arg.ring, arg.normal_rows, arg.head)))
         return tuple(arg) if isinstance(arg, list) else arg
 
     def recording(name):
@@ -919,6 +950,36 @@ def test_trusted_cores_do_no_counting():
     driver price what the cores and the solve return."""
     for fn in (filters._vss_step, filters._dcd_step, filters._weigh, filters._correlation_update, dcd._dcd_solve):
         assert "ops" not in inspect.getsource(fn), fn.__name__
+
+
+def _kind_comparisons(package: Path) -> list[str]:
+    """Where a module of ``package`` compares a value with a kind name by
+    ``==``, ``!=``, ``in``, ``not in`` or a ``match`` case: the kind table and the
+    nominal-cost table are meant to be the only places a kind name is
+    read."""
+    kinds = set(harness.ALGORITHMS) | set(harness._NOMINAL)
+
+    def names_a_kind(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(names_a_kind, node.elts))
+        return isinstance(node, ast.Constant) and node.value in kinds
+
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+                if any(map(names_a_kind, [node.left, *node.comparators])):
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.MatchValue) and names_a_kind(node.value):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_function_compares_a_kind_name():
+    """Each kind resolves to its solver and weighting through
+    ``harness._KINDS``, and its nominal cost through ``harness._NOMINAL``;
+    no function tells the kinds apart by name."""
+    assert _kind_comparisons(Path(harness.__file__).parent) == []
 
 
 @pytest.mark.parametrize("horizon", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])

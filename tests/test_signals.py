@@ -105,6 +105,12 @@ def test_pd_pulse_spec_validation():
         PdPulseSpec(length=1)
 
 
+@pytest.mark.parametrize("decay", [0.0, -1.0, np.nan, np.inf])
+def test_pd_pulse_spec_rejects_a_decay_that_is_not_positive(decay):
+    with pytest.raises(ValueError, match="decay must be positive"):
+        PdPulseSpec(decay=float(decay))
+
+
 @pytest.mark.parametrize("kwargs", [{"decay": 1e-3}, {"decay": 1e-320}, {"freq": 1e-320}])
 def test_pd_pulse_spec_rejects_a_template_it_cannot_scale(kwargs):
     """decay=1e-3 underflows every sample after t=0 to 0, and sin(0) is 0,
@@ -178,3 +184,42 @@ def test_scenario_spec_validation():
         ScenarioSpec(system_taps=np.ones(3), horizon=0, mc_runs=1, seed=1)
     with pytest.raises(ValueError):
         ScenarioSpec(system_taps=np.ones(3), horizon=10, mc_runs=0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"system_taps": np.zeros(3)}, "must not be all zero"),
+        ({"snr_db": np.nan}, "snr_db must be finite"),
+        ({"snr_db": np.inf}, "snr_db must be finite"),
+        ({"snr_db": -np.inf}, "snr_db must be finite"),
+    ],
+)
+def test_scenario_spec_rejects_silent_taps_and_a_nonfinite_snr(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        ScenarioSpec(**{"system_taps": np.ones(3), "horizon": 10, "mc_runs": 1, "seed": 1, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: gen_system(0, 1), "length must be a positive integer"),
+        (lambda: gen_system(3.0, 1), "length must be a positive integer"),
+        (lambda: gen_bg_noise(-1, BgNoiseSpec(0.1, 1.0), 1), "n must be a nonnegative integer"),
+        (lambda: gen_bg_noise(2.0, BgNoiseSpec(0.1, 1.0), 1), "n must be a nonnegative integer"),
+        (lambda: gen_background(-1, 0.0, 1.0, 1), "n must be a nonnegative integer"),
+        (lambda: gen_background(10, 0.0, 0.0, 1), "signal_power must be positive"),
+        (lambda: gen_background(10, 0.0, np.inf, 1), "signal_power must be positive"),
+        (lambda: gen_pd_pulses(-1, 0.1, 1), "n must be a nonnegative integer"),
+        (lambda: gen_pd_pulses(10, 1.5, 1), r"pulse_rate must lie in \[0, 1\]"),
+        (lambda: gen_pd_pulses(10, -0.1, 1), r"pulse_rate must lie in \[0, 1\]"),
+        (lambda: regressors(np.ones(4), 0), "length must be a positive integer"),
+        (lambda: regressors(np.ones((2, 2)), 2), "x must be a vector"),
+        (lambda: regressors(np.float64(1.0), 2), "x must be a vector"),
+        (lambda: iir_shape(np.ones((2, 2))), "x must be a vector"),
+        (lambda: iir_shape(np.float64(1.0)), "x must be a vector"),
+    ],
+)
+def test_generators_reject_bad_sizes_and_rates(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

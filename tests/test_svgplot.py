@@ -56,3 +56,18 @@ def test_widen_flat_moves_both_ends(v):
         assert lo == v - 1.0
     if v + 1.0 != v:
         assert hi == v + 1.0
+
+
+def test_line_chart_needs_a_series():
+    with pytest.raises(ValueError, match="series must not be empty"):
+        line_chart([])
+
+
+def test_line_chart_renders_a_series_with_no_finite_value():
+    """With no finite y the y axis falls back to [0, 1]: the chart still
+    renders, with the series as an empty polyline."""
+    svg = line_chart([("gone", np.arange(3.0), np.array([np.nan, np.inf, -np.inf]))], title="t")
+    root = ET.fromstring(svg)
+    polylines = list(root.iter("{http://www.w3.org/2000/svg}polyline"))
+    assert [el.get("points") for el in polylines] == [""]
+    assert "gone" in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
