@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 from .estimator import AseParams
 
+__all__ = ["OpCounter", "OpsPerIteration"]
+
 
 @dataclass
 class OpCounter:
@@ -30,6 +32,7 @@ class OpCounter:
     comparisons: int = 0
 
     def add(self, adds: int, mults: int, comparisons: int = 0) -> None:
+        """Add one call's counts to the totals."""
         self.adds += adds
         self.mults += mults
         self.comparisons += comparisons

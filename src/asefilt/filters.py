@@ -192,8 +192,9 @@ class FilterState:
 
     Where ``R`` lives is fixed at :func:`filter_init`.  A shift-mode
     coordinate-descent config holds it in ``ring``, a
-    :class:`~asefilt.dcd.ShiftMatrix` of first rows, and ``stats`` is the
-    ``(1, length)`` ``theta`` row.  Every other config leaves ``ring``
+    :class:`~asefilt.dcd.ShiftMatrix` of first rows, and keeps no
+    ``theta``: ``stats`` is None, and reading ``theta`` raises
+    :class:`FilterError`.  Every other config leaves ``ring``
     None and ``stats`` of shape ``(length + 1, length)``: ``R`` in its
     first ``length`` rows and ``theta`` in its last, so the decay is one
     in-place multiply and an applied sample one add of the rank-one
@@ -201,14 +202,14 @@ class FilterState:
     ``np.einsum`` builds (see :func:`_einsum_route`).  A public
     step whose update needs the other layout raises :class:`FilterError`
     before it runs.
-    No coordinate-descent step writes ``theta``, so it reads zeros there.
+    No coordinate-descent step writes ``theta``, so in dense mode it reads zeros.
     ``residual`` is ``theta - R w`` or the solver residual, ``step_index``
     counts the steps and ``updates_applied`` those whose sample was
     applied; ``ops`` is the optional :class:`~asefilt.counting.OpCounter`.
     """
 
     w: np.ndarray
-    stats: np.ndarray
+    stats: np.ndarray | None
     residual: np.ndarray
     ring: ShiftMatrix | None = None
     step_index: int = 0
@@ -224,7 +225,10 @@ class FilterState:
 
     @property
     def theta(self) -> np.ndarray:
-        """The cross-correlation ``theta``: a view of the last row of ``stats``."""
+        """The cross-correlation ``theta``: a view of the last row of
+        ``stats``.  A ring-held state keeps none and raises :class:`FilterError`."""
+        if self.stats is None:
+            raise FilterError("this state holds R as a ring and keeps no theta")
         return self.stats[-1]
 
 
@@ -243,7 +247,7 @@ def filter_init(config: FilterConfig, *, ops: OpCounter | None = None) -> Filter
     length = config.length
     r0 = np.eye(length) * config.rho
     if config.dcd is not None and config.dcd_update == "shift":
-        ring, stats = ShiftMatrix(r0), np.zeros((1, length))
+        ring, stats = ShiftMatrix(r0), None
     else:
         ring, stats = None, np.vstack([r0, np.zeros(length)])
     return FilterState(

@@ -98,13 +98,11 @@ from .signals import (
 
 __all__ = [
     "ALGORITHMS",
-    "NMSD_FLOOR_DB",
     "AlgoSpec",
     "AncSpec",
     "NominalOps",
     "RunRecord",
     "nmsd",
-    "power_db",
     "steady_state",
     "make_sysid_scenario",
     "default_algorithms",
@@ -169,6 +167,7 @@ class AlgoSpec:
 
     @property
     def name(self) -> str:
+        """The label, or the kind when no label is given."""
         return self.label if self.label is not None else self.kind
 
 

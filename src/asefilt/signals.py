@@ -25,14 +25,11 @@ __all__ = [
     "gen_system",
     "gen_bg_noise",
     "gen_background",
-    "background_variance",
     "iir_shape",
     "gen_pd_pulses",
     "regressors",
     "save_waveform",
     "load_waveform",
-    "atomic_write",
-    "write_csv",
 ]
 
 

@@ -62,6 +62,18 @@ def _widen_flat(lo: float, hi: float) -> tuple[float, float]:
     )
 
 
+def _axis(values: np.ndarray, pad: float) -> tuple[float, float]:
+    """Ends ``lo, hi`` of an axis over the finite ``values`` ([0, 1] when
+    there are none), flat ones widened by :func:`_widen_flat` and both
+    moved out by ``pad`` times the span."""
+    finite = values[np.isfinite(values)]
+    lo, hi = _widen_flat(*((float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)))
+    if pad:
+        pad *= hi - lo
+        lo, hi = lo - pad, hi + pad
+    return lo, hi
+
+
 def _fmt(v: float) -> str:
     return format(v, ".6g")
 
@@ -79,22 +91,12 @@ def line_chart(
     ylabel: str = "",
 ) -> str:
     """Render labeled (x, y) series, each ``xs`` and ``ys`` of one length,
-    as a standalone SVG document string."""
+    as a standalone SVG document string.  A point whose x or y is not
+    finite is left out."""
     if not series:
         raise ValueError("series must not be empty")
-    xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    finite = np.isfinite(ys_all)
-    x_lo, x_hi = float(np.min(xs_all)), float(np.max(xs_all))
-    if np.any(finite):
-        y_lo, y_hi = float(np.min(ys_all[finite])), float(np.max(ys_all[finite]))
-    else:
-        y_lo, y_hi = 0.0, 1.0
-    x_lo, x_hi = _widen_flat(x_lo, x_hi)
-    y_lo, y_hi = _widen_flat(y_lo, y_hi)
-    pad = 0.04 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    x_lo, x_hi = _axis(np.concatenate([np.asarray(s[1], dtype=float) for s in series]), 0.0)
+    y_lo, y_hi = _axis(np.concatenate([np.asarray(s[2], dtype=float) for s in series]), 0.04)
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -159,7 +161,7 @@ def line_chart(
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         color = PALETTE[i % len(PALETTE)]
-        keep = np.isfinite(ys)
+        keep = np.isfinite(xs) & np.isfinite(ys)
         points = " ".join("%.2f,%.2f" % p for p in zip(px(xs[keep]).tolist(), py(ys[keep]).tolist()))
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'

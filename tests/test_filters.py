@@ -805,6 +805,19 @@ _SHIFT_CFG = cfg_for(length=3, dcd=DcdParams())
 _DENSE_CFG = cfg_for(length=3, dcd=DcdParams(), dcd_update="dense")
 
 
+def test_ring_held_state_keeps_no_theta():
+    """No coordinate-descent step writes theta, so a shift-mode state keeps
+    none: its stats are None and reading theta raises FilterError, while a
+    dense-mode state keeps its (L + 1, L) array with a zero theta row."""
+    st = filter_init(_SHIFT_CFG)
+    dcd_ase_step(st, _SHIFT_CFG, np.ones(3), 1.0)
+    assert st.stats is None and np.isfinite(st.r_matrix).all()
+    with pytest.raises(FilterError, match="keeps no theta"):
+        st.theta
+    dense = filter_init(_DENSE_CFG)
+    assert dense.stats.shape == (4, 3) and np.array_equal(dense.theta, np.zeros(3))
+
+
 @pytest.mark.parametrize(
     "state_cfg, step",
     [
@@ -831,12 +844,12 @@ def test_step_on_the_other_r_layout_raises(state_cfg, step):
     st = filter_init(state_cfg)
     for _ in range(5):
         dcd_ase_step(st, state_cfg, rng.standard_normal(3), rng.standard_normal())
-    before = [a.copy() for a in (st.w, st.r_matrix, st.theta, st.residual)]
+    before = [a.copy() for a in (st.w, st.r_matrix, *([st.theta] if st.ring is None else []), st.residual)]
     ring = st.ring
     with pytest.raises(FilterError):
         step(st, rng.standard_normal(3))
     assert st.ring is ring and st.step_index == 5
-    for a, b in zip((st.w, st.r_matrix, st.theta, st.residual), before):
+    for a, b in zip((st.w, st.r_matrix, *([st.theta] if st.ring is None else []), st.residual), before):
         assert np.array_equal(a, b)
 
 

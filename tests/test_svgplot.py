@@ -71,3 +71,13 @@ def test_line_chart_renders_a_series_with_no_finite_value():
     polylines = list(root.iter("{http://www.w3.org/2000/svg}polyline"))
     assert [el.get("points") for el in polylines] == [""]
     assert "gone" in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+def test_line_chart_leaves_out_points_with_a_nonfinite_x():
+    """A point whose x is not finite is left out, as one whose y is not:
+    the x axis spans the finite xs and every coordinate is finite (tier-1
+    turns any numpy warning into an error)."""
+    svg = line_chart([("a", np.array([0.0, np.inf, 2.0]), np.array([0.0, 1.0, 2.0]))])
+    assert "nan" not in svg and "inf" not in svg
+    (polyline,) = ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}polyline")
+    assert polyline.get("points") == "72.00,417.48 824.00,54.52"
