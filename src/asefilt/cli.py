@@ -42,6 +42,7 @@ from .signals import (
     BgNoiseSpec,
     PdPulseSpec,
     ScenarioSpec,
+    _array_rows,
     atomic_write,
     load_waveform,
     save_waveform,
@@ -323,11 +324,11 @@ def _write_curves(outdir: Path, name: str, chart_name: str, labels: list[str], c
     per curve (all of one length), and its chart ``chart_name``, the curves
     (mapped through ``to_chart`` if given) against the iteration.
 
-    The rows are drawn from the arrays lazily, so ``write_csv`` holds one
-    chunk of cells at a time; a ``tolist()`` copy of four 10 000-sample
-    curves costs about 1 MiB more at the peak."""
+    The rows are drawn from the curves one ``write_csv`` chunk at a time,
+    each as Python floats from a ``tolist()`` of the curves' slices, so
+    only one chunk of cells is alive at once."""
     iters = np.arange(len(curves[0]))
-    write_csv(outdir / name, ["iteration", *labels], zip(range(len(iters)), *curves), REPORT_FMT)
+    write_csv(outdir / name, ["iteration", *labels], _array_rows(curves), REPORT_FMT)
     series = [(label, iters, to_chart(curve) if to_chart else curve) for label, curve in zip(labels, curves)]
     atomic_write(outdir / chart_name, line_chart(series, title=title, xlabel="iteration", ylabel=ylabel))
 

@@ -486,7 +486,8 @@ def _paired_runs(
             )
     weightings = [_weighting(spec, bg_std) for spec in algorithms]
     counters = [OpCounter() if instrument else None for _ in algorithms]
-    se_sum, applied_sum, dev_sum = (np.zeros((len(algorithms), horizon)) for _ in range(3))
+    se_sum, applied_sum = (np.zeros((len(algorithms), horizon)) for _ in range(2))
+    dev_sum = np.zeros((len(algorithms), horizon)) if w_o is not None else None
     first_errors = np.empty((len(algorithms), horizon))
     ur_sum = [0.0] * len(algorithms)
     wall = [0.0] * len(algorithms)

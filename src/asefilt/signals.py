@@ -13,6 +13,7 @@ import csv
 import itertools
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -208,48 +209,69 @@ def regressors(x: np.ndarray, length: int) -> np.ndarray:
 
 
 def atomic_write(path, text: str) -> None:
-    """Replace ``path`` with ``text`` in one rename, so readers never see a partial file."""
+    """Replace ``path`` with ``text`` in one rename, so readers never see a
+    partial file.  If the write or the rename fails, the temporary file is
+    removed and the exception re-raised."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _CSV_CHUNK_ROWS = 1024
 
 
-def _format_column(cells: tuple, fmt: str) -> list[str]:
-    """Integer and string cells as they are, every other cell as a float formatted by ``fmt``."""
-    as_is = [issubclass(t, (int, str)) for t in set(map(type, cells))]
-    if not any(as_is):
-        return list(map(format, map(float, cells), itertools.repeat(fmt)))
-    if all(as_is):
-        return list(map(str, cells))
-    return [str(c) if isinstance(c, (int, str)) else format(float(c), fmt) for c in cells]
+def _array_rows(arrays) -> Iterator[tuple]:
+    """Rows ``(i, a[i], b[i], ...)`` of the equal-length ``arrays``, each
+    chunk of ``_CSV_CHUNK_ROWS`` rows taken as Python numbers from one
+    ``tolist()`` of each array's slice, as ``write_csv`` reads them."""
+    n = len(arrays[0])
+    return itertools.chain.from_iterable(
+        zip(range(start, n), *(a[start:start + _CSV_CHUNK_ROWS].tolist() for a in arrays))
+        for start in range(0, n, _CSV_CHUNK_ROWS)
+    )
 
 
 def write_csv(path, header: list[str], rows, fmt: str) -> None:
     """Write ``rows`` under ``header`` atomically; integer and string cells
-    are written as they are, every other cell as a float formatted by ``fmt``.
+    are written as ``str`` writes them, every other cell as a float
+    formatted by ``fmt``, a ``%``-style conversion such as ``.12g``.
 
-    Every row must have one cell per header entry.  Cells are formatted a
-    column at a time, over chunks of rows, so that only one chunk of cell
-    objects is alive at once."""
-    lines = [",".join(header)]
+    Every row must have one cell per header entry, or ``ValueError`` is
+    raised and no file is written.  The rows are read and formatted a chunk
+    of ``_CSV_CHUNK_ROWS`` at a time, so that only one chunk of cells is
+    alive at once: one ``%`` operation on a row template formats a chunk,
+    its field ``%s`` for an integer or string column and ``%`` + ``fmt``
+    for a float one.  A column that mixes the two in a chunk is formatted
+    one cell at a time and filled in as ``%s``."""
+    ncols = len(header)
+    parts = [",".join(header) + "\n"]
     rows = iter(rows)
     while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
-        if any(len(row) != len(header) for row in chunk):
-            raise ValueError(f"every row must have {len(header)} cells")
-        columns = [_format_column(col, fmt) for col in zip(*chunk)]
-        lines.extend(map(",".join, zip(*columns)))
-    atomic_write(path, "\n".join(lines) + "\n")
+        if set(map(len, chunk)) != {ncols}:
+            raise ValueError(f"every row must have {ncols} cells")
+        cells = list(itertools.chain.from_iterable(chunk))
+        fields = []
+        for j in range(ncols):
+            column = cells[j::ncols]
+            as_is = {issubclass(t, (int, str)) for t in set(map(type, column))}
+            if len(as_is) == 2:
+                cells[j::ncols] = [str(c) if isinstance(c, (int, str)) else format(float(c), fmt) for c in column]
+            fields.append("%" + fmt if as_is == {False} else "%s")
+        parts.append((",".join(fields) + "\n") * len(chunk) % tuple(cells))
+    atomic_write(path, "".join(parts))
 
 
 def save_waveform(path, x: np.ndarray) -> None:
     """Write one sample per row as ``index,value`` CSV with a header, at
     round-trip precision."""
-    write_csv(path, ["index", "value"], enumerate(np.asarray(x, dtype=float).tolist()), ".17g")
+    write_csv(path, ["index", "value"], _array_rows([np.asarray(x, dtype=float)]), ".17g")
 
 
 def load_waveform(path) -> np.ndarray:

@@ -162,7 +162,9 @@ def line_chart(
         ys = np.asarray(ys, dtype=float)
         color = PALETTE[i % len(PALETTE)]
         keep = np.isfinite(xs) & np.isfinite(ys)
-        points = " ".join("%.2f,%.2f" % p for p in zip(px(xs[keep]).tolist(), py(ys[keep]).tolist()))
+        # One % operation formats every point, over the interleaved pixel coordinates.
+        xy = np.column_stack((px(xs[keep]), py(ys[keep])))
+        points = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
