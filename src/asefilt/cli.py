@@ -64,11 +64,16 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class Option:
+    """One flag and config key: ``typ`` parses its value (``bool`` by
+    configparser's spellings), and it sets the library keyword ``param``,
+    or its own name when ``param`` is None."""
+
     name: str
-    typ: str  # int | float | str | bool
+    typ: type  # int | float | str | bool
     default: object
     help: str = ""
     choices: tuple | None = None
+    param: str | None = None
 
     @property
     def flag(self) -> str:
@@ -78,99 +83,89 @@ class Option:
 def _parse_scalar(opt: Option, raw: str):
     raw = raw.strip()
     try:
-        if opt.typ == "int":
-            value = int(raw)
-        elif opt.typ == "float":
-            value = float(raw)
-        elif opt.typ == "bool":
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                value = True
-            elif low in ("0", "false", "no", "off"):
-                value = False
-            else:
-                raise ValueError(raw)
-        else:
-            value = raw
-    except ValueError:
-        raise ConfigError(f"invalid {opt.typ} value {raw!r} for key '{opt.name}'") from None
+        value = configparser.ConfigParser.BOOLEAN_STATES[raw.lower()] if opt.typ is bool else opt.typ(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"invalid {opt.typ.__name__} value {raw!r} for key '{opt.name}'") from None
     if opt.choices is not None and value not in opt.choices:
         raise ConfigError(f"key '{opt.name}' must be one of {opt.choices}, got {value!r}")
     return value
 
 
 _FILTER_OPTS = [
-    Option("lambda", "float", 0.999, "forgetting factor in (0, 1)"),
-    Option("rho", "float", 1e-4, "initial correlation diagonal / leakage level"),
-    Option("c", "float", 2.0, "error-weighting kernel width"),
-    Option("zeta", "float", 1e-4, "weighting-factor regularizer"),
-    Option("kernel_sigma", "float", None, "Gaussian baseline kernel width (default: auto)"),
-    Option("h", "float", 2.0, "coordinate-descent step range"),
-    Option("m_bits", "int", 8, "coordinate-descent step halvings"),
-    Option("n_updates", "int", 8, "coordinate-descent update budget per sample"),
-    Option("dcd_update", "str", "shift", "correlation update of the DCD variant", DCD_UPDATE_MODES),
-    Option("delta_schedule", "str", "decaying", "leakage schedule of the DCD variant", DELTA_SCHEDULES),
+    Option("lambda", float, 0.999, "forgetting factor in (0, 1)", param="lam"),
+    Option("rho", float, 1e-4, "initial correlation diagonal / leakage level"),
+    Option("c", float, 2.0, "error-weighting kernel width"),
+    Option("zeta", float, 1e-4, "weighting-factor regularizer"),
+    Option("kernel_sigma", float, None, "Gaussian baseline kernel width (default: auto)"),
+    Option("h", float, 2.0, "coordinate-descent step range"),
+    Option("m_bits", int, 8, "coordinate-descent step halvings"),
+    Option("n_updates", int, 8, "coordinate-descent update budget per sample"),
+    Option("dcd_update", str, "shift", "correlation update of the DCD variant", DCD_UPDATE_MODES),
+    Option("delta_schedule", str, "decaying", "leakage schedule of the DCD variant", DELTA_SCHEDULES),
+]
+
+_SCENARIO_OPTS = [
+    Option("length", int, 10, "adaptive filter taps"),
+    Option("horizon", int, 5000, "iterations per run"),
+    Option("runs", int, 100, "Monte Carlo runs", param="mc_runs"),
+    Option("seed", int, 20240923, "scenario seed"),
+    Option("snr_db", float, 0.0, "background SNR in dB"),
+    Option("impulse_prob", float, 0.1, "impulse probability per sample"),
+    Option("impulse_var", float, 1e4, "impulse amplitude variance"),
+    Option("impulses", bool, True, "enable impulsive interference", param="with_impulses"),
+]
+
+_PULSE_OPTS = [
+    Option("pulse_amplitude", float, 10.0, "peak amplitude of one pulse", param="amplitude"),
+    Option("pulse_decay", float, 20.0, "pulse envelope time constant, samples", param="decay"),
+    Option("pulse_freq", float, 0.05, "pulse oscillation, cycles/sample", param="freq"),
+    Option("pulse_length", int, 120, "pulse template length, samples", param="length"),
 ]
 
 _ALGO_OPTS = [
-    Option("algos", "str", ",".join(ALGORITHMS), "comma-separated algorithm list"),
-    Option("algo", "str", None, "run a single algorithm (overrides --algos)"),
-    Option("instrument", "bool", False, "count executed float operations"),
+    Option("algos", str, ",".join(ALGORITHMS), "comma-separated algorithm list"),
+    Option("algo", str, None, "run a single algorithm (overrides --algos)"),
+    Option("instrument", bool, False, "count executed float operations"),
 ]
 
-_OUT_OPT = Option("out", "str", None, f"output directory (default: ${OUTDIR_ENV} or ./{DEFAULT_OUTDIR})")
+_OUT_OPT = Option("out", str, None, f"output directory (default: ${OUTDIR_ENV} or ./{DEFAULT_OUTDIR})")
 
 SCHEMAS: dict[str, list[Option]] = {
-    "sysid": [
-        Option("length", "int", 10, "adaptive filter taps"),
-        Option("horizon", "int", 5000, "iterations per run"),
-        Option("runs", "int", 100, "Monte Carlo runs"),
-        Option("seed", "int", 20240923, "scenario seed"),
-        Option("snr_db", "float", 0.0, "background SNR in dB"),
-        Option("impulse_prob", "float", 0.1, "impulse probability per sample"),
-        Option("impulse_var", "float", 1e4, "impulse amplitude variance"),
-        Option("impulses", "bool", True, "enable impulsive interference"),
-        *_FILTER_OPTS,
-        *_ALGO_OPTS,
-        _OUT_OPT,
-    ],
+    "sysid": [*_SCENARIO_OPTS, *_FILTER_OPTS, *_ALGO_OPTS, _OUT_OPT],
     "anc": [
-        Option("length", "int", 5, "adaptive filter taps"),
-        Option("horizon", "int", 20000, "samples per run"),
-        Option("runs", "int", 10, "Monte Carlo runs"),
-        Option("seed", "int", 20240923, "experiment seed"),
-        Option("impulse_prob", "float", 0.1, "impulse probability per sample"),
-        Option("impulse_var", "float", 25.0, "impulse amplitude variance"),
-        Option("shaping", "float", 0.2, "reference-channel difference coefficient"),
-        Option("pulse_rate", "float", 0.002, "pulse starts per sample"),
-        Option("pulse_amplitude", "float", 10.0, "peak amplitude of one pulse"),
-        Option("pulse_decay", "float", 20.0, "pulse envelope time constant, samples"),
-        Option("pulse_freq", "float", 0.05, "pulse oscillation, cycles/sample"),
-        Option("pulse_length", "int", 120, "pulse template length, samples"),
-        Option("primary_file", "str", None, "CSV waveform replacing the synthetic primary channel"),
-        Option("reference_file", "str", None, "CSV waveform replacing the synthetic reference channel"),
-        Option("clean_file", "str", None, "CSV waveform with the known clean signal"),
+        Option("length", int, 5, "adaptive filter taps"),
+        Option("horizon", int, 20000, "samples per run"),
+        Option("runs", int, 10, "Monte Carlo runs"),
+        Option("seed", int, 20240923, "experiment seed"),
+        Option("impulse_prob", float, 0.1, "impulse probability per sample"),
+        Option("impulse_var", float, 25.0, "impulse amplitude variance"),
+        Option("shaping", float, 0.2, "reference-channel difference coefficient"),
+        Option("pulse_rate", float, 0.002, "pulse starts per sample"),
+        *_PULSE_OPTS,
+        Option("primary_file", str, None, "CSV waveform replacing the synthetic primary channel"),
+        Option("reference_file", str, None, "CSV waveform replacing the synthetic reference channel"),
+        Option("clean_file", str, None, "CSV waveform with the known clean signal"),
         *_FILTER_OPTS,
         *_ALGO_OPTS,
         _OUT_OPT,
     ],
     "dcd-bench": [
-        Option("length", "int", 10, "size of the SPD systems and of dcd_ops.csv"),
-        Option("systems", "int", 100, "number of random SPD systems"),
-        Option("seed", "int", 20240923, "bench seed"),
-        Option("cond", "float", 100.0, "condition number of the test systems"),
-        Option("m_bits", "int", 16, "step halvings of the SPD solves and of dcd_ops.csv"),
-        Option("h", "float", None, "step range of the SPD solves (default: auto per system)"),
-        Option("nu_list", "str", "1,2,4,8", "comma-separated update budgets to sweep"),
-        Option("embedded", "bool", True, "also run the budgets in the adaptive filter, always at L=10, h=2, m_bits=8"),
-        Option("embedded_runs", "int", 5, "Monte Carlo runs of the embedded benchmark"),
-        Option("embedded_horizon", "int", 2000, "iterations of the embedded benchmark"),
+        Option("length", int, 10, "size of the SPD systems and of dcd_ops.csv"),
+        Option("systems", int, 100, "number of random SPD systems"),
+        Option("seed", int, 20240923, "bench seed"),
+        Option("cond", float, 100.0, "condition number of the test systems"),
+        Option("m_bits", int, 16, "step halvings of the SPD solves and of dcd_ops.csv"),
+        Option("h", float, None, "step range of the SPD solves (default: auto per system)"),
+        Option("nu_list", str, "1,2,4,8", "comma-separated update budgets to sweep"),
+        Option("embedded", bool, True, "also run the budgets in the adaptive filter, always at L=10, h=2, m_bits=8"),
+        Option("embedded_runs", int, 5, "Monte Carlo runs of the embedded benchmark"),
+        Option("embedded_horizon", int, 2000, "iterations of the embedded benchmark"),
         _OUT_OPT,
     ],
 }
 SCHEMAS["sweep"] = [
-    Option("param", "str", None, "swept parameter", ("c", "lambda", "rho", "snr_db", "impulse_prob", "n_updates")),
-    Option("values", "str", None, "comma-separated sweep values; a list starting with a minus sign takes the = form, --values=-10,0"),
+    Option("param", str, None, "swept parameter", ("c", "lambda", "rho", "snr_db", "impulse_prob", "n_updates")),
+    Option("values", str, None, "comma-separated sweep values; a list starting with a minus sign takes the = form, --values=-10,0"),
     *[o for o in SCHEMAS["sysid"] if o.name not in ("algos", "instrument")],
 ]
 
@@ -184,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI config file with a [%s] section" % name)
         for opt in schema:
-            if opt.typ == "bool":
+            if opt.typ is bool:
                 p.add_argument(
                     opt.flag, dest=opt.name, action=argparse.BooleanOptionalAction,
                     default=None, help=opt.help,
                 )
             else:
                 p.add_argument(
-                    opt.flag, dest=opt.name, default=None, help=opt.help, metavar=opt.typ.upper(),
+                    opt.flag, dest=opt.name, default=None, help=opt.help, metavar=opt.typ.__name__.upper(),
                 )
     return parser
 
@@ -226,7 +221,7 @@ def resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
     for opt in schema:
         cli_value = getattr(args, opt.name)
         if cli_value is not None:
-            opts[opt.name] = cli_value if opt.typ == "bool" else _parse_scalar(opt, str(cli_value))
+            opts[opt.name] = cli_value if opt.typ is bool else _parse_scalar(opt, str(cli_value))
         elif opt.name in file_section:
             opts[opt.name] = _parse_scalar(opt, file_section[opt.name])
         else:
@@ -249,34 +244,17 @@ def _parse_algo_list(opts: dict) -> tuple[str, ...]:
     return tuple(sorted(set(names), key=ALGORITHMS.index))
 
 
+def _keywords(options: list[Option], opts: dict) -> dict:
+    """The library keywords that ``options`` set, with their resolved values."""
+    return {o.param or o.name: opts[o.name] for o in options}
+
+
 def _build_algorithms(opts: dict, kinds: tuple[str, ...]) -> list[AlgoSpec]:
-    return default_algorithms(
-        opts["length"],
-        kinds,
-        lam=opts["lambda"],
-        rho=opts["rho"],
-        c=opts["c"],
-        zeta=opts["zeta"],
-        h=opts["h"],
-        m_bits=opts["m_bits"],
-        n_updates=opts["n_updates"],
-        kernel_sigma=opts["kernel_sigma"],
-        dcd_update=opts["dcd_update"],
-        delta_schedule=opts["delta_schedule"],
-    )
+    return default_algorithms(opts["length"], kinds, **_keywords(_FILTER_OPTS, opts))
 
 
 def _sysid_scenario(opts: dict) -> ScenarioSpec:
-    return make_sysid_scenario(
-        length=opts["length"],
-        horizon=opts["horizon"],
-        mc_runs=opts["runs"],
-        seed=opts["seed"],
-        snr_db=opts["snr_db"],
-        impulse_prob=opts["impulse_prob"],
-        impulse_var=opts["impulse_var"],
-        with_impulses=opts["impulses"],
-    )
+    return make_sysid_scenario(**_keywords(_SCENARIO_OPTS, opts))
 
 
 def _prepare_outdir(opts: dict) -> Path:
@@ -382,12 +360,6 @@ def _load_external_waveforms(opts: dict):
 def plan_anc(opts: dict) -> tuple[list[AlgoSpec], AncSpec]:
     algos = _build_algorithms(opts, _parse_algo_list(opts))
     primary, reference, clean = _load_external_waveforms(opts)
-    pulse = PdPulseSpec(
-        amplitude=opts["pulse_amplitude"],
-        decay=opts["pulse_decay"],
-        freq=opts["pulse_freq"],
-        length=opts["pulse_length"],
-    )
     anc = AncSpec(
         horizon=opts["horizon"],
         mc_runs=1 if primary is not None else opts["runs"],
@@ -396,7 +368,7 @@ def plan_anc(opts: dict) -> tuple[list[AlgoSpec], AncSpec]:
         impulses=BgNoiseSpec(opts["impulse_prob"], opts["impulse_var"]),
         shaping_a1=opts["shaping"],
         pulse_rate=opts["pulse_rate"],
-        pulse=pulse,
+        pulse=PdPulseSpec(**_keywords(_PULSE_OPTS, opts)),
         primary=primary,
         reference=reference,
         clean=clean,

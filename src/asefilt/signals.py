@@ -244,12 +244,12 @@ def write_csv(path, header: list[str], rows, fmt: str) -> None:
     formatted by ``fmt``, a ``%``-style conversion such as ``.12g``.
 
     Every row must have one cell per header entry, or ``ValueError`` is
-    raised and no file is written.  The rows are read and formatted a chunk
-    of ``_CSV_CHUNK_ROWS`` at a time, so that only one chunk of cells is
-    alive at once: one ``%`` operation on a row template formats a chunk,
-    its field ``%s`` for an integer or string column and ``%`` + ``fmt``
-    for a float one.  A column that mixes the two in a chunk is formatted
-    one cell at a time and filled in as ``%s``."""
+    raised and no file is written.  Rows are read a chunk of
+    ``_CSV_CHUNK_ROWS`` at a time, so only one chunk of cells is alive, and
+    one ``%`` on a row template formats a chunk: its field is ``%s`` for an
+    integer or string column, ``%`` + ``fmt`` for a float one.  A column
+    mixing the two in a chunk, which no CLI table holds (the path serves
+    other callers), is formatted a cell at a time and filled in as ``%s``."""
     ncols = len(header)
     parts = [",".join(header) + "\n"]
     rows = iter(rows)

@@ -26,6 +26,7 @@ from asefilt.harness import (
     steady_state,
 )
 from asefilt.signals import gen_background, regressors
+from oracles import rls_steady_nmsd_db
 
 SEED = 20240923
 
@@ -216,6 +217,26 @@ def test_criterion_6_update_ratio(capsys, impulsive_runs, gaussian_runs):
         f"clean scenario {ur_gaussian} (== 1.0 exactly)",
     )
     assert ok
+
+
+def test_steady_state_follows_rls_theory(impulsive_runs, gaussian_runs):
+    """Both fixtures' steady NMSD lies within 0.35 dB of the RLS line at
+    L = 10 and lambda = 0.999: ``iwf`` takes in the background (variance 1
+    at 0 dB SNR on the unit-norm plant) and the impulses (0.1 * 1e4),
+    ``iwf_ase`` the background alone at its steady applied rate, and in the
+    Gaussian scenario both take in the background on every sample."""
+    impulsive, _ = impulsive_runs
+    gaussian, _ = gaussian_runs
+    rate = steady_state(impulsive["iwf_ase"].applied_rate)
+    cases = [
+        (impulsive["iwf"], 1.0 + 0.1 * 1e4, 1.0),
+        (impulsive["iwf_ase"], 1.0, rate),
+        (gaussian["iwf"], 1.0, 1.0),
+        (gaussian["iwf_ase"], 1.0, 1.0),
+    ]
+    for rec, noise_var, p in cases:
+        predicted = rls_steady_nmsd_db(10, 0.999, noise_var, p)
+        assert abs(steady_state(rec.nmsd_db) - predicted) <= 0.35, (rec.algorithm, predicted)
 
 
 def test_criterion_7_anc(capsys):

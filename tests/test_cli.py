@@ -1,6 +1,10 @@
 """End-to-end CLI tests (in-process via main)."""
 
+import inspect
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ import pytest
 from asefilt import cli
 from asefilt.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from asefilt.harness import count_ops, default_algorithms, make_sysid_scenario, run_sysid
-from asefilt.signals import load_waveform, save_waveform
+from asefilt.signals import PdPulseSpec, load_waveform, save_waveform
 
 
 def run_cli(*argv):
@@ -724,3 +728,40 @@ def test_config_file_bad_boolean_exits_2(tmp_path, capsys):
     assert run_cli("sysid", "--config", str(cfgfile), "--out", str(out)) == EXIT_CONFIG
     assert "invalid bool value 'maybe' for key 'impulses'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "options, call",
+    [(cli._FILTER_OPTS, default_algorithms), (cli._SCENARIO_OPTS, make_sysid_scenario), (cli._PULSE_OPTS, PdPulseSpec)],
+    ids=["filter", "scenario", "pulse"],
+)
+def test_schema_options_match_library_keywords(options, call):
+    """Each option names a keyword of the call it feeds, and its default is
+    that keyword's default, so a renamed keyword or a drifted default fails
+    here rather than at run time."""
+    params = inspect.signature(call).parameters
+    for opt in options:
+        keyword = opt.param or opt.name
+        assert keyword in params, (opt.name, keyword)
+        assert params[keyword].default == opt.default, (opt.name, keyword)
+
+
+@pytest.mark.parametrize("subcommand", list(cli.SCHEMAS))
+def test_help_lists_every_schema_flag(subcommand, capsys):
+    assert run_cli(subcommand, "--help") == EXIT_OK
+    text = capsys.readouterr().out
+    for opt in cli.SCHEMAS[subcommand]:
+        if opt.typ is bool:
+            shown = f"{opt.flag}, --no-{opt.flag[2:]}"
+        else:
+            shown = f"{opt.flag} {({int: 'INT', float: 'FLOAT', str: 'STR'})[opt.typ]}"
+        assert shown in text, shown
+
+
+def test_module_entry_point_runs():
+    """``python -m asefilt.cli --help`` runs the module's entry-point line."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "asefilt.cli", "--help"], env=env, capture_output=True, text=True)
+    assert result.returncode == EXIT_OK, result.stderr
+    assert "sysid" in result.stdout

@@ -903,9 +903,8 @@ def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
     """The driver calls each core with the same arguments with and without
     ``instrument``: ``_dcd_step`` with state, config, row, d, weighting and
     ``checked=False``,
-    ``_vss_steps`` with the batch, the forgetting factors, the weightings,
-    each run's sample and ``move``, ``_dcd_batch_step`` with the batch, the
-    runs' sample and the step index.  The pricing is added to the recorded
+    ``_vss_steps`` and ``_dcd_batch_step`` each with the batch, the runs'
+    sample and the step index.  The pricing is added to the recorded
     rows, not wrapped around the cores."""
     calls = []
 
