@@ -7,7 +7,8 @@ state and no step converts (see :class:`FilterState`):
 
 * ``iwf_*`` steps solve the normal equations iteratively with a variable
   step size computed from the residual ``theta - R w`` (one multiply-heavy
-  but inversion-free update per sample).
+  but inversion-free update per sample, whose rank-one product ``u x^T``
+  one zero-padded BLAS matmul builds from 48 taps on; see :func:`_outer`).
 * ``dcd_ase_step`` replaces the residual iteration by a budgeted
   dichotomous coordinate descent solve and maintains the solver residual
   across samples.  Its default shift-structured correlation update keeps
@@ -51,7 +52,9 @@ checks of :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
 (see :mod:`~asefilt.harness`) builds every state itself with
 :func:`filter_init`, so the layout always matches, and runs the cores
 unchecked.  It steps batches in lockstep, bit for bit: inversion-free
-states through :func:`_vss_steps` on a :class:`_VssBatch`, and
+states through :func:`_vss_steps` on a :class:`_VssBatch`, which updates
+small batches' statistics in one call each and large ones a row at a
+time, and
 shift-mode coordinate-descent runs through :func:`_dcd_batch_step` on a
 :class:`_DcdBatch`, which batches the O(length) recursions and the
 solve's first scan and leaves each solve to ``_dcd_solve``, started from
@@ -89,8 +92,10 @@ DELTA_SCHEDULES = ("decaying", "constant")
 DCD_UPDATE_MODES = ("shift", "dense")
 #: Additive guard in the variable-step-size denominator.
 VSS_GUARD = 1e-12
-# Shortest row whose dense rank-one product np.einsum builds (see _einsum_route).
-_EINSUM_MIN_LENGTH = 64
+# Shortest row whose dense rank-one product _outer builds (see _matmul_route).
+_MATMUL_MIN_LENGTH = 48
+# Size from which a batch updates its statistics a row at a time (see _VssBatch).
+_ROW_UPDATE_MIN_BYTES = 1 << 20
 
 
 class FilterError(Exception):
@@ -163,27 +168,49 @@ class FilterConfig:
         leak = 0.0 if self.delta_schedule == "decaying" else self.rho - self.lam * self.rho
         object.__setattr__(self, "_leak_correction", leak)
         # Which route builds the dense rank-one product, fixed like the above.
-        object.__setattr__(self, "_einsum_outer", _einsum_route(self.length, (self.lam,)))
+        object.__setattr__(self, "_matmul_outer", _matmul_route(self.length, (self.lam,)))
 
 
-def _einsum_route(length: int, lams) -> bool:
+def _matmul_route(length: int, lams) -> bool:
     """Whether the dense rank-one products ``u x^T`` of rows of ``length``
     taps, in statistics decayed by each of ``lams``, are built by
-    ``np.einsum`` rather than by the broadcast multiply ``u[:, None] * x``.
+    :func:`_outer`, one BLAS matmul, rather than by the broadcast multiply
+    ``u[:, None] * x``.
 
-    einsum's outer-product loop is the faster one from 64 taps on, numpy's
-    stride-0 broadcast loop below (``tools/layer_times.py``: at L = 32, 2.0
-    against 1.6 us; at L = 64, 3.1 against 3.6 us).  Each entry is one
-    product and no sum, so both round it alike, with one exception: einsum
-    adds the product to +0.0, so an exact -0.0 product comes out +0.0.  Added to a decayed statistic
-    ``fl(lam s)``, it changes the sum only if that is -0.0 too.  With ``lam
-    > 0.5`` it never is, for statistics that :func:`filter_init` started at
-    +0.0 or ``rho > 0``: ``fl(lam s)`` of a negative ``s`` rounds to at
-    least the smallest subnormal in magnitude, so no decay yields -0.0, and
-    a sum is -0.0 only when both its terms are.  At ``lam <= 0.5`` a
-    negative subnormal decays to -0.0, so those rows keep the broadcast.
+    The matmul is the faster one from 48 taps on, numpy's stride-0
+    broadcast loop below (``tools/layer_times.py`` in ``BENCH_31.json``:
+    at L = 32, 1.9 against 1.6 us; at L = 48, 2.2 against 2.8 us; at L =
+    256, 14 against 37 us, where the einsum it replaced took 25).  Each
+    entry of either is one rounded product, so both give the same bits,
+    with one exception: the matmul adds the product to +0.0, so an exact
+    -0.0 product comes out +0.0.  Added to a decayed statistic ``fl(lam s)``,
+    it changes the sum only if that is -0.0 too.  With ``lam > 0.5`` it
+    never is, for statistics that :func:`filter_init` started at +0.0 or
+    ``rho > 0``: ``fl(lam s)`` of a negative ``s`` rounds to at least the
+    smallest subnormal in magnitude, so no decay yields -0.0, and a sum is
+    -0.0 only when both its terms are.  At ``lam <= 0.5`` a negative
+    subnormal decays to -0.0, so those rows keep the broadcast.
     """
-    return length >= _EINSUM_MIN_LENGTH and all(lam > 0.5 for lam in lams)
+    return length >= _MATMUL_MIN_LENGTH and all(lam > 0.5 for lam in lams)
+
+
+def _outer(u: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The rank-one products ``u x^T``, stacked over the leading axes of
+    ``u``, ``(..., m)``, and ``x``, ``(..., L)``, as one ``np.matmul`` of
+    zero-padded operands: ``[u, 0]``, ``(..., m, 2)``, times ``[x; 0]``,
+    ``(..., 2, L)``.
+
+    Each entry is ``u_i x_j + 0 * 0``, one rounded product plus an exact
+    zero, so it equals ``u_i * x_j`` bit for bit, except that an exact
+    -0.0 comes out +0.0 (see :func:`_matmul_route`).  The pad gives BLAS
+    an inner dimension of 2: numpy's matmul over an inner dimension of 1
+    ran slower than the broadcast multiply at every length from 10 to 256.
+    """
+    u_pad = np.zeros(u.shape + (2,))
+    u_pad[..., 0] = u
+    x_pad = np.zeros(x.shape[:-1] + (2, x.shape[-1]))
+    x_pad[..., 0, :] = x
+    return np.matmul(u_pad, x_pad, out=out)
 
 
 @dataclass
@@ -198,8 +225,8 @@ class FilterState:
     None and ``stats`` of shape ``(length + 1, length)``: ``R`` in its
     first ``length`` rows and ``theta`` in its last, so the decay is one
     in-place multiply and an applied sample one add of the rank-one
-    product, which the broadcast multiply or, from 64 taps on,
-    ``np.einsum`` builds (see :func:`_einsum_route`).  A public
+    product, which the broadcast multiply or, from 48 taps on, one BLAS
+    matmul builds (see :func:`_matmul_route`).  A public
     step whose update needs the other layout raises :class:`FilterError`
     before it runs.
     No coordinate-descent step writes ``theta``, so in dense mode it reads zeros.
@@ -289,7 +316,7 @@ def correlation_update(
     multiply and the sample one add of ``u x^T`` with ``u = [phi x; phi d]``,
     whose entries ``(phi x_i) x_j`` and ``(phi d) x_j`` are the products of
     the two separate updates, bit for bit by either route of
-    :func:`_einsum_route`.
+    :func:`_matmul_route`.
     """
     x, d = _check_sample(config, x, d)
     phi = _check_phi(phi)
@@ -317,7 +344,7 @@ def _correlation_update(state: FilterState, config: FilterConfig, x: np.ndarray,
         np.multiply(x, phi, out=u[:n])
         u[n] = phi * d
         # Inline, not through a helper, whose call costs about 1% of a step at L=10.
-        stats += np.einsum("i,j->ij", u, x) if config._einsum_outer else u[:, None] * x
+        stats += _outer(u, x) if config._matmul_outer else u[:, None] * x
 
 
 def _weigh(e: float, weighting: AseParams | float | None) -> tuple[bool, float]:
@@ -376,8 +403,19 @@ class _VssBatch:
     L)``, and their statistics into ``stats``, ``(A, B, L + 1, L)``; each
     state then holds views of its row, so it follows the batch and stays
     inspectable.  The views and buffers every step reuses are made here,
-    and the route of the rank-one products, :func:`_einsum_route` on every
-    algorithm's ``lam``: with ``einsum_outer``, one ``np.einsum`` per run.
+    and the route of the rank-one products, :func:`_matmul_route` on every
+    algorithm's ``lam``: with ``matmul_outer``, :func:`_outer`.
+
+    From ``_ROW_UPDATE_MIN_BYTES`` (1 MiB) of statistics on, ``rows`` lists
+    each state's ``(a, b, stats, lam)``, and :func:`_vss_steps` decays a
+    row, builds its product and adds it before it moves to the next, as
+    the scalar core does, so the row stays in cache across the three; over
+    the whole batch, the statistics and their products outgrow a 2 MiB L2
+    cache from one pass to the next.  Below that size ``rows`` is None,
+    each of the three is one call over the batch, and ``outer`` holds the
+    products (``tools/layer_times.py`` in ``BENCH_31.json``, whole update:
+    at (3, 1, 256) 128 us by rows against 209 over the batch; at (3, 10,
+    64), just under 1 MiB, 150 against 89 us).
     """
 
     def __init__(self, states: list[list[FilterState]], lams: list[float], weightings: list) -> None:
@@ -394,10 +432,12 @@ class _VssBatch:
         self.w_col, self.residual_col = self.w[..., None], self.residual[..., None]
         self.u = np.empty(self.stats.shape[:-1])
         self.u_col = self.u[..., None]
-        self.outer = np.empty(self.stats.shape)
-        self.einsum_outer = _einsum_route(self.stats.shape[-1], lams)
-        # Each run's (A, L + 1) weighted samples and (A, L + 1, L) products.
-        self.u_runs, self.outer_runs = self.u.swapaxes(0, 1), self.outer.swapaxes(0, 1)
+        self.matmul_outer = _matmul_route(self.stats.shape[-1], lams)
+        self.rows, self.outer = None, None
+        if self.stats.nbytes >= _ROW_UPDATE_MIN_BYTES:
+            self.rows = [(a, b, self.stats[a, b], lams[a]) for a, runs in enumerate(states) for b in range(len(runs))]
+        else:
+            self.outer = np.empty(self.stats.shape)
         self.product = np.empty(self.w.shape + (1,))
         self.product_row = self.product[..., 0]
 
@@ -420,11 +460,10 @@ def _vss_steps(batch: _VssBatch, xd: np.ndarray, step_index: int) -> tuple[np.nd
     every state, the first three as ``(A, B)`` arrays.  Each product is
     the scalar core's: ``np.vecdot`` for its dots, a stacked ``np.matmul``
     for its ``R`` products, :func:`_weigh` per row, ``u = phi [x; d]``
-    in one multiply and the products ``u x^T`` by the core's route: one
-    broadcast multiply over the batch or, with ``batch.einsum_outer``, one
-    ``np.einsum`` per run.  From 64 taps on, the per-run einsum beat the
-    broadcast at every run count timed, and a single 4-D einsum over the
-    batch from 2 runs on (``tools/layer_times.py``).
+    in one multiply and the products ``u x^T`` by the core's route: the
+    broadcast multiply or, with ``batch.matmul_outer``, :func:`_outer`,
+    one stacked ``(A, B, L + 1, 2) @ (B, 2, L)`` call over the batch, or
+    with ``batch.rows`` one call per row.
     """
     n, w, stats, residual, product = xd.shape[-1] - 1, batch.w, batch.stats, batch.residual, batch.product
     x = xd[:, :n]
@@ -434,14 +473,19 @@ def _vss_steps(batch: _VssBatch, xd: np.ndarray, step_index: int) -> tuple[np.nd
     where = True if 0.0 not in phi else (np.array(phi) != 0.0).reshape(e.shape + (1, 1))
     applied = np.array(applied).reshape(e.shape)
     phi = np.array(phi).reshape(e.shape)
-    stats *= batch.lam
     np.multiply(phi[..., None], xd, out=batch.u)
-    if batch.einsum_outer:
-        for u, x_run, outer in zip(batch.u_runs, x, batch.outer_runs):
-            np.einsum("ai,j->aij", u, x_run, out=outer)
+    if batch.rows is not None:
+        for a, b, row, lam in batch.rows:
+            row *= lam
+            if phi[a, b] != 0.0:
+                row += _outer(batch.u[a, b], x[b]) if batch.matmul_outer else batch.u_col[a, b] * x[b]
     else:
-        np.multiply(batch.u_col, x[:, None, :], out=batch.outer)
-    np.add(stats, batch.outer, out=stats, where=where)
+        stats *= batch.lam
+        if batch.matmul_outer:
+            _outer(batch.u, x, out=batch.outer)
+        else:
+            np.multiply(batch.u_col, x[:, None, :], out=batch.outer)
+        np.add(stats, batch.outer, out=stats, where=where)
     np.matmul(batch.r_mat, batch.w_col, out=product)
     np.subtract(batch.theta, batch.product_row, out=residual)
     move = step_index >= n - 1
@@ -606,7 +650,7 @@ def _dcd_step(
         r_mat *= lam
         if phi != 0.0:
             u = phi * x
-            r_mat += np.einsum("i,j->ij", u, x) if config._einsum_outer else u[:, None] * x
+            r_mat += _outer(u, x) if config._matmul_outer else u[:, None] * x
         if correction != 0.0:
             r_mat[np.diag_indices(n)] += correction
             rhs -= correction * state.w

@@ -92,7 +92,8 @@ def line_chart(
 ) -> str:
     """Render labeled (x, y) series, each ``xs`` and ``ys`` of one length,
     as a standalone SVG document string.  A point whose x or y is not
-    finite is left out."""
+    finite is left out.  Series that pass one ``xs`` object share its
+    formatted x coordinates."""
     if not series:
         raise ValueError("series must not be empty")
     x_lo, x_hi = _axis(np.concatenate([np.asarray(s[1], dtype=float) for s in series]), 0.0)
@@ -157,14 +158,23 @@ def line_chart(
             f'transform="rotate(-90 {cx:.1f} {cy:.1f})">{_escape(ylabel)}</text>'
         )
 
+    # Each distinct x array's finite mask and polyline template, by id, so
+    # that series sharing one x array, as an iteration axis, format it once:
+    # its pixel x coordinates, each followed by a %.2f for a pixel y coordinate.
+    x_templates = {}
     for i, (label, xs, ys) in enumerate(series):
-        xs = np.asarray(xs, dtype=float)
+        if id(xs) not in x_templates:
+            xf = np.asarray(xs, dtype=float)
+            x_templates[id(xs)] = np.isfinite(xf), " ".join(["%.2f,%%.2f"] * xf.size) % tuple(px(xf).tolist())
+        x_finite, template = x_templates[id(xs)]
         ys = np.asarray(ys, dtype=float)
         color = PALETTE[i % len(PALETTE)]
-        keep = np.isfinite(xs) & np.isfinite(ys)
-        # One % operation formats every point, over the interleaved pixel coordinates.
-        xy = np.column_stack((px(xs[keep]), py(ys[keep])))
-        points = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+        keep = x_finite & np.isfinite(ys)
+        if not keep.all():
+            pieces = template.split(" ")
+            template = " ".join([pieces[j] for j in np.flatnonzero(keep).tolist()])
+        # One % operation formats every point.
+        points = template % tuple(py(ys[keep]).tolist())
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from asefilt import (
     ALGORITHMS,
@@ -694,11 +695,11 @@ def test_dcd_dense_matches_literal_leakage_reference(schedule, length, horizon, 
     assert (ops.adds, ops.mults, ops.comparisons) == (ref_ops.adds, ref_ops.mults, ref_ops.comparisons)
 
 
-def _on_route(by_einsum, length, build):
-    """``build()`` with the einsum route's length threshold set so that
-    rows of ``length`` taps take that route exactly when ``by_einsum``."""
+def _on_route(by_matmul, length, build):
+    """``build()`` with the matmul route's length threshold set so that
+    rows of ``length`` taps take that route exactly when ``by_matmul``."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(filters, "_EINSUM_MIN_LENGTH", length if by_einsum else length + 1)
+        mp.setattr(filters, "_MATMUL_MIN_LENGTH", length if by_matmul else length + 1)
         return build()
 
 
@@ -726,7 +727,7 @@ def _rounding_stream(length, horizon, seed):
     horizon=st.integers(1, 80),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_einsum_route_matches_broadcast_route_bit_for_bit(length, lam, runs, horizon, seed):
+def test_matmul_route_matches_broadcast_route_bit_for_bit(length, lam, runs, horizon, seed):
     """Both routes of the dense rank-one product leave byte-identical
     statistics after every step: in the scalar inversion-free core, in
     dense-mode ``dcd_ase`` and in the batched core over three algorithms,
@@ -735,7 +736,7 @@ def test_einsum_route_matches_broadcast_route_bit_for_bit(length, lam, runs, hor
     xs, d = streams[0]
     sigma = 0.5
     routes = []
-    for by_einsum in (False, True):
+    for by_matmul in (False, True):
         def build():
             vss = cfg_for(length=length, lam=lam, rho=1e-4)
             dense = dataclasses.replace(vss, dcd=DcdParams(), dcd_update="dense")
@@ -743,8 +744,8 @@ def test_einsum_route_matches_broadcast_route_bit_for_bit(length, lam, runs, hor
             states = [[filter_init(vss) for _ in range(runs)] for _ in lams]
             batch = filters._VssBatch(states, list(lams), list(weightings))
             return vss, dense, batch
-        vss, dense, batch = _on_route(by_einsum, length, build)
-        assert vss._einsum_outer == dense._einsum_outer == batch.einsum_outer == by_einsum
+        vss, dense, batch = _on_route(by_matmul, length, build)
+        assert vss._matmul_outer == dense._matmul_outer == batch.matmul_outer == by_matmul
         routes.append((vss, dense, (filter_init(vss), filter_init(dense), batch)))
     for t in range(horizon):
         xd = np.array([np.append(x_rows[t], d_run[t]) for x_rows, d_run in streams])
@@ -752,23 +753,51 @@ def test_einsum_route_matches_broadcast_route_bit_for_bit(length, lam, runs, hor
             iwf_ase_step(vss_state, vss, xs[t], d[t])
             dcd_ase_step(dense_state, dense, xs[t], d[t])
             filters._vss_steps(batch, xd, t)
-        for broadcast, einsum in zip(routes[0][2], routes[1][2]):
+        for broadcast, matmul in zip(routes[0][2], routes[1][2]):
             for name in ("stats", "w", "residual"):
-                assert getattr(broadcast, name).tobytes() == getattr(einsum, name).tobytes(), (t, name)
+                assert getattr(broadcast, name).tobytes() == getattr(matmul, name).tobytes(), (t, name)
 
 
-def test_einsum_route_guard_keeps_signed_zeros_at_half_lam():
+# Finite values whose magnitudes span 1e-300 to 1e150, and zeros of both signs.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.builds(math.copysign, st.floats(1e-300, 1e150), st.sampled_from((1.0, -1.0))),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    lead=st.sampled_from((((), ()), ((2,), (2,)), ((3, 2), (2,)))),
+    m=st.integers(1, 20),
+    n=st.integers(1, 20),
+    data=st.data(),
+)
+def test_outer_matches_the_broadcast_product_bit_for_bit(lead, m, n, data):
+    """``filters._outer`` equals the broadcast ``u[:, None] * x`` bit for
+    bit, stacked or not, on products that overflow nowhere and reach
+    subnormals, underflow and exact zeros, except that -0.0 comes out
+    +0.0, which adding +0.0 to the broadcast's products reproduces."""
+    u = data.draw(hnp.arrays(float, lead[0] + (m,), elements=_EDGE_FLOATS))
+    x = data.draw(hnp.arrays(float, lead[1] + (n,), elements=_EDGE_FLOATS))
+    with np.errstate(under="ignore"):
+        expected = u[..., :, None] * x[..., None, :] + 0.0
+        out = np.empty(expected.shape)
+        assert filters._outer(u, x, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_matmul_route_guard_keeps_signed_zeros_at_half_lam():
     """At ``lam = 0.5`` a silence of gated impulses decays a negative entry
     of R to -0.0, and an applied sample then adds the exact -0.0 product
     of a zero tap and a negative tap there.  The broadcast route keeps the
-    -0.0, einsum's would make it +0.0, so a 64-tap config and batch at
+    -0.0, the matmul's would make it +0.0, so a 64-tap config and batch at
     ``lam = 0.5`` keep the broadcast route."""
     length = 64
     config = cfg_for(length=length, lam=0.5, rho=1e-4)
-    assert not config._einsum_outer
-    assert not filters._einsum_route(length, (0.999, 0.5))
+    assert not config._matmul_outer
+    assert not filters._matmul_route(length, (0.999, 0.5))
     forced = dataclasses.replace(config)
-    object.__setattr__(forced, "_einsum_outer", True)
+    object.__setattr__(forced, "_matmul_outer", True)
     xs = np.zeros((1202, length))
     xs[0, :2], xs[-1, 1] = [1.0, -1.0], -1.0
     d = np.full(1202, 1e3)

@@ -633,26 +633,80 @@ def test_lockstep_driver_matches_public_steps_at_length_64(monkeypatch):
     _lockstep_case(monkeypatch, algorithms, 64, 2 * _BLOCK + 5, 3, 2, True, True, 64)
 
 
-def test_lockstep_driver_matches_public_steps_on_the_einsum_route(monkeypatch):
-    """With the einsum route's length threshold lowered to 1, the batched
+def test_lockstep_driver_matches_public_steps_on_the_matmul_route(monkeypatch):
+    """With the matmul route's length threshold lowered to 1, the batched
     core, dense-mode ``dcd_ase`` and the public steps all build their
-    rank-one products by ``np.einsum`` at L=6, and the driver still matches
+    rank-one products by ``filters._outer`` at L=6, and the driver still matches
     the public steps bit for bit, over chunks of two runs and of one."""
-    monkeypatch.setattr(filters, "_EINSUM_MIN_LENGTH", 1)
+    monkeypatch.setattr(filters, "_MATMUL_MIN_LENGTH", 1)
     length = 6
     algorithms = [*default_algorithms(length, ("iwf", "iwf_ase", "rmcc")), _dense_dcd_spec(length)]
     algorithms.insert(2, _alternate_vss_spec("iwf_ase", length, 0.9, 0.5, 5.0, None))
-    assert all(spec.config._einsum_outer for spec in algorithms)
+    assert all(spec.config._matmul_outer for spec in algorithms)
     routes = []
     core = harness._vss_steps
 
     def spy(batch, xd, step_index):
-        routes.append(batch.einsum_outer)
+        routes.append(batch.matmul_outer)
         return core(batch, xd, step_index)
 
     monkeypatch.setattr(harness, "_vss_steps", spy)
     _lockstep_case(monkeypatch, algorithms, length, 2 * _BLOCK + 5, 3, 2, True, True, 6)
     assert routes and all(routes)
+
+
+@pytest.mark.parametrize("matmul_min_length", [1, 10**9])
+def test_lockstep_driver_matches_public_steps_updating_row_by_row(monkeypatch, matmul_min_length):
+    """With the row-update threshold lowered to 1 byte, the batched core
+    decays and adds each row's statistics alone, by either product route,
+    and the driver still matches the public steps bit for bit, with a
+    second ``lam`` among the rows and impulses the gates shut out."""
+    monkeypatch.setattr(filters, "_ROW_UPDATE_MIN_BYTES", 1)
+    monkeypatch.setattr(filters, "_MATMUL_MIN_LENGTH", matmul_min_length)
+    length = 6
+    algorithms = default_algorithms(length, ("iwf", "iwf_ase", "rmcc"))
+    algorithms.insert(2, _alternate_vss_spec("iwf_ase", length, 0.9, 0.5, 5.0, None))
+    routes = []
+    core = harness._vss_steps
+
+    def spy(batch, xd, step_index):
+        routes.append((len(batch.rows), batch.matmul_outer))
+        return core(batch, xd, step_index)
+
+    monkeypatch.setattr(harness, "_vss_steps", spy)
+    _lockstep_case(monkeypatch, algorithms, length, 2 * _BLOCK + 5, 3, 2, True, True, 7)
+    assert set(routes) == {(8, matmul_min_length == 1), (4, matmul_min_length == 1)}
+
+
+def test_mixed_lam_batch_takes_the_broadcast_route_and_matches_separate_runs(monkeypatch):
+    """At L=64 a lockstep batch that mixes ``lam = 0.5`` and ``lam = 0.999``
+    builds every row's rank-one product by the broadcast, as the
+    ``lam = 0.5`` row needs, while the 0.999 algorithm run alone takes the
+    matmul route; its curves, and the 0.5 one's, match those separate
+    ``run_sysid`` calls bit for bit."""
+    length = 64
+    sc = make_sysid_scenario(length=length, horizon=150, mc_runs=2, seed=31)
+    base = default_algorithms(length, ("iwf_ase",))[0]
+    half = _alternate_vss_spec("iwf_ase", length, 0.5, base.config.rho, base.config.ase.c, None)
+    assert base.config.lam == 0.999 and base.config._matmul_outer and not half.config._matmul_outer
+    routes = []
+    core = harness._vss_steps
+
+    def spy(batch, xd, step_index):
+        routes.append((batch.w.shape[:2], batch.matmul_outer))
+        return core(batch, xd, step_index)
+
+    monkeypatch.setattr(harness, "_vss_steps", spy)
+    together = run_sysid(sc, [base, half])
+    assert set(routes) == {((2, 2), False)}
+    routes.clear()
+    alone = [run_sysid(sc, [spec])[0] for spec in (base, half)]
+    assert set(routes) == {((1, 2), True), ((1, 2), False)}
+    for joint, single in zip(together, alone):
+        assert joint.algorithm == single.algorithm
+        for name in ("nmsd_db", "mse", "applied_rate"):
+            assert getattr(joint, name).tobytes() == getattr(single, name).tobytes(), name
+        assert joint.update_ratio == single.update_ratio
 
 
 def test_lockstep_gated_row_keeps_signed_zeros(monkeypatch):

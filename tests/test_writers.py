@@ -149,11 +149,14 @@ def _polylines_reference(series) -> list[str]:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_polyline_matches_per_point_reference(lengths, nonfinite, shared_x, seed):
-    """Series of 0, 1, 2 and 20 000 points, NaN and inf points masked out."""
+    """Series of 0, 1, 2 and 20 000 points, NaN and inf points masked out.
+    With ``shared_x``, the series of one length share one x array object,
+    as ``cli._write_curves`` passes them, so its x strings are formatted once."""
     rng = np.random.default_rng(seed)
     series = []
+    shared = {}
     for i, n in enumerate(lengths):
-        xs = np.arange(float(n)) if shared_x else rng.standard_normal(n) * 1e3
+        xs = shared.setdefault(n, np.arange(float(n))) if shared_x else rng.standard_normal(n) * 1e3
         ys = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
         for v in (xs, ys):
             v[rng.random(n) < nonfinite] = rng.choice([np.nan, np.inf, -np.inf])
