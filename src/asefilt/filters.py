@@ -52,9 +52,7 @@ checks of :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
 (see :mod:`~asefilt.harness`) builds every state itself with
 :func:`filter_init`, so the layout always matches, and runs the cores
 unchecked.  It steps batches in lockstep, bit for bit: inversion-free
-states through :func:`_vss_steps` on a :class:`_VssBatch`, which updates
-small batches' statistics in one call each and large ones a row at a
-time, and
+states through :func:`_vss_steps` on a :class:`_VssBatch`, and
 shift-mode coordinate-descent runs through :func:`_dcd_batch_step` on a
 :class:`_DcdBatch`, which batches the O(length) recursions and the
 solve's first scan and leaves each solve to ``_dcd_solve``, started from
@@ -94,8 +92,6 @@ DCD_UPDATE_MODES = ("shift", "dense")
 VSS_GUARD = 1e-12
 # Shortest row whose dense rank-one product _outer builds (see _matmul_route).
 _MATMUL_MIN_LENGTH = 48
-# Size from which a batch updates its statistics a row at a time (see _VssBatch).
-_ROW_UPDATE_MIN_BYTES = 1 << 20
 
 
 class FilterError(Exception):
@@ -405,17 +401,6 @@ class _VssBatch:
     inspectable.  The views and buffers every step reuses are made here,
     and the route of the rank-one products, :func:`_matmul_route` on every
     algorithm's ``lam``: with ``matmul_outer``, :func:`_outer`.
-
-    From ``_ROW_UPDATE_MIN_BYTES`` (1 MiB) of statistics on, ``rows`` lists
-    each state's ``(a, b, stats, lam)``, and :func:`_vss_steps` decays a
-    row, builds its product and adds it before it moves to the next, as
-    the scalar core does, so the row stays in cache across the three; over
-    the whole batch, the statistics and their products outgrow a 2 MiB L2
-    cache from one pass to the next.  Below that size ``rows`` is None,
-    each of the three is one call over the batch, and ``outer`` holds the
-    products (``tools/layer_times.py`` in ``BENCH_31.json``, whole update:
-    at (3, 1, 256) 128 us by rows against 209 over the batch; at (3, 10,
-    64), just under 1 MiB, 150 against 89 us).
     """
 
     def __init__(self, states: list[list[FilterState]], lams: list[float], weightings: list) -> None:
@@ -432,12 +417,8 @@ class _VssBatch:
         self.w_col, self.residual_col = self.w[..., None], self.residual[..., None]
         self.u = np.empty(self.stats.shape[:-1])
         self.u_col = self.u[..., None]
+        self.outer = np.empty(self.stats.shape)
         self.matmul_outer = _matmul_route(self.stats.shape[-1], lams)
-        self.rows, self.outer = None, None
-        if self.stats.nbytes >= _ROW_UPDATE_MIN_BYTES:
-            self.rows = [(a, b, self.stats[a, b], lams[a]) for a, runs in enumerate(states) for b in range(len(runs))]
-        else:
-            self.outer = np.empty(self.stats.shape)
         self.product = np.empty(self.w.shape + (1,))
         self.product_row = self.product[..., 0]
 
@@ -462,8 +443,7 @@ def _vss_steps(batch: _VssBatch, xd: np.ndarray, step_index: int) -> tuple[np.nd
     for its ``R`` products, :func:`_weigh` per row, ``u = phi [x; d]``
     in one multiply and the products ``u x^T`` by the core's route: the
     broadcast multiply or, with ``batch.matmul_outer``, :func:`_outer`,
-    one stacked ``(A, B, L + 1, 2) @ (B, 2, L)`` call over the batch, or
-    with ``batch.rows`` one call per row.
+    one stacked ``(A, B, L + 1, 2) @ (B, 2, L)`` call over the batch.
     """
     n, w, stats, residual, product = xd.shape[-1] - 1, batch.w, batch.stats, batch.residual, batch.product
     x = xd[:, :n]
@@ -473,19 +453,13 @@ def _vss_steps(batch: _VssBatch, xd: np.ndarray, step_index: int) -> tuple[np.nd
     where = True if 0.0 not in phi else (np.array(phi) != 0.0).reshape(e.shape + (1, 1))
     applied = np.array(applied).reshape(e.shape)
     phi = np.array(phi).reshape(e.shape)
+    stats *= batch.lam
     np.multiply(phi[..., None], xd, out=batch.u)
-    if batch.rows is not None:
-        for a, b, row, lam in batch.rows:
-            row *= lam
-            if phi[a, b] != 0.0:
-                row += _outer(batch.u[a, b], x[b]) if batch.matmul_outer else batch.u_col[a, b] * x[b]
+    if batch.matmul_outer:
+        _outer(batch.u, x, out=batch.outer)
     else:
-        stats *= batch.lam
-        if batch.matmul_outer:
-            _outer(batch.u, x, out=batch.outer)
-        else:
-            np.multiply(batch.u_col, x[:, None, :], out=batch.outer)
-        np.add(stats, batch.outer, out=stats, where=where)
+        np.multiply(batch.u_col, x[:, None, :], out=batch.outer)
+    np.add(stats, batch.outer, out=stats, where=where)
     np.matmul(batch.r_mat, batch.w_col, out=product)
     np.subtract(batch.theta, batch.product_row, out=residual)
     move = step_index >= n - 1

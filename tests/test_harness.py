@@ -655,29 +655,6 @@ def test_lockstep_driver_matches_public_steps_on_the_matmul_route(monkeypatch):
     assert routes and all(routes)
 
 
-@pytest.mark.parametrize("matmul_min_length", [1, 10**9])
-def test_lockstep_driver_matches_public_steps_updating_row_by_row(monkeypatch, matmul_min_length):
-    """With the row-update threshold lowered to 1 byte, the batched core
-    decays and adds each row's statistics alone, by either product route,
-    and the driver still matches the public steps bit for bit, with a
-    second ``lam`` among the rows and impulses the gates shut out."""
-    monkeypatch.setattr(filters, "_ROW_UPDATE_MIN_BYTES", 1)
-    monkeypatch.setattr(filters, "_MATMUL_MIN_LENGTH", matmul_min_length)
-    length = 6
-    algorithms = default_algorithms(length, ("iwf", "iwf_ase", "rmcc"))
-    algorithms.insert(2, _alternate_vss_spec("iwf_ase", length, 0.9, 0.5, 5.0, None))
-    routes = []
-    core = harness._vss_steps
-
-    def spy(batch, xd, step_index):
-        routes.append((len(batch.rows), batch.matmul_outer))
-        return core(batch, xd, step_index)
-
-    monkeypatch.setattr(harness, "_vss_steps", spy)
-    _lockstep_case(monkeypatch, algorithms, length, 2 * _BLOCK + 5, 3, 2, True, True, 7)
-    assert set(routes) == {(8, matmul_min_length == 1), (4, matmul_min_length == 1)}
-
-
 def test_mixed_lam_batch_takes_the_broadcast_route_and_matches_separate_runs(monkeypatch):
     """At L=64 a lockstep batch that mixes ``lam = 0.5`` and ``lam = 0.999``
     builds every row's rank-one product by the broadcast, as the

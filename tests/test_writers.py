@@ -145,18 +145,23 @@ def _polylines_reference(series) -> list[str]:
 @given(
     lengths=st.lists(st.sampled_from([0, 1, 2, 20_000]), min_size=1, max_size=4),
     nonfinite=st.sampled_from([0.0, 0.01, 0.5]),
-    shared_x=st.booleans(),
+    shared_x=st.sampled_from([None, "equal", "same"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_polyline_matches_per_point_reference(lengths, nonfinite, shared_x, seed):
     """Series of 0, 1, 2 and 20 000 points, NaN and inf points masked out.
-    With ``shared_x``, the series of one length share one x array object,
-    as ``cli._write_curves`` passes them, so its x strings are formatted once."""
+    With ``shared_x`` the x values are ``np.arange``: ``"equal"`` gives each
+    series an array of its own, ``"same"`` gives the series of one length one
+    x array object, as ``cli._write_curves`` passes them, so its x strings
+    are formatted once."""
     rng = np.random.default_rng(seed)
     series = []
     shared = {}
     for i, n in enumerate(lengths):
-        xs = shared.setdefault(n, np.arange(float(n))) if shared_x else rng.standard_normal(n) * 1e3
+        if shared_x is None:
+            xs = rng.standard_normal(n) * 1e3
+        else:
+            xs = shared.setdefault(n, np.arange(float(n))) if shared_x == "same" else np.arange(float(n))
         ys = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
         for v in (xs, ys):
             v[rng.random(n) < nonfinite] = rng.choice([np.nan, np.inf, -np.inf])

@@ -11,11 +11,9 @@ driver's batched core at ``(algorithms, runs, L) = (3, B, L)`` with B in 1,
 4 and 10, it times the products of the batch: one broadcast multiply over
 the batch, one ``np.einsum`` per run, one stacked ``filters._outer`` over
 the batch and one ``_outer`` per run; and the whole update, decay,
-product and add: over the batch with the per-run einsum and with the
-stacked matmul, and a row at a time with ``_outer``, the two matmul
-routes ``filters._vss_steps`` takes.  The crossover of the broadcast and
-the matmul sets ``filters._MATMUL_MIN_LENGTH``, that of the two matmul
-updates ``filters._ROW_UPDATE_MIN_BYTES``.
+product and add, with the per-run einsum, the stacked matmul that
+``filters._vss_steps`` takes and ``_outer`` per run.  The crossover of the
+broadcast and the matmul sets ``filters._MATMUL_MIN_LENGTH``.
 
 Each row also says, under ``*_matches``, whether each route's product
 equals the broadcast's bit for bit, signed zeros aside, on operands whose
@@ -131,21 +129,13 @@ def batched_outer(runs: int, length: int, number: int, repeat: int, rng) -> dict
         stats.__imul__(LAM)
         np.add(stats, route(u, x, outer), out=stats, where=True)
 
-    rows = [(stats[a, b], u[a, b], x[b]) for a in range(ALGORITHMS) for b in range(runs)]
-
-    def update_rows():
-        for row, u_row, x_row in rows:
-            row *= LAM
-            row += _outer(u_row, x_row)
-
     return {
         "A": ALGORITHMS,
         "B": runs,
         "L": length,
         **{f"batch_{name}_us": best_us(lambda fn=fn: fn(u, x, outer), number, repeat) for name, fn in routes.items()},
-        "update_einsum_us": best_us(lambda: update(einsum), number, repeat),
-        "update_matmul_us": best_us(lambda: update(matmul), number, repeat),
-        "update_rows_us": best_us(update_rows, number, repeat),
+        **{f"update_{name}_us": best_us(lambda fn=fn: update(fn), number, repeat)
+           for name, fn in routes.items() if name != "broadcast"},
         **route_matches({name: lambda u, x, fn=fn: fn(u, x, np.empty(u.shape + x.shape[-1:]))
                          for name, fn in routes.items()}, u.shape, x.shape, rng),
     }
