@@ -18,7 +18,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ import numpy as np
 from .dcd import DcdParams, dcd_solve
 from .filters import DCD_UPDATE_MODES, DELTA_SCHEDULES, FilterError
 from .harness import (
+    _KINDS,
     ALGORITHMS,
     AlgoSpec,
     AncSpec,
@@ -285,15 +286,13 @@ def _record_table(records, metric_name: str, metric_values) -> list[str]:
     return lines
 
 
-def _ops_lines(records) -> list[str]:
-    lines = []
-    for rec in records:
-        if rec.op_counts is not None:
-            lines.append(
-                f"{rec.algorithm} measured per-iteration: adds={rec.op_counts.adds:.2f} "
-                f"mults={rec.op_counts.mults:.2f} comparisons={rec.op_counts.comparisons:.2f}"
-            )
-    return lines
+def _ops_lines(records, opts: dict) -> list[str]:
+    """One line of each record's executed operations, with ``instrument``."""
+    return [
+        f"{rec.algorithm} measured per-iteration: adds={rec.op_counts.adds:.2f} "
+        f"mults={rec.op_counts.mults:.2f} comparisons={rec.op_counts.comparisons:.2f}"
+        for rec in records if opts["instrument"]
+    ]
 
 
 def _write_curves(outdir: Path, name: str, chart_name: str, labels: list[str], curves: list[np.ndarray],
@@ -317,7 +316,7 @@ def plan_sysid(opts: dict) -> tuple[list[AlgoSpec], ScenarioSpec]:
 
 def cmd_sysid(opts: dict, plan) -> list[str]:
     algos, scenario = plan
-    records = run_sysid(scenario, algos, instrument=opts["instrument"])
+    records = run_sysid(scenario, algos)
     outdir = _prepare_outdir(opts)
     _write_curves(
         outdir, "nmsd.csv", "nmsd.svg", [rec.algorithm for rec in records], [rec.nmsd_db for rec in records],
@@ -335,7 +334,7 @@ def cmd_sysid(opts: dict, plan) -> list[str]:
                   "nominal_adds", "nominal_mults"]
         write_csv(outdir / "ops.csv", header, ops_rows, REPORT_FMT)
     steadies = [steady_state(rec.nmsd_db) for rec in records]
-    return _record_table(records, "steady_nmsd_db", steadies) + _ops_lines(records)
+    return _record_table(records, "steady_nmsd_db", steadies) + _ops_lines(records, opts)
 
 
 def _load_external_waveforms(opts: dict):
@@ -378,7 +377,7 @@ def plan_anc(opts: dict) -> tuple[list[AlgoSpec], AncSpec]:
 
 def cmd_anc(opts: dict, plan) -> list[str]:
     algos, anc = plan
-    records, waveforms = run_anc(anc, algos, instrument=opts["instrument"])
+    records, waveforms = run_anc(anc, algos)
     # The mean over a finite curve can still overflow; checked before --out is made.
     with np.errstate(over="ignore"):
         steadies = [power_db(steady_state(rec.mse)) for rec in records]
@@ -393,7 +392,7 @@ def cmd_anc(opts: dict, plan) -> list[str]:
     )
     for key in ("primary", "clean", "reference", *(f"denoised_{label}" for label in labels)):
         save_waveform(outdir / f"{key}.csv", waveforms[key])
-    return _record_table(records, "steady_mse_db", steadies) + _ops_lines(records)
+    return _record_table(records, "steady_mse_db", steadies) + _ops_lines(records, opts)
 
 
 def _parse_list(raw: str, what: str, parse) -> list:
@@ -437,36 +436,40 @@ def _run_sweep(param: str, runs: list[tuple]) -> tuple[list, tuple[list, list], 
     return records, ([param, "steady_nmsd_db", "update_ratio"], rows), lines
 
 
-def plan_dcd_bench(opts: dict) -> tuple[list[int], list[tuple] | None]:
+def plan_dcd_bench(opts: dict) -> tuple[list[int], list[tuple], list[tuple] | None]:
+    """The budgets; every system the bench solves, each drawn once here,
+    which checks ``length`` and ``cond``, as ``(matrix, solution, rhs,
+    params)`` with the checked step range and bits of its solves; and the
+    embedded runs unless ``--no-embedded``."""
     nu_list = _parse_list(opts["nu_list"], "nu_list", int)
     if any(nu < 1 for nu in nu_list):
         raise ConfigError("nu_list entries must be >= 1")
     if opts["systems"] < 1:
         raise ConfigError(f"systems must be >= 1, got {opts['systems']}")
-    for i in range(opts["systems"]):  # checks length, and cond on every system the bench solves
-        random_spd_system(opts["length"], opts["cond"], [opts["seed"], 7, i])
-    DcdParams(h=2.0 if opts["h"] is None else opts["h"], m_bits=opts["m_bits"])
-    if not opts["embedded"]:
-        return nu_list, None
-    sysid_opts = {opt.name: opt.default for opt in SCHEMAS["sysid"]}
-    sysid_opts.update(runs=opts["embedded_runs"], horizon=opts["embedded_horizon"], seed=opts["seed"])
-    return nu_list, _plan_sweep_runs(sysid_opts, "n_updates", nu_list, "dcd_ase")
-
-
-def cmd_dcd_bench(opts: dict, plan) -> list[str]:
-    nu_list, embedded = plan
-    length = opts["length"]
-
-    # Each system is drawn once and solved at every budget; each budget's
-    # errors are kept in system order.
-    errs = {nu: [] for nu in nu_list}
+    systems = []
     for i in range(opts["systems"]):
-        r_matrix, x_star, rhs = random_spd_system(length, opts["cond"], [opts["seed"], 7, i])
+        r_matrix, x_star, rhs = random_spd_system(opts["length"], opts["cond"], [opts["seed"], 7, i])
         h = opts["h"]
         if h is None:
             h = 2.0 ** math.ceil(math.log2(max(2.0 * float(np.max(np.abs(x_star))), 1e-6)))
+        systems.append((r_matrix, x_star, rhs, DcdParams(h=h, m_bits=opts["m_bits"])))
+    if not opts["embedded"]:
+        return nu_list, systems, None
+    sysid_opts = {opt.name: opt.default for opt in SCHEMAS["sysid"]}
+    sysid_opts.update(runs=opts["embedded_runs"], horizon=opts["embedded_horizon"], seed=opts["seed"])
+    return nu_list, systems, _plan_sweep_runs(sysid_opts, "n_updates", nu_list, "dcd_ase")
+
+
+def cmd_dcd_bench(opts: dict, plan) -> list[str]:
+    nu_list, systems, embedded = plan
+    length = opts["length"]
+
+    # Each system is solved at every budget; each budget's errors are kept
+    # in system order.
+    errs = {nu: [] for nu in nu_list}
+    for r_matrix, x_star, rhs, params in systems:
         for nu, nu_errs in errs.items():
-            result = dcd_solve(r_matrix, rhs, DcdParams(h=h, m_bits=opts["m_bits"], n_updates=nu * length))
+            result = dcd_solve(r_matrix, rhs, replace(params, n_updates=nu * length))
             nu_errs.append(float(np.max(np.abs(result.delta_w - x_star))))
     acc_rows = [[nu, max(nu_errs), sum(nu_errs) / len(nu_errs)] for nu, nu_errs in errs.items()]
 
@@ -502,6 +505,10 @@ def plan_sweep(opts: dict) -> tuple[str, list[tuple]]:
         raise ConfigError("sweep requires --values (comma-separated)")
     values = _parse_list(opts["values"], "sweep values", int if param == "n_updates" else float)
     kind = _parse_algo_list({"algos": "iwf_ase", **opts})[0]
+    # Every value would give the same run where the kind does not read param.
+    solver, weighting = _KINDS[kind]
+    if (param == "c" and weighting != "ase") or (param == "n_updates" and solver != "dcd"):
+        raise ConfigError(f"{kind} does not read {param}: every value of the sweep would give the same run")
     return kind, _plan_sweep_runs(opts, param, values, kind)
 
 

@@ -36,9 +36,10 @@ returns them, and returns the row of what it decided: ``(prior_error,
 applied, phi, moved)``, where ``moved`` says whether the weights moved
 or the solver ran, and for ``_dcd_step`` also the solve's ``(updates,
 halvings)``.  It counts nothing: the public steps and the Monte Carlo
-harness both price the row a core returns with the cost model of
-:mod:`~asefilt.counting`, a public step per call into ``state.ops`` and
-the harness once per block of rows it recorded.  Each condition is
+harness both price the rows the cores return with the cost model of
+:mod:`~asefilt.counting`, a public step its row per call into
+``state.ops`` and the harness the counts it sums over every block of
+rows it records, once per algorithm.  Each condition is
 checked once, at the public boundary: a public step and
 :func:`correlation_update` check the sample, then that the state holds
 ``R`` in the layout their update needs, and the cores index
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import OpCounter, correlation_ops, dcd_step_ops, vss_step_ops
+from .counting import OpCounter, correlation_ops, dcd_step_ops, step_counts, vss_step_ops
 from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, _check_system, _dcd_solve
 from .estimator import AseParams, ase_weight
 
@@ -319,7 +320,7 @@ def correlation_update(
     _check_layout(state, False)
     _correlation_update(state, config, x, d, phi)
     if state.ops is not None:
-        state.ops.add(*correlation_ops(config, phi))
+        state.ops.add(*correlation_ops(config, 1, phi != 0.0))
     return state
 
 
@@ -478,7 +479,7 @@ def _public_step(core, price, state: FilterState, config: FilterConfig, x, d, we
     _check_layout(state, ring)
     row = core(state, config, x, d, weighting)
     if state.ops is not None:
-        state.ops.add(*price(config, weighting, row))
+        state.ops.add(*price(config, weighting, 1, *step_counts(config, row)))
     return StepOutput(*row[:2])
 
 

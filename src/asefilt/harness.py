@@ -35,11 +35,15 @@ unchecked private cores of :mod:`~asefilt.filters` and writes them into
 the block record: six ``(runs, algorithms, block)`` arrays of each row's
 prior error, applied flag, weight ``phi``, moved flag, and solver updates
 and halvings (zero for a row that ran no solve).  The scores, the update
-ratios and, with ``instrument``, the operation totals, priced once per
-block with each group's cost function from :mod:`~asefilt.counting`, are
-read from it.  A call's time is split evenly across the algorithms of its
-group.  Every sum adds the runs in run order, so each result is
-bit-identical to stepping each run through the public steps.
+ratios and the operation totals are read from it: on every run, the
+record's integer fields share one array with each row's weighted and
+exhausted flags, in the order of :func:`~asefilt.counting.step_counts`,
+which one add per block accumulates for the whole chunk; a row's applied
+count also gives its state's update ratio, and each algorithm is priced
+once, from its totals, by its solver's cost function in
+:mod:`~asefilt.counting`.  A call's time is split evenly across the
+algorithms of its group.  Every sum adds the runs in run order, so each
+result is bit-identical to stepping each run through the public steps.
 
 Finite inputs can still overflow a filter's statistics.  After each
 block every group says whether its states are finite, a batch from its
@@ -241,7 +245,9 @@ class RunRecord:
     the algorithm's row group, which step its filters and record their
     rows, each call's time split evenly across the group's algorithms:
     the inversion-free ones share one group, and each coordinate-descent
-    algorithm has its own.
+    algorithm has its own.  ``op_counts`` is the floating-point work the
+    algorithm executed per iteration, counted from the block record on
+    every run.
     """
 
     algorithm: str
@@ -250,7 +256,7 @@ class RunRecord:
     update_ratio: float
     applied_rate: np.ndarray
     wall_time: float
-    op_counts: OpsPerIteration | None = None
+    op_counts: OpsPerIteration
 
 
 @dataclass(frozen=True)
@@ -420,11 +426,11 @@ def _states_finite(states: list[FilterState]) -> bool:
 
 def _row_groups(algorithms: list[AlgoSpec], weightings: list, states: list[list[FilterState]]) -> list[tuple]:
     """The row groups of a chunk whose algorithms hold ``states``, one list
-    of runs each, as ``(indices, step, finite, price)``: the indices of
-    its algorithms; ``step(xd, first_step, record, w_block)``, which steps
+    of runs each, as ``(indices, step, finite)``: the indices of its
+    algorithms; ``step(xd, first_step, record, w_block)``, which steps
     them over one block, ``(block, runs, L + 1)``, and writes their rows of
-    the record and of ``w_block``; ``finite()``, whether all its states
-    are finite; and its rows' cost function.  An algorithm's group
+    the record and of ``w_block``; and ``finite()``, whether all its
+    states are finite.  An algorithm's group
     follows from its solver in ``_KINDS`` alone.  The inversion-free group
     comes last, since perfbench's set-up probe stops at the first call
     whose name ends in ``_step``.  The cores are read here, so patching
@@ -435,15 +441,15 @@ def _row_groups(algorithms: list[AlgoSpec], weightings: list, states: list[list[
             vss.append(idx)
         elif len(states[idx]) >= _DCD_BATCH_MIN_RUNS and spec.config.dcd_update == "shift":
             batch = _DcdBatch(states[idx], spec.config, weightings[idx])
-            groups.append(([idx], partial(_step_batched, _dcd_batch_step, batch, idx), batch.finite, dcd_step_ops))
+            groups.append(([idx], partial(_step_batched, _dcd_batch_step, batch, idx), batch.finite))
         else:
             step = partial(_step_runs, spec.config, weightings[idx], states[idx], idx)
-            groups.append(([idx], step, partial(_states_finite, states[idx]), dcd_step_ops))
+            groups.append(([idx], step, partial(_states_finite, states[idx])))
     if vss:
         batch = _VssBatch(
             [states[idx] for idx in vss], [algorithms[idx].config.lam for idx in vss], [weightings[idx] for idx in vss]
         )
-        groups.append((vss, partial(_step_batched, _vss_steps, batch, vss), batch.finite, vss_step_ops))
+        groups.append((vss, partial(_step_batched, _vss_steps, batch, vss), batch.finite))
     return groups
 
 
@@ -455,7 +461,6 @@ def _paired_runs(
     bg_std: float,
     draw: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray | float]],
     w_o: np.ndarray | None,
-    instrument: bool,
 ) -> tuple[list[RunRecord], list[np.ndarray]]:
     """Paired Monte Carlo driver shared by both experiments.
 
@@ -469,8 +474,9 @@ def _paired_runs(
     :func:`_row_groups` with one call per block, into one block record of
     ``(runs, algorithms, block)`` arrays: the prior error, applied flag,
     ``phi``, moved flag, solver updates and halvings of every row.  The
-    scores, the update ratios and, with ``instrument``, the operation
-    totals are read from it.  After each block every group says whether
+    scores, the update ratios and the operation totals, whose counts are
+    accumulated per block and priced once per algorithm, are read from it.
+    After each block every group says whether
     its states are finite, and if one does not, the first failing state
     raises ``FilterError``, naming its run, then algorithm.  With ``w_o`` given,
     the squared weight deviation from it is averaged into an NMSD curve.
@@ -485,7 +491,10 @@ def _paired_runs(
                 f"algorithm {spec.name!r} has length {spec.config.length}, experiment needs {length}"
             )
     weightings = [_weighting(spec, bg_std) for spec in algorithms]
-    counters = [OpCounter() if instrument else None for _ in algorithms]
+    # Each algorithm's solver bits, at which a solve that ran out of them
+    # ends; -1, which no row's halvings equal, for one with no solver.
+    m_bits = np.array([[-1 if spec.config.dcd is None else spec.config.dcd.m_bits] for spec in algorithms])
+    counts = np.zeros((6, len(algorithms)), dtype=int)
     se_sum, applied_sum = (np.zeros((len(algorithms), horizon)) for _ in range(2))
     dev_sum = np.zeros((len(algorithms), horizon)) if w_o is not None else None
     first_errors = np.empty((len(algorithms), horizon))
@@ -497,7 +506,16 @@ def _paired_runs(
         n_runs = min(chunk, runs - first)
         states = [[filter_init(spec.config) for _ in range(n_runs)] for spec in algorithms]
         groups = _row_groups(algorithms, weightings, states)
-        applied_count = np.zeros((n_runs, len(algorithms)), dtype=int)
+        # The block record, which every block of the chunk reuses: one
+        # (prior_error, applied, phi, moved, updates, halvings) row per run,
+        # algorithm and sample.  Its integer fields lie in flags beside each
+        # row's weighted and exhausted flags, in the order of
+        # counting.step_counts; an inversion-free row never writes its
+        # updates and halvings, which stay zero.  One add per block sums the
+        # flags into flag_sums, itself summed over the samples once, when
+        # the chunk is done: a sum per block cost more.
+        err_block, phi_block = np.empty((2, n_runs, len(algorithms), _BLOCK_ROWS))
+        flag_block, flag_sums = np.zeros((2, 6, n_runs, len(algorithms), _BLOCK_ROWS), dtype=int)
         # The weights after each step of a block; np.vecdot matches a per-row
         # diff @ diff bit for bit, where einsum or multiply-then-sum would not.
         w_block = np.empty((_BLOCK_ROWS, len(algorithms), n_runs, length)) if w_o is not None else None
@@ -514,14 +532,10 @@ def _paired_runs(
                 xd_chunk[:, b, :length], xd_chunk[:, b, length] = _check_draw(first + b, x_rows, d, horizon, length)
             for start in range(0, horizon, _BLOCK_ROWS):
                 stop = min(start + _BLOCK_ROWS, horizon)
-                # The block record: one (prior_error, applied, phi, moved,
-                # updates, halvings) row per run, algorithm and sample.
-                shape = (n_runs, len(algorithms), stop - start)
-                err, phi = np.empty((2,) + shape)
-                applied, moved = np.empty((2,) + shape, dtype=bool)
-                updates, halvings = np.zeros((2,) + shape, dtype=int)
+                err, phi, flags = (block[..., : stop - start] for block in (err_block, phi_block, flag_block))
+                applied, weighted, moved, updates, halvings, exhausted = flags
                 record = (err, applied, phi, moved, updates, halvings)
-                for indices, step, _, _ in groups:
+                for indices, step, _ in groups:
                     t0 = time.perf_counter()
                     step(xd_chunk[start:stop], start, record, w_block)
                     # One call steps the group's algorithms, so its time is split evenly.
@@ -530,7 +544,7 @@ def _paired_runs(
                         wall[idx] += share
                 # Only when a group finds a state that is not finite does the
                 # per-state check, which alone raises, look for the first one.
-                if not all(finite() for _, _, finite, _ in groups):
+                if not all(finite() for _, _, finite in groups):
                     for b in range(n_runs):
                         for idx, spec in enumerate(algorithms):
                             if not _state_is_finite(states[idx][b]):
@@ -538,12 +552,9 @@ def _paired_runs(
                                     f"{spec.name}: run {first + b}: the filter state became non-finite"
                                     f" in the block of samples {start} to {stop - 1}"
                                 )
-                if instrument:
-                    for indices, _, _, price in groups:
-                        for idx in indices:
-                            for row in zip(*(field[:, idx].ravel().tolist() for field in record)):
-                                counters[idx].add(*price(algorithms[idx].config, weightings[idx], row))
-                applied_count += applied.sum(axis=-1)
+                np.not_equal(phi, 0.0, out=weighted)
+                np.equal(halvings, m_bits, out=exhausted)
+                flag_sums[..., : stop - start] += flags
                 resid = err - target[start:stop].T[:, None]
                 sq = resid * resid
                 if w_block is not None:
@@ -558,16 +569,20 @@ def _paired_runs(
                         dev_sum[:, start:stop] += dev[b]
                 if first == 0:
                     first_errors[:, start:stop] = err[0]
+        row_counts = flag_sums.sum(axis=-1)
+        counts += row_counts.sum(axis=1)
         for b in range(n_runs):
             for idx in range(len(algorithms)):
                 # The batched cores keep no step counts; the record gives every
                 # state the counts a scalar core keeps.
                 state = states[idx][b]
-                state.step_index, state.updates_applied = horizon, int(applied_count[b, idx])
+                state.step_index, state.updates_applied = horizon, int(row_counts[0, b, idx])
                 ur_sum[idx] += update_ratio(state)
 
     records = []
     for idx, spec in enumerate(algorithms):
+        price = vss_step_ops if _KINDS[spec.kind][0] == "vss" else dcd_step_ops
+        ops = OpCounter(*price(spec.config, weightings[idx], runs * horizon, *counts[:, idx].tolist()))
         nmsd_db = None
         if w_o is not None:
             with np.errstate(over="ignore"):
@@ -585,7 +600,7 @@ def _paired_runs(
                 update_ratio=ur_sum[idx] / runs,
                 applied_rate=applied_sum[idx] / runs,
                 wall_time=wall[idx],
-                op_counts=per_iteration(counters[idx], runs * horizon) if instrument else None,
+                op_counts=per_iteration(ops, runs * horizon),
             )
         )
     return records, list(first_errors)
@@ -594,8 +609,6 @@ def _paired_runs(
 def run_sysid(
     scenario: ScenarioSpec,
     algorithms: list[AlgoSpec],
-    *,
-    instrument: bool = False,
 ) -> list[RunRecord]:
     """Identify the scenario plant with every algorithm and average the
     squared deviation trajectories across runs (in the linear domain,
@@ -616,17 +629,13 @@ def run_sysid(
             d += gen_bg_noise(horizon, scenario.impulses, [base, 3])
         return x_rows, d, 0.0
 
-    records, _ = _paired_runs(
-        algorithms, length, horizon, scenario.mc_runs, bg_std, draw, w_o, instrument
-    )
+    records, _ = _paired_runs(algorithms, length, horizon, scenario.mc_runs, bg_std, draw, w_o)
     return records
 
 
 def run_anc(
     anc: AncSpec,
     algorithms: list[AlgoSpec],
-    *,
-    instrument: bool = False,
 ) -> tuple[list[RunRecord], dict[str, np.ndarray]]:
     """Cancel shaped impulsive noise from a sparse pulse signal.
 
@@ -659,9 +668,7 @@ def run_anc(
             waveforms["reference"] = np.array(reference, dtype=float)
         return regressors(reference, length), d, clean
 
-    records, errors = _paired_runs(
-        algorithms, length, horizon, anc.mc_runs, 0.0, draw, None, instrument
-    )
+    records, errors = _paired_runs(algorithms, length, horizon, anc.mc_runs, 0.0, draw, None)
     for rec, err in zip(records, errors):
         waveforms[f"denoised_{rec.algorithm}"] = err
     return records, waveforms

@@ -135,7 +135,7 @@ def test_criterion_3_operation_accounting(capsys):
     measured = {"iwf_ase": [], "dcd_ase": []}
     for length in (8, 16, 32, 64):
         sc = make_sysid_scenario(length=length, horizon=1500, mc_runs=2, seed=SEED)
-        recs = run_sysid(sc, default_algorithms(length, kinds=("iwf_ase", "dcd_ase")), instrument=True)
+        recs = run_sysid(sc, default_algorithms(length, kinds=("iwf_ase", "dcd_ase")))
         for r in recs:
             measured[r.algorithm].append(r.op_counts.mults)
     r2_dcd_lin = _r2(lengths, np.array(measured["dcd_ase"]), 1)

@@ -493,6 +493,18 @@ def test_dcd_bench_fixed_h_without_embedded(tmp_path, monkeypatch):
     assert "h = 2.0" in (out / "summary.txt").read_text().splitlines()
 
 
+def test_dcd_bench_draws_each_system_once(tmp_path, monkeypatch):
+    """The plan draws every SPD system, which checks --cond, and the run
+    solves those same systems: one run draws --systems of them in all."""
+    draws = []
+    draw = cli.random_spd_system
+    monkeypatch.setattr(cli, "random_spd_system", lambda *args: draws.append(args) or draw(*args))
+    out = tmp_path / "o"
+    assert run_cli("dcd-bench", "--systems", "3", "--no-embedded", "--out", str(out)) == EXIT_OK
+    assert len(draws) == 3
+    assert len((out / "dcd_accuracy.csv").read_text().splitlines()) == 1 + 4
+
+
 def test_dcd_bench_layout(tmp_path):
     out = tmp_path / "o"
     rc = run_cli(
@@ -650,6 +662,26 @@ def test_failed_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "param, values, algo",
+    [("n_updates", "1,8", None), ("c", "1,5", "rmcc"), ("c", "1,5", "iwf")],
+)
+def test_sweep_rejects_a_parameter_the_kind_does_not_read(tmp_path, capsys, monkeypatch, param, values, algo):
+    """A sweep over a parameter its kind never reads would write one
+    identical row per value: it exits 2 before any run, naming both."""
+    calls = []
+    monkeypatch.setattr(cli, "run_sysid", lambda *a, **k: calls.append(a))
+    out = tmp_path / "o"
+    algo_flag = ["--algo", algo] if algo else []
+    rc = run_cli("sweep", "--param", param, "--values", values, *algo_flag, "--runs", "2", "--horizon", "300",
+                 "--out", str(out))
+    assert rc == EXIT_CONFIG
+    assert calls == []
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err and param in err and (algo or "iwf_ase") in err
+
+
 def test_sweep_unknown_algorithm(tmp_path, capsys):
     out = tmp_path / "o"
     rc = run_cli("sweep", "--param", "c", "--values", "1,2", "--algo", "quantum", "--out", str(out))
@@ -697,7 +729,7 @@ def test_sysid_instrument_writes_ops_csv(tmp_path):
     lines = (out / "ops.csv").read_text().splitlines()
     assert lines[0] == "algorithm,measured_adds,measured_mults,measured_comparisons,nominal_adds,nominal_mults"
     specs = default_algorithms(10, ("iwf", "dcd_ase", "rmcc"))
-    records = run_sysid(make_sysid_scenario(horizon=120, mc_runs=2), specs, instrument=True)
+    records = run_sysid(make_sysid_scenario(horizon=120, mc_runs=2), specs)
     assert [line.split(",")[0] for line in lines[1:]] == ["iwf", "dcd_ase", "rmcc"]
     for line, rec, spec in zip(lines[1:], records, specs):
         cells = line.split(",")

@@ -147,14 +147,15 @@ def test_run_sysid_pairing_is_algorithm_independent():
 
 
 def test_run_sysid_instrumented_counts():
+    """Every record of ``run_sysid`` and ``run_anc`` carries the operations
+    its algorithm executed, with no option asked."""
     sc = make_sysid_scenario(length=4, horizon=60, mc_runs=1, seed=2)
-    recs = run_sysid(sc, default_algorithms(4), instrument=True)
-    for r in recs:
-        assert r.op_counts is not None
-        assert r.op_counts.mults > 0
-        assert r.op_counts.adds > 0
-    plain = run_sysid(sc, default_algorithms(4))
-    assert all(r.op_counts is None for r in plain)
+    anc = AncSpec(horizon=60, mc_runs=2, seed=2, filter_length=4)
+    for recs in (run_sysid(sc, default_algorithms(4)), run_anc(anc, default_algorithms(4))[0]):
+        assert [r.algorithm for r in recs] == list(ALGORITHMS)
+        for r in recs:
+            assert r.op_counts.mults > 0
+            assert r.op_counts.adds > 0
 
 
 def test_run_sysid_validation():
@@ -335,7 +336,7 @@ def test_trusted_driver_matches_public_steps(
         mp.setattr(harness, "filter_init", recording_init)
         records, errors = harness._paired_runs(
             [spec], length, horizon, 1, bg_std, lambda run: (x_rows, d, 0.0),
-            w_o if with_nmsd else None, True,
+            w_o if with_nmsd else None,
         )
     counter = OpCounter()
     state, err, applied, dev = run_public_steps(spec, x_rows, d, 10.0 * bg_std, w_o, counter)
@@ -354,7 +355,7 @@ def test_trusted_driver_matches_public_steps(
         assert np.array_equal(records[0].nmsd_db, expected)
 
 
-def _lockstep_case(monkeypatch, algorithms, length, horizon, runs, chunk_runs, with_nmsd, instrument, seed):
+def _lockstep_case(monkeypatch, algorithms, length, horizon, runs, chunk_runs, with_nmsd, seed):
     """``_paired_runs`` on ``runs`` random draws, ``chunk_runs`` runs per
     chunk, against each algorithm stepped through the public steps one run
     at a time and reduced in run order: every series, score, final state
@@ -367,10 +368,10 @@ def _lockstep_case(monkeypatch, algorithms, length, horizon, runs, chunk_runs, w
         d = x_rows @ rng.standard_normal(length) + 0.1 * rng.standard_normal(horizon)
         d += gen_bg_noise(horizon, BgNoiseSpec(0.1, 1e4), rng)
         draws.append((x_rows, d, 0.0 if with_nmsd else rng.standard_normal(horizon)))
-    _driver_matches_public_steps(monkeypatch, algorithms, draws, w_o, chunk_runs, instrument)
+    _driver_matches_public_steps(monkeypatch, algorithms, draws, w_o, chunk_runs)
 
 
-def _driver_matches_public_steps(monkeypatch, algorithms, draws, w_o, chunk_runs, instrument):
+def _driver_matches_public_steps(monkeypatch, algorithms, draws, w_o, chunk_runs):
     """``_paired_runs`` on ``draws``, ``chunk_runs`` runs per chunk, against
     each algorithm stepped through the public steps one run at a time, as
     :func:`_lockstep_case` says."""
@@ -386,7 +387,7 @@ def _driver_matches_public_steps(monkeypatch, algorithms, draws, w_o, chunk_runs
     monkeypatch.setattr(harness, "filter_init", recording_init)
     monkeypatch.setattr(harness, "_CHUNK_BYTES", chunk_runs * 8 * horizon * length)
     records, errors = harness._paired_runs(
-        algorithms, length, horizon, runs, bg_std, draws.__getitem__, w_o, instrument
+        algorithms, length, horizon, runs, bg_std, draws.__getitem__, w_o
     )
     for spec, rec, first_err in zip(algorithms, records, errors):
         sigma = spec.kernel_sigma if spec.kernel_sigma is not None else 10.0 * bg_std
@@ -416,10 +417,7 @@ def _driver_matches_public_steps(monkeypatch, algorithms, draws, w_o, chunk_runs
         else:
             assert rec.nmsd_db is None
         assert trusted.ops is None, spec.name
-        if instrument:
-            assert rec.op_counts == per_iteration(counter, runs * horizon), spec.name
-        else:
-            assert rec.op_counts is None
+        assert rec.op_counts == per_iteration(counter, runs * horizon), spec.name
 
 
 def _alternate_vss_spec(kind, length, lam, rho, c, kernel_sigma):
@@ -445,13 +443,12 @@ def _alternate_vss_spec(kind, length, lam, rho, c, kernel_sigma):
     dcd_update=st.sampled_from(("shift", "dense")),
     delta_schedule=st.sampled_from(("decaying", "constant")),
     with_nmsd=st.booleans(),
-    instrument=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     batch_min_runs=st.sampled_from((1, harness._DCD_BATCH_MIN_RUNS)),
 )
 def test_lockstep_driver_matches_public_steps(
     kinds, alternate, lam, rho, c, kernel_sigma, position, length, horizon, runs, chunk_runs,
-    dcd_update, delta_schedule, with_nmsd, instrument, seed, batch_min_runs,
+    dcd_update, delta_schedule, with_nmsd, seed, batch_min_runs,
 ):
     """The batched inversion-free rows and the coordinate-descent rows, per
     run or batched, of a mixed algorithm list, two inversion-free specs
@@ -461,7 +458,7 @@ def test_lockstep_driver_matches_public_steps(
     algorithms.insert(position, _alternate_vss_spec(alternate, length, lam, rho, c, kernel_sigma))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_DCD_BATCH_MIN_RUNS", batch_min_runs)
-        _lockstep_case(mp, algorithms, length, horizon, runs, chunk_runs, with_nmsd, instrument, seed)
+        _lockstep_case(mp, algorithms, length, horizon, runs, chunk_runs, with_nmsd, seed)
 
 
 def _spy_batched_core(monkeypatch):
@@ -494,11 +491,10 @@ def _spy_batched_core(monkeypatch):
     chunk_runs=st.integers(1, 7),
     delta_schedule=st.sampled_from(("decaying", "constant")),
     with_nmsd=st.booleans(),
-    instrument=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_dcd_driver_matches_public_steps(
-    length, lam, rho, n_updates, horizon, runs, chunk_runs, delta_schedule, with_nmsd, instrument, seed
+    length, lam, rho, n_updates, horizon, runs, chunk_runs, delta_schedule, with_nmsd, seed
 ):
     """Every chunk of shift-mode ``dcd_ase`` runs steps batched, one run
     alone included, and matches the public steps bit for bit: the series,
@@ -512,7 +508,7 @@ def test_batched_dcd_driver_matches_public_steps(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_DCD_BATCH_MIN_RUNS", 1)
         calls = _spy_batched_core(mp)
-        _lockstep_case(mp, algorithms, length, horizon, runs, chunk_runs, with_nmsd, instrument, seed)
+        _lockstep_case(mp, algorithms, length, horizon, runs, chunk_runs, with_nmsd, seed)
     assert len(calls) == horizon * -(-runs // chunk_runs)
 
 
@@ -533,7 +529,7 @@ def test_batched_dcd_run_held_by_a_silence_resumes(monkeypatch):
         draws.append((x_rows, d, 0.0))
     config = FilterConfig(length=length, lam=0.5, rho=1e-4, ase=AseParams(c=2.0), dcd=DcdParams())
     calls = _spy_batched_core(monkeypatch)
-    _driver_matches_public_steps(monkeypatch, [AlgoSpec(kind="dcd_ase", config=config)], draws, None, runs, True)
+    _driver_matches_public_steps(monkeypatch, [AlgoSpec(kind="dcd_ase", config=config)], draws, None, runs)
     assert runs >= harness._DCD_BATCH_MIN_RUNS
     held = [t for t, moved in calls if t >= length - 1 and not moved[silent]]
     assert held and held[-1] < horizon - 1
@@ -570,7 +566,7 @@ def test_groups_of_every_kind_in_one_chunk_match_public_steps(monkeypatch, lengt
 
     monkeypatch.setattr(harness, "_dcd_batch_step", spy_batched)
     monkeypatch.setattr(harness, "_dcd_step", spy_scalar)
-    _lockstep_case(monkeypatch, algorithms, length, 2 * _BLOCK + 5, runs, runs, True, True, 25 + length)
+    _lockstep_case(monkeypatch, algorithms, length, 2 * _BLOCK + 5, runs, runs, True, 25 + length)
     assert seen == {"batched": {"shift"}, "scalar": {"dense"}}
 
 
@@ -606,7 +602,7 @@ def test_block_error_of_a_run_by_run_group_beside_finite_batches(monkeypatch):
     monkeypatch.setattr(harness, "_dcd_step", poisoning)
     pattern = r"^dcd_ase-dense: run 2: the filter state became non-finite in the block of samples 64 to 127$"
     with pytest.raises(FilterError, match=pattern):
-        harness._paired_runs(algorithms, length, horizon, runs, 0.0, draws.__getitem__, None, False)
+        harness._paired_runs(algorithms, length, horizon, runs, 0.0, draws.__getitem__, None)
     failing = [
         (spec.name, run) for spec in algorithms for run, state in enumerate(states[id(spec.config)])
         if not filters._state_is_finite(state)
@@ -630,7 +626,7 @@ def test_wall_time_splits_each_group_call_evenly(monkeypatch, runs):
 def test_lockstep_driver_matches_public_steps_at_length_64(monkeypatch):
     algorithms = default_algorithms(64)
     algorithms.insert(2, _alternate_vss_spec("iwf_ase", 64, 0.99, 0.5, 5.0, None))
-    _lockstep_case(monkeypatch, algorithms, 64, 2 * _BLOCK + 5, 3, 2, True, True, 64)
+    _lockstep_case(monkeypatch, algorithms, 64, 2 * _BLOCK + 5, 3, 2, True, 64)
 
 
 def test_lockstep_driver_matches_public_steps_on_the_matmul_route(monkeypatch):
@@ -651,7 +647,7 @@ def test_lockstep_driver_matches_public_steps_on_the_matmul_route(monkeypatch):
         return core(batch, xd, step_index)
 
     monkeypatch.setattr(harness, "_vss_steps", spy)
-    _lockstep_case(monkeypatch, algorithms, length, 2 * _BLOCK + 5, 3, 2, True, True, 6)
+    _lockstep_case(monkeypatch, algorithms, length, 2 * _BLOCK + 5, 3, 2, True, 6)
     assert routes and all(routes)
 
 
@@ -703,7 +699,7 @@ def test_lockstep_gated_row_keeps_signed_zeros(monkeypatch):
         return states[-1]
 
     monkeypatch.setattr(harness, "filter_init", recording_init)
-    records, _ = harness._paired_runs([spec], 2, 1203, 1, 0.0, lambda run: (x_rows, d, 0.0), None, False)
+    records, _ = harness._paired_runs([spec], 2, 1203, 1, 0.0, lambda run: (x_rows, d, 0.0), None)
     public = run_public_steps(spec, x_rows, d, 1.0)[0]
     assert not records[0].applied_rate[-1]
     assert np.signbit(public.stats).any()
@@ -724,7 +720,7 @@ def test_block_error_names_the_first_failing_run_then_algorithm(kinds):
     pattern = rf"^{kinds[0]}: run 1: the filter state became non-finite in the block of samples 0 to 63$"
     with pytest.raises(FilterError, match=pattern):
         harness._paired_runs(
-            default_algorithms(length, kinds), length, horizon, 2, 0.0, draws.__getitem__, None, False
+            default_algorithms(length, kinds), length, horizon, 2, 0.0, draws.__getitem__, None
         )
 
 
@@ -745,7 +741,7 @@ def test_batched_block_error_names_the_first_failing_run(monkeypatch):
     pattern = r"^dcd_ase: run 3: the filter state became non-finite in the block of samples 0 to 63$"
     with pytest.raises(FilterError, match=pattern):
         harness._paired_runs(
-            default_algorithms(length, ("dcd_ase",)), length, horizon, runs, 0.0, draws.__getitem__, None, False
+            default_algorithms(length, ("dcd_ase",)), length, horizon, runs, 0.0, draws.__getitem__, None
         )
     assert len(calls) == _BLOCK
 
@@ -770,7 +766,7 @@ def test_block_error_orders_runs_before_algorithms(monkeypatch):
     monkeypatch.setattr(harness, "_state_is_finite", finite)
     x_rows = regressors(np.ones(70), 3)
     with pytest.raises(FilterError, match=r"^iwf: run 0: .* block of samples 0 to 63$"):
-        harness._paired_runs(algorithms, 3, 70, 2, 0.0, lambda run: (x_rows, np.ones(70), 0.0), None, False)
+        harness._paired_runs(algorithms, 3, 70, 2, 0.0, lambda run: (x_rows, np.ones(70), 0.0), None)
 
 
 def test_run_sysid_nmsd_matches_per_sample_reference():
@@ -887,26 +883,6 @@ def test_setup_probe_stops_the_driver_at_its_first_sample(monkeypatch):
     assert reached == ["asefilt.harness._dcd_batch_step"] and not stepped
 
 
-def test_uninstrumented_driver_prices_nothing(monkeypatch):
-    """Without ``instrument`` the driver steps the cores and no step's cost
-    model prices the rows they return.  With it the cost model runs."""
-
-    def no_pricing(*args):
-        raise AssertionError("priced an uninstrumented step")
-
-    for name in ("vss_step_ops", "dcd_step_ops"):
-        monkeypatch.setattr(harness, name, no_pricing)
-    sc = make_sysid_scenario(length=4, horizon=80, mc_runs=2, seed=5)
-    anc = AncSpec(horizon=80, mc_runs=2, seed=5, filter_length=4)
-    for dcd_update in ("shift", "dense"):
-        algos = default_algorithms(4, dcd_update=dcd_update)
-        assert all(rec.op_counts is None for rec in run_sysid(sc, algos))
-        assert all(rec.op_counts is None for rec in run_anc(anc, algos)[0])
-        for spec in algos:
-            with pytest.raises(AssertionError, match="priced an uninstrumented step"):
-                run_sysid(sc, [spec], instrument=True)
-
-
 def test_driver_checks_no_layout(monkeypatch):
     """The driver builds every state with ``filter_init``, so it never
     checks where ``R`` lives; each public step and the public correlation
@@ -930,48 +906,28 @@ def test_driver_checks_no_layout(monkeypatch):
         filters.correlation_update(filters.filter_init(cfg), cfg, np.ones(4), 0.5, 1.0)
 
 
-def test_instrumented_driver_steps_the_cores_alike(monkeypatch):
-    """The driver calls each core with the same arguments with and without
-    ``instrument``: ``_dcd_step`` with state, config, row, d, weighting and
-    ``checked=False``,
-    ``_vss_steps`` and ``_dcd_batch_step`` each with the batch, the runs'
-    sample and the step index.  The pricing is added to the recorded
-    rows, not wrapped around the cores."""
-    calls = []
-
-    def snapshot(arg):
-        if isinstance(arg, np.ndarray):
-            return arg.shape, arg.tobytes()
-        if isinstance(arg, filters.FilterState):
-            return "state"
-        if isinstance(arg, filters._VssBatch):
-            return tuple(map(snapshot, (arg.w, arg.stats, arg.residual, arg.lam, arg.weightings)))
-        if isinstance(arg, filters._DcdBatch):
-            return tuple(map(snapshot, (arg.w, arg.residual, arg.ring, arg.normal_rows, arg.head)))
-        return tuple(arg) if isinstance(arg, list) else arg
+def test_driver_calls_the_cores_with_their_signatures(monkeypatch):
+    """The driver calls ``_dcd_step`` with state, config, row, d, weighting
+    and ``checked=False``, and ``_vss_steps`` and ``_dcd_batch_step`` each
+    with the batch, the runs' sample and the step index, so a tracer that
+    wraps them sees each call as the core receives it."""
+    calls = set()
 
     def recording(name):
         core = getattr(harness, name)
 
         def wrapper(*args, **kwargs):
-            calls.append((name, len(args), tuple(kwargs), tuple(map(snapshot, args))))
+            calls.add((name, len(args), tuple(kwargs)))
             return core(*args, **kwargs)
 
         monkeypatch.setattr(harness, name, wrapper)
 
     for name in CORES:
         recording(name)
-    seen = {}
-    for instrument in (False, True):
-        calls.clear()
-        for runs in (2, harness._DCD_BATCH_MIN_RUNS):
-            sc = make_sysid_scenario(length=4, horizon=_BLOCK + 5, mc_runs=runs, seed=5)
-            run_sysid(sc, default_algorithms(4), instrument=instrument)
-        seen[instrument] = list(calls)
-    assert {(name, n, kwargs) for name, n, kwargs, _ in seen[True]} == {
-        ("_vss_steps", 3, ()), ("_dcd_step", 6, ()), ("_dcd_batch_step", 3, ())
-    }
-    assert seen[False] == seen[True]
+    for runs in (2, harness._DCD_BATCH_MIN_RUNS):
+        sc = make_sysid_scenario(length=4, horizon=_BLOCK + 5, mc_runs=runs, seed=5)
+        run_sysid(sc, default_algorithms(4))
+    assert calls == {("_vss_steps", 3, ()), ("_dcd_step", 6, ()), ("_dcd_batch_step", 3, ())}
 
 
 def test_trusted_cores_do_no_counting():
@@ -1066,7 +1022,7 @@ def test_bad_draw_is_rejected_before_any_step(monkeypatch, bad):
         d = np.ones(29)
     with pytest.raises(ValueError):
         harness._paired_runs(
-            default_algorithms(3), 3, 30, 1, 0.0, lambda run: (x_rows, d, 0.0), None, False
+            default_algorithms(3), 3, 30, 1, 0.0, lambda run: (x_rows, d, 0.0), None
         )
 
 
