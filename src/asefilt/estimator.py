@@ -71,9 +71,13 @@ def ase_weight(e: float, params: AseParams) -> float:
     The denominator is ``e + sign(e) * zeta`` with ``sign(0) = +1``, so the
     regularizer always pushes the denominator away from zero and the result
     is nonnegative everywhere.  Outside the cutoff the weight is exactly 0.
+    At ``|e| == pi * c`` for some ``c``, ``e / c`` rounds just above pi and
+    the sine turns slightly negative (-1.4e-15 at ``c = 0.3803647443400834``);
+    such a weight is returned as 0.0.  A NaN ``e`` gives NaN.
     """
     e = float(e)
     if abs(e) > params.cutoff:
         return 0.0
     denom = e + (params.zeta if e >= 0.0 else -params.zeta)
-    return (2.0 / params.c) * math.sin(e / params.c) / denom
+    weight = (2.0 / params.c) * math.sin(e / params.c) / denom
+    return 0.0 if weight < 0.0 else weight

@@ -48,8 +48,15 @@ still overflow, so ``_vss_step``, which only the public steps call, keeps
 the check of :func:`correlation_update` on ``phi`` and raises
 :class:`ValueError` on a step size that is not finite before the weights
 move, and ``_dcd_step`` keeps, unless called with ``checked=False``, the
-checks of :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row and
-:func:`~asefilt.dcd.dcd_solve` on the system.  The Monte Carlo harness
+check of :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row,
+before the ring changes, and, before the solve, the part of
+:func:`~asefilt.dcd.dcd_solve`'s check its own system needs: the shape
+and finiteness of the ``rhs`` it built and, in dense mode, the finiteness
+of ``R`` (``dcd._check_rhs``), with the solver's messages.  Its hold test
+has already ruled out a weak pivot, and its arrays need no conversion.
+These checks, and that of ``x``, test an array's finiteness with
+``dcd._all_finite``: exact, free of numpy warnings, and half the cost of
+``np.isfinite(v).all()``.  The Monte Carlo harness
 (see :mod:`~asefilt.harness`) builds every state itself with
 :func:`filter_init`, so the layout always matches, and runs the cores
 unchecked.  It steps batches in lockstep, bit for bit: inversion-free
@@ -69,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import OpCounter, correlation_ops, dcd_step_ops, step_counts, vss_step_ops
-from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, _check_system, _dcd_solve
+from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, _all_finite, _check_rhs, _dcd_solve
 from .estimator import AseParams, ase_weight
 
 __all__ = [
@@ -287,7 +294,7 @@ def _check_sample(config: FilterConfig, x, d) -> tuple[np.ndarray, float]:
     x = np.asarray(x, dtype=float)
     if x.shape != (config.length,):
         raise ValueError(f"x must have shape ({config.length},), got {x.shape}")
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise ValueError("x must be finite")
     d = float(d)
     if not math.isfinite(d):
@@ -578,6 +585,16 @@ def dcd_ase_step(
     :func:`filter_init` fixes where ``R`` lives: a ring for a shift-mode
     config, dense otherwise.  A state that holds it in the other layout
     raises :class:`FilterError` before the core runs.
+
+    Checks, in this order, each once: the solver budget, the sample
+    (``x`` of shape ``(length,)`` and finite, ``d`` finite) and the
+    layout of ``R``; in shift mode the new ring row, finite, before it is
+    pushed (``"r_matrix rows must be finite"``, the ring unchanged); then,
+    unless the solve is held, the ``rhs`` the step built, of length
+    ``length`` and finite, and in dense mode ``R`` finite too (``"r_matrix
+    and rhs must be finite"``), before the solve, once ``R`` has taken the
+    sample.  Whichever raises, the weights, the residual and the step
+    counters are as they were.
     """
     _check_solver(config)
     return state, _public_step(
@@ -597,6 +614,7 @@ def _dcd_step(
     e = d - float(state.w @ x)
     applied, phi = _weigh(e, weighting)
 
+    shift = config.dcd_update == "shift"
     lam = config.lam
     correction = config._leak_correction
     rhs = lam * state.residual
@@ -608,7 +626,7 @@ def _dcd_step(
     # has decayed part of the diagonal to zero or to a subnormal: such a
     # pivot accepts every coordinate update and the weights run away.
     held = state.step_index < n - 1
-    if config.dcd_update == "shift":
+    if shift:
         r_mat = state.ring
         # The newest row is the previous first row, column(0) without a gather.
         row0 = lam * r_mat.newest + x[0] * x
@@ -636,7 +654,9 @@ def _dcd_step(
     updates = halvings = 0
     if not held:
         if checked:
-            _check_system(r_mat, rhs)
+            # What dcd_solve would check: the hold test has ruled out a weak
+            # pivot, and a ring's rows were checked as they were pushed.
+            _check_rhs(rhs, n, None if shift else r_mat)
         updates, halvings = _dcd_solve(r_mat, rhs, config.dcd, state.w)
     state.residual = rhs
 

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asefilt import AseParams, ase_cost, ase_score, ase_weight
+from asefilt import AseParams, FilterConfig, ase_cost, ase_score, ase_weight, filter_init, iwf_ase_step
 
 
 def test_params_validation():
@@ -124,3 +126,40 @@ def test_weight_denominator_guard_sign():
     wn = ase_weight(-1e-9, p)
     assert wp == pytest.approx(wn, rel=1e-9)
     assert wp < 2.0 / p.c**2 + 1e-6
+
+
+# e / c rounds just above pi at e = AseParams(C_NEGATIVE).cutoff, where the
+# unclamped weight is -1.415e-15.
+C_NEGATIVE = 0.3803647443400834
+
+
+def _unclamped_weight(e: float, p: AseParams) -> float:
+    return (2.0 / p.c) * math.sin(e / p.c) / (e + (p.zeta if e >= 0.0 else -p.zeta))
+
+
+def test_weight_at_the_cutoff_is_clamped_to_zero():
+    """A sample exactly at the cutoff is applied with weight 0.0, not with
+    the negative weight the sine rounds to, so the public step, whose
+    check rejects a negative weight, takes it."""
+    p = AseParams(C_NEGATIVE)
+    assert _unclamped_weight(p.cutoff, p) < 0.0
+    assert ase_weight(p.cutoff, p) == 0.0 and ase_weight(-p.cutoff, p) == 0.0
+    cfg = FilterConfig(length=2, lam=0.99, rho=0.1, ase=p)
+    state = filter_init(cfg)
+    state, out = iwf_ase_step(state, cfg, np.array([1.0, 0.0]), p.cutoff)
+    assert out.prior_error == p.cutoff and out.applied
+    assert np.array_equal(state.r_matrix, 0.99 * 0.1 * np.eye(2))  # weight 0: decay only
+
+
+def test_weight_of_nan_is_nan():
+    assert math.isnan(ase_weight(float("nan"), AseParams(2.0)))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(c=st.floats(1e-3, 1e3), sign=st.sampled_from([1.0, -1.0]))
+def test_weight_at_the_cutoff_is_never_negative(c, sign):
+    """At e = +-cutoff the weight is the sine formula's where that is not
+    negative, and 0.0 where it is."""
+    p = AseParams(c)
+    e = sign * p.cutoff
+    assert ase_weight(e, p) == max(_unclamped_weight(e, p), 0.0)

@@ -10,6 +10,7 @@ independently from the step outputs.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from asefilt import (
     update_ratio,
 )
 from asefilt.counting import solve_ops
-from asefilt.dcd import ShiftMatrix
+from asefilt.dcd import ShiftMatrix, _all_finite
 from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
 
 from oracles import (
@@ -221,6 +222,76 @@ def test_public_steps_keep_their_inner_checks(kind, dcd_update, message):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=message):
             step()
+
+
+_EDGE_VALUES = np.array([np.nan, np.inf, -np.inf, 1e308, -1e308, np.finfo(float).max, 5e-324, -5e-324, 2.2e-308, -0.0, 0.0])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    shape=st.one_of(st.tuples(st.integers(1, 300)), st.tuples(st.integers(1, 20), st.integers(1, 20))),
+    edge_share=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_all_finite_matches_isfinite_all_without_warnings(shape, edge_share, seed):
+    """The public steps' finiteness helper answers as ``np.isfinite(v).all()``
+    on 1-D and 2-D arrays of signed magnitudes from 1e-320 to 1e308, a
+    share of whose entries are NaN, +-inf, huge, subnormal or signed
+    zeros, and raises no floating-point error or warning on any of them."""
+    rng = np.random.default_rng(seed)
+    v = rng.choice((-1.0, 1.0), shape) * 10.0 ** rng.uniform(-320, 308, shape)
+    edge = rng.random(shape) < edge_share
+    v[edge] = rng.choice(_EDGE_VALUES, np.count_nonzero(edge))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = _all_finite(v)
+    assert got == bool(np.isfinite(v).all())
+
+
+def _frozen(st):
+    return (st.w.copy(), st.residual.copy(), st.step_index, st.updates_applied)
+
+
+def _assert_unchanged(st, before):
+    w, residual, step_index, updates_applied = before
+    assert np.array_equal(st.w, w) and np.array_equal(st.residual, residual)
+    assert (st.step_index, st.updates_applied) == (step_index, updates_applied)
+
+
+def test_dcd_step_raising_on_a_ring_row_leaves_the_state():
+    """A ring row that overflows raises before anything moves: the
+    weights, the residual, the counters and the ring are as they were."""
+    cfg = default_algorithms(3, ("dcd_ase",))[0].config
+    st = filter_init(cfg)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        dcd_ase_step(st, cfg, rng.standard_normal(3), 0.3)
+    before, ring_before = _frozen(st), st.ring.dense()
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="r_matrix rows must be finite"):
+        dcd_ase_step(st, cfg, np.full(3, 1e160), 0.1)
+    _assert_unchanged(st, before)
+    assert np.array_equal(st.ring.dense(), ring_before) and st.ring.pivots_normal
+
+
+@pytest.mark.parametrize("dcd_update", ["shift", "dense"])
+def test_dcd_step_raising_on_the_rhs_leaves_the_state(dcd_update):
+    """With the constant leakage schedule, rhs takes ``correction * w``;
+    at rho = 1e308 that overflows for weights of 1e12 while R stays
+    finite.  The step raises the solver's message before the solve and
+    leaves the weights, the residual and the counters as they were."""
+    cfg = FilterConfig(
+        length=3, lam=0.999, rho=1e308, ase=AseParams(2.0), dcd=DcdParams(),
+        delta_schedule="constant", dcd_update=dcd_update,
+    )
+    st = filter_init(cfg)
+    x = np.array([1.0, 0.0, 0.0])
+    for _ in range(2):
+        dcd_ase_step(st, cfg, x, 0.0)
+    st.w[:] = -1e12  # the prior error is then far outside the gate: phi = 0
+    before = _frozen(st)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="r_matrix and rhs must be finite"):
+        dcd_ase_step(st, cfg, x, 0.0)
+    _assert_unchanged(st, before)
 
 
 @pytest.mark.parametrize("step", [iwf_step, iwf_ase_step])

@@ -782,9 +782,9 @@ def test_run_sysid_nmsd_matches_per_sample_reference():
 def test_run_sysid_steps_check_no_sample(monkeypatch):
     """Each run is checked once and each state once per block: no step of
     the driver calls a per-sample check, the public correlation update,
-    the checked ring push or the solver's system check, in either update
-    mode."""
-    calls = {"_check_sample": 0, "correlation_update": 0, "push": 0, "_check_system": 0}
+    the checked ring push or the check of the system a step solves, in
+    either update mode."""
+    calls = {"_check_sample": 0, "correlation_update": 0, "push": 0, "_check_rhs": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -795,7 +795,7 @@ def test_run_sysid_steps_check_no_sample(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("_check_sample", "correlation_update", "_check_system"):
+    for name in ("_check_sample", "correlation_update", "_check_rhs"):
         counting(filters, name)
     counting(ShiftMatrix, "push")
     sc = make_sysid_scenario(length=4, horizon=150, mc_runs=2, seed=3)
@@ -809,7 +809,7 @@ def test_run_sysid_steps_check_no_sample(monkeypatch):
         for spec in default_algorithms(4, dcd_update=dcd_update):
             run_public_steps(spec, np.eye(4), np.ones(4), kernel_sigma=1.0)
     assert calls["_check_sample"] == 2 * 4 * 4 and calls["correlation_update"] == 0
-    assert calls["push"] == 4 and calls["_check_system"] > 0
+    assert calls["push"] == 4 and calls["_check_rhs"] > 0
 
 
 def test_traced_names_see_the_driver_and_the_public_steps(monkeypatch):

@@ -52,3 +52,21 @@ def test_loc_counts_every_module_and_sums_the_total():
     assert [row[0] for row in rows] == sorted(path.stem for path in package.glob("*.py"))
     assert total[0] == "total"
     assert [int(cell) for cell in total[1:]] == [sum(int(row[col]) for row in rows) for col in (1, 2, 3)]
+
+
+def test_step_times_prints_a_positive_time_per_layer():
+    """``tools/step_times.py --repeat 1`` prints one JSON row per algorithm
+    and length, each with a positive time for every layer."""
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "step_times.py"), "--repeat", "1"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(row["kind"], row["L"]) for row in rows] == [
+        (kind, length) for kind in ("iwf_ase", "dcd_ase") for length in (10, 64, 256)
+    ]
+    layers = ["public_us", "validation_us", "core_us", "in_core_checks_us", "step_output_us",
+              "all_finite_us", "isfinite_all_us"]
+    for row in rows:
+        assert sorted(row) == sorted(["kind", "L", *layers]), row
+        assert all(row[key] > 0 for key in layers), row
