@@ -126,7 +126,7 @@ _PULSE_OPTS = [
 _ALGO_OPTS = [
     Option("algos", str, ",".join(ALGORITHMS), "comma-separated algorithm list"),
     Option("algo", str, None, "run a single algorithm (overrides --algos)"),
-    Option("instrument", bool, False, "count executed float operations"),
+    Option("instrument", bool, False, "write the executed operation counts: summary.txt lines, and ops.csv for sysid"),
 ]
 
 _OUT_OPT = Option("out", str, None, f"output directory (default: ${OUTDIR_ENV} or ./{DEFAULT_OUTDIR})")

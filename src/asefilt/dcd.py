@@ -58,7 +58,7 @@ class DcdParams:
     n_updates: int = 8
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.h) and self.h > 0):
+        if not (isinstance(self.h, (int, float)) and np.isfinite(self.h) and self.h > 0):
             raise ValueError(f"h must be positive and finite, got {self.h!r}")
         if not (isinstance(self.m_bits, int) and self.m_bits >= 1):
             raise ValueError(f"m_bits must be an integer >= 1, got {self.m_bits!r}")

@@ -46,14 +46,18 @@ checked once, at the public boundary: a public step and
 ``state.stats`` and ``state.ring`` as they find them.  Finite input can
 still overflow, so ``_vss_step``, which only the public steps call, keeps
 the check of :func:`correlation_update` on ``phi`` and raises
-:class:`ValueError` on a step size that is not finite before the weights
-move, and ``_dcd_step`` keeps, unless called with ``checked=False``, the
-check of :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row,
-before the ring changes, and, before the solve, the part of
+:class:`ValueError` on a step size that is not finite before the weights,
+the residual or the step counters move, and ``_dcd_step`` keeps, unless
+called with ``checked=False``, the check of
+:meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row, before the
+ring changes, and, before the solve, the part of
 :func:`~asefilt.dcd.dcd_solve`'s check its own system needs: the shape
 and finiteness of the ``rhs`` it built and, in dense mode, the finiteness
 of ``R`` (``dcd._check_rhs``), with the solver's messages.  Its hold test
 has already ruled out a weak pivot, and its arrays need no conversion.
+So both families keep the contract :func:`dcd_ase_step` documents: a
+public step that raises leaves the weights, the residual and the step
+counters as they were, and at most the statistics have taken the sample.
 These checks, and that of ``x``, test an array's finiteness with
 ``dcd._all_finite``: exact, free of numpy warnings, and half the cost of
 ``np.isfinite(v).all()``.  The Monte Carlo harness
@@ -376,10 +380,8 @@ def _vss_step(
     _check_phi(phi)
     # A gated sample has phi = 0.0, so the update only decays the statistics.
     _correlation_update(state, config, x, d, phi)
-    state.updates_applied += applied
     r_mat = state.stats[:-1]
     r = state.theta - r_mat @ state.w
-    state.residual = r
     # Move the weights along r = theta - R w with the step size that
     # minimizes the exponentially weighted quadratic in that direction, but
     # hold them at rest until the delay line has filled once.  With only
@@ -394,6 +396,8 @@ def _vss_step(
         if not math.isfinite(mu):
             raise ValueError(f"the weight step size must be finite, got {mu!r}")
         state.w += mu * r
+    state.residual = r
+    state.updates_applied += applied
     state.step_index += 1
     return e, applied, phi, move
 
@@ -433,7 +437,7 @@ class _VssBatch:
     def finite(self) -> bool:
         """Whether ``w``, ``stats`` and ``residual`` are finite: if so, every
         state of the batch, which holds views of its row, is finite."""
-        return all(np.isfinite(arr).all() for arr in (self.w, self.stats, self.residual))
+        return all(_all_finite(arr) for arr in (self.w, self.stats, self.residual))
 
     def sync(self) -> None:
         """Nothing to move: each state holds views of its rows of the batch."""
@@ -527,7 +531,7 @@ def rmcc_step(
 def _check_kernel_width(sigma: float) -> None:
     """Reject a Gaussian kernel width that is not positive and finite, or
     whose ``2 sigma^2``, the denominator of the weight, underflows to zero."""
-    if not (math.isfinite(sigma) and sigma > 0):
+    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"kernel_sigma must be positive and finite, got {sigma!r}")
     if 2.0 * sigma * sigma == 0.0:
         raise ValueError(f"kernel_sigma {sigma!r} is too small: 2 * kernel_sigma**2 underflows to 0")
@@ -694,7 +698,7 @@ class _DcdBatch:
     def finite(self) -> bool:
         """Whether ``w``, ``residual`` and ``ring`` are finite: if so, every
         state of the batch, which holds views of its row, is finite."""
-        return all(np.isfinite(arr).all() for arr in (self.w, self.residual, self.ring))
+        return all(_all_finite(arr) for arr in (self.w, self.residual, self.ring))
 
     def sync(self) -> None:
         """Move every state's ring to the shared head and its pivot count."""
@@ -771,7 +775,7 @@ def _state_is_finite(state: FilterState) -> bool:
     one check after many trusted steps finds whatever a check after each
     of them would have."""
     r = state.stats if state.ring is None else state.ring.newest
-    return bool(np.isfinite(state.w).all() and np.isfinite(state.residual).all() and np.isfinite(r).all())
+    return _all_finite(state.w) and _all_finite(state.residual) and _all_finite(r)
 
 
 def update_ratio(state: FilterState) -> float:

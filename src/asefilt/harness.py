@@ -70,7 +70,7 @@ from typing import Callable
 import numpy as np
 
 from .counting import OpCounter, OpsPerIteration, dcd_step_ops, per_iteration, vss_step_ops
-from .dcd import DcdParams
+from .dcd import DcdParams, _all_finite
 from .estimator import AseParams
 from .filters import (
     FilterConfig,
@@ -206,9 +206,9 @@ class AncSpec:
             raise ValueError(f"mc_runs must be a positive integer, got {self.mc_runs!r}")
         if not (isinstance(self.filter_length, int) and self.filter_length >= 1):
             raise ValueError(f"filter_length must be a positive integer, got {self.filter_length!r}")
-        if not (0.0 <= self.pulse_rate <= 1.0):
+        if not (isinstance(self.pulse_rate, (int, float)) and 0.0 <= self.pulse_rate <= 1.0):
             raise ValueError(f"pulse_rate must lie in [0, 1], got {self.pulse_rate!r}")
-        if not math.isfinite(self.shaping_a1):
+        if not (isinstance(self.shaping_a1, (int, float)) and math.isfinite(self.shaping_a1)):
             raise ValueError(f"shaping_a1 must be finite, got {self.shaping_a1!r}")
         external = [v is not None for v in (self.primary, self.reference)]
         if any(external):
@@ -220,7 +220,7 @@ class AncSpec:
                 raise ValueError("primary and reference must be vectors of equal length")
             if p.size == 0:
                 raise ValueError("primary and reference must not be empty")
-            if not (np.isfinite(p).all() and np.isfinite(r).all()):
+            if not (_all_finite(p) and _all_finite(r)):
                 raise ValueError("primary and reference must be finite")
             if self.mc_runs != 1:
                 raise ValueError("external waveforms require mc_runs == 1")
@@ -230,7 +230,7 @@ class AncSpec:
                 c = np.asarray(self.clean, dtype=float)
                 if c.shape != p.shape:
                     raise ValueError("clean must match primary in length")
-                if not np.isfinite(c).all():
+                if not _all_finite(c):
                     raise ValueError("clean must be finite")
                 object.__setattr__(self, "clean", c)
         elif self.clean is not None:
@@ -378,7 +378,7 @@ def _check_draw(run: int, x_rows, d, horizon: int, length: int) -> list[np.ndarr
         value = np.asarray(value, dtype=float)
         if value.shape != shape:
             raise ValueError(f"run {run}: {name} must have shape {shape}, got {value.shape}")
-        if not np.isfinite(value).all():
+        if not _all_finite(value):
             raise ValueError(f"run {run}: {name} must be finite")
         checked.append(value)
     return checked
@@ -590,7 +590,7 @@ def _paired_runs(
         mse = se_sum[idx] / runs
         # The curve the experiment reports: the NMSD with a plant, else the residual MSE.
         name, curve = ("residual MSE", mse) if nmsd_db is None else ("NMSD", nmsd_db)
-        if not np.isfinite(curve).all():
+        if not _all_finite(curve):
             raise FilterError(f"{spec.name}: the {name} curve is not finite")
         records.append(
             RunRecord(
@@ -684,7 +684,7 @@ def random_spd_system(length: int, cond: float, seed) -> tuple[np.ndarray, np.nd
     """
     if not (isinstance(length, int) and length >= 1):
         raise ValueError(f"length must be a positive integer, got {length!r}")
-    if not (math.isfinite(cond) and cond >= 1.0):
+    if not (isinstance(cond, (int, float)) and math.isfinite(cond) and cond >= 1.0):
         raise ValueError(f"cond must be >= 1, got {cond!r}")
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((length, length)))
@@ -694,7 +694,7 @@ def random_spd_system(length: int, cond: float, seed) -> tuple[np.ndarray, np.nd
         matrix = 0.5 * (matrix + matrix.T)
         solution = rng.standard_normal(length)
         rhs = matrix @ solution
-    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
+    if not (_all_finite(matrix) and _all_finite(rhs)):
         raise ValueError(f"cond {cond!r} is too large: the test system overflows")
     return matrix, solution, rhs
 

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dcd import _all_finite
+
 __all__ = [
     "BgNoiseSpec",
     "PdPulseSpec",
@@ -42,9 +44,9 @@ class BgNoiseSpec:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p_r <= 1.0):
+        if not (isinstance(self.p_r, (int, float)) and 0.0 <= self.p_r <= 1.0):
             raise ValueError(f"p_r must lie in [0, 1], got {self.p_r!r}")
-        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
+        if not (isinstance(self.sigma2, (int, float)) and math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2!r}")
 
 
@@ -65,11 +67,11 @@ class PdPulseSpec:
     length: int = 120
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+        if not (isinstance(self.amplitude, (int, float)) and math.isfinite(self.amplitude) and self.amplitude > 0):
             raise ValueError(f"amplitude must be positive, got {self.amplitude!r}")
-        if not (math.isfinite(self.decay) and self.decay > 0):
+        if not (isinstance(self.decay, (int, float)) and math.isfinite(self.decay) and self.decay > 0):
             raise ValueError(f"decay must be positive, got {self.decay!r}")
-        if not (0.0 < self.freq < 0.5):
+        if not (isinstance(self.freq, (int, float)) and 0.0 < self.freq < 0.5):
             raise ValueError(f"freq must lie in (0, 0.5) cycles/sample, got {self.freq!r}")
         if not (isinstance(self.length, int) and self.length >= 2):
             raise ValueError(f"length must be an integer >= 2, got {self.length!r}")
@@ -103,7 +105,7 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         taps = np.asarray(self.system_taps, dtype=float)
-        if taps.ndim != 1 or taps.size == 0 or not np.isfinite(taps).all():
+        if taps.ndim != 1 or taps.size == 0 or not _all_finite(taps):
             raise ValueError("system_taps must be a nonempty finite vector")
         if not np.any(taps != 0.0):
             raise ValueError("system_taps must not be all zero")
@@ -112,7 +114,7 @@ class ScenarioSpec:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
         if not (isinstance(self.mc_runs, int) and self.mc_runs >= 1):
             raise ValueError(f"mc_runs must be a positive integer, got {self.mc_runs!r}")
-        if not math.isfinite(self.snr_db):
+        if not (isinstance(self.snr_db, (int, float)) and math.isfinite(self.snr_db)):
             raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
         background_variance(self.snr_db, float(taps @ taps))
 
@@ -156,8 +158,10 @@ def gen_background(n: int, snr_db: float, signal_power: float, seed) -> np.ndarr
     """White Gaussian noise sized so that ``signal_power`` over its variance hits ``snr_db``."""
     if not (isinstance(n, int) and n >= 0):
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not (math.isfinite(signal_power) and signal_power > 0):
+    if not (isinstance(signal_power, (int, float)) and math.isfinite(signal_power) and signal_power > 0):
         raise ValueError(f"signal_power must be positive, got {signal_power!r}")
+    if not isinstance(snr_db, (int, float)):
+        raise ValueError(f"snr_db must be a real number, got {snr_db!r}")
     variance = background_variance(snr_db, signal_power)
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) * math.sqrt(variance)
@@ -182,7 +186,7 @@ def gen_pd_pulses(n: int, pulse_rate: float, seed, pulse: PdPulseSpec = PdPulseS
     """
     if not (isinstance(n, int) and n >= 0):
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not (0.0 <= pulse_rate <= 1.0):
+    if not (isinstance(pulse_rate, (int, float)) and 0.0 <= pulse_rate <= 1.0):
         raise ValueError(f"pulse_rate must lie in [0, 1], got {pulse_rate!r}")
     template = pulse._template
     rng = np.random.default_rng(seed)

@@ -254,7 +254,8 @@ def _frozen(st):
 
 def _assert_unchanged(st, before):
     w, residual, step_index, updates_applied = before
-    assert np.array_equal(st.w, w) and np.array_equal(st.residual, residual)
+    # Bytes, so that a residual that was NaN must stay the same NaN.
+    assert st.w.tobytes() == w.tobytes() and st.residual.tobytes() == residual.tobytes()
     assert (st.step_index, st.updates_applied) == (step_index, updates_applied)
 
 
@@ -296,19 +297,24 @@ def test_dcd_step_raising_on_the_rhs_leaves_the_state(dcd_update):
 
 @pytest.mark.parametrize("step", [iwf_step, iwf_ase_step])
 def test_public_vss_steps_stop_before_nan_weights(step):
-    """x x^T overflows R at once and the residual is NaN from the first
-    step; the first move, once the delay line has filled, would make the
-    weights NaN.  The public step raises instead and leaves them as they
-    were."""
+    """A sample near 1e160 overflows x x^T in R, so the residual is NaN;
+    the first move, once the delay line has filled, would make the weights
+    NaN.  The public step raises instead and leaves the weights, the
+    residual and the step counters as they were, whether the residual was
+    NaN already (every sample huge) or finite (two ordinary samples
+    first)."""
     cfg = cfg_for(length=3)
-    st = filter_init(cfg)
-    x = np.full(3, 1e160)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):
-            step(st, cfg, x, 0.1)
-        with pytest.raises(ValueError, match="the weight step size must be finite, got nan"):
-            step(st, cfg, x, 0.1)
-    assert np.array_equal(st.w, np.zeros(3))
+    huge = np.full(3, 1e160)
+    for first in (huge, np.ones(3)):
+        st = filter_init(cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2):
+                step(st, cfg, first, 0.1)
+            before = _frozen(st)
+            with pytest.raises(ValueError, match="the weight step size must be finite, got nan"):
+                step(st, cfg, huge, 0.1)
+        assert np.array_equal(st.w, np.zeros(3))
+        _assert_unchanged(st, before)
 
 
 def test_iwf_ase_step_decomposes():
@@ -855,6 +861,34 @@ def test_outer_matches_the_broadcast_product_bit_for_bit(lead, m, n, data):
         out = np.empty(expected.shape)
         assert filters._outer(u, x, out=out) is out
     assert out.tobytes() == expected.tobytes()
+
+
+def _edge_operands(shape, rng):
+    """Operands of ``shape`` whose magnitudes span 1e-300 to 1e150, about
+    one in eight an exact zero of either sign: their products reach
+    overflow-free extremes, subnormals, underflow and exact zeros."""
+    values = 10.0 ** rng.uniform(-300, 150, shape)
+    values[rng.random(shape) < 0.125] = 0.0
+    return np.copysign(values, rng.choice((-1.0, 1.0), shape))
+
+
+def test_outer_matches_the_broadcast_product_at_the_library_shapes():
+    """At the lengths around ``filters._MATMUL_MIN_LENGTH`` and up to 256,
+    where the installed BLAS may take other kernels than at the small
+    shapes above, ``filters._outer`` equals the broadcast product of a
+    public step's ``(L + 1,)`` and ``(L,)`` rows, and of a lockstep batch's
+    ``(A, B, L + 1)`` and ``(B, L)`` rows, signed zeros aside."""
+    rng = np.random.default_rng(34)
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error")
+        for length in (1, 10, 47, 48, 64, 256):
+            u, x = _edge_operands(length + 1, rng), _edge_operands(length, rng)
+            assert np.array_equal(filters._outer(u, x), u[:, None] * x), length
+            for runs_shape in ((3, 1), (3, 4), (1, 10)):
+                u, x = _edge_operands(runs_shape + (length + 1,), rng), _edge_operands(runs_shape[1:] + (length,), rng)
+                out = np.empty(u.shape + (length,))
+                assert filters._outer(u, x, out=out) is out
+                assert np.array_equal(out, u[..., None] * x[:, None, :]), (runs_shape, length)
 
 
 def test_matmul_route_guard_keeps_signed_zeros_at_half_lam():

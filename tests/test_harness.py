@@ -27,7 +27,15 @@ from asefilt.harness import (
 )
 from asefilt.counting import per_iteration
 from asefilt.dcd import ShiftMatrix
-from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
+from asefilt.signals import (
+    BgNoiseSpec,
+    PdPulseSpec,
+    ScenarioSpec,
+    gen_background,
+    gen_bg_noise,
+    gen_pd_pulses,
+    regressors,
+)
 
 from oracles import run_public_steps, sysid_nmsd_reference
 
@@ -277,6 +285,39 @@ def test_anc_spec_rejects_clean_without_external_waveforms():
         AncSpec(horizon=50, mc_runs=1, seed=1, clean=np.full(50, np.nan))
     with pytest.raises(ValueError, match="clean requires primary and reference"):
         AncSpec(horizon=50, mc_runs=1, seed=1, clean=np.zeros(50))
+
+
+# Each real-valued parameter: a call that takes its value, and a valid value.
+_REAL_PARAMETERS = {
+    "h": (lambda v: DcdParams(h=v), 2.0),
+    "p_r": (lambda v: BgNoiseSpec(v, 1.0), 0.25),
+    "sigma2": (lambda v: BgNoiseSpec(0.1, v), 0.25),
+    "amplitude": (lambda v: PdPulseSpec(amplitude=v), 2.0),
+    "decay": (lambda v: PdPulseSpec(decay=v), 2.0),
+    "freq": (lambda v: PdPulseSpec(freq=v), 0.25),
+    "pulse_rate": (lambda v: AncSpec(horizon=10, mc_runs=1, seed=1, pulse_rate=v), 0.25),
+    "shaping_a1": (lambda v: AncSpec(horizon=10, mc_runs=1, seed=1, shaping_a1=v), 0.25),
+    "snr_db": (lambda v: ScenarioSpec(np.ones(3), horizon=10, mc_runs=1, seed=1, snr_db=v), 2.0),
+    "gen_background snr_db": (lambda v: gen_background(10, v, 1.0, 0), 2.0),
+    "gen_background signal_power": (lambda v: gen_background(10, 0.0, v, 0), 2.0),
+    "gen_pd_pulses pulse_rate": (lambda v: gen_pd_pulses(10, v, 0), 0.25),
+    "cond": (lambda v: random_spd_system(3, v, 0), 2.0),
+    "kernel_sigma": (lambda v: AlgoSpec("rmcc", default_algorithms(3, ("rmcc",))[0].config, kernel_sigma=v), 2.0),
+}
+
+
+@pytest.mark.parametrize("convert", [str, np.float32], ids=["str", "float32"])
+@pytest.mark.parametrize("parameter", list(_REAL_PARAMETERS))
+def test_a_real_parameter_given_a_non_number_raises_a_value_error_naming_it(parameter, convert):
+    """Each real-valued parameter tests that it is an ``int`` or ``float``
+    before its conditions, as ``AseParams`` and ``FilterConfig`` do, so a
+    valid value given as a string or as a numpy scalar other than
+    ``float64`` gets the documented ``ValueError``, not a ``TypeError``
+    from numpy or ``math``."""
+    build, valid = _REAL_PARAMETERS[parameter]
+    build(valid)
+    with pytest.raises(ValueError, match=parameter.split()[-1]):
+        build(convert(valid))
 
 
 def test_algo_spec_labels():
@@ -966,6 +1007,19 @@ def test_no_function_compares_a_kind_name():
     ``harness._KINDS``, and its nominal cost through ``harness._NOMINAL``;
     no function tells the kinds apart by name."""
     assert _kind_comparisons(Path(harness.__file__).parent) == []
+
+
+def test_every_finiteness_test_goes_through_the_one_helper():
+    """No module calls ``np.isfinite(...).all()``: every whole-array
+    finiteness test is ``dcd._all_finite``, exact and half the cost."""
+    found = []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "all"
+                    and isinstance(node.func.value, ast.Call)
+                    and ast.unparse(node.func.value.func) in ("np.isfinite", "numpy.isfinite")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 @pytest.mark.parametrize("horizon", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])

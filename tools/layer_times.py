@@ -1,38 +1,75 @@
-"""Time the layers of the dense O(L^2) statistics update one at a time.
+"""Time the layers of the library: public steps, the dense statistics update and the output writers.
 
-For L in 10, 16, 32, 48, 64, 128 and 256 this prints the best-of-N
-microseconds of each layer of a public inversion-free step (``iwf_step``,
-``iwf_ase_step``, ``rmcc_step``): the in-place decay of the ``(L + 1, L)``
-statistics array, the rank-one product ``u x^T`` by the broadcast multiply
-``u[:, None] * x``, by ``np.einsum("i,j->ij", u, x)`` and by the
-zero-padded matmul ``filters._outer``, the add of that product, and the
-two matrix-vector products ``R w`` and ``R r``.  Then, for the Monte Carlo
-driver's batched core at ``(algorithms, runs, L) = (3, B, L)`` with B in 1,
-4 and 10, it times the products of the batch: one broadcast multiply over
-the batch, one ``np.einsum`` per run, one stacked ``filters._outer`` over
-the batch and one ``_outer`` per run; and the whole update, decay,
-product and add, with the per-run einsum, the stacked matmul that
-``filters._vss_steps`` takes and ``_outer`` per run.  The crossover of the
-broadcast and the matmul sets ``filters._MATMUL_MIN_LENGTH``.
+One run prints one JSON line per row, in three groups.
 
-Each row also says, under ``*_matches``, whether each route's product
-equals the broadcast's bit for bit, signed zeros aside, on operands whose
-magnitudes span 1e-300 to 1e150 with exact zeros of both signs among them,
-so a BLAS that rounds the padded product differently shows here.  The
-timings use standard normal operands, which keep subnormal arithmetic out
-of them.  The package is imported from the ``src`` directory beside this
-script, so a copy of the repository times its own helper.
+**Public steps**, one row per ``kind`` (``iwf_ase``, and ``dcd_ase`` in
+shift mode, the default) and per ``L`` in 10, 64 and 256, with the
+best-of-N microseconds per call of:
+
+* ``public_us``: the whole public step;
+* ``validation_us``: the checks the public step runs before its core,
+  ``_check_sample`` and ``_check_layout``, and for ``dcd_ase``
+  ``_check_solver``;
+* ``core_us``: the private core, with its in-core checks off where it has
+  the switch (``_dcd_step(..., checked=False)``).  ``_vss_step`` has none,
+  so its two scalar checks are part of it;
+* ``in_core_checks_us``: those checks alone.  For ``dcd_ase`` they are the
+  finiteness check of the new ring row and ``_check_rhs`` on the
+  right-hand side, for ``iwf_ase`` the checks of the weight ``phi`` and
+  of the step size;
+* ``step_output_us``: building the :class:`StepOutput` the step returns;
+* ``all_finite_us`` and ``isfinite_all_us``: the library's finiteness
+  helper and ``np.isfinite(v).all()`` on a vector of L entries.
+
+The states are warmed up on a seeded system-identification stream past
+the delay-line fill, then every timed call steps or checks the next
+sample of that stream.
+
+**Dense statistics update**, one row per shape of the ``(L + 1, L)``
+statistics array of an inversion-free step: scalar rows, ``L`` in 10, 16,
+32, 48, 64, 128 and 256, and rows of the Monte Carlo driver's lockstep
+batch, ``(A, B, L) = (3, B, L)`` with ``B`` in 1, 4 and 10.  Each row
+times, in microseconds, the whole update (in-place decay, rank-one
+product ``u x^T`` and add) by each of the two routes
+``filters._matmul_route`` chooses between: ``update_broadcast_us``, the
+broadcast multiply ``u[:, None] * x``, and ``update_matmul_us``, the
+zero-padded matmul ``filters._outer``.  Rank the routes by these: at
+shapes that outgrow the L2 cache the product alone ranks them otherwise.
+Scalar rows also time each layer alone: ``decay_us``, the products
+``outer_broadcast_us`` and ``outer_matmul_us``, ``add_us``, and the two
+matrix-vector products ``matvec_rw_us`` (``R w``) and ``matvec_rr_us``
+(``R r``).  The operands are standard normal, which keeps subnormal
+arithmetic out of the times.
+
+**Writers**, one row per output writer of ``asefilt anc`` at the
+``anc-io`` shape, in milliseconds, on seeded random data written to a
+temporary directory:
+
+* ``write_csv`` of 20 000 rows x 5 columns at ``.12g`` (an ``iteration``
+  column and four curves, the shape of ``mse.csv``), once with its rows as
+  ``zip(range(n), *arrays)``, whose cells are numpy scalars
+  (``numpy_cells_ms``), and once with them drawn from ``tolist()`` copies
+  of the arrays, whose cells are Python floats (``float_cells_ms``);
+* ``save_waveform`` of 20 000 samples at ``.17g`` (``best_ms``);
+* ``svgplot.line_chart`` of four 20 000-point series against one shared
+  x array, as ``anc.svg`` plots them (``best_ms``).
+
+Every time is the best of ``--repeat`` rounds and includes the timing
+loop's call of a function, 0.02 to 0.05 us.  The package is imported from
+the ``src`` directory beside this script, so a copy of the repository
+times its own code.
 
     python tools/layer_times.py [--repeat N]
-
-prints one JSON line per shape.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -40,12 +77,20 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from asefilt.filters import _outer  # noqa: E402
+from asefilt import default_algorithms, filter_init, filters  # noqa: E402
+from asefilt.dcd import _all_finite, _check_rhs  # noqa: E402
+from asefilt.signals import regressors, save_waveform, write_csv  # noqa: E402
+from asefilt.svgplot import line_chart  # noqa: E402
 
-LENGTHS = (10, 16, 32, 48, 64, 128, 256)
+STEP_LENGTHS = (10, 64, 256)
+KINDS = ("iwf_ase", "dcd_ase")
+STREAM_SAMPLES = 3000
+UPDATE_LENGTHS = (10, 16, 32, 48, 64, 128, 256)
 RUNS = (1, 4, 10)
 ALGORITHMS = 3
 LAM = 0.999
+WRITER_SAMPLES = 20_000
+CURVES = 4
 
 
 def best_us(fn, number: int, repeat: int) -> float:
@@ -53,92 +98,125 @@ def best_us(fn, number: int, repeat: int) -> float:
     return round(min(timeit.repeat(fn, number=number, repeat=repeat)) / number * 1e6, 3)
 
 
-def edge_operands(shape: tuple, rng) -> np.ndarray:
-    """Operands of ``shape`` whose magnitudes span 1e-300 to 1e150, about
-    one in eight an exact zero of either sign: their products reach
-    overflow-free extremes, subnormals, underflow and exact zeros."""
-    values = rng.choice((-1.0, 1.0), shape) * 10.0 ** rng.uniform(-300, 150, shape)
-    values[rng.random(shape) < 0.125] = 0.0
-    return np.copysign(values, rng.choice((-1.0, 1.0), shape))
+def step_layers(kind: str, length: int, repeat: int, rng) -> dict:
+    """The layers of one public ``kind`` step at ``length`` taps."""
+    number = max(200, 50000 // length)
+    config = default_algorithms(length, (kind,))[0].config
+    state = filter_init(config)
+    x_rows = regressors(rng.standard_normal(STREAM_SAMPLES), length)
+    d = x_rows @ rng.standard_normal(length) + 0.1 * rng.standard_normal(STREAM_SAMPLES)
+    # Python-float d, as a caller passes it.
+    samples = list(zip(x_rows, d.tolist()))
+    warm = 4 * length + 100
+    dcd = kind == "dcd_ase"
+    step = filters.dcd_ase_step if dcd else filters.iwf_ase_step
+    for sample in samples[:warm]:
+        step(state, config, *sample)
+    cycle = itertools.cycle(samples[warm:])
+
+    def validation():
+        x, d = next(cycle)
+        if dcd:
+            filters._check_solver(config)
+        filters._check_sample(config, x, d)
+        filters._check_layout(state, dcd)
+
+    if dcd:
+        def core():
+            filters._dcd_step(state, config, *next(cycle), config.ase, checked=False)
+
+        row, rhs = state.ring.newest, state.residual
+
+        def in_core_checks():
+            _all_finite(row)
+            _check_rhs(rhs, length)
+    else:
+        def core():
+            filters._vss_step(state, config, *next(cycle), config.ase)
+
+        phi, mu = filters.ase_weight(0.5, config.ase), 0.5
+
+        def in_core_checks():
+            filters._check_phi(phi)
+            math.isfinite(mu)
+
+    vector = samples[-1][0]
+    return {
+        "kind": kind,
+        "L": length,
+        "public_us": best_us(lambda: step(state, config, *next(cycle)), number, repeat),
+        "validation_us": best_us(validation, number, repeat),
+        "core_us": best_us(core, number, repeat),
+        "in_core_checks_us": best_us(in_core_checks, number, repeat),
+        "step_output_us": best_us(lambda: filters.StepOutput(0.5, True), number, repeat),
+        "all_finite_us": best_us(lambda: _all_finite(vector), number, repeat),
+        "isfinite_all_us": best_us(lambda: np.isfinite(vector).all(), number, repeat),
+    }
 
 
-def route_matches(routes: dict, u_shape: tuple, x_shape: tuple, rng) -> dict:
-    """For each of ``routes``, ``name -> fn(u, x)``, whether its product
-    equals the first route's (the broadcast) on edge operands, signed zeros aside."""
-    u, x = edge_operands(u_shape, rng), edge_operands(x_shape, rng)
-    with np.errstate(under="ignore"):
-        products = {name: fn(u, x) for name, fn in routes.items()}
-    reference = products.pop(next(iter(routes)))
-    return {f"{name}_matches": bool(np.array_equal(product, reference)) for name, product in products.items()}
-
-
-def scalar_layers(length: int, number: int, repeat: int, rng) -> dict:
-    """The layers of one public inversion-free step at ``length`` taps."""
-    stats = np.vstack([np.eye(length), rng.standard_normal(length)])
-    u, x, w, r = rng.standard_normal(length + 1), rng.standard_normal(length), *rng.standard_normal((2, length))
-    outer, r_mat = u[:, None] * x, stats[:-1]
+def update_layers(runs: int | None, length: int, repeat: int, rng) -> dict:
+    """The dense statistics update at ``length`` taps by each route: of one
+    state (``runs`` None), as ``filters._correlation_update`` runs it, or of
+    a ``(3, runs, length)`` lockstep batch into a kept buffer, as
+    ``filters._vss_steps`` runs it."""
+    lead = () if runs is None else (ALGORITHMS, runs)
+    number = max(20, 20000 // length) if runs is None else max(5, 4000 // (runs * length))
+    u = rng.standard_normal(lead + (length + 1,))
+    x = rng.standard_normal(lead[1:] + (length,))
+    stats = rng.standard_normal(u.shape + (length,))
+    outer = u[..., None] * x[..., None, :]
+    out = None if runs is None else outer
     routes = {
-        "broadcast": lambda u, x: u[:, None] * x,
-        "einsum": lambda u, x: np.einsum("i,j->ij", u, x),
-        "matmul": _outer,
+        "broadcast": lambda: np.multiply(u[..., None], x[..., None, :], out=out),
+        "matmul": lambda: filters._outer(u, x, out=out),
     }
 
-    def decay():
+    def update(product):
         stats.__imul__(LAM)
+        np.add(stats, product(), out=stats)
 
-    def add():
-        stats.__iadd__(outer)
+    row = {"L": length} if runs is None else {"A": ALGORITHMS, "B": runs, "L": length}
+    row.update({f"update_{name}_us": best_us(lambda fn=fn: update(fn), number, repeat) for name, fn in routes.items()})
+    if runs is None:
+        r_mat, w, r = stats[:-1], *rng.standard_normal((2, length))
+        row.update({
+            "decay_us": best_us(lambda: stats.__imul__(LAM), number, repeat),
+            **{f"outer_{name}_us": best_us(fn, number, repeat) for name, fn in routes.items()},
+            "add_us": best_us(lambda: stats.__iadd__(outer), number, repeat),
+            "matvec_rw_us": best_us(lambda: r_mat @ w, number, repeat),
+            "matvec_rr_us": best_us(lambda: r_mat @ r, number, repeat),
+        })
+    return row
 
-    return {
-        "L": length,
-        "decay_us": best_us(decay, number, repeat),
-        **{f"outer_{name}_us": best_us(lambda fn=fn: fn(u, x), number, repeat) for name, fn in routes.items()},
-        "add_us": best_us(add, number, repeat),
-        "matvec_rw_us": best_us(lambda: r_mat @ w, number, repeat),
-        "matvec_rr_us": best_us(lambda: r_mat @ r, number, repeat),
-        **route_matches(routes, (length + 1,), (length,), rng),
-    }
 
+def writer_rows(repeat: int, rng) -> list[dict]:
+    """One row per output writer of ``asefilt anc``."""
+    def best_ms(fn):
+        return round(best_us(fn, 1, repeat) / 1e3, 3)
 
-def batched_outer(runs: int, length: int, number: int, repeat: int, rng) -> dict:
-    """The rank-one products and the whole update of a ``(3, runs, length)`` inversion-free batch."""
-    u = rng.standard_normal((ALGORITHMS, runs, length + 1))
-    x = rng.standard_normal((runs, length))
-    stats = np.zeros(u.shape + (length,))
-
-    def broadcast(u, x, out):
-        return np.multiply(u[..., None], x[:, None, :], out=out)
-
-    def einsum(u, x, out):
-        for u_run, x_run, out_run in zip(u.swapaxes(0, 1), x, out.swapaxes(0, 1)):
-            np.einsum("ai,j->aij", u_run, x_run, out=out_run)
-        return out
-
-    def matmul(u, x, out):
-        return _outer(u, x, out=out)
-
-    def matmul_per_run(u, x, out):
-        for u_run, x_run, out_run in zip(u.swapaxes(0, 1), x, out.swapaxes(0, 1)):
-            _outer(u_run, x_run, out=out_run)
-        return out
-
-    routes = {"broadcast": broadcast, "einsum": einsum, "matmul": matmul, "matmul_per_run": matmul_per_run}
-    outer = np.empty_like(stats)
-
-    def update(route):
-        stats.__imul__(LAM)
-        np.add(stats, route(u, x, outer), out=stats, where=True)
-
-    return {
-        "A": ALGORITHMS,
-        "B": runs,
-        "L": length,
-        **{f"batch_{name}_us": best_us(lambda fn=fn: fn(u, x, outer), number, repeat) for name, fn in routes.items()},
-        **{f"update_{name}_us": best_us(lambda fn=fn: update(fn), number, repeat)
-           for name, fn in routes.items() if name != "broadcast"},
-        **route_matches({name: lambda u, x, fn=fn: fn(u, x, np.empty(u.shape + x.shape[-1:]))
-                         for name, fn in routes.items()}, u.shape, x.shape, rng),
-    }
+    curves = [rng.standard_normal(WRITER_SAMPLES) ** 2 for _ in range(CURVES)]
+    header = ["iteration", *(f"c{i}" for i in range(CURVES))]
+    iters = np.arange(WRITER_SAMPLES)
+    series = [(f"c{i}", iters, 10 * np.log10(curve)) for i, curve in enumerate(curves)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        csv_row = {
+            "writer": "write_csv",
+            "rows": WRITER_SAMPLES,
+            "columns": 1 + CURVES,
+            "fmt": ".12g",
+            "numpy_cells_ms": best_ms(lambda: write_csv(path, header, zip(range(WRITER_SAMPLES), *curves), ".12g")),
+            "float_cells_ms": best_ms(
+                lambda: write_csv(path, header, zip(range(WRITER_SAMPLES), *(c.tolist() for c in curves)), ".12g")
+            ),
+        }
+        waveform_ms = best_ms(lambda: save_waveform(path, curves[0]))
+    return [
+        csv_row,
+        {"writer": "save_waveform", "rows": WRITER_SAMPLES, "fmt": ".17g", "best_ms": waveform_ms},
+        {"writer": "line_chart", "series": CURVES, "points": WRITER_SAMPLES,
+         "best_ms": best_ms(lambda: line_chart(series, title="t", xlabel="x", ylabel="y"))},
+    ]
 
 
 def main(argv=None) -> None:
@@ -148,12 +226,11 @@ def main(argv=None) -> None:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     rng = np.random.default_rng(0)
-    for length in LENGTHS:
-        print(json.dumps(scalar_layers(length, max(20, 20000 // length), args.repeat, rng)))
-    for length in LENGTHS:
-        for runs in RUNS:
-            number = max(5, 4000 // (runs * length))
-            print(json.dumps(batched_outer(runs, length, number, args.repeat, rng)))
+    rows = [step_layers(kind, length, args.repeat, rng) for kind in KINDS for length in STEP_LENGTHS]
+    rows += [update_layers(runs, length, args.repeat, rng) for runs in (None, *RUNS) for length in UPDATE_LENGTHS]
+    rows += writer_rows(args.repeat, rng)
+    for row in rows:
+        print(json.dumps(row))
 
 
 if __name__ == "__main__":
