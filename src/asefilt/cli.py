@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import check_int
 from .dcd import DcdParams, dcd_solve
 from .filters import DCD_UPDATE_MODES, DELTA_SCHEDULES, FilterError
 from .harness import (
@@ -437,15 +438,16 @@ def _run_sweep(param: str, runs: list[tuple]) -> tuple[list, tuple[list, list], 
 
 
 def plan_dcd_bench(opts: dict) -> tuple[list[int], list[tuple], list[tuple] | None]:
-    """The budgets; every system the bench solves, each drawn once here,
-    which checks ``length`` and ``cond``, as ``(matrix, solution, rhs,
-    params)`` with the checked step range and bits of its solves; and the
-    embedded runs unless ``--no-embedded``."""
+    """The budgets; every system the bench solves, each drawn once here
+    after the ``seed`` check, which checks ``length`` and ``cond``, as
+    ``(matrix, solution, rhs, params)`` with the checked step range and
+    bits of its solves; and the embedded runs unless ``--no-embedded``."""
     nu_list = _parse_list(opts["nu_list"], "nu_list", int)
     if any(nu < 1 for nu in nu_list):
         raise ConfigError("nu_list entries must be >= 1")
     if opts["systems"] < 1:
         raise ConfigError(f"systems must be >= 1, got {opts['systems']}")
+    check_int("seed", opts["seed"], 0, "a nonnegative integer")
     systems = []
     for i in range(opts["systems"]):
         r_matrix, x_star, rhs = random_spd_system(opts["length"], opts["cond"], [opts["seed"], 7, i])

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int, check_real, positive_finite
 from .counting import OpCounter, solve_ops
 
 __all__ = ["DcdParams", "DcdSolveResult", "ShiftMatrix", "dcd_solve"]
@@ -58,12 +59,9 @@ class DcdParams:
     n_updates: int = 8
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.h, (int, float)) and np.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"h must be positive and finite, got {self.h!r}")
-        if not (isinstance(self.m_bits, int) and self.m_bits >= 1):
-            raise ValueError(f"m_bits must be an integer >= 1, got {self.m_bits!r}")
-        if not (isinstance(self.n_updates, int) and self.n_updates >= 1):
-            raise ValueError(f"n_updates must be an integer >= 1, got {self.n_updates!r}")
+        check_real("h", self.h, "be positive and finite", positive_finite)
+        check_int("m_bits", self.m_bits, 1, "an integer >= 1")
+        check_int("n_updates", self.n_updates, 1, "an integer >= 1")
         # The solver's step sizes at halving depths 0 .. m_bits - 1: h / 2,
         # then the same repeated m *= 0.5 as a halving loop, so subnormal
         # steps get the same bits.  The ladder stops at the first zero step:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._checks import check_real, positive_finite
+
 __all__ = ["AseParams", "ase_cost", "ase_score", "ase_weight"]
 
 
@@ -39,10 +41,8 @@ class AseParams:
     zeta: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"c must be a positive finite number, got {self.c!r}")
-        if not (isinstance(self.zeta, (int, float)) and math.isfinite(self.zeta) and self.zeta > 0):
-            raise ValueError(f"zeta must be a positive finite number, got {self.zeta!r}")
+        check_real("c", self.c, "be a positive finite number", positive_finite)
+        check_real("zeta", self.zeta, "be a positive finite number", positive_finite)
         # Set here, not computed on every read: the filters' weighting reads
         # it once or twice per sample.
         object.__setattr__(self, "cutoff", math.pi * self.c)

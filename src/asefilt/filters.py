@@ -79,6 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int, check_real, positive_finite
 from .counting import OpCounter, correlation_ops, dcd_step_ops, step_counts, vss_step_ops
 from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, _all_finite, _check_rhs, _dcd_solve
 from .estimator import AseParams, ase_weight
@@ -152,12 +153,9 @@ class FilterConfig:
     dcd_update: str = "shift"
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.length, int) and self.length >= 1):
-            raise ValueError(f"length must be a positive integer, got {self.length!r}")
-        if not (isinstance(self.lam, (int, float)) and 0.0 < self.lam < 1.0):
-            raise ValueError(f"lam must lie strictly inside (0, 1), got {self.lam!r}")
-        if not (isinstance(self.rho, (int, float)) and math.isfinite(self.rho) and self.rho > 0):
-            raise ValueError(f"rho must be positive and finite, got {self.rho!r}")
+        check_int("length", self.length)
+        check_real("lam", self.lam, "lie strictly inside (0, 1)", lambda v: 0.0 < v < 1.0)
+        check_real("rho", self.rho, "be positive and finite", positive_finite)
         if not isinstance(self.ase, AseParams):
             raise ValueError("ase must be an AseParams instance")
         if self.dcd is not None and not isinstance(self.dcd, DcdParams):
@@ -531,8 +529,7 @@ def rmcc_step(
 def _check_kernel_width(sigma: float) -> None:
     """Reject a Gaussian kernel width that is not positive and finite, or
     whose ``2 sigma^2``, the denominator of the weight, underflows to zero."""
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"kernel_sigma must be positive and finite, got {sigma!r}")
+    check_real("kernel_sigma", sigma, "be positive and finite", positive_finite)
     if 2.0 * sigma * sigma == 0.0:
         raise ValueError(f"kernel_sigma {sigma!r} is too small: 2 * kernel_sigma**2 underflows to 0")
 

@@ -69,6 +69,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import check_int, check_real, unit_interval
 from .counting import OpCounter, OpsPerIteration, dcd_step_ops, per_iteration, vss_step_ops
 from .dcd import DcdParams, _all_finite
 from .estimator import AseParams
@@ -200,16 +201,12 @@ class AncSpec:
     clean: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.horizon, int) and self.horizon >= 1):
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
-        if not (isinstance(self.mc_runs, int) and self.mc_runs >= 1):
-            raise ValueError(f"mc_runs must be a positive integer, got {self.mc_runs!r}")
-        if not (isinstance(self.filter_length, int) and self.filter_length >= 1):
-            raise ValueError(f"filter_length must be a positive integer, got {self.filter_length!r}")
-        if not (isinstance(self.pulse_rate, (int, float)) and 0.0 <= self.pulse_rate <= 1.0):
-            raise ValueError(f"pulse_rate must lie in [0, 1], got {self.pulse_rate!r}")
-        if not (isinstance(self.shaping_a1, (int, float)) and math.isfinite(self.shaping_a1)):
-            raise ValueError(f"shaping_a1 must be finite, got {self.shaping_a1!r}")
+        check_int("horizon", self.horizon)
+        check_int("mc_runs", self.mc_runs)
+        check_int("seed", self.seed, 0, "a nonnegative integer")
+        check_int("filter_length", self.filter_length)
+        check_real("pulse_rate", self.pulse_rate, "lie in [0, 1]", unit_interval)
+        check_real("shaping_a1", self.shaping_a1, "be finite")
         external = [v is not None for v in (self.primary, self.reference)]
         if any(external):
             if not all(external):
@@ -307,6 +304,7 @@ def make_sysid_scenario(
 ) -> ScenarioSpec:
     """Standard identification scenario: unit-norm random plant, white input,
     background noise at ``snr_db`` and optional Bernoulli-Gaussian impulses."""
+    check_int("seed", seed, 0, "a nonnegative integer")
     taps = gen_system(length, [seed, 0])
     impulses = BgNoiseSpec(impulse_prob, impulse_var) if with_impulses else None
     return ScenarioSpec(
@@ -682,10 +680,8 @@ def random_spd_system(length: int, cond: float, seed) -> tuple[np.ndarray, np.nd
     near the largest float can overflow the matrix or the right-hand side,
     which raises ``ValueError``.
     """
-    if not (isinstance(length, int) and length >= 1):
-        raise ValueError(f"length must be a positive integer, got {length!r}")
-    if not (isinstance(cond, (int, float)) and math.isfinite(cond) and cond >= 1.0):
-        raise ValueError(f"cond must be >= 1, got {cond!r}")
+    check_int("length", length)
+    check_real("cond", cond, "be >= 1", lambda v: math.isfinite(v) and v >= 1.0)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((length, length)))
     eigs = np.linspace(1.0, float(cond), length)
@@ -716,8 +712,7 @@ def count_ops(kind: str, length: int, dcd: DcdParams | None = None) -> NominalOp
     """Per-iteration addition and multiplication counts of the textbook
     forms of each algorithm, as polynomial functions of the filter length
     and, for the coordinate-descent variants, the solver budget."""
-    if not (isinstance(length, int) and length >= 1):
-        raise ValueError(f"length must be a positive integer, got {length!r}")
+    check_int("length", length)
     if kind not in _NOMINAL:
         raise ValueError(f"unknown algorithm kind {kind!r}")
     solver, cost = _NOMINAL[kind]

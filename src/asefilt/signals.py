@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import check_int, check_real, positive_finite, unit_interval
 from .dcd import _all_finite
 
 __all__ = [
@@ -44,10 +45,8 @@ class BgNoiseSpec:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.p_r, (int, float)) and 0.0 <= self.p_r <= 1.0):
-            raise ValueError(f"p_r must lie in [0, 1], got {self.p_r!r}")
-        if not (isinstance(self.sigma2, (int, float)) and math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
-            raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2!r}")
+        check_real("p_r", self.p_r, "lie in [0, 1]", unit_interval)
+        check_real("sigma2", self.sigma2, "be finite and nonnegative", lambda v: math.isfinite(v) and v >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -67,14 +66,10 @@ class PdPulseSpec:
     length: int = 120
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.amplitude, (int, float)) and math.isfinite(self.amplitude) and self.amplitude > 0):
-            raise ValueError(f"amplitude must be positive, got {self.amplitude!r}")
-        if not (isinstance(self.decay, (int, float)) and math.isfinite(self.decay) and self.decay > 0):
-            raise ValueError(f"decay must be positive, got {self.decay!r}")
-        if not (isinstance(self.freq, (int, float)) and 0.0 < self.freq < 0.5):
-            raise ValueError(f"freq must lie in (0, 0.5) cycles/sample, got {self.freq!r}")
-        if not (isinstance(self.length, int) and self.length >= 2):
-            raise ValueError(f"length must be an integer >= 2, got {self.length!r}")
+        check_real("amplitude", self.amplitude, "be positive", positive_finite)
+        check_real("decay", self.decay, "be positive", positive_finite)
+        check_real("freq", self.freq, "lie in (0, 0.5) cycles/sample", lambda v: 0.0 < v < 0.5)
+        check_int("length", self.length, 2, "an integer >= 2")
         t = np.arange(self.length, dtype=float)
         # A tiny decay overflows -t / decay to -inf, whose exp is 0.
         with np.errstate(over="ignore"):
@@ -110,19 +105,16 @@ class ScenarioSpec:
         if not np.any(taps != 0.0):
             raise ValueError("system_taps must not be all zero")
         object.__setattr__(self, "system_taps", taps)
-        if not (isinstance(self.horizon, int) and self.horizon >= 1):
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
-        if not (isinstance(self.mc_runs, int) and self.mc_runs >= 1):
-            raise ValueError(f"mc_runs must be a positive integer, got {self.mc_runs!r}")
-        if not (isinstance(self.snr_db, (int, float)) and math.isfinite(self.snr_db)):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db!r}")
+        check_int("horizon", self.horizon)
+        check_int("mc_runs", self.mc_runs)
+        check_int("seed", self.seed, 0, "a nonnegative integer")
+        check_real("snr_db", self.snr_db, "be finite")
         background_variance(self.snr_db, float(taps @ taps))
 
 
 def gen_system(length: int, seed) -> np.ndarray:
     """Draw a random plant: standard normal taps scaled to unit Euclidean norm."""
-    if not (isinstance(length, int) and length >= 1):
-        raise ValueError(f"length must be a positive integer, got {length!r}")
+    check_int("length", length)
     rng = np.random.default_rng(seed)
     taps = rng.standard_normal(length)
     norm = float(np.linalg.norm(taps))
@@ -134,8 +126,7 @@ def gen_system(length: int, seed) -> np.ndarray:
 
 def gen_bg_noise(n: int, spec: BgNoiseSpec, seed) -> np.ndarray:
     """Bernoulli-Gaussian impulse train: occurrence mask times Gaussian amplitudes."""
-    if not (isinstance(n, int) and n >= 0):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    check_int("n", n, 0, "a nonnegative integer")
     rng = np.random.default_rng(seed)
     mask = rng.random(n) < spec.p_r
     amplitudes = rng.standard_normal(n) * math.sqrt(spec.sigma2)
@@ -156,12 +147,9 @@ def background_variance(snr_db: float, signal_power: float) -> float:
 
 def gen_background(n: int, snr_db: float, signal_power: float, seed) -> np.ndarray:
     """White Gaussian noise sized so that ``signal_power`` over its variance hits ``snr_db``."""
-    if not (isinstance(n, int) and n >= 0):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not (isinstance(signal_power, (int, float)) and math.isfinite(signal_power) and signal_power > 0):
-        raise ValueError(f"signal_power must be positive, got {signal_power!r}")
-    if not isinstance(snr_db, (int, float)):
-        raise ValueError(f"snr_db must be a real number, got {snr_db!r}")
+    check_int("n", n, 0, "a nonnegative integer")
+    check_real("signal_power", signal_power, "be positive", positive_finite)
+    check_real("snr_db", snr_db, "be finite")
     variance = background_variance(snr_db, signal_power)
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) * math.sqrt(variance)
@@ -172,6 +160,7 @@ def iir_shape(x: np.ndarray, a1: float = 0.2) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("x must be a vector")
+    check_real("a1", a1, "be finite")
     y = x.copy()
     y[1:] -= a1 * x[:-1]
     return y
@@ -184,10 +173,8 @@ def gen_pd_pulses(n: int, pulse_rate: float, seed, pulse: PdPulseSpec = PdPulseS
     overlapping pulses superpose.  Each pulse is the scaled template of
     ``pulse``, whose peak magnitude equals ``pulse.amplitude`` exactly.
     """
-    if not (isinstance(n, int) and n >= 0):
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    if not (isinstance(pulse_rate, (int, float)) and 0.0 <= pulse_rate <= 1.0):
-        raise ValueError(f"pulse_rate must lie in [0, 1], got {pulse_rate!r}")
+    check_int("n", n, 0, "a nonnegative integer")
+    check_real("pulse_rate", pulse_rate, "lie in [0, 1]", unit_interval)
     template = pulse._template
     rng = np.random.default_rng(seed)
     starts = np.flatnonzero(rng.random(n) < pulse_rate)
@@ -203,8 +190,7 @@ def regressors(x: np.ndarray, length: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("x must be a vector")
-    if not (isinstance(length, int) and length >= 1):
-        raise ValueError(f"length must be a positive integer, got {length!r}")
+    check_int("length", length)
     n = x.shape[0]
     out = np.zeros((n, length))
     for k in range(min(length, n)):

@@ -134,6 +134,10 @@ def test_config_file_is_checked_and_read_literally(tmp_path, capsys, monkeypatch
         (["sysid", "--algos", ","], "no algorithms selected"),
         (["anc", "--reference-file", "r.csv"], "missing primary channel file (--primary-file)"),
         (["anc", "--clean-file", "c.csv"], "clean_file requires primary_file and reference_file"),
+        (["sysid", "--seed=-5"], "seed must be a nonnegative integer, got -5"),
+        (["anc", "--seed=-5"], "seed must be a nonnegative integer, got -5"),
+        (["sweep", "--param", "c", "--values", "1,2", "--seed=-5"], "seed must be a nonnegative integer, got -5"),
+        (["dcd-bench", "--seed=-5"], "seed must be a nonnegative integer, got -5"),
     ],
 )
 def test_planning_rejects_incomplete_inputs(tmp_path, capsys, argv, message):

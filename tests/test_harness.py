@@ -34,6 +34,8 @@ from asefilt.signals import (
     gen_background,
     gen_bg_noise,
     gen_pd_pulses,
+    gen_system,
+    iir_shape,
     regressors,
 )
 
@@ -289,6 +291,10 @@ def test_anc_spec_rejects_clean_without_external_waveforms():
 
 # Each real-valued parameter: a call that takes its value, and a valid value.
 _REAL_PARAMETERS = {
+    "c": (lambda v: AseParams(c=v), 2.0),
+    "zeta": (lambda v: AseParams(2.0, zeta=v), 1e-4),
+    "lam": (lambda v: FilterConfig(3, v, 1e-4, AseParams(2.0)), 0.5),
+    "rho": (lambda v: FilterConfig(3, 0.5, v, AseParams(2.0)), 1e-4),
     "h": (lambda v: DcdParams(h=v), 2.0),
     "p_r": (lambda v: BgNoiseSpec(v, 1.0), 0.25),
     "sigma2": (lambda v: BgNoiseSpec(0.1, v), 0.25),
@@ -301,22 +307,62 @@ _REAL_PARAMETERS = {
     "gen_background snr_db": (lambda v: gen_background(10, v, 1.0, 0), 2.0),
     "gen_background signal_power": (lambda v: gen_background(10, 0.0, v, 0), 2.0),
     "gen_pd_pulses pulse_rate": (lambda v: gen_pd_pulses(10, v, 0), 0.25),
+    "iir_shape a1": (lambda v: iir_shape(np.ones(3), v), 0.25),
     "cond": (lambda v: random_spd_system(3, v, 0), 2.0),
     "kernel_sigma": (lambda v: AlgoSpec("rmcc", default_algorithms(3, ("rmcc",))[0].config, kernel_sigma=v), 2.0),
 }
 
 
-@pytest.mark.parametrize("convert", [str, np.float32], ids=["str", "float32"])
+@pytest.mark.parametrize("convert", [str, np.float32, bool], ids=["str", "float32", "bool"])
 @pytest.mark.parametrize("parameter", list(_REAL_PARAMETERS))
 def test_a_real_parameter_given_a_non_number_raises_a_value_error_naming_it(parameter, convert):
-    """Each real-valued parameter tests that it is an ``int`` or ``float``
-    before its conditions, as ``AseParams`` and ``FilterConfig`` do, so a
-    valid value given as a string or as a numpy scalar other than
-    ``float64`` gets the documented ``ValueError``, not a ``TypeError``
-    from numpy or ``math``."""
+    """Each real-valued parameter goes through ``_checks.check_real``,
+    which tests that it is an ``int`` or ``float`` and not a ``bool``
+    before its conditions, so a valid value given as a string, as a numpy
+    scalar other than ``float64`` or as ``True`` gets the documented
+    ``ValueError``, not a ``TypeError`` from numpy or ``math`` nor a
+    silent ``1``."""
     build, valid = _REAL_PARAMETERS[parameter]
     build(valid)
     with pytest.raises(ValueError, match=parameter.split()[-1]):
+        build(convert(valid))
+
+
+# Each integer parameter: a call that takes its value, and a valid value.
+_INT_PARAMETERS = {
+    "length": (lambda v: FilterConfig(v, 0.5, 1e-4, AseParams(2.0)), 3),
+    "m_bits": (lambda v: DcdParams(m_bits=v), 8),
+    "n_updates": (lambda v: DcdParams(n_updates=v), 8),
+    "horizon": (lambda v: AncSpec(horizon=v, mc_runs=1, seed=1), 10),
+    "mc_runs": (lambda v: AncSpec(horizon=10, mc_runs=v, seed=1), 1),
+    "seed": (lambda v: AncSpec(horizon=10, mc_runs=1, seed=v), 1),
+    "filter_length": (lambda v: AncSpec(horizon=10, mc_runs=1, seed=1, filter_length=v), 5),
+    "ScenarioSpec horizon": (lambda v: ScenarioSpec(np.ones(3), horizon=v, mc_runs=1, seed=1), 10),
+    "ScenarioSpec mc_runs": (lambda v: ScenarioSpec(np.ones(3), horizon=10, mc_runs=v, seed=1), 1),
+    "ScenarioSpec seed": (lambda v: ScenarioSpec(np.ones(3), horizon=10, mc_runs=1, seed=v), 1),
+    "make_sysid_scenario length": (lambda v: make_sysid_scenario(length=v, horizon=10, mc_runs=1), 3),
+    "make_sysid_scenario seed": (lambda v: make_sysid_scenario(3, 10, 1, seed=v), 1),
+    "PdPulseSpec length": (lambda v: PdPulseSpec(length=v), 120),
+    "gen_system length": (lambda v: gen_system(v, 0), 3),
+    "gen_bg_noise n": (lambda v: gen_bg_noise(v, BgNoiseSpec(0.1, 1.0), 0), 10),
+    "gen_background n": (lambda v: gen_background(v, 0.0, 1.0, 0), 10),
+    "gen_pd_pulses n": (lambda v: gen_pd_pulses(v, 0.1, 0), 10),
+    "regressors length": (lambda v: regressors(np.ones(4), v), 2),
+    "count_ops length": (lambda v: count_ops("iwf", v), 3),
+    "random_spd_system length": (lambda v: random_spd_system(v, 2.0, 0), 3),
+}
+
+
+@pytest.mark.parametrize("convert", [bool, float, str], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("parameter", list(_INT_PARAMETERS))
+def test_an_integer_parameter_given_a_non_integer_raises_a_value_error_naming_it(parameter, convert):
+    """Each integer parameter goes through ``_checks.check_int``: ``True``
+    is not a length, a count or a seed, nor is a float or a string of a
+    valid value."""
+    build, valid = _INT_PARAMETERS[parameter]
+    build(valid)
+    name = parameter.split()[-1]
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {convert(valid)!r}$"):
         build(convert(valid))
 
 
@@ -1019,6 +1065,23 @@ def test_every_finiteness_test_goes_through_the_one_helper():
                     and isinstance(node.func.value, ast.Call)
                     and ast.unparse(node.func.value.func) in ("np.isfinite", "numpy.isfinite")):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_every_scalar_parameter_check_goes_through_the_one_module():
+    """No module but ``_checks`` tests ``isinstance(v, int)`` or
+    ``isinstance(v, (int, float))``: ``check_int`` and ``check_real`` alone
+    say what an integer and a real parameter are, ``bool`` excluded."""
+    found = []
+    for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+        if path.name == "_checks.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2:
+                kinds = node.args[1]
+                names = {ast.unparse(e) for e in (kinds.elts if isinstance(kinds, ast.Tuple) else [kinds])}
+                if names in ({"int"}, {"int", "float"}):
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

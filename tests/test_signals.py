@@ -210,6 +210,9 @@ def test_scenario_spec_rejects_silent_taps_and_a_nonfinite_snr(kwargs, match):
         (lambda: gen_background(-1, 0.0, 1.0, 1), "n must be a nonnegative integer"),
         (lambda: gen_background(10, 0.0, 0.0, 1), "signal_power must be positive"),
         (lambda: gen_background(10, 0.0, np.inf, 1), "signal_power must be positive"),
+        (lambda: gen_background(10, np.nan, 1.0, 1), r"^snr_db must be finite, got nan$"),
+        (lambda: gen_background(10, np.inf, 1.0, 1), r"^snr_db must be finite, got inf$"),
+        (lambda: gen_background(10, -np.inf, 1.0, 1), r"^snr_db must be finite, got -inf$"),
         (lambda: gen_pd_pulses(-1, 0.1, 1), "n must be a nonnegative integer"),
         (lambda: gen_pd_pulses(10, 1.5, 1), r"pulse_rate must lie in \[0, 1\]"),
         (lambda: gen_pd_pulses(10, -0.1, 1), r"pulse_rate must lie in \[0, 1\]"),
@@ -218,6 +221,8 @@ def test_scenario_spec_rejects_silent_taps_and_a_nonfinite_snr(kwargs, match):
         (lambda: regressors(np.float64(1.0), 2), "x must be a vector"),
         (lambda: iir_shape(np.ones((2, 2))), "x must be a vector"),
         (lambda: iir_shape(np.float64(1.0)), "x must be a vector"),
+        (lambda: iir_shape(np.ones(3), np.nan), r"^a1 must be finite, got nan$"),
+        (lambda: iir_shape(np.ones(3), "x"), r"^a1 must be finite, got 'x'$"),
     ],
 )
 def test_generators_reject_bad_sizes_and_rates(call, match):
