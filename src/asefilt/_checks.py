@@ -2,10 +2,14 @@
 
 An integer parameter is an ``int`` that is not a ``bool``; a real one is
 an ``int`` or ``float`` (``numpy.float64`` included) that is not a
-``bool``.  Each check raises ``ValueError`` naming the parameter.
+``bool``, an ``int`` only within float range.  Each check judges the
+value as given, before any conversion, and raises ``ValueError`` naming
+the parameter, never ``TypeError`` or ``OverflowError``.  A caller
+converts a real parameter with ``float()`` only after its check.
 """
 
 import math
+import sys
 
 
 def check_int(name: str, value, low: int = 1, what: str = "a positive integer") -> None:
@@ -16,13 +20,20 @@ def check_int(name: str, value, low: int = 1, what: str = "a positive integer") 
 
 def check_real(name: str, value, what: str, ok=math.isfinite) -> None:
     """Reject a ``value`` that is not a real number for which ``ok`` holds;
-    ``what`` starts with its verb, as in ``"be finite"``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+    ``what`` starts with its verb, as in ``"be finite"``.  An ``int``
+    beyond float range is rejected before ``ok``, in whose ``math`` calls
+    it would raise ``OverflowError``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, int) and abs(value) > sys.float_info.max or not ok(value)):
         raise ValueError(f"{name} must {what}, got {value!r}")
 
 
 def positive_finite(v) -> bool:
     return math.isfinite(v) and v > 0
+
+
+def nonnegative_finite(v) -> bool:
+    return math.isfinite(v) and v >= 0.0
 
 
 def unit_interval(v) -> bool:

@@ -124,13 +124,13 @@ class ShiftMatrix:
     needs is built once, in ``__init__``, or again when the Monte Carlo
     driver moves the rows into a batch of rings: for each head the window,
     a read-only view of its diagonal, a read-only view of its first row
-    (:attr:`newest`) and the slot pair a push writes.  A push is then the
-    finiteness check, two slot writes and list lookups.  It also keeps
-    :attr:`pivots_normal` up to date, true while every pivot is a normal
-    positive float (at least :data:`MIN_PIVOT`), from one count: how many
-    of the newest rows, counted back from the newest, have a normal pivot.
-    A push resets it to 0 or adds 1, so the check costs O(1) instead of a
-    scan of the diagonal.
+    (:attr:`newest`) and the slot pair a push writes, as one view.  A push
+    is then the finiteness check, one write of the pair and list lookups.
+    It also keeps :attr:`pivots_normal` up to date, true while every pivot
+    is a normal positive float (at least :data:`MIN_PIVOT`), from one
+    count: how many of the newest rows, counted back from the newest, have
+    a normal pivot.  A push resets it to 0 or adds 1, so the check costs
+    O(1) instead of a scan of the diagonal.
     """
 
     def __init__(self, r_matrix: np.ndarray) -> None:
@@ -167,21 +167,22 @@ class ShiftMatrix:
         n = self.length
         flat = buf.reshape(-1)
         self._buf = buf
-        # _heads[h]: (window, diagonal, newest row, low slot, high slot) while the head is h.
+        # _heads[h]: (window, diagonal, newest row, slots h and h + n as one
+        # (2, n) view) while the head is h.
         self._heads = []
         for h in range(n):
             window = flat[h * n : (h + n) * n]
             diag, newest = window[::n], window[:n]
             diag.flags.writeable = False
             newest.flags.writeable = False
-            self._heads.append((window, diag, newest, buf[h], buf[h + n]))
+            self._heads.append((window, diag, newest, buf[h::n]))
 
     def _seek(self, head: int, normal_rows: int | None = None) -> None:
         """Make ``head`` the ring head, for rows another writer put in the
         buffer; with ``normal_rows``, also how many of the newest rows have
         a pivot of at least :data:`MIN_PIVOT`."""
         self._head = head
-        self._window, self._diag, self.newest, _, _ = self._heads[head]
+        self._window, self._diag, self.newest, _ = self._heads[head]
         if normal_rows is not None:
             self._normal_rows = normal_rows
             self.pivots_normal = normal_rows >= self.length
@@ -196,9 +197,8 @@ class ShiftMatrix:
         """:meth:`push` without the finiteness check."""
         # Slot ``head`` holds the oldest row, whose pivot leaves the window.
         head = (self._head or self.length) - 1
-        window, diag, newest, low, high = self._heads[head]
-        low[:] = row
-        high[:] = row
+        window, diag, newest, slots = self._heads[head]
+        slots[:] = row
         # A NaN pivot is not below MIN_PIVOT, so it counts as normal.
         self._normal_rows = 0 if float(row[0]) < MIN_PIVOT else self._normal_rows + 1
         self._head = head

@@ -44,10 +44,13 @@ checked once, at the public boundary: a public step and
 :func:`correlation_update` check the sample, then that the state holds
 ``R`` in the layout their update needs, and the cores index
 ``state.stats`` and ``state.ring`` as they find them.  Finite input can
-still overflow, so ``_vss_step``, which only the public steps call, keeps
-the check of :func:`correlation_update` on ``phi`` and raises
-:class:`ValueError` on a step size that is not finite before the weights,
-the residual or the step counters move, and ``_dcd_step`` keeps, unless
+still overflow, so ``_vss_step``, which only the public steps call, tests
+the ``phi`` it computed with the predicate and the message of
+:func:`correlation_update`'s check on ``phi``,
+``_checks.nonnegative_finite`` (not its type: :func:`_weigh` returns a
+float), and raises :class:`ValueError` on a step size that is not finite
+before the weights, the residual or the step counters move, and
+``_dcd_step`` keeps, unless
 called with ``checked=False``, the check of
 :meth:`~asefilt.dcd.ShiftMatrix.push` on the new ring row, before the
 ring changes, and, before the solve, the part of
@@ -79,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int, check_real, positive_finite
+from ._checks import check_int, check_real, nonnegative_finite, positive_finite
 from .counting import OpCounter, correlation_ops, dcd_step_ops, step_counts, vss_step_ops
 from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, _all_finite, _check_rhs, _dcd_solve
 from .estimator import AseParams, ase_weight
@@ -323,21 +326,20 @@ def correlation_update(
     whose entries ``(phi x_i) x_j`` and ``(phi d) x_j`` are the products of
     the two separate updates, bit for bit by either route of
     :func:`_matmul_route`.
+
+    ``x`` and ``d`` are samples, converted as given; ``phi`` is a real
+    parameter, checked by ``_checks.check_real`` as given, finite and
+    nonnegative, and only then converted with ``float()``, so ``"0.5"``,
+    ``True`` or ``numpy.float32(0.5)`` raise :class:`ValueError`.
     """
     x, d = _check_sample(config, x, d)
-    phi = _check_phi(phi)
+    check_real("phi", phi, "be finite and nonnegative", nonnegative_finite)
+    phi = float(phi)
     _check_layout(state, False)
     _correlation_update(state, config, x, d, phi)
     if state.ops is not None:
         state.ops.add(*correlation_ops(config, 1, phi != 0.0))
     return state
-
-
-def _check_phi(phi) -> float:
-    phi = float(phi)
-    if not (math.isfinite(phi) and phi >= 0.0):
-        raise ValueError(f"phi must be finite and nonnegative, got {phi!r}")
-    return phi
 
 
 def _correlation_update(state: FilterState, config: FilterConfig, x: np.ndarray, d: float, phi: float) -> None:
@@ -375,7 +377,8 @@ def _vss_step(
 ) -> tuple[float, bool, float, bool]:
     e = d - float(state.w @ x)
     applied, phi = _weigh(e, weighting)
-    _check_phi(phi)
+    if not nonnegative_finite(phi):
+        raise ValueError(f"phi must be finite and nonnegative, got {phi!r}")
     # A gated sample has phi = 0.0, so the update only decays the statistics.
     _correlation_update(state, config, x, d, phi)
     r_mat = state.stats[:-1]
@@ -519,19 +522,25 @@ def rmcc_step(
 
     Every sample is folded into the statistics (the Gaussian never reaches
     zero), which is what separates its behavior from the saturating
-    weighting under strong impulses.
+    weighting under strong impulses.  ``kernel_sigma`` is checked as
+    given, as :class:`~asefilt.harness.AlgoSpec` checks it, and converted
+    with ``float()`` only after, so a width that is not a positive finite
+    real (``"2.0"``, ``True``, ``numpy.float32(2)``) or whose ``2
+    sigma^2`` underflows raises :class:`ValueError`.
     """
-    kernel_sigma = float(kernel_sigma)
-    _check_kernel_width(kernel_sigma)
-    return state, _public_step(_vss_step, vss_step_ops, state, config, x, d, kernel_sigma)
+    sigma = _check_kernel_width(kernel_sigma)
+    return state, _public_step(_vss_step, vss_step_ops, state, config, x, d, sigma)
 
 
-def _check_kernel_width(sigma: float) -> None:
-    """Reject a Gaussian kernel width that is not positive and finite, or
-    whose ``2 sigma^2``, the denominator of the weight, underflows to zero."""
+def _check_kernel_width(sigma) -> float:
+    """``sigma`` as a float; rejects, before converting it, a Gaussian
+    kernel width that is not a positive finite real, and then one whose
+    ``2 sigma^2``, the denominator of the weight, underflows to zero."""
     check_real("kernel_sigma", sigma, "be positive and finite", positive_finite)
+    sigma = float(sigma)
     if 2.0 * sigma * sigma == 0.0:
         raise ValueError(f"kernel_sigma {sigma!r} is too small: 2 * kernel_sigma**2 underflows to 0")
+    return sigma
 
 
 def dcd_ase_step(
@@ -737,8 +746,7 @@ def _dcd_batch_step(batch: _DcdBatch, xd: np.ndarray, step_index: int) -> tuple:
     if correction != 0.0:
         row0[:, 0] += correction
         rhs[:, 0] -= correction * w[:, 0]
-    ring[:, head] = row0
-    ring[:, head + n] = row0
+    ring[:, head::n] = row0[:, None]
     batch.normal_rows += 1
     batch.normal_rows[row0[:, 0] < MIN_PIVOT] = 0
     batch.head = head

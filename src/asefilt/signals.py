@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import check_int, check_real, positive_finite, unit_interval
+from ._checks import check_int, check_real, nonnegative_finite, positive_finite, unit_interval
 from .dcd import _all_finite
 
 __all__ = [
@@ -46,7 +46,7 @@ class BgNoiseSpec:
 
     def __post_init__(self) -> None:
         check_real("p_r", self.p_r, "lie in [0, 1]", unit_interval)
-        check_real("sigma2", self.sigma2, "be finite and nonnegative", lambda v: math.isfinite(v) and v >= 0.0)
+        check_real("sigma2", self.sigma2, "be finite and nonnegative", nonnegative_finite)
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def background_variance(snr_db: float, signal_power: float) -> float:
     """Noise variance ``signal_power * 10 ** (-snr_db / 10)``; raises
     ``ValueError`` when it is not finite, as a very low ``snr_db`` makes it."""
     try:
-        variance = signal_power * 10.0 ** (-snr_db / 10.0)
+        variance = float(signal_power) * 10.0 ** (-float(snr_db) / 10.0)
     except OverflowError:
         variance = math.inf
     if not math.isfinite(variance):
@@ -191,11 +191,10 @@ def regressors(x: np.ndarray, length: int) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError("x must be a vector")
     check_int("length", length)
-    n = x.shape[0]
-    out = np.zeros((n, length))
-    for k in range(min(length, n)):
-        out[k:, k] = x[: n - k]
-    return out
+    # Window t + 1 of the padded signal is x[t - length + 1 : t + 1] with
+    # zero prehistory; the tap axis reversed, it is row t.
+    padded = np.concatenate([np.zeros(length), x])
+    return np.lib.stride_tricks.sliding_window_view(padded, length)[1:, ::-1].copy()
 
 
 def atomic_write(path, text: str) -> None:

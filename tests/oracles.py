@@ -26,6 +26,9 @@
   from :func:`run_public_steps`, one sample at a time.
 * :func:`csv_text_reference` -- the CSV text of ``write_csv``, formatted one
   cell at a time.
+* :func:`regressors_reference` -- the tapped-delay-line matrix of
+  ``regressors``, filled one column at a time; the library's strided copy
+  must match it byte for byte.
 * :func:`rls_steady_nmsd_db` -- the steady-state NMSD that RLS theory
   predicts for an exponentially weighted filter, an analytic line beside
   the Monte Carlo curves.
@@ -346,6 +349,16 @@ def csv_text_reference(header: list[str], rows, fmt: str) -> str:
     for row in rows:
         lines.append(",".join(str(c) if isinstance(c, (int, str)) else format(float(c), fmt) for c in row))
     return "\n".join(lines) + "\n"
+
+
+def regressors_reference(x: np.ndarray, length: int) -> np.ndarray:
+    """Row ``t`` is ``[x[t], x[t-1], ..., x[t-length+1]]`` with zero
+    prehistory: column ``k`` is ``x`` delayed by ``k`` samples."""
+    n = x.shape[0]
+    out = np.zeros((n, length))
+    for k in range(min(length, n)):
+        out[k:, k] = x[: n - k]
+    return out
 
 
 def rls_steady_nmsd_db(length: int, lam: float, noise_var: float, rate: float = 1.0) -> float:

@@ -421,6 +421,22 @@ def test_rmcc_weighting_factor():
         rmcc_step(st, cfg, x, d, kernel_sigma=0.0)
 
 
+def test_an_int_kernel_width_and_weight_step_as_their_floats():
+    """``rmcc_step`` and ``correlation_update`` convert ``kernel_sigma`` and
+    ``phi`` after their check, so an ``int`` steps bit for bit as the equal
+    ``float``."""
+    cfg = cfg_for(length=3)
+    x, d = np.array([0.5, -1.0, 2.0]), 0.75
+    for as_int, as_float in ((2, 2.0), (1, 1.0)):
+        states = [filter_init(cfg) for _ in range(4)]
+        rmcc_step(states[0], cfg, x, d, as_int)
+        rmcc_step(states[1], cfg, x, d, as_float)
+        correlation_update(states[2], cfg, x, d, as_int)
+        correlation_update(states[3], cfg, x, d, as_float)
+        for a, b in (states[:2], states[2:]):
+            assert a.stats.tobytes() == b.stats.tobytes() and a.w.tobytes() == b.w.tobytes()
+
+
 def test_rmcc_rejects_a_width_whose_square_underflows():
     """At sigma = 1e-300 the weight's denominator 2 sigma^2 is 0; the step
     raises ValueError instead of dividing by zero, and leaves the state.

@@ -289,6 +289,8 @@ def test_anc_spec_rejects_clean_without_external_waveforms():
         AncSpec(horizon=50, mc_runs=1, seed=1, clean=np.zeros(50))
 
 
+_RMCC = default_algorithms(3, ("rmcc",))[0].config
+
 # Each real-valued parameter: a call that takes its value, and a valid value.
 _REAL_PARAMETERS = {
     "c": (lambda v: AseParams(c=v), 2.0),
@@ -310,6 +312,8 @@ _REAL_PARAMETERS = {
     "iir_shape a1": (lambda v: iir_shape(np.ones(3), v), 0.25),
     "cond": (lambda v: random_spd_system(3, v, 0), 2.0),
     "kernel_sigma": (lambda v: AlgoSpec("rmcc", default_algorithms(3, ("rmcc",))[0].config, kernel_sigma=v), 2.0),
+    "rmcc_step kernel_sigma": (lambda v: filters.rmcc_step(filters.filter_init(_RMCC), _RMCC, np.ones(3), 0.5, v), 2.0),
+    "correlation_update phi": (lambda v: filters.correlation_update(filters.filter_init(_RMCC), _RMCC, np.ones(3), 0.5, v), 0.5),
 }
 
 
@@ -326,6 +330,42 @@ def test_a_real_parameter_given_a_non_number_raises_a_value_error_naming_it(para
     build(valid)
     with pytest.raises(ValueError, match=parameter.split()[-1]):
         build(convert(valid))
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["1e400", "-1e400"])
+@pytest.mark.parametrize("parameter", list(_REAL_PARAMETERS))
+def test_a_real_parameter_given_an_int_beyond_float_range_raises_a_value_error_naming_it(parameter, value):
+    """No float holds ``10**400``, and ``math.isfinite`` raises
+    ``OverflowError`` on it; ``check_real`` rejects it first, with the
+    parameter's own message."""
+    build, _ = _REAL_PARAMETERS[parameter]
+    name = parameter.split()[-1]
+    with pytest.raises(ValueError, match=rf"^{name} must .*, got {value!r}$"):
+        build(value)
+
+
+_ANY_VALUE = st.one_of(
+    st.integers(),
+    st.sampled_from([2**1024, -(2**1024), 10**400, int(np.finfo(float).max), 2**53 + 1]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.booleans(),
+    st.text(max_size=4),
+    st.builds(lambda kind, v: kind(v), st.sampled_from([np.float64, np.float32, np.float16, np.int64]), st.floats(-1e4, 1e4)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(value=_ANY_VALUE)
+@pytest.mark.parametrize("parameter", list(_REAL_PARAMETERS))
+def test_a_real_parameter_accepts_or_rejects_any_value_with_a_value_error_naming_it(parameter, value):
+    """Whatever it is given, a real parameter's call either accepts the
+    value or raises ``ValueError`` naming the parameter, never
+    ``TypeError`` or ``OverflowError``."""
+    build, _ = _REAL_PARAMETERS[parameter]
+    try:
+        build(value)
+    except ValueError as exc:
+        assert parameter.split()[-1] in str(exc)
 
 
 # Each integer parameter: a call that takes its value, and a valid value.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asefilt.signals import (
     BgNoiseSpec,
@@ -19,7 +21,7 @@ from asefilt.signals import (
     write_csv,
 )
 
-from oracles import csv_text_reference
+from oracles import csv_text_reference, regressors_reference
 
 
 def test_gen_system_unit_norm_and_deterministic():
@@ -134,6 +136,21 @@ def test_regressors_window_longer_than_signal():
     x = regressors(np.array([1.0, 2.0, 3.0]), 6)
     assert np.array_equal(x[:, :3], np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 0.0], [3.0, 2.0, 1.0]]))
     assert x.shape == (3, 6) and not x[:, 3:].any()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(n=st.integers(0, 40), length=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
+@example(n=2000, length=256, seed=5)
+@example(n=0, length=1, seed=0)
+def test_regressors_match_the_column_loop_byte_for_byte(n, length, seed):
+    """The strided copy of the zero-padded signal equals the column-by-column
+    fill byte for byte, for signals shorter than the window and empty ones
+    too; signed zeros and subnormals pass through as they are."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * rng.choice([0.0, -0.0, 5e-324, 1.0, 1e300], n)
+    got, expected = regressors(x, length), regressors_reference(x, length)
+    assert got.shape == expected.shape == (n, length)
+    assert got.flags.c_contiguous and got.tobytes() == expected.tobytes()
 
 
 def test_waveform_roundtrip_exact(tmp_path):

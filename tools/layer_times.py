@@ -15,8 +15,8 @@ best-of-N microseconds per call of:
   so its two scalar checks are part of it;
 * ``in_core_checks_us``: those checks alone.  For ``dcd_ase`` they are the
   finiteness check of the new ring row and ``_check_rhs`` on the
-  right-hand side, for ``iwf_ase`` the checks of the weight ``phi`` and
-  of the step size;
+  right-hand side, for ``iwf_ase`` the tests of the weight ``phi``
+  (``_checks.nonnegative_finite``) and of the step size;
 * ``step_output_us``: building the :class:`StepOutput` the step returns;
 * ``all_finite_us`` and ``isfinite_all_us``: the library's finiteness
   helper and ``np.isfinite(v).all()`` on a vector of L entries.
@@ -78,6 +78,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from asefilt import default_algorithms, filter_init, filters  # noqa: E402
+from asefilt._checks import nonnegative_finite  # noqa: E402
 from asefilt.dcd import _all_finite, _check_rhs  # noqa: E402
 from asefilt.signals import regressors, save_waveform, write_csv  # noqa: E402
 from asefilt.svgplot import line_chart  # noqa: E402
@@ -137,7 +138,7 @@ def step_layers(kind: str, length: int, repeat: int, rng) -> dict:
         phi, mu = filters.ase_weight(0.5, config.ase), 0.5
 
         def in_core_checks():
-            filters._check_phi(phi)
+            nonnegative_finite(phi)
             math.isfinite(mu)
 
     vector = samples[-1][0]
