@@ -73,12 +73,26 @@ shift-mode coordinate-descent runs through :func:`_dcd_batch_step` on a
 solve's first scan and leaves each solve to ``_dcd_solve``, started from
 the lead that scan found.  It checks a batch once per block of rows
 with its ``finite`` method, and a state with :func:`_state_is_finite`.
+
+The scalar cores take every dot and matrix-vector product with
+``ndarray.dot``, never ``@``.  Both reach the same BLAS ``ddot`` and
+``dgemv``, but ``.dot`` skips the dispatch of the ``matmul`` gufunc, 0.35
+to 0.8 us a call on a shared 2-vCPU Xeon (``matmul_wx_us`` against
+``dot_wx_us`` of ``tools/layer_times.py``), and copies a negative-stride
+operand to contiguous memory where ``@`` falls back to numpy's own loop,
+whose sums round otherwise: so a public step's bits do not depend on the
+memory layout of the ``x`` it is given.  On contiguous or positive-stride
+operands the two give the same bits.  The batched cores keep
+``np.vecdot`` and a stacked ``np.matmul``, for which numpy has no
+``.dot``; on the contiguous rows the driver builds they equal the scalar
+cores bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -268,14 +282,37 @@ class FilterState:
         return self.stats[-1]
 
 
-@dataclass(frozen=True)
 class StepOutput:
     """What one step tells the caller: the prior error and whether the
     rank-one statistics update was applied.  The weights are in the
-    returned state."""
+    returned state.
 
-    prior_error: float
-    applied: bool
+    A value: ``prior_error`` and ``applied`` are read-only, and two
+    outputs are equal, and hash alike, when both are.  Its ``__slots__``
+    and plain ``__init__`` build it in about 0.2 us, against 0.5 us for
+    an equivalent frozen dataclass, on a shared 2-vCPU Xeon
+    (``step_output_us`` of ``tools/layer_times.py``); its ``repr`` is the
+    dataclass's.
+    """
+
+    __slots__ = ("_prior_error", "_applied")
+    prior_error = property(attrgetter("_prior_error"))
+    applied = property(attrgetter("_applied"))
+
+    def __init__(self, prior_error: float, applied: bool) -> None:
+        self._prior_error = prior_error
+        self._applied = applied
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._prior_error, self._applied) == (other._prior_error, other._applied)
+
+    def __hash__(self) -> int:
+        return hash((self._prior_error, self._applied))
+
+    def __repr__(self) -> str:
+        return f"StepOutput(prior_error={self._prior_error!r}, applied={self._applied!r})"
 
 
 def filter_init(config: FilterConfig, *, ops: OpCounter | None = None) -> FilterState:
@@ -375,14 +412,14 @@ def _weigh(e: float, weighting: AseParams | float | None) -> tuple[bool, float]:
 def _vss_step(
     state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting
 ) -> tuple[float, bool, float, bool]:
-    e = d - float(state.w @ x)
+    e = d - float(state.w.dot(x))
     applied, phi = _weigh(e, weighting)
     if not nonnegative_finite(phi):
         raise ValueError(f"phi must be finite and nonnegative, got {phi!r}")
     # A gated sample has phi = 0.0, so the update only decays the statistics.
     _correlation_update(state, config, x, d, phi)
     r_mat = state.stats[:-1]
-    r = state.theta - r_mat @ state.w
+    r = state.theta - r_mat.dot(state.w)
     # Move the weights along r = theta - R w with the step size that
     # minimizes the exponentially weighted quadratic in that direction, but
     # hold them at rest until the delay line has filled once.  With only
@@ -393,7 +430,7 @@ def _vss_step(
     # gate never reopens.
     move = state.step_index >= config.length - 1
     if move:
-        mu = float(r @ r) / (float(r @ (r_mat @ r)) + VSS_GUARD)
+        mu = float(r.dot(r)) / (float(r.dot(r_mat.dot(r))) + VSS_GUARD)
         if not math.isfinite(mu):
             raise ValueError(f"the weight step size must be finite, got {mu!r}")
         state.w += mu * r
@@ -451,12 +488,13 @@ def _vss_steps(batch: _VssBatch, xd: np.ndarray, step_index: int) -> tuple[np.nd
     regressor row ``x`` followed by ``d``, shared by its algorithms; every
     row has taken ``step_index`` steps, so the weights of all of them move
     or none.  Returns the row ``(prior_error, applied, phi, moved)`` of
-    every state, the first three as ``(A, B)`` arrays.  Each product is
-    the scalar core's: ``np.vecdot`` for its dots, a stacked ``np.matmul``
-    for its ``R`` products, :func:`_weigh` per row, ``u = phi [x; d]``
-    in one multiply and the products ``u x^T`` by the core's route: the
-    broadcast multiply or, with ``batch.matmul_outer``, :func:`_outer`,
-    one stacked ``(A, B, L + 1, 2) @ (B, 2, L)`` call over the batch.
+    every state, the first three as ``(A, B)`` arrays.  Each product has
+    the scalar core's bits: ``np.vecdot`` for its ``.dot`` dots, a stacked
+    ``np.matmul`` for its ``R`` products, :func:`_weigh` per row,
+    ``u = phi [x; d]`` in one multiply and the products ``u x^T`` by the
+    core's route: the broadcast multiply or, with ``batch.matmul_outer``,
+    :func:`_outer`, one stacked ``(A, B, L + 1, 2) @ (B, 2, L)`` call
+    over the batch.
     """
     n, w, stats, residual, product = xd.shape[-1] - 1, batch.w, batch.stats, batch.residual, batch.product
     x = xd[:, :n]
@@ -621,7 +659,7 @@ def _dcd_step(
     state: FilterState, config: FilterConfig, x: np.ndarray, d: float, weighting, checked=True
 ) -> tuple[float, bool, float, bool, int, int]:
     n = config.length
-    e = d - float(state.w @ x)
+    e = d - float(state.w.dot(x))
     applied, phi = _weigh(e, weighting)
 
     shift = config.dcd_update == "shift"

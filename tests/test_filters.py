@@ -8,8 +8,10 @@ correlation-update modes the maintained right-hand side must equal
 independently from the step outputs.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -315,6 +317,21 @@ def test_public_vss_steps_stop_before_nan_weights(step):
                 step(st, cfg, huge, 0.1)
         assert np.array_equal(st.w, np.zeros(3))
         _assert_unchanged(st, before)
+
+
+def test_step_output_is_a_read_only_value():
+    """A ``StepOutput`` compares, hashes, prints, copies and pickles by its
+    two fields, and takes no assignment to them or to any other name."""
+    out = filters.StepOutput(-0.25, True)
+    assert out == filters.StepOutput(-0.25, True) != filters.StepOutput(-0.25, False)
+    assert hash(out) == hash(filters.StepOutput(-0.25, True))
+    assert out != (-0.25, True)
+    assert repr(out) == "StepOutput(prior_error=-0.25, applied=True)"
+    assert pickle.loads(pickle.dumps(out)) == copy.copy(out) == out
+    for name in ("prior_error", "applied", "weights"):
+        with pytest.raises(AttributeError):
+            setattr(out, name, 1.0)
+    assert (out.prior_error, out.applied) == (-0.25, True)
 
 
 def test_iwf_ase_step_decomposes():
@@ -738,6 +755,32 @@ def _impulsive_stream(length, horizon, seed):
     hits = rng.random(horizon) < 0.1
     d[hits] += 100.0 * rng.standard_normal(int(hits.sum()))
     return xs, d
+
+
+@pytest.mark.parametrize(
+    "kind, dcd_update",
+    [("iwf", "shift"), ("iwf_ase", "shift"), ("rmcc", "shift"), ("dcd_ase", "shift"), ("dcd_ase", "dense")],
+)
+def test_public_steps_do_not_depend_on_the_layout_of_x(kind, dcd_update):
+    """Each regressor given as a negative-stride view of the input stream,
+    as a tapped delay line reads it, steps a public step to the same
+    outputs and state bytes as its contiguous copy: the cores take their
+    products with ``ndarray.dot``, which copies such a view for BLAS, where
+    ``@`` would sum it in numpy's own loop and round otherwise."""
+    length, horizon = 10, 400
+    spec = default_algorithms(length, (kind,), dcd_update=dcd_update)[0]
+    rng = np.random.default_rng(37)
+    u = np.concatenate([np.zeros(length - 1), rng.standard_normal(horizon)])
+    views = [u[n:n + length][::-1] for n in range(horizon)]
+    x_rows = np.array(views)
+    assert views[0].strides[0] < 0 and np.array_equal(x_rows, regressors(u[length - 1:], length))
+    d = x_rows @ rng.standard_normal(length) + gen_bg_noise(horizon, BgNoiseSpec(0.1, 1e4), rng)
+    strided, strided_err, strided_applied, _ = run_public_steps(spec, views, d, kernel_sigma=1.0)
+    contiguous, err, applied, _ = run_public_steps(spec, x_rows, d, kernel_sigma=1.0)
+    assert strided_err.tobytes() == err.tobytes() and np.array_equal(strided_applied, applied)
+    assert not applied.all() if kind.endswith("_ase") else applied.all()
+    for name in ("w", "residual", "r_matrix"):
+        assert getattr(strided, name).tobytes() == getattr(contiguous, name).tobytes(), name
 
 
 @pytest.mark.parametrize("schedule", ["decaying", "constant"])

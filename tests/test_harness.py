@@ -332,21 +332,34 @@ def test_a_real_parameter_given_a_non_number_raises_a_value_error_naming_it(para
         build(convert(valid))
 
 
-@pytest.mark.parametrize("value", [10**400, -10**400], ids=["1e400", "-1e400"])
+# More digits than repr writes (sys.get_int_max_str_digits(), 4300 by default).
+_HUGE = 10**5000
+
+
+def _shown(value) -> str:
+    """A rejected value as its message shows it: its repr, or for an int
+    too long for one, its sign and bit length."""
+    if value in (_HUGE, -_HUGE):
+        return f"{'a negative' if value < 0 else 'an'} int of 16610 bits"
+    return repr(value)
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400, _HUGE], ids=["1e400", "-1e400", "1e5000"])
 @pytest.mark.parametrize("parameter", list(_REAL_PARAMETERS))
 def test_a_real_parameter_given_an_int_beyond_float_range_raises_a_value_error_naming_it(parameter, value):
     """No float holds ``10**400``, and ``math.isfinite`` raises
     ``OverflowError`` on it; ``check_real`` rejects it first, with the
-    parameter's own message."""
+    parameter's own message, which shows ``10**5000``, too long for
+    ``repr``, by its bit length."""
     build, _ = _REAL_PARAMETERS[parameter]
     name = parameter.split()[-1]
-    with pytest.raises(ValueError, match=rf"^{name} must .*, got {value!r}$"):
+    with pytest.raises(ValueError, match=rf"^{name} must .*, got {_shown(value)}$"):
         build(value)
 
 
 _ANY_VALUE = st.one_of(
     st.integers(),
-    st.sampled_from([2**1024, -(2**1024), 10**400, int(np.finfo(float).max), 2**53 + 1]),
+    st.sampled_from([2**1024, -(2**1024), 10**400, _HUGE, int(np.finfo(float).max), 2**53 + 1]),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.booleans(),
     st.text(max_size=4),
@@ -393,16 +406,19 @@ _INT_PARAMETERS = {
 }
 
 
-@pytest.mark.parametrize("convert", [bool, float, str], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "convert", [bool, float, str, lambda v: -_HUGE], ids=["bool", "float", "str", "-1e5000"]
+)
 @pytest.mark.parametrize("parameter", list(_INT_PARAMETERS))
 def test_an_integer_parameter_given_a_non_integer_raises_a_value_error_naming_it(parameter, convert):
     """Each integer parameter goes through ``_checks.check_int``: ``True``
     is not a length, a count or a seed, nor is a float or a string of a
-    valid value."""
+    valid value, nor ``-10**5000``, which the message shows by its bit
+    length."""
     build, valid = _INT_PARAMETERS[parameter]
     build(valid)
     name = parameter.split()[-1]
-    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {convert(valid)!r}$"):
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {_shown(convert(valid))}$"):
         build(convert(valid))
 
 
@@ -1105,6 +1121,22 @@ def test_every_finiteness_test_goes_through_the_one_helper():
                     and isinstance(node.func.value, ast.Call)
                     and ast.unparse(node.func.value.func) in ("np.isfinite", "numpy.isfinite")):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_filter_or_solver_product_uses_the_matmul_operator():
+    """``filters`` and ``dcd`` hold no ``@``: the scalar cores take their
+    products with ``ndarray.dot``, which skips the dispatch of the
+    ``matmul`` gufunc and keeps a step's bits independent of the layout of
+    ``x``, and the batched cores name their ``np.matmul`` and
+    ``np.vecdot`` calls."""
+    package = Path(harness.__file__).parent
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("filters.py", "dcd.py")
+        for node in ast.walk(ast.parse((package / name).read_text()))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    ]
     assert found == []
 
 

@@ -32,7 +32,7 @@ def test_layer_times_prints_every_row_group_with_positive_times():
         (steps, ["kind", "L", "public_us", "validation_us", "core_us", "in_core_checks_us", "step_output_us",
                  "all_finite_us", "isfinite_all_us"]),
         (scalar, ["L", *updates, "decay_us", "outer_broadcast_us", "outer_matmul_us", "add_us",
-                  "matvec_rw_us", "matvec_rr_us"]),
+                  "matvec_rw_us", "matvec_rr_us", "dot_wx_us", "matmul_rw_us", "matmul_wx_us"]),
         (batch, ["A", "B", "L", *updates]),
         (writers[:1], ["writer", "rows", "columns", "fmt", "numpy_cells_ms", "float_cells_ms"]),
         (writers[1:2], ["writer", "rows", "fmt", "best_ms"]),

@@ -36,9 +36,12 @@ broadcast multiply ``u[:, None] * x``, and ``update_matmul_us``, the
 zero-padded matmul ``filters._outer``.  Rank the routes by these: at
 shapes that outgrow the L2 cache the product alone ranks them otherwise.
 Scalar rows also time each layer alone: ``decay_us``, the products
-``outer_broadcast_us`` and ``outer_matmul_us``, ``add_us``, and the two
+``outer_broadcast_us`` and ``outer_matmul_us``, ``add_us``, the two
 matrix-vector products ``matvec_rw_us`` (``R w``) and ``matvec_rr_us``
-(``R r``).  The operands are standard normal, which keeps subnormal
+(``R r``) and the dot ``dot_wx_us`` (``w x``), each by ``ndarray.dot`` as
+the scalar cores take them, and the ``@`` twins ``matmul_rw_us`` and
+``matmul_wx_us``, whose difference is the dispatch of the ``matmul``
+gufunc.  The operands are standard normal, which keeps subnormal
 arithmetic out of the times.
 
 **Writers**, one row per output writer of ``asefilt anc`` at the
@@ -184,8 +187,11 @@ def update_layers(runs: int | None, length: int, repeat: int, rng) -> dict:
             "decay_us": best_us(lambda: stats.__imul__(LAM), number, repeat),
             **{f"outer_{name}_us": best_us(fn, number, repeat) for name, fn in routes.items()},
             "add_us": best_us(lambda: stats.__iadd__(outer), number, repeat),
-            "matvec_rw_us": best_us(lambda: r_mat @ w, number, repeat),
-            "matvec_rr_us": best_us(lambda: r_mat @ r, number, repeat),
+            "matvec_rw_us": best_us(lambda: r_mat.dot(w), number, repeat),
+            "matvec_rr_us": best_us(lambda: r_mat.dot(r), number, repeat),
+            "dot_wx_us": best_us(lambda: w.dot(x), number, repeat),
+            "matmul_rw_us": best_us(lambda: r_mat @ w, number, repeat),
+            "matmul_wx_us": best_us(lambda: w @ x, number, repeat),
         })
     return row
 
