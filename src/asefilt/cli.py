@@ -28,6 +28,7 @@ from .dcd import DcdParams, dcd_solve
 from .filters import DCD_UPDATE_MODES, DELTA_SCHEDULES, FilterError
 from .harness import (
     _KINDS,
+    _NOMINAL,
     ALGORITHMS,
     AlgoSpec,
     AncSpec,
@@ -373,6 +374,9 @@ def plan_anc(opts: dict) -> tuple[list[AlgoSpec], AncSpec]:
         reference=reference,
         clean=clean,
     )
+    if primary is not None:
+        # The files fix the run, and the summary reports it: one run of their length.
+        opts.update(runs=1, horizon=anc.primary.size)
     return algos, anc
 
 
@@ -478,7 +482,7 @@ def cmd_dcd_bench(opts: dict, plan) -> list[str]:
     ops_rows = []
     for nu in nu_list:
         dcd = DcdParams(h=2.0, m_bits=opts["m_bits"], n_updates=nu)
-        for kind in ("iwf", "iwf_ase", "rmcc", "dcd_rmcc", "dcd_ase"):
+        for kind in _NOMINAL:
             nominal = count_ops(kind, length, dcd)
             ops_rows.append([kind, nu, nominal.adds, nominal.mults])
     tables = {

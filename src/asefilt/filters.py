@@ -62,8 +62,8 @@ So both families keep the contract :func:`dcd_ase_step` documents: a
 public step that raises leaves the weights, the residual and the step
 counters as they were, and at most the statistics have taken the sample.
 These checks, and that of ``x``, test an array's finiteness with
-``dcd._all_finite``: exact, free of numpy warnings, and half the cost of
-``np.isfinite(v).all()``.  The Monte Carlo harness
+``_checks.all_finite``: exact, free of numpy warnings, and half the cost
+of ``np.isfinite(v).all()``.  The Monte Carlo harness
 (see :mod:`~asefilt.harness`) builds every state itself with
 :func:`filter_init`, so the layout always matches, and runs the cores
 unchecked.  It steps batches in lockstep, bit for bit: inversion-free
@@ -96,9 +96,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._checks import check_int, check_real, nonnegative_finite, positive_finite
+from ._checks import all_finite, check_array, check_int, check_real, nonnegative_finite, positive_finite
 from .counting import OpCounter, correlation_ops, dcd_step_ops, step_counts, vss_step_ops
-from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, _all_finite, _check_rhs, _dcd_solve
+from .dcd import MIN_PIVOT, DcdParams, ShiftMatrix, _check_rhs, _dcd_solve
 from .estimator import AseParams, ase_weight
 
 __all__ = [
@@ -333,11 +333,7 @@ def filter_init(config: FilterConfig, *, ops: OpCounter | None = None) -> Filter
 
 
 def _check_sample(config: FilterConfig, x, d) -> tuple[np.ndarray, float]:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (config.length,):
-        raise ValueError(f"x must have shape ({config.length},), got {x.shape}")
-    if not _all_finite(x):
-        raise ValueError("x must be finite")
+    x = check_array("x", x, (config.length,))
     d = float(d)
     if not math.isfinite(d):
         raise ValueError(f"d must be finite, got {d!r}")
@@ -475,7 +471,7 @@ class _VssBatch:
     def finite(self) -> bool:
         """Whether ``w``, ``stats`` and ``residual`` are finite: if so, every
         state of the batch, which holds views of its row, is finite."""
-        return all(_all_finite(arr) for arr in (self.w, self.stats, self.residual))
+        return all(all_finite(arr) for arr in (self.w, self.stats, self.residual))
 
     def sync(self) -> None:
         """Nothing to move: each state holds views of its rows of the batch."""
@@ -742,7 +738,7 @@ class _DcdBatch:
     def finite(self) -> bool:
         """Whether ``w``, ``residual`` and ``ring`` are finite: if so, every
         state of the batch, which holds views of its row, is finite."""
-        return all(_all_finite(arr) for arr in (self.w, self.residual, self.ring))
+        return all(all_finite(arr) for arr in (self.w, self.residual, self.ring))
 
     def sync(self) -> None:
         """Move every state's ring to the shared head and its pivot count."""
@@ -818,7 +814,7 @@ def _state_is_finite(state: FilterState) -> bool:
     one check after many trusted steps finds whatever a check after each
     of them would have."""
     r = state.stats if state.ring is None else state.ring.newest
-    return _all_finite(state.w) and _all_finite(state.residual) and _all_finite(r)
+    return all_finite(state.w) and all_finite(state.residual) and all_finite(r)
 
 
 def update_ratio(state: FilterState) -> float:

@@ -69,9 +69,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import check_int, check_real, unit_interval
+from ._checks import all_finite, check_array, check_int, check_real, unit_interval
 from .counting import OpCounter, OpsPerIteration, dcd_step_ops, per_iteration, vss_step_ops
-from .dcd import DcdParams, _all_finite
+from .dcd import DcdParams
 from .estimator import AseParams
 from .filters import (
     FilterConfig,
@@ -217,19 +217,14 @@ class AncSpec:
                 raise ValueError("primary and reference must be vectors of equal length")
             if p.size == 0:
                 raise ValueError("primary and reference must not be empty")
-            if not (_all_finite(p) and _all_finite(r)):
+            if not (all_finite(p) and all_finite(r)):
                 raise ValueError("primary and reference must be finite")
             if self.mc_runs != 1:
                 raise ValueError("external waveforms require mc_runs == 1")
             object.__setattr__(self, "primary", p)
             object.__setattr__(self, "reference", r)
             if self.clean is not None:
-                c = np.asarray(self.clean, dtype=float)
-                if c.shape != p.shape:
-                    raise ValueError("clean must match primary in length")
-                if not _all_finite(c):
-                    raise ValueError("clean must be finite")
-                object.__setattr__(self, "clean", c)
+                object.__setattr__(self, "clean", check_array("clean", self.clean, p.shape))
         elif self.clean is not None:
             raise ValueError("clean requires primary and reference")
 
@@ -371,15 +366,8 @@ def _weighting(spec: AlgoSpec, bg_std: float) -> AseParams | float | None:
 def _check_draw(run: int, x_rows, d, horizon: int, length: int) -> list[np.ndarray]:
     """Run ``run``'s regressor rows and desired signal, checked for every
     step of the run; a ``ValueError`` names the run."""
-    checked = []
-    for name, value, shape in (("x_rows", x_rows, (horizon, length)), ("d", d, (horizon,))):
-        value = np.asarray(value, dtype=float)
-        if value.shape != shape:
-            raise ValueError(f"run {run}: {name} must have shape {shape}, got {value.shape}")
-        if not _all_finite(value):
-            raise ValueError(f"run {run}: {name} must be finite")
-        checked.append(value)
-    return checked
+    return [check_array(f"run {run}: {name}", value, shape)
+            for name, value, shape in (("x_rows", x_rows, (horizon, length)), ("d", d, (horizon,)))]
 
 
 def _step_runs(config: FilterConfig, weighting, states: list[FilterState], idx: int, xd: np.ndarray,
@@ -588,7 +576,7 @@ def _paired_runs(
         mse = se_sum[idx] / runs
         # The curve the experiment reports: the NMSD with a plant, else the residual MSE.
         name, curve = ("residual MSE", mse) if nmsd_db is None else ("NMSD", nmsd_db)
-        if not _all_finite(curve):
+        if not all_finite(curve):
             raise FilterError(f"{spec.name}: the {name} curve is not finite")
         records.append(
             RunRecord(
@@ -684,13 +672,15 @@ def random_spd_system(length: int, cond: float, seed) -> tuple[np.ndarray, np.nd
     check_real("cond", cond, "be >= 1", lambda v: math.isfinite(v) and v >= 1.0)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((length, length)))
-    eigs = np.linspace(1.0, float(cond), length)
     with np.errstate(over="ignore", invalid="ignore"):
+        # linspace's last step can overflow on the way to a cond near the
+        # largest float, before it writes cond itself as the last entry.
+        eigs = np.linspace(1.0, float(cond), length)
         matrix = (q * eigs) @ q.T
         matrix = 0.5 * (matrix + matrix.T)
         solution = rng.standard_normal(length)
         rhs = matrix @ solution
-    if not (_all_finite(matrix) and _all_finite(rhs)):
+    if not (all_finite(matrix) and all_finite(rhs)):
         raise ValueError(f"cond {cond!r} is too large: the test system overflows")
     return matrix, solution, rhs
 
@@ -698,13 +688,14 @@ def random_spd_system(length: int, cond: float, seed) -> tuple[np.ndarray, np.nd
 # Each kind's solver and the (adds, mults) of its textbook form, from the
 # filter length L and, for coordinate descent, the update budget nu and the
 # bits mb.  DCD-RMCC, the coordinate-descent solver with the Gaussian
-# weighting, has a nominal cost but no filter yet.
+# weighting, has a nominal cost but no filter yet.  The order is that of
+# the rows of dcd-bench's dcd_ops.csv.
 _NOMINAL = {
     "iwf": ("vss", lambda L: (3 * L * L + 4 * L, 3.5 * L * L + 6 * L)),
     "iwf_ase": ("vss", lambda L: (3 * L * L + 4 * L, 3.5 * L * L + 8 * L + 3)),
-    "dcd_ase": ("dcd", lambda L, nu, mb: (3 * L + 2 * nu * L + mb + 1, 7 * L + 6)),
     "rmcc": ("vss", lambda L: (3 * L * L + 7 * L + 4, 3 * L * L + 13 * L + 12)),
     "dcd_rmcc": ("dcd", lambda L, nu, mb: (3 * L + 2 * nu * L + mb, 7 * L + 5)),
+    "dcd_ase": ("dcd", lambda L, nu, mb: (3 * L + 2 * nu * L + mb + 1, 7 * L + 6)),
 }
 
 

@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import check_int, check_real, nonnegative_finite, positive_finite, unit_interval
-from .dcd import _all_finite
+from ._checks import all_finite, check_int, check_real, nonnegative_finite, positive_finite, unit_interval
 
 __all__ = [
     "BgNoiseSpec",
@@ -100,7 +99,7 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         taps = np.asarray(self.system_taps, dtype=float)
-        if taps.ndim != 1 or taps.size == 0 or not _all_finite(taps):
+        if taps.ndim != 1 or taps.size == 0 or not all_finite(taps):
             raise ValueError("system_taps must be a nonempty finite vector")
         if not np.any(taps != 0.0):
             raise ValueError("system_taps must not be all zero")

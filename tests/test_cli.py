@@ -173,6 +173,25 @@ def test_anc_layout(tmp_path):
     assert read_header(out / "mse.csv") == "iteration,iwf,iwf_ase"
 
 
+def test_anc_with_waveform_files_reports_the_run_it_made(tmp_path):
+    """Waveform files fix the run: one run of their length.  The summary
+    reports that run, not the --runs and --horizon flags it ignored."""
+    rng = np.random.default_rng(4)
+    p, r = tmp_path / "p.csv", tmp_path / "r.csv"
+    save_waveform(p, rng.standard_normal(700))
+    save_waveform(r, rng.standard_normal(700))
+    out = tmp_path / "o"
+    rc = run_cli(
+        "anc", "--primary-file", str(p), "--reference-file", str(r), "--runs", "7", "--horizon", "99",
+        "--algo", "iwf", "--out", str(out),
+    )
+    assert rc == EXIT_OK
+    assert len((out / "mse.csv").read_text().splitlines()) == 1 + 700
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "runs = 1" in summary and "horizon = 700" in summary
+    assert "runs = 7" not in summary and "horizon = 99" not in summary
+
+
 def test_anc_missing_reference_file_is_named(tmp_path, capsys):
     primary = tmp_path / "p.csv"
     save_waveform(primary, np.zeros(64))
@@ -560,6 +579,20 @@ def test_dcd_bench_bad_option_is_config_error(tmp_path, capsys, flag, value):
     assert rc == EXIT_CONFIG
     assert not out.exists()  # rejected before any output is written
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_dcd_bench_largest_cond_is_one_config_error(tmp_path, capsys):
+    """At L=7 the eigenvalue ladder up to the largest float overflows inside
+    ``np.linspace`` before it ends on cond: the overflow check reports it,
+    and no numpy warning, which tier-1 turns into an error, escapes."""
+    out = tmp_path / "o"
+    rc = run_cli("dcd-bench", "--length", "7", "--systems", "1", "--cond", "1.7976931348623157e308",
+                 "--no-embedded", "--out", str(out))
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "asefilt: configuration error: cond 1.7976931348623157e+308 is too large: the test system overflows\n"
+    )
+    assert not out.exists()
 
 
 def test_sweep_cutoff_ordering(tmp_path):

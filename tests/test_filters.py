@@ -42,7 +42,8 @@ from asefilt import (
     update_ratio,
 )
 from asefilt.counting import solve_ops
-from asefilt.dcd import ShiftMatrix, _all_finite
+from asefilt._checks import all_finite as _all_finite
+from asefilt.dcd import ShiftMatrix
 from asefilt.signals import BgNoiseSpec, gen_bg_noise, regressors
 
 from oracles import (

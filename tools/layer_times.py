@@ -81,8 +81,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from asefilt import default_algorithms, filter_init, filters  # noqa: E402
-from asefilt._checks import nonnegative_finite  # noqa: E402
-from asefilt.dcd import _all_finite, _check_rhs  # noqa: E402
+from asefilt._checks import all_finite, check_finite, nonnegative_finite  # noqa: E402
+from asefilt.dcd import _check_rhs  # noqa: E402
 from asefilt.signals import regressors, save_waveform, write_csv  # noqa: E402
 from asefilt.svgplot import line_chart  # noqa: E402
 
@@ -132,7 +132,7 @@ def step_layers(kind: str, length: int, repeat: int, rng) -> dict:
         row, rhs = state.ring.newest, state.residual
 
         def in_core_checks():
-            _all_finite(row)
+            check_finite("r_matrix rows", row)
             _check_rhs(rhs, length)
     else:
         def core():
@@ -153,7 +153,7 @@ def step_layers(kind: str, length: int, repeat: int, rng) -> dict:
         "core_us": best_us(core, number, repeat),
         "in_core_checks_us": best_us(in_core_checks, number, repeat),
         "step_output_us": best_us(lambda: filters.StepOutput(0.5, True), number, repeat),
-        "all_finite_us": best_us(lambda: _all_finite(vector), number, repeat),
+        "all_finite_us": best_us(lambda: all_finite(vector), number, repeat),
         "isfinite_all_us": best_us(lambda: np.isfinite(vector).all(), number, repeat),
     }
 
