@@ -361,6 +361,9 @@ def _load_external_waveforms(opts: dict):
 def plan_anc(opts: dict) -> tuple[list[AlgoSpec], AncSpec]:
     algos = _build_algorithms(opts, _parse_algo_list(opts))
     primary, reference, clean = _load_external_waveforms(opts)
+    # Judged as without files, though the files then fix one run, as
+    # AncSpec judges --horizon and the other flags such a run never reads.
+    check_int("mc_runs", opts["runs"])
     anc = AncSpec(
         horizon=opts["horizon"],
         mc_runs=1 if primary is not None else opts["runs"],

@@ -71,8 +71,15 @@ states through :func:`_vss_steps` on a :class:`_VssBatch`, and
 shift-mode coordinate-descent runs through :func:`_dcd_batch_step` on a
 :class:`_DcdBatch`, which batches the O(length) recursions and the
 solve's first scan and leaves each solve to ``_dcd_solve``, started from
-the lead that scan found.  It checks a batch once per block of rows
-with its ``finite`` method, and a state with :func:`_state_is_finite`.
+the lead that scan found.  A batch does per algorithm, not per row,
+what it can decide once: it resolves each algorithm's weighting, when it
+is built, into a function over one row of prior errors
+(:func:`_row_weigher`), and an inversion-free batch whose every ``lam``
+exceeds 0.5 adds its rank-one products unmasked, since a zero-weighted
+row's +0.0 and -0.0 products then leave every bit
+(:func:`_no_negative_zeros`).  The driver checks a batch once per block
+of rows with its ``finite`` method, and a state with
+:func:`_state_is_finite`.
 
 The scalar cores take every dot and matrix-vector product with
 ``ndarray.dot``, never ``@``.  Both reach the same BLAS ``ddot`` and
@@ -194,6 +201,20 @@ class FilterConfig:
         object.__setattr__(self, "_matmul_outer", _matmul_route(self.length, (self.lam,)))
 
 
+def _no_negative_zeros(lams) -> bool:
+    """Whether statistics decayed by each of ``lams`` never hold -0.0, so
+    that adding a +0.0 or -0.0 to them leaves every bit as it was.
+
+    It holds when every ``lam > 0.5``, for statistics that
+    :func:`filter_init` started at +0.0 or ``rho > 0``: ``fl(lam s)`` of a
+    negative ``s`` then rounds to at least the smallest subnormal in
+    magnitude, so no decay yields -0.0, and a sum is -0.0 only when both
+    its terms are.  At ``lam <= 0.5`` a negative subnormal decays to -0.0,
+    which a +0.0 added to it turns into +0.0.
+    """
+    return all(lam > 0.5 for lam in lams)
+
+
 def _matmul_route(length: int, lams) -> bool:
     """Whether the dense rank-one products ``u x^T`` of rows of ``length``
     taps, in statistics decayed by each of ``lams``, are built by
@@ -206,15 +227,11 @@ def _matmul_route(length: int, lams) -> bool:
     256, 14 against 37 us, where the einsum it replaced took 25).  Each
     entry of either is one rounded product, so both give the same bits,
     with one exception: the matmul adds the product to +0.0, so an exact
-    -0.0 product comes out +0.0.  Added to a decayed statistic ``fl(lam s)``,
-    it changes the sum only if that is -0.0 too.  With ``lam > 0.5`` it
-    never is, for statistics that :func:`filter_init` started at +0.0 or
-    ``rho > 0``: ``fl(lam s)`` of a negative ``s`` rounds to at least the
-    smallest subnormal in magnitude, so no decay yields -0.0, and a sum is
-    -0.0 only when both its terms are.  At ``lam <= 0.5`` a negative
-    subnormal decays to -0.0, so those rows keep the broadcast.
+    -0.0 product comes out +0.0.  Added to a decayed statistic, it changes
+    the sum only if that is -0.0 too, which :func:`_no_negative_zeros`
+    rules out; other rows keep the broadcast.
     """
-    return length >= _MATMUL_MIN_LENGTH and all(lam > 0.5 for lam in lams)
+    return length >= _MATMUL_MIN_LENGTH and _no_negative_zeros(lams)
 
 
 def _outer(u: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -394,7 +411,7 @@ def _weigh(e: float, weighting: AseParams | float | None) -> tuple[bool, float]:
     ``weighting`` is None (weight 1, every sample applied), an
     :class:`~asefilt.estimator.AseParams` (the gate at ``pi * c``, then
     :func:`~asefilt.estimator.ase_weight`) or a Gaussian kernel width
-    ``sigma`` (``exp(-e^2 / (2 sigma^2))``, every sample applied).
+    ``sigma`` (:func:`_gaussian_weight`, every sample applied).
     """
     if weighting is None:
         return True, 1.0
@@ -402,7 +419,38 @@ def _weigh(e: float, weighting: AseParams | float | None) -> tuple[bool, float]:
         applied = abs(e) <= weighting.cutoff
         phi = ase_weight(e, weighting) if applied else 0.0
         return applied, phi
-    return True, math.exp(-(e * e) / (2.0 * weighting * weighting))
+    return True, _gaussian_weight(e, 2.0 * weighting * weighting)
+
+
+def _gaussian_weight(e: float, width: float) -> float:
+    """The Gaussian kernel weight ``exp(-e^2 / width)``, ``width = 2 sigma^2``."""
+    return math.exp(-(e * e) / width)
+
+
+def _row_weigher(weighting: AseParams | float | None, runs: int):
+    """``weighting`` resolved once into a function over one row of ``runs``
+    prior errors, a list of floats, that returns the row's applied flags
+    and weights as two lists, each entry the one :func:`_weigh` returns.
+
+    None returns the same all-applied and all-1.0 lists every call; a
+    Gaussian width makes one ``math.exp`` per error over the ``2 sigma^2``
+    :func:`_weigh` computes; an :class:`~asefilt.estimator.AseParams`
+    gates at ``pi * c``, then calls ``ase_weight``, read from this module
+    at each call so that a wrapper put there sees it.
+    """
+    if weighting is None:
+        row = ([True] * runs, [1.0] * runs)
+        return lambda errors: row
+    if isinstance(weighting, AseParams):
+        cutoff = weighting.cutoff
+
+        def ase_row(errors):
+            applied = [abs(e) <= cutoff for e in errors]
+            return applied, [ase_weight(e, weighting) if a else 0.0 for e, a in zip(errors, applied)]
+
+        return ase_row
+    width, applied = 2.0 * weighting * weighting, [True] * runs
+    return lambda errors: (applied, [_gaussian_weight(e, width) for e in errors])
 
 
 def _vss_step(
@@ -444,9 +492,12 @@ class _VssBatch:
     weights and residuals are stacked into ``w`` and ``residual``, ``(A, B,
     L)``, and their statistics into ``stats``, ``(A, B, L + 1, L)``; each
     state then holds views of its row, so it follows the batch and stays
-    inspectable.  The views and buffers every step reuses are made here,
-    and the route of the rank-one products, :func:`_matmul_route` on every
-    algorithm's ``lam``: with ``matmul_outer``, :func:`_outer`.
+    inspectable.  What every step reuses is made here: the views and
+    buffers, each algorithm's weighting as a :func:`_row_weigher`, the
+    route of the rank-one products, :func:`_matmul_route` on every
+    algorithm's ``lam`` (with ``matmul_outer``, :func:`_outer`), and
+    whether they are added unmasked, :func:`_no_negative_zeros` on the
+    same ``lam`` values.
     """
 
     def __init__(self, states: list[list[FilterState]], lams: list[float], weightings: list) -> None:
@@ -458,13 +509,14 @@ class _VssBatch:
         # One float when the algorithms share lam, as every CLI run does: the
         # same product per element as the broadcast multiply, at less cost.
         self.lam = lams[0] if len(set(lams)) == 1 else np.reshape(lams, (-1, 1, 1, 1))
-        self.weightings = weightings
+        self.weighers = [_row_weigher(weighting, self.w.shape[1]) for weighting in weightings]
         self.r_mat, self.theta = self.stats[..., :-1, :], self.stats[..., -1, :]
         self.w_col, self.residual_col = self.w[..., None], self.residual[..., None]
         self.u = np.empty(self.stats.shape[:-1])
         self.u_col = self.u[..., None]
         self.outer = np.empty(self.stats.shape)
         self.matmul_outer = _matmul_route(self.stats.shape[-1], lams)
+        self.unmasked = _no_negative_zeros(lams)
         self.product = np.empty(self.w.shape + (1,))
         self.product_row = self.product[..., 0]
 
@@ -486,27 +538,31 @@ def _vss_steps(batch: _VssBatch, xd: np.ndarray, step_index: int) -> tuple[np.nd
     or none.  Returns the row ``(prior_error, applied, phi, moved)`` of
     every state, the first three as ``(A, B)`` arrays.  Each product has
     the scalar core's bits: ``np.vecdot`` for its ``.dot`` dots, a stacked
-    ``np.matmul`` for its ``R`` products, :func:`_weigh` per row,
-    ``u = phi [x; d]`` in one multiply and the products ``u x^T`` by the
-    core's route: the broadcast multiply or, with ``batch.matmul_outer``,
-    :func:`_outer`, one stacked ``(A, B, L + 1, 2) @ (B, 2, L)`` call
-    over the batch.
+    ``np.matmul`` for its ``R`` products, each algorithm's
+    :func:`_row_weigher` on its row of prior errors, ``u = phi [x; d]`` in
+    one multiply and the products ``u x^T`` by the core's route: the
+    broadcast multiply or, with ``batch.matmul_outer``, :func:`_outer`,
+    one stacked ``(A, B, L + 1, 2) @ (B, 2, L)`` call over the batch.
+    The scalar core skips the add of a row with ``phi = 0.0``, whose
+    products are +0.0 or -0.0; with ``batch.unmasked`` every row is added,
+    which leaves the same bits (:func:`_no_negative_zeros`), and otherwise
+    the add is masked to the rows with ``phi != 0.0``.
     """
     n, w, stats, residual, product = xd.shape[-1] - 1, batch.w, batch.stats, batch.residual, batch.product
     x = xd[:, :n]
     e = xd[:, n] - np.vecdot(w, x)
-    applied, phi = zip(*[_weigh(v, wt) for row, wt in zip(e.tolist(), batch.weightings) for v in row])
-    # Rows with phi = 0.0 only decay, as in the scalar core.
-    where = True if 0.0 not in phi else (np.array(phi) != 0.0).reshape(e.shape + (1, 1))
-    applied = np.array(applied).reshape(e.shape)
-    phi = np.array(phi).reshape(e.shape)
+    applied, phi = zip(*[weigh(row) for weigh, row in zip(batch.weighers, e.tolist())])
+    applied, phi = np.array(applied), np.array(phi)
     stats *= batch.lam
     np.multiply(phi[..., None], xd, out=batch.u)
     if batch.matmul_outer:
         _outer(batch.u, x, out=batch.outer)
     else:
         np.multiply(batch.u_col, x[:, None, :], out=batch.outer)
-    np.add(stats, batch.outer, out=stats, where=where)
+    if batch.unmasked:
+        stats += batch.outer
+    else:
+        np.add(stats, batch.outer, out=stats, where=(phi != 0.0)[..., None, None])
     np.matmul(batch.r_mat, batch.w_col, out=product)
     np.subtract(batch.theta, batch.product_row, out=residual)
     move = step_index >= n - 1
@@ -720,11 +776,11 @@ class _DcdBatch:
     have a pivot of at least :data:`~asefilt.dcd.MIN_PIVOT`.  Each state
     then holds views of its row, as in :class:`_VssBatch`: its ring follows
     the shared head before its own solve and, with its count, at
-    :meth:`sync`.
+    :meth:`sync`.  The weighting is resolved once, as a :func:`_row_weigher`.
     """
 
     def __init__(self, states: list[FilterState], config: FilterConfig, weighting) -> None:
-        self.states, self.config, self.weighting = states, config, weighting
+        self.states, self.config, self.weigh = states, config, _row_weigher(weighting, len(states))
         self.w, self.residual = (np.array([getattr(st, name) for st in states]) for name in ("w", "residual"))
         self.ring = np.array([st.ring._buf for st in states])
         self.normal_rows = np.array([st.ring._normal_rows for st in states])
@@ -734,6 +790,12 @@ class _DcdBatch:
             st.ring._bind(self.ring[b])
             st.ring._seek(self.head)
         self.runs = np.arange(len(states))
+        # What each run's solve is handed: its ring and its rows of rhs and w.
+        self.solves = [(st.ring, self.residual[b], st.w) for b, st in enumerate(states)]
+        # The halvings of a run whose solve ran out of bits, and the update
+        # counts of a sample on which no run solves.
+        self.all_bits = np.full(len(states), config.dcd.m_bits)
+        self.no_updates = np.zeros(len(states), dtype=int)
 
     def finite(self) -> bool:
         """Whether ``w``, ``residual`` and ``ring`` are finite: if so, every
@@ -753,12 +815,13 @@ def _dcd_batch_step(batch: _DcdBatch, xd: np.ndarray, step_index: int) -> tuple:
     Row ``b`` of ``xd``, ``(B, L + 1)``, is run ``b``'s regressor row
     followed by ``d``; every run has taken ``step_index`` steps.  The O(L)
     recursions every run makes each sample run batched: the prior error
-    (``np.vecdot``), :func:`_weigh` per row, ``rhs = lam residual + (phi
-    e) x`` with the add masked where ``phi == 0.0``, the leakage
-    correction, the ring push, the pivot count, the hold test and the
-    solve's first scan.  A run whose leading residual does not pass the
-    finest threshold there ends its solve as :func:`~asefilt.dcd._dcd_solve`
-    would, with the bits exhausted; each other run solves through
+    (``np.vecdot``), the batch's :func:`_row_weigher` on the row of prior
+    errors, ``rhs = lam residual + (phi e) x`` with the add masked where
+    ``phi == 0.0``, the leakage correction, the ring push, the pivot
+    count, the hold test and the solve's first scan.  A run whose leading
+    residual does not pass the finest threshold there ends its solve as
+    :func:`~asefilt.dcd._dcd_solve` would, with the bits exhausted; each
+    other run solves through
     ``_dcd_solve`` on its own ring, since the number of coordinate updates
     differs from run to run, starting from the lead this scan found, so
     the scan is not repeated.  Returns the row ``(prior_error, applied,
@@ -769,7 +832,7 @@ def _dcd_batch_step(batch: _DcdBatch, xd: np.ndarray, step_index: int) -> tuple:
     w, rhs, ring = batch.w, batch.residual, batch.ring
     x = xd[:, :n]
     e = xd[:, n] - np.vecdot(w, x)
-    applied, phi = zip(*[_weigh(v, batch.weighting) for v in e.tolist()])
+    applied, phi = batch.weigh(e.tolist())
     # Runs with phi = 0.0 add nothing, as in the scalar core.
     where = True if 0.0 not in phi else (np.array(phi) != 0.0)[:, None]
     phi = np.array(phi)
@@ -793,14 +856,16 @@ def _dcd_batch_step(batch: _DcdBatch, xd: np.ndarray, step_index: int) -> tuple:
     # The first scan of _dcd_solve: at or below the finest threshold no
     # depth passes, and the solve ends with the bits exhausted.
     exhausted = magnitude[runs, lead] <= (0.5 * params._ladder[-1]) * ring[runs, head + lead, 0]
-    updates, halvings = np.zeros(len(e), dtype=int), moved * params.m_bits
+    halvings = batch.all_bits * moved
     # Solve where moved > exhausted, i.e. in the moved runs whose scan passed,
     # each from the lead this scan found.
-    leads = lead.tolist()
-    for b in np.flatnonzero(moved > exhausted).tolist():
-        state = batch.states[b]
-        state.ring._seek(head)
-        updates[b], halvings[b] = _dcd_solve(state.ring, rhs[b], params, state.w, leads[b])
+    solving = np.flatnonzero(moved > exhausted).tolist()
+    updates = np.zeros(len(e), dtype=int) if solving else batch.no_updates
+    leads, solves = lead.tolist(), batch.solves
+    for b in solving:
+        ring_b, rhs_b, w_b = solves[b]
+        ring_b._seek(head)
+        updates[b], halvings[b] = _dcd_solve(ring_b, rhs_b, params, w_b, leads[b])
     return e, applied, phi, moved, updates, halvings
 
 

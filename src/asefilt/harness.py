@@ -28,14 +28,17 @@ coordinate-descent algorithm whose chunk has at least
 ``_DCD_BATCH_MIN_RUNS`` runs forms a ``filters._DcdBatch``; any other
 coordinate-descent algorithm steps one run at a time through the scalar
 ``_dcd_step``: at L <= 10 a batch of 3 runs or fewer took 1.1 to 2.5
-times the scalar time, and no batch holds the dense update.  The chunk then steps one block of
-``_BLOCK_ROWS`` samples at a time, the coordinate-descent groups first,
-each group with one call that advances its rows through the
-unchecked private cores of :mod:`~asefilt.filters` and writes them into
-the block record: six ``(runs, algorithms, block)`` arrays of each row's
-prior error, applied flag, weight ``phi``, moved flag, and solver updates
-and halvings (zero for a row that ran no solve).  The scores, the update
-ratios and the operation totals are read from it: on every run, the
+times the scalar time, and no batch holds the dense update.  The chunk
+then steps one block of ``_BLOCK_ROWS`` samples at a time, the
+coordinate-descent groups first, each group with one call that advances
+its rows through the unchecked private cores of :mod:`~asefilt.filters`.
+The call writes the rows into the block record: six ``(runs,
+algorithms, block)`` arrays of each row's prior error, applied flag,
+weight ``phi``, moved flag, and solver updates and halvings (zero for a
+row that ran no solve).  A batch's call writes each step's weights into
+a buffer of its own, by basic indexing, and copies it into the block's
+weights once per block.  The scores, the update ratios and the
+operation totals are read from the record: on every run, the
 record's integer fields share one array with each row's weighted and
 exhausted flags, in the order of :func:`~asefilt.counting.step_counts`,
 which one add per block accumulates for the whole chunk; a row's applied
@@ -392,14 +395,18 @@ def _step_runs(config: FilterConfig, weighting, states: list[FilterState], idx: 
 def _step_batched(core, batch, rows, xd: np.ndarray, first_step: int, record: tuple, w_block: np.ndarray | None) -> None:
     """Step ``batch`` through its batched ``core`` over the block ``xd``
     from step ``first_step`` on, writing its rows into each record field's
-    ``[:, rows]`` and its weights into ``w_block[:, rows]``; then its
+    ``[:, rows]`` and its weights into ``w_block[:, rows]``, once for the
+    block from a buffer that each step writes by basic indexing; then its
     states follow it."""
     columns = []
+    w_steps = None if w_block is None else np.empty((len(xd),) + batch.w.shape)
     for k, sample in enumerate(xd):
         columns.append(core(batch, sample, first_step + k))
-        if w_block is not None:
-            w_block[k, rows] = batch.w
+        if w_steps is not None:
+            w_steps[k] = batch.w
     batch.sync()
+    if w_steps is not None:
+        w_block[: len(xd), rows] = w_steps
     # A core returns each field per sample as an (algorithms, runs) or (runs,)
     # array, or as one flag; the transpose puts the runs first, the samples last.
     for field, column in zip(record, zip(*columns)):

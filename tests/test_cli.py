@@ -192,6 +192,25 @@ def test_anc_with_waveform_files_reports_the_run_it_made(tmp_path):
     assert "runs = 7" not in summary and "horizon = 99" not in summary
 
 
+@pytest.mark.parametrize("files", [False, True])
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_anc_out_of_domain_runs_is_config_error_with_or_without_files(tmp_path, capsys, files, runs):
+    """Waveform files fix one run, but ``--runs`` is still judged as
+    documented, as ``--horizon`` is: a run count below 1 exits 2 before
+    any output directory is made, with the same message either way."""
+    args = []
+    if files:
+        rng = np.random.default_rng(5)
+        for flag, name in (("--primary-file", "p.csv"), ("--reference-file", "r.csv")):
+            save_waveform(tmp_path / name, rng.standard_normal(50))
+            args += [flag, str(tmp_path / name)]
+    out = tmp_path / "o"
+    rc = run_cli("anc", *args, "--runs", runs, "--horizon", "50", "--algo", "iwf", "--out", str(out))
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"asefilt: configuration error: mc_runs must be a positive integer, got {runs}\n"
+    assert not out.exists()
+
+
 def test_anc_missing_reference_file_is_named(tmp_path, capsys):
     primary = tmp_path / "p.csv"
     save_waveform(primary, np.zeros(64))

@@ -981,6 +981,63 @@ def test_matmul_route_guard_keeps_signed_zeros_at_half_lam():
     assert np.array_equal(kept, lost)
 
 
+def _smallest_kernel_width() -> float:
+    """The least ``sigma`` whose ``2 sigma^2`` does not underflow to 0."""
+    lo, hi = 0.0, 1e-150
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if 2.0 * mid * mid == 0.0 else (lo, mid)
+    return hi
+
+
+_SMALLEST_SIGMA = _smallest_kernel_width()
+_WEIGHTINGS = st.one_of(
+    st.none(),
+    st.builds(AseParams, c=st.floats(1e-3, 1e3), zeta=st.sampled_from((1e-12, 1e-4, 1.0))),
+    st.sampled_from((2.0, 0.3803647443400834, 1e-4)).map(AseParams),
+    st.sampled_from((_SMALLEST_SIGMA, math.nextafter(_SMALLEST_SIGMA, 1.0), 1e-150, 1e-3, 1.0, 1e150)),
+    st.floats(_SMALLEST_SIGMA, 1e300),
+)
+
+
+def _edge_errors(weighting) -> list[float]:
+    """Signed zeros, subnormals, huge and non-finite errors, and for an
+    ASE weighting its cutoff and the cutoff's float neighbours, both signs."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, math.inf, -math.inf, math.nan]
+    if isinstance(weighting, AseParams):
+        cutoff = weighting.cutoff
+        for v in (cutoff, math.nextafter(cutoff, 0.0), math.nextafter(cutoff, math.inf)):
+            edges += [v, -v]
+    return edges
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data(), runs=st.integers(1, 6), weightings=st.lists(_WEIGHTINGS, min_size=1, max_size=4))
+def test_batch_row_weighers_match_weigh_bit_for_bit(data, runs, weightings):
+    """Each lockstep batch's per-algorithm weighting, resolved once, gives
+    every row of prior errors the applied flags and the weight bits that
+    ``_weigh`` gives each error: for no weighting, ASE parameters (among
+    them a width whose cutoff rounds the sine negative) and Gaussian
+    widths down to the smallest whose ``2 sigma^2`` does not underflow,
+    on errors that include signed zeros, the cutoff and its neighbours,
+    subnormals, +-1e300, infinities and NaN."""
+    assert filters._check_kernel_width(_SMALLEST_SIGMA) == _SMALLEST_SIGMA
+    with pytest.raises(ValueError, match="underflows"):
+        filters._check_kernel_width(math.nextafter(_SMALLEST_SIGMA, 0.0))
+    vss_config, dcd_config = cfg_for(length=2), cfg_for(length=2, dcd=DcdParams())
+    vss = filters._VssBatch(
+        [[filter_init(vss_config) for _ in range(runs)] for _ in weightings], [vss_config.lam] * len(weightings), weightings
+    )
+    for weighting, vss_weigh in zip(weightings, vss.weighers):
+        dcd_weigh = filters._DcdBatch([filter_init(dcd_config) for _ in range(runs)], dcd_config, weighting).weigh
+        errors = data.draw(st.lists(st.sampled_from(_edge_errors(weighting)) | st.floats(), min_size=runs, max_size=runs))
+        expected = [filters._weigh(e, weighting) for e in errors]
+        for weigh in (vss_weigh, dcd_weigh):
+            applied, phi = weigh(errors)
+            assert list(applied) == [a for a, _ in expected] and all(type(a) is bool for a in applied)
+            assert np.array(phi).tobytes() == np.array([p for _, p in expected]).tobytes(), (weighting, errors)
+
+
 def test_shift_state_r_matrix_is_a_read_only_copy():
     cfg = cfg_for(length=3, dcd=DcdParams())
     st = filter_init(cfg)

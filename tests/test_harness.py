@@ -4,6 +4,7 @@ experiment drivers at toy scale."""
 import ast
 import dataclasses
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -847,6 +848,72 @@ def test_lockstep_gated_row_keeps_signed_zeros(monkeypatch):
     assert not records[0].applied_rate[-1]
     assert np.signbit(public.stats).any()
     assert states[0].stats.tobytes() == public.stats.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.999, math.nextafter(0.5, 1.0)])
+def test_lockstep_unmasked_gated_row_keeps_every_bit(monkeypatch, lam):
+    """Above ``lam = 0.5`` the driver adds the +0.0 and -0.0 products of
+    every zero-weighted row, where the scalar core skips the add: signed
+    zero regressor entries, a silence that decays negative entries of R
+    (at the smallest ``lam`` to the smallest subnormal, never to -0.0) and
+    a gated impulse leave the same bytes as the public steps."""
+    length, horizon = 2, 1203
+    config = FilterConfig(length=length, lam=lam, rho=1e-4, ase=AseParams(c=2.0))
+    spec = AlgoSpec(kind="iwf_ase", config=config)
+    x_rows = np.zeros((horizon, length))
+    x_rows[:3] = [[1.0, -0.0], [-1.0, 1.0], [-0.0, -1.0]]
+    x_rows[3::2, 0] = -0.0
+    x_rows[-1] = [-0.0, 1.0]
+    d = np.zeros(horizon)
+    d[:3], d[4::3], d[-1] = 0.1, -0.0, 1e3
+    states, routes = [], []
+    core = harness._vss_steps
+
+    def recording_init(config, *, ops=None):
+        states.append(filters.filter_init(config, ops=ops))
+        return states[-1]
+
+    def spy(batch, xd, step_index):
+        routes.append(batch.unmasked)
+        return core(batch, xd, step_index)
+
+    monkeypatch.setattr(harness, "filter_init", recording_init)
+    monkeypatch.setattr(harness, "_vss_steps", spy)
+    records, _ = harness._paired_runs([spec], length, horizon, 1, 0.0, lambda run: (x_rows, d, 0.0), None)
+    public = run_public_steps(spec, x_rows, d, 1.0)[0]
+    assert routes and all(routes)
+    assert not records[0].applied_rate[-1]
+    assert np.signbit(public.stats).any() and not (np.signbit(public.stats) & (public.stats == 0.0)).any()
+    assert states[0].stats.tobytes() == public.stats.tobytes()
+    assert states[0].w.tobytes() == public.w.tobytes()
+
+
+def test_batch_adds_unmasked_exactly_when_every_lam_exceeds_half(monkeypatch):
+    """A lockstep batch adds its rank-one products unmasked exactly when
+    every algorithm's ``lam`` is above 0.5: a batch of 0.999 rows, or of
+    rows just above 0.5, does; a batch of 0.5 rows, or one that mixes 0.5
+    and 0.999, keeps the mask."""
+    length = 4
+    sc = make_sysid_scenario(length=length, horizon=_BLOCK + 5, mc_runs=2, seed=41)
+    base = default_algorithms(length, ("iwf_ase",))[0]
+
+    def spec(lam):
+        return _alternate_vss_spec("iwf_ase", length, lam, base.config.rho, base.config.ase.c, None)
+
+    routes = []
+    core = harness._vss_steps
+
+    def spy(batch, xd, step_index):
+        routes.append(batch.unmasked)
+        return core(batch, xd, step_index)
+
+    monkeypatch.setattr(harness, "_vss_steps", spy)
+    for lams, unmasked in [
+        ((0.999,), True), ((math.nextafter(0.5, 1.0), 0.999), True), ((0.5,), False), ((0.5, 0.999), False),
+    ]:
+        routes.clear()
+        run_sysid(sc, [spec(lam) for lam in lams])
+        assert routes and set(routes) == {unmasked}, lams
 
 
 @pytest.mark.parametrize("kinds", [("iwf", "dcd_ase"), ("dcd_ase", "iwf")])

@@ -1,6 +1,6 @@
-"""Time the layers of the library: public steps, the dense statistics update and the output writers.
+"""Time the layers of the library: public steps, the dense statistics update, the driver weighting and the output writers.
 
-One run prints one JSON line per row, in three groups.
+One run prints one JSON line per row, in four groups.
 
 **Public steps**, one row per ``kind`` (``iwf_ase``, and ``dcd_ase`` in
 shift mode, the default) and per ``L`` in 10, 64 and 256, with the
@@ -44,6 +44,21 @@ the scalar cores take them, and the ``@`` twins ``matmul_rw_us`` and
 gufunc.  The operands are standard normal, which keeps subnormal
 arithmetic out of the times.
 
+**Driver weighting**, the per-sample work of the Monte Carlo driver's
+lockstep batch of ``A = 3`` inversion-free algorithms (no weighting,
+ASE and Gaussian, as ``asefilt sysid`` runs them) over ``B`` runs, in
+microseconds per sample.  One row per ``B`` in 1, 10 and 100 times the
+step from the ``(A, B)`` prior errors to the applied flags and weights
+as arrays: ``weigh_list_us``, one ``filters._weigh`` call per row, and
+``row_weighers_us``, one ``filters._row_weigher`` function per
+algorithm, which the batch resolves once.  The errors are standard
+normal with one in ten scaled by 100, past the ASE cutoff.  One row per
+``L`` in 10 and 64 at ``B = 10`` times the add of the rank-one products
+into the ``(A, B, L + 1, L)`` statistics: ``add_masked_us``, masked to
+the rows whose weight is not zero (the mask built from the weights
+included), and ``add_unmasked_us``, the plain add a batch whose every
+``lam`` exceeds 0.5 makes.
+
 **Writers**, one row per output writer of ``asefilt anc`` at the
 ``anc-io`` shape, in milliseconds, on seeded random data written to a
 temporary directory:
@@ -80,7 +95,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from asefilt import default_algorithms, filter_init, filters  # noqa: E402
+from asefilt import AseParams, default_algorithms, filter_init, filters  # noqa: E402
 from asefilt._checks import all_finite, check_finite, nonnegative_finite  # noqa: E402
 from asefilt.dcd import _check_rhs  # noqa: E402
 from asefilt.signals import regressors, save_waveform, write_csv  # noqa: E402
@@ -91,6 +106,8 @@ KINDS = ("iwf_ase", "dcd_ase")
 STREAM_SAMPLES = 3000
 UPDATE_LENGTHS = (10, 16, 32, 48, 64, 128, 256)
 RUNS = (1, 4, 10)
+WEIGHING_RUNS = (1, 10, 100)
+ADD_LENGTHS = (10, 64)
 ALGORITHMS = 3
 LAM = 0.999
 WRITER_SAMPLES = 20_000
@@ -196,6 +213,44 @@ def update_layers(runs: int | None, length: int, repeat: int, rng) -> dict:
     return row
 
 
+def weighting_rows(repeat: int, rng) -> list[dict]:
+    """The driver's per-sample weighting of a lockstep batch, per row
+    against per algorithm, and its add of the rank-one products, masked
+    against unmasked."""
+    weightings = [None, AseParams(2.0), 10.0]
+    rows = []
+    for runs in WEIGHING_RUNS:
+        e = rng.standard_normal((ALGORITHMS, runs))
+        e[rng.random(e.shape) < 0.1] *= 100.0
+        weighers = [filters._row_weigher(weighting, runs) for weighting in weightings]
+
+        def weigh_list():
+            applied, phi = zip(*[filters._weigh(v, wt) for row, wt in zip(e.tolist(), weightings) for v in row])
+            return np.array(applied).reshape(e.shape), np.array(phi).reshape(e.shape)
+
+        def row_weighers():
+            applied, phi = zip(*[weigh(row) for weigh, row in zip(weighers, e.tolist())])
+            return np.array(applied), np.array(phi)
+
+        number = max(20, 20000 // runs)
+        rows.append({"A": ALGORITHMS, "B": runs, "weigh_list_us": best_us(weigh_list, number, repeat),
+                     "row_weighers_us": best_us(row_weighers, number, repeat)})
+    runs = WEIGHING_RUNS[1]
+    for length in ADD_LENGTHS:
+        phi = rng.random((ALGORITHMS, runs))
+        phi[rng.random(phi.shape) < 0.1] = 0.0
+        stats, outer = rng.standard_normal((2, ALGORITHMS, runs, length + 1, length))
+        number = max(20, 20000 // length)
+        rows.append({
+            "A": ALGORITHMS, "B": runs, "L": length,
+            "add_masked_us": best_us(
+                lambda: np.add(stats, outer, out=stats, where=(phi != 0.0)[..., None, None]), number, repeat
+            ),
+            "add_unmasked_us": best_us(lambda: stats.__iadd__(outer), number, repeat),
+        })
+    return rows
+
+
 def writer_rows(repeat: int, rng) -> list[dict]:
     """One row per output writer of ``asefilt anc``."""
     def best_ms(fn):
@@ -235,6 +290,7 @@ def main(argv=None) -> None:
     rng = np.random.default_rng(0)
     rows = [step_layers(kind, length, args.repeat, rng) for kind in KINDS for length in STEP_LENGTHS]
     rows += [update_layers(runs, length, args.repeat, rng) for runs in (None, *RUNS) for length in UPDATE_LENGTHS]
+    rows += weighting_rows(args.repeat, rng)
     rows += writer_rows(args.repeat, rng)
     for row in rows:
         print(json.dumps(row))
